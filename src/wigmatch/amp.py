@@ -180,7 +180,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     diag = None
     for t in range(t_target + 1):
-        t0 = time.time()
+        t0 = time.perf_counter()
         dcur = max(1, rm.k_t // xi_factor)
         log = RoundLog(t=t, k_t=rm.k_t, d=dcur, eps_t=rm.eps_t)
         try:
@@ -200,7 +200,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         h, l = linear_step(it, cp, xi, a_sub, b_sub)
         it.h, it.l = h, l
         if t == t_target:
-            log.wall_s = time.time() - t0
+            log.wall_s = time.perf_counter() - t0
             logs.append(log)
             break
         k_next = sched.ks[t + 1]
@@ -223,7 +223,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         history.append(rm)
         if keep_history:
             iterates.append((it.f, it.g))
-        log.wall_s = time.time() - t0
+        log.wall_s = time.perf_counter() - t0
         logs.append(log)
     return AmpResult(iterate=it, rounds=logs, stopped_reason=stopped,
                      spectral_diag=diag, round_history=history,

@@ -28,7 +28,7 @@ from .denoiser import build_schedule, make_denoiser
 from .errors import exit_code_for
 from .model import corrupt, generate, overlap
 from .preprocess import clean_pair
-from .refine import RefineParams, final_select, seeded_refine, selection_score
+from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
 
 SCHEMA_VERSION = 1
@@ -113,18 +113,32 @@ def _enumerate_seed_pairs(n: int, k0: int):
             yield SeedPair(u_seq=u, v_seq=v, goodness=None)
 
 
+def _split(stages_s: dict, stage: str, t0: float) -> float:
+    """Add the time since t0 to stages_s[stage]; return the current time."""
+    now = time.perf_counter()
+    stages_s[stage] += now - t0
+    return now
+
+
 def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
-                   beta_seed: int, obs, inst) -> dict:
+                   beta_seed: int, obs, inst, stages_s: dict) -> dict:
+    t = time.perf_counter()
     res = run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
                   beta_seed=beta_seed, xi_factor=cfg.xi_factor,
                   max_resamples=cfg.max_resamples, spectral_mode=cfg.spectral_mode)
+    t = _split(stages_s, "amp", t)
     prob = build_scores(res.iterate)
+    t = _split(stages_s, "score", t)
     sigma = solve_lap(prob)
     pi_lap = assemble_pi(seeds, prob, sigma)
+    t = _split(stages_s, "lap", t)
     params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
     trace: list | None = [] if cfg.verbose else None
     pi_ref, info = seeded_refine(obs, pi_lap, cfg.rho, params,
                                  selection=cfg.selection_rule, trace=trace)
+    t = _split(stages_s, "refine", t)
+    select_score = selection_score(obs, pi_ref)
+    _split(stages_s, "select", t)
     out = {
         "label": label,
         "goodness": seeds.goodness,
@@ -136,7 +150,7 @@ def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
         "rounds": [asdict(r) for r in res.rounds],
         "pi": pi_ref,
         "pi_lap": pi_lap,
-        "select_score": selection_score(obs, pi_ref),
+        "select_score": select_score,
     }
     if trace is not None:
         out["swap_trace"] = trace
@@ -170,18 +184,18 @@ def run_pipeline(cfg: RunConfig) -> dict:
     stage = "setup"
     try:
         cfg.validate()
-        t0 = time.time()
+        t0 = time.perf_counter()
         stage = "generate"
         inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
-        record["stages_s"]["generate"] = time.time() - t0
+        record["stages_s"]["generate"] = time.perf_counter() - t0
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         stage = "corrupt"
         obs, plan = corrupt(inst, cfg.epsilon, cfg.strategy, streams["corruption"],
                             clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
-        record["stages_s"]["corrupt"] = time.time() - t0
+        record["stages_s"]["corrupt"] = time.perf_counter() - t0
 
-        t0 = time.time()
+        t0 = time.perf_counter()
         stage = "clean"
         trace_path = None
         if cfg.trace_cleaning and cfg.output:
@@ -190,7 +204,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                         trace_path=trace_path)
         record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                               "iters_a": cp.iters_a, "iters_b": cp.iters_b}
-        record["stages_s"]["clean"] = time.time() - t0
+        record["stages_s"]["clean"] = time.perf_counter() - t0
 
         stage = "schedule"
         dn = make_denoiser(cfg.denoiser_b)
@@ -206,23 +220,26 @@ def run_pipeline(cfg: RunConfig) -> dict:
                               "eq25_ratio": sched.eq25_ratio,
                               "eq25_satisfied": sched.eq25_ratio < 1.01 and sched.eq25_ratio > 0}
 
-        t0 = time.time()
         stage = "amp"
+        stages_s = record["stages_s"]
+        stages_s.update(amp=0.0, score=0.0, lap=0.0, refine=0.0, select=0.0)
         candidates: list[dict] = []
         if cfg.mode == "oracle-seed":
             exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
             exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
             seeds = good_seed_pair(inst.pi_star, cfg.k0, exclude_u, exclude_v)
             candidates.append(_run_candidate("oracle", seeds, cp, sched, dn, cfg,
-                                             streams["beta"], obs, inst))
+                                             streams["beta"], obs, inst, stages_s))
             for i in range(cfg.bad_seed_candidates):
                 bad = bad_seed_pair(inst.pi_star, cfg.k0, child(streams["corruption"], 100 + i))
                 candidates.append(_run_candidate(f"bad{i}", bad, cp, sched, dn, cfg,
-                                                 streams["beta"], obs, inst))
+                                                 streams["beta"], obs, inst, stages_s))
         else:
             for idx, seeds in enumerate(_enumerate_seed_pairs(cfg.n, cfg.k0)):
                 candidates.append(_run_candidate(f"enum{idx}", seeds, cp, sched, dn,
-                                                 cfg, streams["beta"], obs, inst))
+                                                 cfg, streams["beta"], obs, inst, stages_s))
+        t0 = time.perf_counter()
+        stage = "select"
         rng_rand = np.random.default_rng(child(streams["corruption"], 999))
         for i in range(cfg.random_candidates):
             pi_rand = rng_rand.permutation(cfg.n).astype(np.intp)
@@ -233,14 +250,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                "stopped_reason": "n/a", "rounds": [],
                                "pi": pi_rand,
                                "select_score": selection_score(obs, pi_rand)})
-        record["stages_s"]["amp_lap_refine"] = time.time() - t0
-
-        t0 = time.time()
-        stage = "select"
-        pis = [c["pi"] for c in candidates]
-        pi_final, scores = final_select(obs, pis)
-        best = int(np.argmax(scores))
-        record["stages_s"]["select"] = time.time() - t0
+        # the rule of final_select, on the scores already computed
+        scores = [c["select_score"] for c in candidates]
+        best = int(np.argmax(scores))   # argmax returns the first maximiser
+        pi_final = candidates[best]["pi"]
+        _split(stages_s, "select", t0)
 
         amp_rounds = candidates[0].get("rounds", [])
         record["rounds"] = amp_rounds
@@ -339,7 +353,7 @@ def _sweep_row(args):
                   master_seed=child(base.master_seed, row_idx),
                   trials=1, output=None)
     cfg = RunConfig(**cfg_kw)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         rec = run_pipeline(cfg)
         cand0 = rec.get("candidates", [{}])[0] if rec["status"] == "ok" else {}
@@ -355,7 +369,7 @@ def _sweep_row(args):
             "cleaning_iters": (rec.get("cleaning", {}).get("iters_a", 0)
                                + rec.get("cleaning", {}).get("iters_b", 0)),
             "resamples_mean": float(np.mean(resamples)) if resamples else 0.0,
-            "wall_s": time.time() - t0,
+            "wall_s": time.perf_counter() - t0,
             "error": rec.get("error"),
         }
     except Exception as exc:  # defensive: run_pipeline should not raise
@@ -364,7 +378,7 @@ def _sweep_row(args):
                 "status": "failed:sweep", "overlap_lap": None,
                 "overlap_refine": None, "overlap_final": None,
                 "cleaning_iters": None, "resamples_mean": None,
-                "wall_s": time.time() - t0, "error": str(exc)}
+                "wall_s": time.perf_counter() - t0, "error": str(exc)}
 
 
 SWEEP_FIELDS = ["n", "rho", "epsilon", "strategy", "trial", "master_seed",

@@ -9,12 +9,20 @@ alpha = P(N(0,1) >= 1) and psi(rho) the bivariate upper orthant mass at
 
 a swap u -> v fires when N(u, v) >= Delta while both current images look
 bad (below Delta / 10), with Delta = psi(rho) n / 10.  The statistic is
-evaluated against the evolving permutation; the full n x n table is kept
-and updated rank-2 per swap.
+evaluated against the evolving permutation.  Since the row degrees d_A, d_B
+of the indicators do not depend on pi,
+
+    N(u, v) = C(u, v) - alpha d_A(u) - alpha d_B(v) + n alpha^2
+
+with C the integer co-neighbour count; C is kept exactly as an int32 table
+and a swap adds a +-1 outer product to it in place.  Both thresholds become
+integer lookups on d_A(u) + d_B(v), and each scan compares only the rows
+and columns whose current images are bad, a block of rows at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +38,7 @@ def compute_alpha() -> float:
     return 0.5 * math.erfc(1.0 / math.sqrt(2.0))
 
 
+@functools.lru_cache
 def compute_psi(rho: float) -> float:
     """P(X >= 1, Y >= 1) for standard bivariate normals with correlation rho.
 
@@ -81,6 +90,38 @@ def neighborhood_stat(obs: ObservedPair, pi: np.ndarray, u: int, v: int,
     return float(a_row @ b_row)
 
 
+class CoNeighbourTable:
+    """Exact counts C(u, v) = sum_w 1{A'[u,w] >= 1} 1{B'[v,pi(w)] >= 1}
+    under an evolving permutation pi, kept as int32 and updated in place."""
+
+    def __init__(self, obs: ObservedPair, pi: np.ndarray):
+        self.ind_a = obs.a_prime >= 1.0
+        self.ind_b = obs.b_prime >= 1.0
+        self.pi = np.array(pi, dtype=np.intp, copy=True)
+        self.inv = np.empty_like(self.pi)
+        self.inv[self.pi] = np.arange(self.pi.size)
+        # 0/1 products summed in float32, exact for counts below 2^24
+        prod = self.ind_a.astype(np.float32) @ self.ind_b[:, self.pi].astype(np.float32).T
+        self.counts = prod.astype(np.int32)
+
+    def swap(self, u: int, v: int) -> None:
+        """Map u to v and pi^-1(v) to the old pi(u)."""
+        p_v, w_u = int(self.inv[v]), int(self.pi[u])
+        self.pi[u], self.pi[p_v] = v, w_u
+        self.inv[v], self.inv[w_u] = u, p_v
+        # Column u of the permuted B indicator becomes B[:, v] and column p_v
+        # becomes B[:, w_u], so C += (A[:, u] - A[:, p_v]) (B[:, v] - B[:, w_u])^T:
+        # rows in A[:, u] alone gain d_col, rows in A[:, p_v] alone lose it.
+        d_col = self.ind_b[:, v].astype(np.int32) - self.ind_b[:, w_u]
+        in_u, in_p = self.ind_a[:, u], self.ind_a[:, p_v]
+        self.counts[np.flatnonzero(in_u & ~in_p)] += d_col
+        self.counts[np.flatnonzero(in_p & ~in_u)] -= d_col
+
+
+# Bad rows compared per block of the qualification scan.
+SCAN_ROWS = 32
+
+
 def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
                   params: RefineParams | None = None,
                   selection: str = "scan-order",
@@ -89,8 +130,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
 
     selection "scan-order" applies the first qualifying pair in row-major
     (u, v) order and restarts the scan; "max-stat" applies the qualifying
-    pair with the largest N.  Both are deterministic.  Returns
-    (pi_hat, info) with info = {"swaps": int, "truncated": bool}.
+    pair with the largest N, the first in row-major order on ties.  Both are
+    deterministic.  Returns (pi_hat, info) with
+    info = {"swaps": int, "truncated": bool}.
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -100,14 +142,23 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         params = RefineParams.for_run(rho, n)
     if selection not in ("scan-order", "max-stat"):
         raise ParameterError(f"unknown selection rule {selection!r}")
-    delta = params.delta
     alpha = params.alpha
-    p_mat = (obs.a_prime >= 1.0).astype(np.float64) - alpha      # rows by u
-    b_mat = (obs.b_prime >= 1.0).astype(np.float64) - alpha      # rows by v
-    q_mat = b_mat[:, pi]                                          # q[v, w] = b[v, pi(w)]
-    table = p_mat @ q_mat.T                                       # table[u, v] = N(u, v)
-    inv = np.empty(n, dtype=np.intp)
-    inv[pi] = np.arange(n)
+    table = CoNeighbourTable(obs, pi)
+    counts, pi, inv = table.counts, table.pi, table.inv
+    deg_a = np.count_nonzero(table.ind_a, axis=1)
+    deg_b = np.count_nonzero(table.ind_b, axis=1)
+    # N(u, v) = C(u, v) - alpha s + n alpha^2 with s = d_A(u) + d_B(v), so for
+    # integer C:  N >= x  <=>  C >= ceil(x + alpha s - n alpha^2).
+    shift = alpha * np.arange(2 * n + 1) - n * alpha * alpha
+    t_hi = np.ceil(params.delta + shift).astype(np.int32)
+    t_lo = np.ceil(params.delta / 10.0 + shift).astype(np.int32)
+    # t_hi by (distinct d_A value, v), so a row block's thresholds are a row gather
+    da_vals, da_code = np.unique(deg_a, return_inverse=True)
+    hi_by_deg = t_hi[da_vals[:, None] + deg_b[None, :]]
+
+    def stat(c, s):
+        return float(c - alpha * s + n * alpha * alpha)
+
     idx = np.arange(n)
     swaps = 0
     truncated = False
@@ -115,36 +166,66 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         if swaps >= params.max_swaps:
             truncated = True
             break
-        cur_u = table[idx, pi]          # N(u, pi(u))
-        cur_v = table[inv, idx]         # N(pi^-1(v), v)
-        qual = (table >= delta) & (cur_u[:, None] < delta / 10.0) & (cur_v[None, :] < delta / 10.0)
+        s_u = deg_a + deg_b[pi]
+        s_v = deg_a[inv] + deg_b
+        cur_u = counts[idx, pi]          # C(u, pi(u))
+        cur_v = counts[inv, idx]         # C(pi^-1(v), v)
+        bad_v = cur_v < t_lo[s_v]
+        rows = np.flatnonzero(cur_u < t_lo[s_u])
+        blocks = _blocks(counts, rows, bad_v, hi_by_deg, da_code)
         if selection == "scan-order":
-            flat = np.flatnonzero(qual.ravel())
-            if flat.size == 0:
-                break
-            u, v = divmod(int(flat[0]), n)
+            hit = _first_qualifying(blocks)
         else:
-            masked = np.where(qual, table, -np.inf)
-            pos = int(np.argmax(masked))
-            u, v = divmod(pos, n)
-            if not np.isfinite(masked[u, v]):
-                break
-        p_v = int(inv[v])
-        w_u = int(pi[u])
+            hit = _max_qualifying(blocks, alpha, deg_a, deg_b)
+        if hit is None:
+            break
+        u, v = hit
         if trace is not None:
-            trace.append({"u": int(u), "v": int(v),
-                          "n_uv": float(table[u, v]),
-                          "n_u_cur": float(cur_u[u]), "n_v_cur": float(cur_v[v])})
-        pi[u] = v
-        pi[p_v] = w_u
-        inv[v] = u
-        inv[w_u] = p_v
-        for w in (u, p_v):
-            newcol = b_mat[:, pi[w]]
-            table += np.outer(p_mat[:, w], newcol - q_mat[:, w])
-            q_mat[:, w] = newcol
+            trace.append({"u": u, "v": v,
+                          "n_uv": stat(counts[u, v], deg_a[u] + deg_b[v]),
+                          "n_u_cur": stat(cur_u[u], s_u[u]),
+                          "n_v_cur": stat(cur_v[v], s_v[v])})
+        table.swap(u, v)
         swaps += 1
     return pi, {"swaps": swaps, "truncated": truncated}
+
+
+def _blocks(counts, rows, bad_v, hi_by_deg, da_code):
+    """(rows, counts, qualifying mask) per block of SCAN_ROWS bad rows, in order.
+
+    A pair (u, v) qualifies when v is a bad column and
+    C(u, v) >= hi_by_deg[da_code[u], v].
+    """
+    for start in range(0, rows.size, SCAN_ROWS):
+        r = rows[start:start + SCAN_ROWS]
+        block = counts[r]
+        yield r, block, (block >= hi_by_deg[da_code[r]]) & bad_v
+
+
+def _first_qualifying(blocks):
+    """First qualifying pair in row-major order; the scan stops at the first
+    row block that has one."""
+    for r, _, qual in blocks:
+        k = int(np.argmax(qual))
+        if qual.flat[k]:
+            i, v = divmod(k, qual.shape[1])
+            return int(r[i]), v
+    return None
+
+
+def _max_qualifying(blocks, alpha, deg_a, deg_b):
+    """Qualifying pair with the largest N, the first in row-major order on ties."""
+    best, best_key = None, -np.inf
+    for r, block, qual in blocks:
+        # N - n alpha^2 = C - alpha s; summing s first makes equal (C, s) tie exactly
+        s = deg_a[r, None] + deg_b[None, :]
+        key = np.where(qual, block - alpha * s, -np.inf)
+        k = int(np.argmax(key))
+        if key.flat[k] > best_key:
+            best_key = key.flat[k]
+            i, v = divmod(k, key.shape[1])
+            best = int(r[i]), v
+    return best
 
 
 def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
@@ -153,8 +234,7 @@ def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
     a_ind = obs.a_prime >= 1.0
     b_ind = obs.b_prime[np.ix_(pi, pi)] >= 1.0
     both = a_ind & b_ind
-    iu = np.triu_indices(obs.n, 1)
-    return int(np.count_nonzero(both[iu]))
+    return int(np.count_nonzero(np.triu(both, 1)))
 
 
 def final_select(obs: ObservedPair, candidates) -> tuple[np.ndarray, list[int]]:

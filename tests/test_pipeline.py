@@ -97,6 +97,18 @@ def test_run_record_ok_and_schema(tmp_path):
     assert rec["assertions"]["spectral_window_all_rounds"] is False
 
 
+def test_run_record_stage_times_and_selection():
+    rec = run_pipeline(small_cfg(bad_seed_candidates=1, random_candidates=2))
+    assert rec["status"] == "ok"
+    assert list(rec["stages_s"]) == ["generate", "corrupt", "clean", "amp", "score",
+                                     "lap", "refine", "select"]
+    assert all(t >= 0.0 for t in rec["stages_s"].values())
+    scores = [c["select_score"] for c in rec["candidates"]]
+    assert rec["final"]["select_scores"] == scores
+    first_best = rec["candidates"][scores.index(max(scores))]["label"]
+    assert rec["final"]["selected_label"] == first_best
+
+
 def test_run_record_determinism():
     cfg1 = small_cfg(verbose=True)
     cfg2 = small_cfg(verbose=True)

@@ -10,11 +10,12 @@ import math
 import numpy as np
 import pytest
 
+from wigmatch import refine
 from wigmatch.errors import ParameterError
 from wigmatch.model import ObservedPair, generate, overlap
-from wigmatch.refine import (RefineParams, compute_alpha, compute_psi,
-                             final_select, neighborhood_stat, seeded_refine,
-                             selection_score)
+from wigmatch.refine import (CoNeighbourTable, RefineParams, compute_alpha,
+                             compute_psi, final_select, neighborhood_stat,
+                             seeded_refine, selection_score)
 
 
 def clean_obs(n, rho, seed):
@@ -235,6 +236,89 @@ def test_refine_rejects_non_permutation():
     inst, obs = clean_obs(10, 0.9, 80)
     with pytest.raises(ParameterError):
         seeded_refine(obs, np.zeros(10, dtype=int), 0.9)
+
+
+def test_count_table_exact_after_many_swaps():
+    n = 200
+    inst, obs = clean_obs(n, 0.9, 82)
+    rng = np.random.default_rng(12)
+    table = CoNeighbourTable(obs, rng.permutation(n))
+    swaps = 0
+    while swaps < 300:
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if table.pi[u] != v:
+            table.swap(u, v)
+            swaps += 1
+    assert sorted(table.pi.tolist()) == list(range(n))
+    assert np.array_equal(table.inv[table.pi], np.arange(n))
+    ind_a = (obs.a_prime >= 1.0).astype(np.int64)
+    ind_b = (obs.b_prime >= 1.0).astype(np.int64)
+    assert table.counts.dtype == np.int32
+    assert np.array_equal(table.counts, ind_a @ ind_b[:, table.pi].T)
+
+
+def dense_refine(obs, pi0, params, selection):
+    """The swap rule on a dense N table recomputed from scratch before every
+    swap, with no table kept between swaps, no bad-row or bad-column
+    filtering ahead of the threshold test and no row blocks.
+
+    Also returns, per swap, N at the chosen pair and the number of bad rows
+    above its row, and the number of swaps at which some pair passed the
+    Delta threshold in a good row or column.
+    """
+    n = obs.n
+    alpha, delta = params.alpha, params.delta
+    ind_a = (obs.a_prime >= 1.0).astype(np.int64)
+    ind_b = (obs.b_prime >= 1.0).astype(np.int64)
+    s = ind_a.sum(axis=1)[:, None] + ind_b.sum(axis=1)[None, :]
+    idx = np.arange(n)
+    pi = np.array(pi0, copy=True)
+    swaps, stats, ranks, filtered = [], [], [], 0
+    while len(swaps) < params.max_swaps:
+        stat = ind_a @ ind_b[:, pi].T - alpha * s + n * alpha * alpha
+        inv = np.argsort(pi)
+        bad_u = stat[idx, pi] < delta / 10.0
+        bad_v = stat[inv, idx] < delta / 10.0
+        above = stat >= delta
+        qual = above & bad_u[:, None] & bad_v[None, :]
+        if not qual.any():
+            break
+        filtered += bool(np.any(above & ~qual))
+        if selection == "scan-order":
+            u, v = divmod(int(np.argmax(qual)), n)
+        else:
+            u, v = divmod(int(np.argmax(np.where(qual, stat, -np.inf))), n)
+        swaps.append((u, v))
+        stats.append(stat[u, v])
+        ranks.append(int(np.count_nonzero(bad_u[:u])))
+        p, wu = inv[v], pi[u]
+        pi[u], pi[p] = v, wu
+    return pi, swaps, stats, ranks, filtered
+
+
+@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("block_rows", [1, 3, refine.SCAN_ROWS])
+def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
+    n, rho = 150, 0.9
+    inst, obs = clean_obs(n, rho, 203)
+    rng = np.random.default_rng(3)
+    pi0 = np.arange(n)
+    wrong = rng.permutation(n)[n // 4:]
+    pi0[wrong] = wrong[rng.permutation(wrong.size)]
+    params = RefineParams.for_run(rho, n)
+    monkeypatch.setattr(refine, "SCAN_ROWS", block_rows)
+    trace = []
+    out, info = seeded_refine(obs, pi0, rho, params, selection=selection, trace=trace)
+    expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params, selection)
+    assert [(t["u"], t["v"]) for t in trace] == swaps
+    assert np.array_equal(out, expected)
+    assert info == {"swaps": len(swaps), "truncated": False}
+    assert [t["n_uv"] for t in trace] == pytest.approx(stats, abs=1e-9)
+    # the case exercises the filter and, below the default block size, a
+    # first qualifying pair past the first block of bad rows
+    assert len(swaps) >= 20 and filtered == len(swaps)
+    if block_rows < refine.SCAN_ROWS:
+        assert max(ranks) >= block_rows
 
 
 # ---------------------------------------------------------- final select
