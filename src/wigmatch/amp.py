@@ -66,7 +66,13 @@ def good_seed_pair(pi_star: np.ndarray, k0: int, exclude_u=(), exclude_v=()) -> 
 
 
 def bad_seed_pair(pi_star: np.ndarray, k0: int, seed: int) -> SeedPair:
-    """Negative control: same u's as the oracle pair, images deranged."""
+    """Negative control: the first k0 vertices u of pi_star, images deranged.
+
+    The u's are those of good_seed_pair(pi_star, k0) with no Q union S /
+    R union T exclusions, so they can differ from the oracle pair's and can
+    include corrupted or zeroed vertices.  The images pi_star(u) are
+    permuted by a random derangement drawn from seed.
+    """
     good = good_seed_pair(pi_star, k0)
     rng = np.random.default_rng(seed)
     v = good.v_seq.copy()

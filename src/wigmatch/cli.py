@@ -129,9 +129,12 @@ def _cmd_constants(args) -> int:
 
 def _cmd_selftest(args) -> int:
     """Fast property checks runnable without pytest."""
-    import numpy as np
+    from types import SimpleNamespace
 
-    from .assign import AssignmentProblem, solve_lap
+    import numpy as np
+    from scipy.optimize import linear_sum_assignment
+
+    from .assign import AssignmentProblem, build_scores, solve_lap
     from .denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
     from .model import generate, overlap
     from .preprocess import leading_singular_triple, spectral_clean
@@ -170,6 +173,16 @@ def _cmd_selftest(args) -> int:
     best = max(sum(score[i, p[i]] for i in range(6))
                for p in itertools.permutations(range(6)))
     checks.append(("LAP matches brute force", abs(score[np.arange(6), sigma].sum() - best) < 1e-9))
+
+    h = rng.standard_normal((200, 2)) + 0.5
+    h[17] = 0.0
+    prob = build_scores(SimpleNamespace(h=h, l=0.3 * rng.standard_normal((200, 2)),
+                                        rows_i=np.arange(200), rows_j=np.arange(200)))
+    sigma = solve_lap(prob)
+    rows, cols = linear_sum_assignment(-prob.score)
+    gap = prob.score[np.arange(200), sigma].sum() - prob.score[rows, cols].sum()
+    checks.append(("rank-2 LAP equals raw solver",
+                   abs(gap) <= 1e-9 * float(np.abs(prob.score).max())))
 
     a = compute_alpha()
     checks.append(("alpha value", abs(a - 0.15865525393145707) < 1e-12))

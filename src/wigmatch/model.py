@@ -101,10 +101,10 @@ class ObservedPair:
 def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix, zero diagonal, one N(0,1) draw per unordered pair."""
     m = np.zeros((n, n))
-    iu = np.triu_indices(n, 1)
-    vals = rng.standard_normal(iu[0].size)
-    m[iu] = vals
-    m.T[iu] = vals
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    vals = rng.standard_normal(n * (n - 1) // 2)
+    m[upper] = vals
+    m.T[upper] = vals
     return m
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import ObservedPair
+from .model import ObservedPair, _symmetric_standard_normal
 from .rng import child, generator
 
 
@@ -73,17 +73,9 @@ def reinject_noise(obs: ObservedPair, seed: int,
         raise ParameterError("observed pair must be square and same size")
     rng = generator(seed)
     if g is None:
-        g = np.zeros((n, n))
-        iu = np.triu_indices(n, 1)
-        vals = rng.standard_normal(iu[0].size)
-        g[iu] = vals
-        g.T[iu] = vals
+        g = _symmetric_standard_normal(n, rng)
     if h is None:
-        h = np.zeros((n, n))
-        iu = np.triu_indices(n, 1)
-        vals = rng.standard_normal(iu[0].size)
-        h[iu] = vals
-        h.T[iu] = vals
+        h = _symmetric_standard_normal(n, rng)
     sgn = _sign_pattern(n)
     hat_a = (obs.a_prime + sgn * g) / math.sqrt(2.0)
     hat_b = (obs.b_prime + sgn * h) / math.sqrt(2.0)

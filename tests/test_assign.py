@@ -1,9 +1,11 @@
 """Assignment stage tests, with a factorial brute-force oracle."""
 
 import itertools
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
 from wigmatch.amp import SeedPair
 from wigmatch.assign import AssignmentProblem, assemble_pi, build_scores, solve_lap
@@ -70,6 +72,56 @@ def test_build_scores_is_h_l_transpose():
     FakeIt.h = FakeIt.h.copy()
     FakeIt.h[2, :] = 0.0
     assert np.abs(build_scores(FakeIt()).score[2]).max() == 0.0
+
+
+def test_potentials_do_not_change_the_optimum(rng):
+    # row and column terms add one constant to every permutation's total
+    for _ in range(50):
+        score = rng.standard_normal((8, 8))
+        p = AssignmentProblem(score, np.arange(8), np.arange(8),
+                              row_potential=10.0 * rng.standard_normal(8),
+                              col_potential=10.0 * rng.standard_normal(8))
+        sigma = solve_lap(p)
+        achieved = float(score[np.arange(8), sigma].sum())
+        assert achieved == pytest.approx(brute_force_max(score), abs=1e-9)
+
+
+def test_build_scores_potentials_are_half_squared_norms(rng):
+    h = rng.standard_normal((5, 3))
+    l = rng.standard_normal((5, 3))
+    p = build_scores(SimpleNamespace(h=h, l=l, rows_i=np.arange(5), rows_j=np.arange(5)))
+    assert np.allclose(p.row_potential, 0.5 * (h * h).sum(axis=1))
+    assert np.allclose(p.col_potential, 0.5 * (l * l).sum(axis=1))
+    # the cost the solver sees is the squared distance 1/2 |h_i - l_j|^2
+    cost = -p.score + p.row_potential[:, None] + p.col_potential[None, :]
+    dist = 0.5 * ((h[:, None, :] - l[None, :, :]) ** 2).sum(axis=2)
+    assert np.allclose(cost, dist)
+
+
+def low_rank_iterate(rng, m, d):
+    """AMP-like iterate: unequal scales, non-zero means, exact-zero rows of
+    h and duplicate rows of l, the degenerate cases of a rank-d score."""
+    h = 3.0 * rng.standard_normal((m, d)) + 0.7
+    l = 0.2 * rng.standard_normal((m, d)) - 1.5
+    h[rng.choice(m, size=6, replace=False)] = 0.0
+    l[rng.choice(m, size=5, replace=False)] = l[0]
+    return SimpleNamespace(h=h, l=l, rows_i=np.arange(m), rows_j=np.arange(m))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_low_rank_score_reaches_raw_solver_total(rng, d):
+    it = low_rank_iterate(rng, 301, d)
+    p = build_scores(it)
+    sigma = solve_lap(p)
+    assert np.array_equal(np.sort(sigma), np.arange(301))
+    total = float(p.score[np.arange(301), sigma].sum())
+    rows, cols = linear_sum_assignment(-p.score)
+    best = float(p.score[rows, cols].sum())
+    tol = 1e-9 * float(np.abs(p.score).max())
+    assert abs(total - best) <= tol
+    if d == 1:
+        # rearrangement inequality: sorted against sorted is optimal
+        assert abs(total - float(np.sort(it.h[:, 0]) @ np.sort(it.l[:, 0]))) <= tol
 
 
 def test_assemble_pi_explicit_tables():

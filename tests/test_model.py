@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from wigmatch.errors import ParameterError
-from wigmatch.model import (CorrelatedInstance, corrupt, generate, overlap)
+from wigmatch.model import (CorrelatedInstance, _symmetric_standard_normal, corrupt,
+                            generate, overlap)
+from wigmatch.rng import generator
 
 
 def off_diag(m):
@@ -61,6 +63,24 @@ def test_determinism():
     assert np.array_equal(a.a, b.a)
     assert np.array_equal(a.b, b.b)
     assert np.array_equal(a.pi_star, b.pi_star)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+def test_symmetric_standard_normal_is_byte_stable(n):
+    # benchmark instances depend on this fill order: draws go to the upper
+    # triangle in row-major order and are mirrored below the diagonal
+    for seed in (0, 11, 101):
+        ref = np.zeros((n, n))
+        iu = np.triu_indices(n, 1)
+        rng = generator(seed)
+        vals = rng.standard_normal(iu[0].size)
+        ref[iu] = vals
+        ref.T[iu] = vals
+        tail = rng.standard_normal(3)
+        rng = generator(seed)
+        got = _symmetric_standard_normal(n, rng)
+        assert got.tobytes() == ref.tobytes()
+        assert np.array_equal(rng.standard_normal(3), tail)
 
 
 def test_generate_validation():
