@@ -117,9 +117,7 @@ class AmpResult:
     iterate: AmpIterate
     rounds: list[RoundLog]
     stopped_reason: str             # "t_star", "min_rounds", "spectral"
-    spectral_diag: dict | None
     round_history: list[RoundMatrices]
-    iterate_history: list[tuple[np.ndarray, np.ndarray]] | None
 
 
 def init_iterate(cp: CleanedPair, seeds: SeedPair, d: Denoiser) -> AmpIterate:
@@ -163,8 +161,7 @@ def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser,
 
 def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = 12,
-            max_resamples: int = 64, spectral_mode: str = "record",
-            keep_history: bool = False) -> AmpResult:
+            max_resamples: int = 64, spectral_mode: str = "record") -> AmpResult:
     """Iterate through round max(t_star, min_rounds).
 
     The returned iterate carries the last computed (h, l); those drive the
@@ -181,21 +178,18 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
     logs: list[RoundLog] = []
     history = [rm]
-    iterates = [(it.f, it.g)] if keep_history else None
     pp_rho = None
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
-    diag = None
     for t in range(t_target + 1):
         t0 = time.perf_counter()
         dcur = max(1, rm.k_t // xi_factor)
         log = RoundLog(t=t, k_t=rm.k_t, d=dcur, eps_t=rm.eps_t)
         try:
             xi = build_xi(rm, xi_factor=xi_factor)
-        except SpectralDeficiencyError as exc:
+        except SpectralDeficiencyError:
             if spectral_mode == "strict":
                 raise
             stopped = "spectral"
-            diag = exc.diagnostics
             break
         proj_phi = xi.T @ rm.phi @ xi
         proj_psi = xi.T @ rm.psi @ xi
@@ -227,10 +221,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
                         rows_i=it.rows_i, rows_j=it.rows_j)
         rm = step.next_rm
         history.append(rm)
-        if keep_history:
-            iterates.append((it.f, it.g))
         log.wall_s = time.perf_counter() - t0
         logs.append(log)
     return AmpResult(iterate=it, rounds=logs, stopped_reason=stopped,
-                     spectral_diag=diag, round_history=history,
-                     iterate_history=iterates)
+                     round_history=history)

@@ -22,7 +22,7 @@ class RunConfig:
     strategy: str = "planted-clique-weight"
     k0: int = 24
     gamma: float | None = None          # None -> 4 / k0
-    min_rounds: int = 2
+    min_rounds: int = 0                 # 0 -> stop at t_star
     xi_factor: int = 12
     denoiser_b: float = 1.0
     master_seed: int = 0

@@ -10,6 +10,7 @@ per (cell, trial) plus a JSON summary.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -83,10 +84,23 @@ RUN_RECORD_SCHEMA = {
 }
 
 
-def validate_record(record: dict) -> None:
+@functools.cache
+def _record_validator():
+    """A validator for RUN_RECORD_SCHEMA, whose own check runs once."""
     import jsonschema
 
-    jsonschema.validate(record, RUN_RECORD_SCHEMA)
+    cls = jsonschema.validators.validator_for(RUN_RECORD_SCHEMA)
+    cls.check_schema(RUN_RECORD_SCHEMA)
+    return cls(RUN_RECORD_SCHEMA)
+
+
+def validate_record(record: dict) -> None:
+    """Raise the jsonschema.ValidationError that jsonschema.validate would."""
+    import jsonschema
+
+    error = jsonschema.exceptions.best_match(_record_validator().iter_errors(record))
+    if error is not None:
+        raise error
 
 
 def _sanitize(obj):
@@ -302,7 +316,7 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
             diag_ok.append(lo < r["psi_diag_min"] and r["psi_diag_max"] < hi)
         out["psi_diag_in_window"] = bool(diag_ok) and all(diag_ok)
         accepted = [r["accepted"] for r in rounds if r.get("accepted") is not None]
-        out["spectral_window_all_rounds"] = all(accepted) if accepted else True
+        out["spectral_window_all_rounds"] = all(accepted) if accepted else None
         lb = [r["eps_lower_bound_ok"] for r in rounds if r.get("eps_lower_bound_ok") is not None]
         out["eps_lower_bound"] = all(lb) if lb else None
     if sched.signal_growth_factor > 1.0:
@@ -368,7 +382,7 @@ def _sweep_row(args):
             "overlap_final": rec.get("final", {}).get("overlap_final"),
             "cleaning_iters": (rec.get("cleaning", {}).get("iters_a", 0)
                                + rec.get("cleaning", {}).get("iters_b", 0)),
-            "resamples_mean": float(np.mean(resamples)) if resamples else 0.0,
+            "resamples_mean": float(np.mean(resamples)) if resamples else None,
             "wall_s": time.perf_counter() - t0,
             "error": rec.get("error"),
         }
@@ -418,6 +432,7 @@ def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
             ok = [r for r in cell_rows if r["status"] == "ok"]
             key = f"n={n},rho={rho},eps={eps},strategy={strategy}"
             ovs = [r["overlap_final"] for r in ok if r["overlap_final"] is not None]
+            res = [r["resamples_mean"] for r in ok if r["resamples_mean"] is not None]
             summary[key] = {
                 "trials": len(cell_rows),
                 "ok": len(ok),
@@ -425,8 +440,7 @@ def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
                 "overlap_final_median": float(np.median(ovs)) if ovs else None,
                 "cleaning_iters_mean": float(np.mean([r["cleaning_iters"] for r in ok]))
                 if ok else None,
-                "resamples_mean": float(np.mean([r["resamples_mean"] for r in ok]))
-                if ok else None,
+                "resamples_mean": float(np.mean(res)) if res else None,
             }
         with open(summary_path, "w") as fh:
             json.dump(summary, fh, indent=2)

@@ -50,9 +50,13 @@ class RoundMatrices:
         return n_phi, n_psi
 
     def assumption_holds(self) -> bool:
-        need = math.ceil(0.75 * self.k_t)
-        n_phi, n_psi = self.window_counts()
-        return n_phi >= need and n_psi >= need
+        return _windows_hold(self.window_counts(), self.k_t)
+
+
+def _windows_hold(counts: tuple[int, int], k: int) -> bool:
+    """Both in-window eigenvalue counts reach ceil(3K/4)."""
+    need = math.ceil(0.75 * k)
+    return counts[0] >= need and counts[1] >= need
 
 
 @dataclass(frozen=True)
@@ -176,26 +180,24 @@ def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
     """
     if mode not in ("strict", "record"):
         raise ParameterError(f"unknown sampling mode {mode!r}")
-    if validator is None:
-        validator = lambda cand: cand.assumption_holds()
     dim = xi.shape[1]
-    best = None
-    best_score = -1
+    best = best_counts = None
     for attempt in range(max_resamples + 1):
         beta = sample_sign_matrix(dim, k_next, child(seed, attempt))
         rm_next, eps_next, clamps = update_round(rm, xi, beta, d, rho)
-        if validator(rm_next):
+        counts = rm_next.window_counts()
+        ok = validator(rm_next) if validator is not None else _windows_hold(counts, k_next)
+        if ok:
             return SpectralStep(xi=xi, beta=beta, resamples=attempt, accepted=True,
                                 clamp_count=clamps, next_rm=rm_next, eps_next=eps_next)
-        n_phi, n_psi = rm_next.window_counts()
-        if n_phi + n_psi > best_score:
-            best_score = n_phi + n_psi
+        if best is None or sum(counts) > sum(best_counts):
+            best_counts = counts
             best = SpectralStep(xi=xi, beta=beta, resamples=max_resamples + 1,
                                 accepted=False, clamp_count=clamps,
                                 next_rm=rm_next, eps_next=eps_next)
     if mode == "record":
         return best
-    n_phi, n_psi = best.next_rm.window_counts()
+    n_phi, n_psi = best_counts
     ev_phi = np.linalg.eigvalsh(best.next_rm.phi)
     ev_psi = np.linalg.eigvalsh(best.next_rm.psi)
     hist_phi, edges_phi = np.histogram(ev_phi, bins=16)

@@ -1,5 +1,6 @@
 """Pipeline orchestration: records, determinism, schema, sweeps."""
 
+import csv
 import json
 
 import numpy as np
@@ -97,6 +98,38 @@ def test_run_record_ok_and_schema(tmp_path):
     assert rec["assertions"]["spectral_window_all_rounds"] is False
 
 
+def test_validate_record_rejects_missing_status():
+    import jsonschema
+
+    rec = run_pipeline(small_cfg(n=80, min_rounds=0))
+    del rec["status"]
+    with pytest.raises(jsonschema.ValidationError) as exc:
+        validate_record(rec)
+    assert "'status' is a required property" in str(exc.value)
+
+
+def test_default_run_stops_at_t_star_with_the_same_matching():
+    # t* = 0 at n = 300: the forced rounds of min_rounds = 2 sample a beta
+    # that the windows reject, so h and l still come from round 0
+    kw = dict(n=300, rho=0.9, epsilon=0.02, strategy="rank1-spike", k0=24,
+              master_seed=11, bad_seed_candidates=1)
+    default = run_pipeline(RunConfig(**kw).validate())
+    forced = run_pipeline(RunConfig(**kw, min_rounds=2).validate())
+    assert default["status"] == forced["status"] == "ok"
+    assert default["cleaning"] == forced["cleaning"]
+    assert default["final"] == forced["final"]
+    assert len(default["candidates"]) == len(forced["candidates"]) == 2
+    for c_def, c_forced in zip(default["candidates"], forced["candidates"]):
+        assert c_def.pop("stopped_reason") == "t_star"
+        assert c_forced.pop("stopped_reason") != "t_star"
+        assert c_def == c_forced
+    assert default["config"]["min_rounds"] == 0
+    assert default["schedule"]["ks"] == [24]
+    assert default["rounds"][0]["resamples"] is None
+    assert forced["rounds"][0]["resamples"] is not None
+    assert default["assertions"]["spectral_window_all_rounds"] is None
+
+
 def test_run_record_stage_times_and_selection():
     rec = run_pipeline(small_cfg(bad_seed_candidates=1, random_candidates=2))
     assert rec["status"] == "ok"
@@ -175,6 +208,19 @@ def test_sweep_rows_and_outputs(tmp_path):
     assert len(summary) == 2
     for cell in summary.values():
         assert cell["trials"] == 2
+        assert cell["resamples_mean"] is None     # no round sampled beta
+    assert all(r["resamples_mean"] is None for r in rows)
+    assert all(r["resamples_mean"] == "" for r in csv.DictReader(text))
+
+
+def test_sweep_resamples_mean_with_forced_rounds(tmp_path):
+    base = small_cfg(n=80, min_rounds=1, max_resamples=3)
+    summary_path = tmp_path / "summary.json"
+    rows = sweep(base, ns=[80], rhos=[0.9], epsilons=[0.0],
+                 strategies=["zero-out"], trials=2, summary_path=summary_path)
+    assert [r["resamples_mean"] for r in rows] == [4.0, 4.0]   # all 4 draws rejected
+    cell, = json.loads(summary_path.read_text()).values()
+    assert cell["resamples_mean"] == 4.0
 
 
 def test_sweep_single_cell_matches_run_pipeline():

@@ -7,7 +7,8 @@ import pytest
 
 from wigmatch.denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
 from wigmatch.errors import ParameterError, SpectralDeficiencyError
-from wigmatch.spectral import (RoundMatrices, build_xi, initial_round,
+from wigmatch.rng import child
+from wigmatch.spectral import (RoundMatrices, SpectralStep, build_xi, initial_round,
                                sample_beta, sample_sign_matrix, update_round)
 
 D = make_denoiser(1.0)
@@ -206,3 +207,90 @@ def test_sample_beta_deterministic():
     s1 = sample_beta(rm, xi, 96, D, rho=0.8, seed=42, mode="record", max_resamples=3)
     s2 = sample_beta(rm, xi, 96, D, rho=0.8, seed=42, mode="record", max_resamples=3)
     assert np.array_equal(s1.beta, s2.beta)
+
+
+def _reference_sample_beta(rm, xi, k_next, d, rho, seed, max_resamples, mode,
+                           validator=None):
+    """sample_beta as first written: the window counts are recomputed for
+    the best-candidate score after the default acceptance has computed them."""
+    if validator is None:
+        validator = lambda cand: cand.assumption_holds()
+    dim = xi.shape[1]
+    best = None
+    best_score = -1
+    for attempt in range(max_resamples + 1):
+        beta = sample_sign_matrix(dim, k_next, child(seed, attempt))
+        rm_next, eps_next, clamps = update_round(rm, xi, beta, d, rho)
+        if validator(rm_next):
+            return SpectralStep(xi=xi, beta=beta, resamples=attempt, accepted=True,
+                                clamp_count=clamps, next_rm=rm_next, eps_next=eps_next)
+        n_phi, n_psi = rm_next.window_counts()
+        if n_phi + n_psi > best_score:
+            best_score = n_phi + n_psi
+            best = SpectralStep(xi=xi, beta=beta, resamples=max_resamples + 1,
+                                accepted=False, clamp_count=clamps,
+                                next_rm=rm_next, eps_next=eps_next)
+    if mode == "record":
+        return best
+    return None    # strict exhaustion: compared through the raised error
+
+
+def _assert_same_step(got, want):
+    assert got.resamples == want.resamples
+    assert got.accepted == want.accepted
+    assert got.clamp_count == want.clamp_count
+    assert got.eps_next == want.eps_next
+    assert np.array_equal(got.beta, want.beta)
+    assert np.array_equal(got.xi, want.xi)
+    assert np.array_equal(got.next_rm.phi, want.next_rm.phi)
+    assert np.array_equal(got.next_rm.psi, want.next_rm.psi)
+    assert got.next_rm.eps_t == want.next_rm.eps_t
+    assert got.next_rm.k_t == want.next_rm.k_t
+
+
+# K = 120 -> 4 accepts after some rejections on some seeds and exhausts
+# 9 draws on others; 24 -> 96 is the desk case, where every draw fails.
+@pytest.mark.parametrize("mode", ["record", "strict"])
+@pytest.mark.parametrize("k, k_next, seed", [(120, 4, s) for s in range(8)]
+                         + [(24, 96, 0), (24, 96, 5)])
+def test_sample_beta_matches_reference_loop(mode, k, k_next, seed):
+    rm = initial_round(k, 0.3)
+    xi = build_xi(rm)
+    kw = dict(rho=0.8, seed=seed, max_resamples=8, mode=mode)
+    want = _reference_sample_beta(rm, xi, k_next, D, **kw)
+    if want is None:
+        with pytest.raises(SpectralDeficiencyError) as exc:
+            sample_beta(rm, xi, k_next, D, **kw)
+        best = _reference_sample_beta(rm, xi, k_next, D, **{**kw, "mode": "record"})
+        n_phi, n_psi = best.next_rm.window_counts()
+        assert f"best window counts: phi {n_phi}, psi {n_psi}" in str(exc.value)
+        ev_phi = np.linalg.eigvalsh(best.next_rm.phi)
+        assert exc.value.diagnostics["phi_hist"] == np.histogram(ev_phi, bins=16)[0].tolist()
+    else:
+        _assert_same_step(sample_beta(rm, xi, k_next, D, **kw), want)
+
+
+@pytest.mark.parametrize("mode", ["record", "strict"])
+def test_sample_beta_validator_decides_acceptance(mode):
+    # a custom validator overrides the windows in both directions
+    rm = initial_round(120, 0.3)
+    xi = build_xi(rm)
+
+    def every_fourth():
+        calls = {"n": 0}
+
+        def check(cand):
+            calls["n"] += 1
+            return calls["n"] % 4 == 0
+        return check
+
+    # the windows reject every draw of 120 -> 24 and accept one of 120 -> 4
+    kw = dict(rho=0.8, seed=0, max_resamples=8, mode=mode)
+    want = _reference_sample_beta(rm, xi, 24, D, validator=every_fourth(), **kw)
+    got = sample_beta(rm, xi, 24, D, validator=every_fourth(), **kw)
+    assert got.accepted and got.resamples == 3
+    _assert_same_step(got, want)
+    record = {**kw, "mode": "record"}
+    assert sample_beta(rm, xi, 4, D, **record).accepted
+    never = sample_beta(rm, xi, 4, D, **record, validator=lambda c: False)
+    assert not never.accepted and never.resamples == 9
