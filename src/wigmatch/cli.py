@@ -137,7 +137,8 @@ def _cmd_selftest(args) -> int:
     from .assign import AssignmentProblem, build_scores, solve_lap
     from .denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
     from .model import generate, overlap
-    from .preprocess import leading_singular_triple, spectral_clean
+    from .preprocess import (certifies, leading_singular_triple, schatten8_bound,
+                             spectral_clean)
     from .refine import compute_alpha, compute_psi
 
     checks = []
@@ -156,6 +157,13 @@ def _cmd_selftest(args) -> int:
     sig, _, _, _ = leading_singular_triple(m, method="power")
     sig_ref = float(np.linalg.svd(m, compute_uv=False)[0])
     checks.append(("power iteration vs dense SVD", abs(sig - sig_ref) / sig_ref < 1e-8))
+
+    goe = np.triu(np.random.default_rng(1).standard_normal((300, 300)), 1)
+    goe += goe.T
+    bound = schatten8_bound(goe)
+    checks.append(("Schatten-8 bound above sigma_1 and certifies a 300x300 GOE",
+                   bound >= float(np.linalg.svd(goe, compute_uv=False)[0])
+                   and certifies(bound, 10.0 * math.sqrt(300))))
 
     inst = generate(200, 0.9, "uniform-random", 7)
     checks.append(("instance symmetric", bool(np.allclose(inst.a, inst.a.T))))

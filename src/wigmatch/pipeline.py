@@ -150,9 +150,7 @@ def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
     trace: list | None = [] if cfg.verbose else None
     pi_ref, info = seeded_refine(obs, pi_lap, cfg.rho, params,
                                  selection=cfg.selection_rule, trace=trace)
-    t = _split(stages_s, "refine", t)
-    select_score = selection_score(obs, pi_ref)
-    _split(stages_s, "select", t)
+    _split(stages_s, "refine", t)
     out = {
         "label": label,
         "goodness": seeds.goodness,
@@ -164,7 +162,7 @@ def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
         "rounds": [asdict(r) for r in res.rounds],
         "pi": pi_ref,
         "pi_lap": pi_lap,
-        "select_score": select_score,
+        "select_score": info["select_score"],
     }
     if trace is not None:
         out["swap_trace"] = trace

@@ -132,7 +132,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     (u, v) order and restarts the scan; "max-stat" applies the qualifying
     pair with the largest N, the first in row-major order on ties.  Both are
     deterministic.  Returns (pi_hat, info) with
-    info = {"swaps": int, "truncated": bool}.
+    info = {"swaps": int, "truncated": bool, "select_score": int}, where
+    select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
+    read off the count table (A', B' symmetric with a zero diagonal).
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -187,7 +189,8 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
                           "n_v_cur": stat(cur_v[v], s_v[v])})
         table.swap(u, v)
         swaps += 1
-    return pi, {"swaps": swaps, "truncated": truncated}
+    select_score = int(counts[idx, pi].sum(dtype=np.int64)) // 2
+    return pi, {"swaps": swaps, "truncated": truncated, "select_score": select_score}
 
 
 def _blocks(counts, rows, bad_v, hi_by_deg, da_code):
@@ -231,10 +234,12 @@ def _max_qualifying(blocks, alpha, deg_a, deg_b):
 def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
     """Number of unordered pairs u < v with A'[u,v] >= 1 and B'[pi(u),pi(v)] >= 1."""
     pi = np.asarray(pi, dtype=np.intp)
-    a_ind = obs.a_prime >= 1.0
-    b_ind = obs.b_prime[np.ix_(pi, pi)] >= 1.0
-    both = a_ind & b_ind
-    return int(np.count_nonzero(np.triu(both, 1)))
+    n = pi.size
+    # B' is read only at the pairs above the diagonal where A' >= 1
+    upper = obs.a_prime >= 1.0
+    upper &= ~np.tri(n, dtype=bool)
+    u, v = np.divmod(np.flatnonzero(upper), n)
+    return int(np.count_nonzero(obs.b_prime.ravel()[pi[u] * n + pi[v]] >= 1.0))
 
 
 def final_select(obs: ObservedPair, candidates) -> tuple[np.ndarray, list[int]]:

@@ -1,14 +1,18 @@
 """Noise re-injection, power iteration, and spectral-cleaning tests."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from wigmatch import preprocess
 from wigmatch.errors import NumericalError
-from wigmatch.model import ObservedPair, corrupt, generate
-from wigmatch.preprocess import (CleanedPair, clean_pair, leading_singular_triple,
-                                 reinject_noise, spectral_clean)
+from wigmatch.model import STRATEGIES, ObservedPair, corrupt, generate
+from wigmatch.preprocess import (CERTIFY_AFTER, _singular_triple, clean_pair,
+                                 leading_singular_triple, reinject_noise,
+                                 schatten8_bound, spectral_clean)
+from wigmatch.rng import child, generator
 
 
 def goe(n, seed):
@@ -67,6 +71,21 @@ def test_reinjected_covariance_halved():
     il = np.tril_indices(2000, -1)
     cov_lo = np.mean(hat_a[il] * hb[il])
     assert abs(cov_lo - rho / 2.0) < 0.05
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 500])
+def test_reinjection_is_byte_stable(n):
+    # the earlier formula: an int64 sign matrix (+1 below the diagonal, -1
+    # above) times the noise, added to A' and divided by sqrt(2)
+    a = goe(n, 40 + n) if n > 1 else np.zeros((1, 1))
+    b = goe(n, 50 + n) if n > 1 else np.zeros((1, 1))
+    hat_a, hat_b, g, h = reinject_noise(ObservedPair(a, b), seed=n)
+    idx = np.arange(n)
+    sgn = np.sign(idx[:, None] - idx[None, :])
+    for hat, m, noise in ((hat_a, a, g), (hat_b, b, h)):
+        ref = (m + sgn * noise) / math.sqrt(2.0)
+        np.fill_diagonal(ref, 0.0)
+        assert hat.tobytes() == ref.tobytes()
 
 
 # ------------------------------------------------------- singular triple
@@ -181,6 +200,27 @@ def test_clean_pair_composition(tmp_path):
         assert np.all(cp.a_clean[i, :] == 0.0)
     lines = trace_path.read_text().strip().split("\n")
     assert len(lines) >= 2  # at least the final below-threshold check per matrix
+    # the dense solver (n <= 200) never tries the bound
+    rows = [json.loads(x) for x in lines]
+    assert all(r["certified"] is False and r["bound"] is None for r in rows)
+
+    # with the power solver, a spike-free final step is certified by the bound
+    cp = clean_pair(obs, seed=11, solver="power", trace_path=trace_path)
+    rows = [json.loads(x) for x in trace_path.read_text().strip().split("\n")]
+    threshold = 10.0 * math.sqrt(n)
+    for side, cleaned in (("a", cp.a_clean), ("b", cp.b_clean)):
+        *steps, last = [r for r in rows if r["matrix"] == side]
+        assert all(not r["certified"] and r["removed_index"] is not None for r in steps)
+        assert last["removed_index"] is None
+        if last["certified"]:
+            sigma = float(np.linalg.norm(cleaned, 2))
+            # the row reports power iteration's estimate, at most sigma_1, and
+            # the bound, above it
+            assert last["top_singular_value"] <= sigma * (1 + 1e-12)
+            assert sigma < last["bound"] <= threshold * (1 - 1e-9)
+        else:
+            assert last["top_singular_value"] < threshold
+    assert [r["matrix"] for r in rows if r["certified"]] == ["b"]
 
 
 def test_clean_pair_clean_input_no_removals():
@@ -191,13 +231,152 @@ def test_clean_pair_clean_input_no_removals():
     assert cp.t.size == 0
 
 
-def test_cleaned_pair_round_trip(tmp_path):
-    inst = generate(80, 0.9, "identity", 15)
-    obs, _ = corrupt(inst, 0.05, "planted-clique-weight", 16)
-    cp = clean_pair(obs, seed=17)
-    path = tmp_path / "cp.npz"
-    cp.save(path)
-    back = CleanedPair.load(path)
-    assert np.array_equal(back.a_clean, cp.a_clean)
-    assert np.array_equal(back.s, cp.s)
-    assert back.iters_b == cp.iters_b
+# ------------------------------------------------------- certified stop
+
+
+def power_clean_reference(m, threshold_mult=10.0, seed=0):
+    """spectral_clean as it was before the certified stop: every step runs
+    power iteration to convergence."""
+
+    def triple(m, seed, v0, tol=1e-10, max_iter=10000):
+        n = m.shape[0]
+        v = v0.astype(float, copy=True) if v0 is not None else generator(seed).standard_normal(n)
+        v /= np.linalg.norm(v)
+        sigma_prev = -1.0
+        for _ in range(max_iter):
+            w = m @ v
+            u = w / np.linalg.norm(w)
+            z = m.T @ u
+            sigma = np.linalg.norm(z)
+            v = z / sigma
+            if abs(sigma - sigma_prev) <= tol * max(sigma, 1.0):
+                return float(sigma), u, v
+            sigma_prev = sigma
+        raise AssertionError("reference power iteration did not converge")
+
+    n = m.shape[0]
+    cleaned = np.array(m, dtype=float, copy=True)
+    threshold = threshold_mult * math.sqrt(n)
+    rng = generator(seed)
+    zeroed = []
+    warm = None
+    for step in range(n + 1):
+        sigma, u, v = triple(cleaned, child(seed, step), warm)
+        if sigma < threshold:
+            return cleaned, np.array(sorted(zeroed), dtype=np.intp)
+        p = np.maximum(0.5 * (v * v + u * u), 0.0)
+        i = int(rng.choice(n, p=p / p.sum()))
+        cleaned[i, :] = 0.0
+        cleaned[:, i] = 0.0
+        zeroed.append(i)
+        warm = v
+    raise AssertionError("reference cleaning did not stop")
+
+
+def test_certified_stop_zeroes_the_same_sets():
+    n = 500
+    certified = {}
+    for strategy in STRATEGIES:
+        for epsilon in (0.01, 0.03, 0.05):
+            for s in range(3):
+                inst = generate(n, 0.9, "uniform-random", 500 + s)
+                obs, _ = corrupt(inst, epsilon, strategy, 600 + s)
+                hat_a, hat_b, _, _ = reinject_noise(obs, seed=700 + s)
+                for k, hat in enumerate((hat_a, hat_b)):
+                    trace = []
+                    cleaned, zeroed = spectral_clean(hat, seed=800 + 2 * s + k, trace=trace)
+                    ref_cleaned, ref_zeroed = power_clean_reference(hat, seed=800 + 2 * s + k)
+                    assert np.array_equal(zeroed, ref_zeroed)
+                    assert cleaned.tobytes() == ref_cleaned.tobytes()
+                    certified[strategy] = certified.get(strategy, 0) + trace[-1]["certified"]
+    # the grid exercises the certified stop (42 of 72 final steps); a
+    # residual spike after rank1-spike cleaning lets power iteration converge
+    # first
+    assert certified["zero-out"] == certified["adaptive-sign-flip"] == 18
+    assert sum(certified.values()) >= 36
+
+
+def scaled(m, sigma):
+    return m * (sigma / float(np.linalg.norm(m, 2)))
+
+
+def spiked(n, seed):
+    m = goe(n, seed)
+    v = np.random.default_rng(seed).standard_normal(n)
+    v /= np.linalg.norm(v)
+    return m + 30.0 * math.sqrt(n) * np.outer(v, v)
+
+
+@pytest.mark.parametrize("kind", ["goe", "spiked"])
+@pytest.mark.parametrize("rel", [None, 1 - 1e-6, 1 + 1e-6])
+def test_bound_is_above_sigma_and_never_certifies_at_threshold(kind, rel):
+    n = 300
+    threshold = 10.0 * math.sqrt(n)
+    for seed in range(3):
+        m = goe(n, 900 + seed) if kind == "goe" else spiked(n, 900 + seed)
+        if rel is not None:
+            m = scaled(m, threshold * rel)
+        sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+        bound = schatten8_bound(m)
+        assert bound >= sigma
+        est, _, _, _, tried = _singular_triple(m, method="power", seed=seed, below=threshold)
+        assert est <= sigma * (1 + 1e-12)
+        if sigma >= threshold:
+            assert tried is None or not preprocess.certifies(tried, threshold)
+            trace = []
+            _, zeroed = spectral_clean(m, seed=seed, trace=trace)
+            assert zeroed.size >= 1 and not trace[0]["certified"]
+
+
+def test_bound_certifies_only_outside_the_margin():
+    # rank one: the bound equals sigma_1 up to rounding, so only the margin
+    # keeps a matrix just under the threshold from being certified
+    n = 16
+    threshold = 10.0 * math.sqrt(n)
+    x = np.random.default_rng(5).standard_normal(n)
+    y = np.random.default_rng(6).standard_normal(n)
+    rank1 = np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
+    for rel, expected in ((1.0, False), (1 - 1e-10, False), (1 - 1e-8, True)):
+        bound = schatten8_bound(threshold * rel * rank1)
+        assert bound == pytest.approx(threshold * rel, rel=1e-13)
+        assert preprocess.certifies(bound, threshold) is expected
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+def test_schatten8_bound_value(monkeypatch, block_rows):
+    # M = Q1 diag(s) Q2^T has the bound (sum s^8)^(1/8), across block edges
+    n = 30
+    rng = np.random.default_rng(8)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    s = np.linspace(0.5, 3.0, n)
+    monkeypatch.setattr(preprocess, "BOUND_ROWS", block_rows)
+    got = schatten8_bound(q1 @ np.diag(s) @ q2.T)
+    assert got == pytest.approx(float(np.sum(s ** 8) ** 0.125), rel=1e-12)
+    assert schatten8_bound(np.zeros((5, 5))) == 0.0
+
+
+def test_slow_spike_free_solve_is_certified_before_convergence():
+    n = 300
+    m = goe(n, 4)
+    threshold = 10.0 * math.sqrt(n)
+    _, _, _, full_iters = leading_singular_triple(m, method="power", seed=3)
+    assert full_iters > 2 * CERTIFY_AFTER
+    sigma, u, v, iters, bound = _singular_triple(m, method="power", seed=3, below=threshold)
+    assert iters == CERTIFY_AFTER
+    assert preprocess.certifies(bound, threshold)
+    # the returned triple is power iteration's after CERTIFY_AFTER steps
+    ref_v = generator(3).standard_normal(n)
+    ref_v /= np.linalg.norm(ref_v)
+    for _ in range(CERTIFY_AFTER):
+        ref_u = m @ ref_v
+        ref_u /= np.linalg.norm(ref_u)
+        z = m.T @ ref_u
+        ref_sigma = np.linalg.norm(z)
+        ref_v = z / ref_sigma
+    assert sigma == ref_sigma
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+    # spectral_clean stops at that step with nothing zeroed
+    trace = []
+    cleaned, zeroed = spectral_clean(m, seed=3, trace=trace)
+    assert zeroed.size == 0 and trace[0]["certified"] is True

@@ -12,7 +12,7 @@ import pytest
 
 from wigmatch import refine
 from wigmatch.errors import ParameterError
-from wigmatch.model import ObservedPair, generate, overlap
+from wigmatch.model import ObservedPair, corrupt, generate, overlap
 from wigmatch.refine import (CoNeighbourTable, RefineParams, compute_alpha,
                              compute_psi, final_select, neighborhood_stat,
                              seeded_refine, selection_score)
@@ -312,7 +312,8 @@ def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
     expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params, selection)
     assert [(t["u"], t["v"]) for t in trace] == swaps
     assert np.array_equal(out, expected)
-    assert info == {"swaps": len(swaps), "truncated": False}
+    assert info == {"swaps": len(swaps), "truncated": False,
+                    "select_score": selection_score(obs, expected)}
     assert [t["n_uv"] for t in trace] == pytest.approx(stats, abs=1e-9)
     # the case exercises the filter and, below the default block size, a
     # first qualifying pair past the first block of bad rows
@@ -370,3 +371,42 @@ def test_selection_score_counts_unordered_pairs():
     obs = ObservedPair(a, b)
     # identity: pairs (0,1): A=2>=1, B=1.2>=1 -> hit; (0,2): A=0.5 no; (1,2): A=1.5, B=0 no
     assert selection_score(obs, np.arange(3)) == 1
+
+
+def reference_selection_score(obs, pi):
+    """The count over the gathered n x n upper triangle."""
+    both = (obs.a_prime >= 1.0) & (obs.b_prime[np.ix_(pi, pi)] >= 1.0)
+    return int(np.count_nonzero(np.triu(both, 1)))
+
+
+def test_selection_score_matches_dense_count():
+    rng = np.random.default_rng(14)
+    for n in (1, 2, 9, 200):
+        # not symmetric: only pairs u < v count
+        obs = ObservedPair(rng.normal(0.5, 1.0, (n, n)), rng.normal(0.5, 1.0, (n, n)))
+        for _ in range(3):
+            pi = rng.permutation(n)
+            assert selection_score(obs, pi) == reference_selection_score(obs, pi)
+
+
+@pytest.mark.parametrize("n", [150, 500])
+def test_refine_select_score_equals_selection_score(n):
+    inst = generate(n, 0.9, "uniform-random", 95)
+    obs, _ = corrupt(inst, 0.05, "rank1-spike", 96)
+    rng = np.random.default_rng(n)
+    pi = inst.pi_star.copy()
+    for _ in range(n // 2):
+        u, v = rng.integers(n, size=2)
+        pi[u], pi[v] = pi[v], pi[u]
+    out, info = seeded_refine(obs, pi, 0.9)
+    assert info["swaps"] > 0
+    assert info["select_score"] == selection_score(obs, out)
+    # and straight from a table after random swaps
+    table = CoNeighbourTable(obs, pi)
+    for _ in range(50):
+        u, v = (int(x) for x in rng.integers(n, size=2))
+        if table.pi[u] != v:
+            table.swap(u, v)
+    diag = int(table.counts[np.arange(n), table.pi].sum())
+    assert diag % 2 == 0
+    assert diag // 2 == selection_score(obs, table.pi)
