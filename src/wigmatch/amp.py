@@ -197,9 +197,8 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         pd = np.diag(proj_psi)
         log.psi_diag_min = float(pd.min())
         log.psi_diag_max = float(pd.max())
-        h, l = linear_step(it, cp, xi, a_sub, b_sub)
-        it.h, it.l = h, l
         if t == t_target:
+            it.h, it.l = linear_step(it, cp, xi, a_sub, b_sub)
             log.wall_s = time.perf_counter() - t0
             logs.append(log)
             break
@@ -215,10 +214,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         log.accepted = step.accepted
         log.clamp_count = step.clamp_count
         log.window_phi, log.window_psi = step.next_rm.window_counts()
-        f_next = d(h @ step.beta)
-        g_next = d(l @ step.beta)
-        it = AmpIterate(f=f_next, g=g_next, h=h, l=l, t=t + 1,
-                        rows_i=it.rows_i, rows_j=it.rows_j)
+        it = amp_round(it, cp, step, d, a_sub, b_sub)
         rm = step.next_rm
         history.append(rm)
         log.wall_s = time.perf_counter() - t0

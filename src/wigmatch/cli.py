@@ -3,51 +3,28 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import sys
 
-from .config import RunConfig, make_config
+from .config import CHOICES, FIELD_TYPES, RunConfig, make_config
 from .errors import EXIT_CONFIG, ParameterError, exit_code_for
 
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
+    """One flag per RunConfig field: --field-name, typed from the field."""
     p.add_argument("--config", help="flat KEY=VALUE config file")
-    p.add_argument("--n", type=int)
-    p.add_argument("--rho", type=float)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--strategy")
-    p.add_argument("--k0", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--min-rounds", dest="min_rounds", type=int)
-    p.add_argument("--xi-factor", dest="xi_factor", type=int)
-    p.add_argument("--denoiser-b", dest="denoiser_b", type=float)
-    p.add_argument("--master-seed", dest="master_seed", type=int)
-    p.add_argument("--mode", choices=["oracle-seed", "tiny-enumeration"])
-    p.add_argument("--spectral-mode", dest="spectral_mode", choices=["record", "strict"])
-    p.add_argument("--selection-rule", dest="selection_rule",
-                   choices=["scan-order", "max-stat"])
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threshold-mult", dest="threshold_mult", type=float)
-    p.add_argument("--clique-weight", dest="clique_weight", type=float)
-    p.add_argument("--spike-scale", dest="spike_scale", type=float)
-    p.add_argument("--max-resamples", dest="max_resamples", type=int)
-    p.add_argument("--max-swaps", dest="max_swaps", type=int)
-    p.add_argument("--bad-seed-candidates", dest="bad_seed_candidates", type=int)
-    p.add_argument("--random-candidates", dest="random_candidates", type=int)
-    p.add_argument("--output")
-    p.add_argument("--dump-dir", dest="dump_dir")
-    p.add_argument("--trace-cleaning", dest="trace_cleaning", action="store_true",
-                   default=None)
-    p.add_argument("--verbose", action="store_true", default=None)
-
-
-_CONFIG_KEYS = [f.name for f in dataclasses.fields(RunConfig)]
+    for name, (base, _) in FIELD_TYPES.items():
+        flag = "--" + name.replace("_", "-")
+        if base is bool:
+            p.add_argument(flag, dest=name, action="store_true", default=None)
+        else:
+            p.add_argument(flag, dest=name, type=None if base is str else base,
+                           choices=CHOICES.get(name))
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {k: getattr(args, k, None) for k in _CONFIG_KEYS}
+    overrides = {k: getattr(args, k) for k in FIELD_TYPES}
     return make_config(args.config, overrides)
 
 
@@ -81,7 +58,7 @@ def _cmd_run(args) -> int:
 
 
 def _parse_list(text, cast):
-    return [cast(x) for x in text.split(",") if x.strip() != ""]
+    return [cast(x.strip()) for x in text.split(",") if x.strip() != ""]
 
 
 def _cmd_sweep(args) -> int:

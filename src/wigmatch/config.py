@@ -1,17 +1,26 @@
-"""Run configuration: flat key=value files with CLI-flag overrides."""
+"""Run configuration: flat key=value files with CLI-flag overrides.
+
+The RunConfig field types are the only schema: the config-file parser and
+the CLI flags are both derived from them.
+"""
 
 from __future__ import annotations
 
 import math
+import typing
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
 from .model import STRATEGIES
 from .rng import derive_streams
 
-MODES = ("oracle-seed", "tiny-enumeration")
-SPECTRAL_MODES = ("record", "strict")
-SELECTION_RULES = ("scan-order", "max-stat")
+MODES = ("oracle-seed",)
+CHOICES = {
+    "strategy": STRATEGIES,
+    "mode": MODES,
+    "spectral_mode": ("record", "strict"),
+    "selection_rule": ("scan-order", "max-stat"),
+}
 
 
 @dataclass
@@ -26,7 +35,7 @@ class RunConfig:
     xi_factor: int = 12
     denoiser_b: float = 1.0
     master_seed: int = 0
-    mode: str = "oracle-seed"
+    mode: str = "oracle-seed"          # the one mode; kept in every record
     spectral_mode: str = "record"
     selection_rule: str = "scan-order"
     trials: int = 1
@@ -49,26 +58,21 @@ class RunConfig:
             raise ParameterError(f"rho must lie in (0, 1], got {self.rho}")
         if not (0.0 <= self.epsilon < 1.0):
             raise ParameterError(f"epsilon must lie in [0, 1), got {self.epsilon}")
-        if self.strategy not in STRATEGIES:
-            raise ParameterError(f"unknown strategy {self.strategy!r}")
-        if self.mode not in MODES:
-            raise ParameterError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.spectral_mode not in SPECTRAL_MODES:
-            raise ParameterError(f"spectral_mode must be one of {SPECTRAL_MODES}")
-        if self.selection_rule not in SELECTION_RULES:
-            raise ParameterError(f"selection_rule must be one of {SELECTION_RULES}")
-        if self.mode == "tiny-enumeration":
-            if self.n > 12 or self.k0 > 2:
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
                 raise ParameterError(
-                    "tiny-enumeration is gated to n <= 12 and k0 <= 2 "
-                    f"(got n={self.n}, k0={self.k0})")
-        else:
-            if self.k0 < 12:
-                raise ParameterError(f"k0 must be >= 12 in oracle-seed mode, got {self.k0}")
+                    f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
+        if self.k0 < 12:
+            raise ParameterError(f"k0 must be >= 12, got {self.k0}")
         if self.k0 >= self.n:
             raise ParameterError("k0 must be smaller than n")
-        if self.min_rounds < 0:
-            raise ParameterError("min_rounds must be >= 0")
+        for name in ("min_rounds", "max_resamples", "max_swaps",
+                     "bad_seed_candidates", "random_candidates"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ParameterError(f"{name} must be >= 0, got {value}")
+        if not self.threshold_mult > 0.0:
+            raise ParameterError(f"threshold_mult must be > 0, got {self.threshold_mult}")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
         if self.xi_factor < 1:
@@ -97,32 +101,34 @@ class RunConfig:
         return out
 
 
-_BOOL_KEYS = {"trace_cleaning", "verbose"}
-_INT_KEYS = {"n", "k0", "min_rounds", "xi_factor", "master_seed", "trials",
-             "max_resamples", "max_swaps", "bad_seed_candidates", "random_candidates"}
-_FLOAT_KEYS = {"rho", "epsilon", "gamma", "denoiser_b", "threshold_mult",
-               "clique_weight", "spike_scale"}
-_OPTIONAL_KEYS = {"gamma", "spike_scale", "max_swaps", "output", "dump_dir"}
+def _field_types() -> dict[str, tuple[type, bool]]:
+    """Each RunConfig field's base type and whether it may be None."""
+    out = {}
+    for name, hint in typing.get_type_hints(RunConfig).items():
+        args = typing.get_args(hint)
+        base = next((a for a in args if a is not type(None)), hint)
+        out[name] = (base, type(None) in args)
+    return out
+
+
+FIELD_TYPES = _field_types()
 
 
 def _coerce(key: str, raw: str):
+    base, optional = FIELD_TYPES[key]
     raw = raw.strip()
-    if key in _OPTIONAL_KEYS and raw.lower() in ("", "none", "null"):
+    if optional and raw.lower() in ("", "none", "null"):
         return None
-    if key in _BOOL_KEYS:
+    if base is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ParameterError(f"cannot parse boolean {key}={raw!r}")
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
+        return base(raw)
     except ValueError as exc:
         raise ParameterError(f"cannot parse {key}={raw!r}: {exc}") from None
-    return raw
 
 
 def parse_config_file(path) -> dict:

@@ -179,7 +179,7 @@ class Schedule:
 
 def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
                    d: Denoiser | None = None, gamma: float | None = None,
-                   min_rounds: int = 2, allow_small_k0: bool = False) -> Schedule:
+                   min_rounds: int = 2) -> Schedule:
     """Round sizes K_t and a-priori signal levels eps_t.
 
     Practical mode uses K_{t+1} = gamma * K_t^2 with gamma defaulting to
@@ -206,10 +206,8 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
                 "value and is not runnable at practical sizes")
     elif mode != "practical":
         raise ParameterError(f"unknown schedule mode {mode!r}")
-    if k0 < 12 and not allow_small_k0:
+    if k0 < 12:
         raise ScheduleError(f"k0 must be >= 12 so K_t/12 >= 1, got {k0}")
-    if k0 < 1:
-        raise ScheduleError(f"k0 must be positive, got {k0}")
     if gamma is None:
         gamma = 4.0 / k0
     eps0 = float(phi_map(d, rho / 2.0))

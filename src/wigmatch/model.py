@@ -13,9 +13,7 @@ ceil(eps * n).
 
 from __future__ import annotations
 
-import csv
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +22,6 @@ from .errors import ParameterError
 from .rng import generator
 
 STRATEGIES = ("planted-clique-weight", "rank1-spike", "zero-out", "adaptive-sign-flip")
-
-_MAGIC = b"WGM1"
 
 
 @dataclass(frozen=True)
@@ -36,46 +32,6 @@ class CorrelatedInstance:
     b: np.ndarray
     pi_star: np.ndarray
     rng_seed: int
-
-    def save(self, path) -> None:
-        """Compact binary container: header (n, rho, seed), then the
-        row-major lower triangles of A and B as float64, then pi_star."""
-        n = self.n
-        il = np.tril_indices(n, -1)
-        with open(path, "wb") as fh:
-            fh.write(_MAGIC)
-            fh.write(struct.pack("<IdQ", n, self.rho, self.rng_seed & 0xFFFFFFFFFFFFFFFF))
-            fh.write(np.ascontiguousarray(self.a[il], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.b[il], dtype="<f8").tobytes())
-            fh.write(np.ascontiguousarray(self.pi_star, dtype="<i8").tobytes())
-
-    @classmethod
-    def load(cls, path) -> "CorrelatedInstance":
-        with open(path, "rb") as fh:
-            magic = fh.read(4)
-            if magic != _MAGIC:
-                raise ParameterError(f"not an instance container (magic {magic!r})")
-            n, rho, seed = struct.unpack("<IdQ", fh.read(20))
-            m = n * (n - 1) // 2
-            tri_a = np.frombuffer(fh.read(8 * m), dtype="<f8")
-            tri_b = np.frombuffer(fh.read(8 * m), dtype="<f8")
-            pi = np.frombuffer(fh.read(8 * n), dtype="<i8").astype(np.intp)
-        il = np.tril_indices(n, -1)
-        a = np.zeros((n, n))
-        b = np.zeros((n, n))
-        a[il] = tri_a
-        a.T[il] = tri_a
-        b[il] = tri_b
-        b.T[il] = tri_b
-        return cls(n=n, rho=rho, a=a, b=b, pi_star=pi, rng_seed=seed)
-
-    def to_csv(self, path_a, path_b) -> None:
-        """Plain CSV dump of both matrices, for inspection."""
-        for path, m in ((path_a, self.a), (path_b, self.b)):
-            with open(path, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                for row in m:
-                    writer.writerow([f"{x:.17g}" for x in row])
 
 
 @dataclass(frozen=True)

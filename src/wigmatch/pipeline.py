@@ -119,14 +119,6 @@ def _sanitize(obj):
     return obj
 
 
-def _enumerate_seed_pairs(n: int, k0: int):
-    """All ordered pairs of length-k0 distinct-entry sequences; gated upstream."""
-    seqs = [np.array(s, dtype=np.intp) for s in itertools.permutations(range(n), k0)]
-    for u in seqs:
-        for v in seqs:
-            yield SeedPair(u_seq=u, v_seq=v, goodness=None)
-
-
 def _split(stages_s: dict, stage: str, t0: float) -> float:
     """Add the time since t0 to stages_s[stage]; return the current time."""
     now = time.perf_counter()
@@ -154,8 +146,8 @@ def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
     out = {
         "label": label,
         "goodness": seeds.goodness,
-        "overlap_lap": overlap(pi_lap, inst.pi_star) if inst is not None else None,
-        "overlap_refine": overlap(pi_ref, inst.pi_star) if inst is not None else None,
+        "overlap_lap": overlap(pi_lap, inst.pi_star),
+        "overlap_refine": overlap(pi_ref, inst.pi_star),
         "swaps": info["swaps"],
         "truncated": info["truncated"],
         "stopped_reason": res.stopped_reason,
@@ -221,8 +213,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stage = "schedule"
         dn = make_denoiser(cfg.denoiser_b)
         sched = build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", dn,
-                               gamma=cfg.gamma, min_rounds=cfg.min_rounds,
-                               allow_small_k0=(cfg.mode == "tiny-enumeration"))
+                               gamma=cfg.gamma, min_rounds=cfg.min_rounds)
         record["schedule"] = {"ks": list(sched.ks), "epss": list(sched.epss),
                               "t_star": sched.t_star, "eps0": sched.eps0,
                               "gamma": sched.gamma, "c2": sched.c2,
@@ -236,20 +227,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stages_s = record["stages_s"]
         stages_s.update(amp=0.0, score=0.0, lap=0.0, refine=0.0, select=0.0)
         candidates: list[dict] = []
-        if cfg.mode == "oracle-seed":
-            exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
-            exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
-            seeds = good_seed_pair(inst.pi_star, cfg.k0, exclude_u, exclude_v)
-            candidates.append(_run_candidate("oracle", seeds, cp, sched, dn, cfg,
+        exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
+        exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
+        seeds = good_seed_pair(inst.pi_star, cfg.k0, exclude_u, exclude_v)
+        candidates.append(_run_candidate("oracle", seeds, cp, sched, dn, cfg,
+                                         streams["beta"], obs, inst, stages_s))
+        for i in range(cfg.bad_seed_candidates):
+            bad = bad_seed_pair(inst.pi_star, cfg.k0, child(streams["corruption"], 100 + i))
+            candidates.append(_run_candidate(f"bad{i}", bad, cp, sched, dn, cfg,
                                              streams["beta"], obs, inst, stages_s))
-            for i in range(cfg.bad_seed_candidates):
-                bad = bad_seed_pair(inst.pi_star, cfg.k0, child(streams["corruption"], 100 + i))
-                candidates.append(_run_candidate(f"bad{i}", bad, cp, sched, dn, cfg,
-                                                 streams["beta"], obs, inst, stages_s))
-        else:
-            for idx, seeds in enumerate(_enumerate_seed_pairs(cfg.n, cfg.k0)):
-                candidates.append(_run_candidate(f"enum{idx}", seeds, cp, sched, dn,
-                                                 cfg, streams["beta"], obs, inst, stages_s))
         t0 = time.perf_counter()
         stage = "select"
         rng_rand = np.random.default_rng(child(streams["corruption"], 999))

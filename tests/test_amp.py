@@ -1,14 +1,17 @@
 """Vector-AMP iteration tests: initialization, rounds, concentration."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
-from wigmatch.amp import (SeedPair, amp_round, bad_seed_pair, good_seed_pair,
-                          init_iterate, linear_step, run_amp)
-from wigmatch.denoiser import build_schedule, make_denoiser
+from wigmatch.amp import (AmpIterate, RoundLog, SeedPair, amp_round, bad_seed_pair,
+                          good_seed_pair, init_iterate, linear_step, run_amp)
+from wigmatch.denoiser import build_schedule, make_denoiser, phi_second_deriv_at_zero
 from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.model import corrupt, generate
 from wigmatch.preprocess import clean_pair
+from wigmatch.rng import child
 from wigmatch.spectral import build_xi, initial_round, sample_beta
 
 D = make_denoiser(1.0)
@@ -146,6 +149,89 @@ def test_run_amp_min_rounds_zero_stops_at_t_star():
     assert res.stopped_reason == "t_star"
     assert res.iterate.h.shape[1] == 2
     assert res.rounds[0].resamples is None      # no beta needed at the last round
+
+
+def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor,
+                           max_resamples, spectral_mode):
+    """run_amp's loop as it was with amp_round's body written out inline;
+    returns (iterate, rounds, stopped_reason)."""
+    t_target = max(sched.t_star, min_rounds)
+    rm = initial_round(sched.k0, sched.eps0)
+    it = init_iterate(cp, seeds, d)
+    a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
+    b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
+    logs = []
+    pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
+    stopped = "t_star" if t_target == sched.t_star else "min_rounds"
+    for t in range(t_target + 1):
+        log = RoundLog(t=t, k_t=rm.k_t, d=max(1, rm.k_t // xi_factor), eps_t=rm.eps_t)
+        try:
+            xi = build_xi(rm, xi_factor=xi_factor)
+        except SpectralDeficiencyError:
+            if spectral_mode == "strict":
+                raise
+            stopped = "spectral"
+            break
+        log.xi_ortho_err = float(np.linalg.norm(xi.T @ rm.phi @ xi - np.eye(xi.shape[1])))
+        pd = np.diag(xi.T @ rm.psi @ xi)
+        log.psi_diag_min, log.psi_diag_max = float(pd.min()), float(pd.max())
+        h, l = linear_step(it, cp, xi, a_sub, b_sub)
+        it.h, it.l = h, l
+        if t == t_target:
+            logs.append(log)
+            break
+        step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
+                           max_resamples=max_resamples, mode=spectral_mode)
+        log.eps_lower_bound_ok = bool(step.eps_next >= pp_rho * rm.eps_t ** 2 - 1e-12)
+        log.resamples = step.resamples
+        log.accepted = step.accepted
+        log.clamp_count = step.clamp_count
+        log.window_phi, log.window_psi = step.next_rm.window_counts()
+        it = AmpIterate(f=d(h @ step.beta), g=d(l @ step.beta), h=h, l=l, t=t + 1,
+                        rows_i=it.rows_i, rows_j=it.rows_j)
+        rm = step.next_rm
+        logs.append(log)
+    return it, logs, stopped
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except SpectralDeficiencyError as exc:
+        return ("raised", str(exc))
+
+
+@pytest.mark.parametrize("spectral_mode", ["record", "strict"])
+@pytest.mark.parametrize("min_rounds", [0, 2])
+def test_run_amp_matches_inline_rounds(min_rounds, spectral_mode):
+    inst, cp, seeds = clean_setup(120, 0.9, 16)
+    sched = build_schedule(0.9, 120, 24, min_rounds=min_rounds)
+    kw = dict(min_rounds=min_rounds, beta_seed=3, xi_factor=12, max_resamples=4,
+              spectral_mode=spectral_mode)
+
+    def untimed(rounds):
+        return [{k: v for k, v in asdict(r).items() if k != "wall_s"} for r in rounds]
+
+    def current():
+        res = run_amp(cp, seeds, sched, D, **kw)
+        return res.iterate, untimed(res.rounds), res.stopped_reason
+
+    def inline():
+        it, logs, stopped = _run_amp_inline_rounds(cp, seeds, sched, D, **kw)
+        return it, untimed(logs), stopped
+
+    got, want = _outcome(current), _outcome(inline)
+    if want[0] == "raised":
+        assert spectral_mode == "strict" and min_rounds == 2
+        assert got == want
+        return
+    assert got[1] == want[1]
+    assert got[2] == want[2]
+    for name in ("f", "g", "h", "l", "rows_i", "rows_j"):
+        assert np.array_equal(getattr(got[0], name), getattr(want[0], name)), name
+    assert got[0].t == want[0].t
+    if min_rounds == 2:
+        assert got[0].t == 1 and got[2] == "spectral"   # amp_round ran once
 
 
 def test_run_amp_deterministic():

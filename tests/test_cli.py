@@ -1,11 +1,18 @@
 """CLI surface: subcommands, exit codes, config plumbing."""
 
+import argparse
+import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 
-from wigmatch.cli import main
+import pytest
+
+from wigmatch.cli import _add_config_flags, build_parser, main
+from wigmatch.config import CHOICES, FIELD_TYPES, RunConfig, make_config, parse_config_file
 from wigmatch.errors import EXIT_CONFIG
+from wigmatch.model import STRATEGIES
 
 
 def run_cli(args):
@@ -40,12 +47,6 @@ def test_config_error_exit_code(capsys):
     assert code == EXIT_CONFIG
 
 
-def test_tiny_enumeration_gate(capsys):
-    code = main(["run", "--mode", "tiny-enumeration", "--n", "50", "--k0", "2"])
-    capsys.readouterr()
-    assert code == EXIT_CONFIG
-
-
 def test_constants_subcommand(capsys):
     code = main(["constants", "--rho", "0.8", "--n", "1000", "--k0", "24"])
     assert code == 0
@@ -76,6 +77,18 @@ def test_sweep_subcommand(tmp_path, capsys):
     assert len(csv_path.read_text().strip().split("\n")) == 5
 
 
+def test_sweep_lists_allow_spaces(tmp_path, capsys):
+    csv_path = tmp_path / "rows.csv"
+    code = main(["sweep", "--n", "80", "--rho", "0.9", "--k0", "24",
+                 "--master-seed", "2", "--epsilons", "0.0, 0.05",
+                 "--strategies", "zero-out, rank1-spike", "--csv", str(csv_path)])
+    assert code == 0
+    assert "4 rows, 0 failed" in capsys.readouterr().out
+    rows = list(csv.DictReader(csv_path.open()))
+    assert [r["strategy"] for r in rows] == ["zero-out", "rank1-spike"] * 2
+    assert all(r["status"] == "ok" for r in rows)
+
+
 def test_cli_subprocess_smoke():
     code, out, err = run_cli(["run", "--n", "64", "--rho", "0.9", "--k0", "24",
                               "--master-seed", "3", "--min-rounds", "0"])
@@ -90,3 +103,102 @@ def test_cli_trials_repeats(capsys):
     lines = [json.loads(x) for x in capsys.readouterr().out.strip().split("\n")]
     assert len(lines) == 3
     assert [ln["trial"] for ln in lines] == [0, 1, 2]
+
+
+# ------------------------------------------------- flags from RunConfig
+
+
+def _hand_written_flags(p):
+    """The config flags as they were written out by hand before being
+    generated from RunConfig; the parity reference."""
+    p.add_argument("--config", help="flat KEY=VALUE config file")
+    p.add_argument("--n", type=int)
+    p.add_argument("--rho", type=float)
+    p.add_argument("--epsilon", type=float)
+    p.add_argument("--strategy")
+    p.add_argument("--k0", type=int)
+    p.add_argument("--gamma", type=float)
+    p.add_argument("--min-rounds", dest="min_rounds", type=int)
+    p.add_argument("--xi-factor", dest="xi_factor", type=int)
+    p.add_argument("--denoiser-b", dest="denoiser_b", type=float)
+    p.add_argument("--master-seed", dest="master_seed", type=int)
+    p.add_argument("--mode", choices=["oracle-seed"])
+    p.add_argument("--spectral-mode", dest="spectral_mode", choices=["record", "strict"])
+    p.add_argument("--selection-rule", dest="selection_rule",
+                   choices=["scan-order", "max-stat"])
+    p.add_argument("--trials", type=int)
+    p.add_argument("--threshold-mult", dest="threshold_mult", type=float)
+    p.add_argument("--clique-weight", dest="clique_weight", type=float)
+    p.add_argument("--spike-scale", dest="spike_scale", type=float)
+    p.add_argument("--max-resamples", dest="max_resamples", type=int)
+    p.add_argument("--max-swaps", dest="max_swaps", type=int)
+    p.add_argument("--bad-seed-candidates", dest="bad_seed_candidates", type=int)
+    p.add_argument("--random-candidates", dest="random_candidates", type=int)
+    p.add_argument("--output")
+    p.add_argument("--dump-dir", dest="dump_dir")
+    p.add_argument("--trace-cleaning", dest="trace_cleaning", action="store_true",
+                   default=None)
+    p.add_argument("--verbose", action="store_true", default=None)
+
+
+def _flag_specs(add_flags):
+    p = argparse.ArgumentParser(add_help=False)
+    add_flags(p)
+    return {a.dest: {"options": a.option_strings, "type": a.type,
+                     "action": type(a).__name__, "default": a.default,
+                     "nargs": a.nargs, "const": a.const,
+                     "choices": None if a.choices is None else list(a.choices)}
+            for a in p._actions}
+
+
+def test_generated_flags_match_the_hand_written_list():
+    generated = _flag_specs(_add_config_flags)
+    expected = _flag_specs(_hand_written_flags)
+    expected["strategy"]["choices"] = list(STRATEGIES)   # the one intended change
+    assert list(generated) == list(expected)
+    for dest in expected:
+        assert generated[dest] == expected[dest], dest
+    assert set(generated) == {"config"} | {f.name for f in fields(RunConfig)}
+
+
+_RAW = {int: "13", float: "0.625", str: "somewhere"}
+
+
+def _flag_overrides(argv):
+    args = build_parser().parse_args(["run", *argv])
+    return {k: getattr(args, k) for k in FIELD_TYPES}
+
+
+@pytest.mark.parametrize("name", list(FIELD_TYPES))
+def test_config_file_and_flag_give_the_same_value(name, tmp_path):
+    base, optional = FIELD_TYPES[name]
+    flag = "--" + name.replace("_", "-")
+    path = tmp_path / "run.cfg"
+    if base is bool:
+        path.write_text(f"{name} = true\n")
+        assert parse_config_file(path)[name] is True
+        assert _flag_overrides([flag])[name] is True
+        # an absent flag must not override the file
+        assert getattr(make_config(path, _flag_overrides([])), name) is True
+        path.write_text(f"{name} = off\n")
+        assert parse_config_file(path)[name] is False
+        assert getattr(make_config(None, _flag_overrides([])), name) is False
+        return
+    raw = CHOICES[name][-1] if name in CHOICES else _RAW[base]
+    path.write_text(f"{name} = {raw}\n")
+    from_file = parse_config_file(path)[name]
+    from_flag = _flag_overrides([flag, raw])[name]
+    assert type(from_file) is type(from_flag) is base
+    assert from_file == from_flag
+    if optional:
+        path.write_text(f"{name} = none\n")
+        assert parse_config_file(path)[name] is None
+        assert _flag_overrides([])[name] is None
+
+
+@pytest.mark.parametrize("flags", [["--strategy", "nope"],
+                                   ["--mode", "tiny-enumeration"]])
+def test_unknown_choice_exits_2(flags):
+    code, _, err = run_cli(["run", "--n", "64", *flags])
+    assert code == 2, err
+    assert "invalid choice" in err

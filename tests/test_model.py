@@ -1,4 +1,4 @@
-"""Instance generation, corruption, overlap, and serialization tests."""
+"""Instance generation, corruption and overlap tests."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from wigmatch.errors import ParameterError
-from wigmatch.model import (CorrelatedInstance, _symmetric_standard_normal, corrupt,
-                            generate, overlap)
+from wigmatch.model import _symmetric_standard_normal, corrupt, generate, overlap
 from wigmatch.rng import generator
 
 
@@ -180,36 +179,3 @@ def test_overlap_random_permutation_mean():
 def test_overlap_size_mismatch():
     with pytest.raises(ParameterError):
         overlap(np.arange(5), np.arange(6))
-
-
-# -------------------------------------------------------- serialization
-
-
-def test_binary_round_trip(tmp_path):
-    inst = generate(37, 0.65, "uniform-random", 99)
-    path = tmp_path / "inst.bin"
-    inst.save(path)
-    back = CorrelatedInstance.load(path)
-    assert back.n == inst.n
-    assert back.rho == inst.rho
-    assert back.rng_seed == inst.rng_seed
-    assert np.array_equal(back.a, inst.a)
-    assert np.array_equal(back.b, inst.b)
-    assert np.array_equal(back.pi_star, inst.pi_star)
-
-
-def test_binary_rejects_garbage(tmp_path):
-    path = tmp_path / "junk.bin"
-    path.write_bytes(b"NOPE" + b"\x00" * 64)
-    with pytest.raises(ParameterError):
-        CorrelatedInstance.load(path)
-
-
-def test_csv_export(tmp_path):
-    inst = generate(6, 0.5, "identity", 1)
-    pa, pb = tmp_path / "a.csv", tmp_path / "b.csv"
-    inst.to_csv(pa, pb)
-    rows = pa.read_text().strip().split("\n")
-    assert len(rows) == 6
-    first = np.array([float(x) for x in rows[0].split(",")])
-    assert np.allclose(first, inst.a[0], atol=1e-15)

@@ -36,9 +36,17 @@ def test_config_validation_errors():
     with pytest.raises(ParameterError):
         RunConfig(n=20, k0=24).validate()
     with pytest.raises(ParameterError):
-        RunConfig(mode="tiny-enumeration", n=20, k0=2).validate()
+        RunConfig(threshold_mult=0.0).validate()
     with pytest.raises(ParameterError):
-        RunConfig(mode="tiny-enumeration", n=8, k0=3).validate()
+        RunConfig(threshold_mult=-1.0).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(max_resamples=-1, min_rounds=1).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(bad_seed_candidates=-1).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(random_candidates=-1).validate()
+    with pytest.raises(ParameterError):
+        RunConfig(max_swaps=-1).validate()
 
 
 def test_config_file_round_trip(tmp_path):
@@ -172,15 +180,6 @@ def test_dump_dir_artifacts(tmp_path):
     assert "assignment_oracle.csv" in dumped
     score = np.load(tmp_path / "dumps" / "score_oracle.npy")
     assert score.shape == (96, 96)
-
-
-def test_tiny_enumeration_mode():
-    cfg = RunConfig(n=6, rho=0.9, epsilon=0.0, k0=1, mode="tiny-enumeration",
-                    master_seed=3, min_rounds=0).validate()
-    rec = run_pipeline(cfg)
-    assert rec["status"] == "ok"
-    assert len(rec["candidates"]) == 36          # M^2 ordered pairs for k0 = 1
-    assert rec["final"]["selected_label"].startswith("enum")
 
 
 def test_compare_clean_corrupted_small():
