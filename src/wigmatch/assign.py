@@ -1,11 +1,16 @@
 """Linear-assignment finishing.
 
 The matching signal lives in the row inner products of the final AMP
-iterates: score[i, j] = <h_i, l_j>.  The assignment maximising the total
-score is solved exactly in O(m^3); the seed vertices are then spliced back
+iterates: score[i, j] = <h_i, l_j>.  solve_lap finds an assignment that
+maximises the total score exactly; the seed vertices are then spliced back
 in to produce a full permutation.
 
-The solver minimises the squared distance
+Rank 1 (d = 1): score[i, j] = h_i l_j, and by the rearrangement inequality
+(Hardy, Littlewood & Polya) pairing the k-th smallest h with the k-th
+smallest l is optimal.  The solve is a sort, O(m log m), with ties broken
+by label.
+
+Higher rank: a dense O(m^3) solve that minimises the squared distance
 
     cost[i, j] = 1/2 |h_i - l_j|^2 = 1/2 |h_i|^2 + 1/2 |l_j|^2 - <h_i, l_j>
 
@@ -15,7 +20,19 @@ total, so both forms have the same optimal assignments.  The rank-d inner
 product alone is highly degenerate: every row ranks the columns by one
 direction in R^d and prefers the same few far-out columns, so the
 shortest-augmenting-path solver walks long paths.  Under the squared
-distance each row prefers nearby columns and the paths stay short.
+distance each row prefers nearby columns and the paths stay short.  The
+problem stays square: leaving columns out would make the column term
+depend on the assignment.
+
+Tied zero vertices: a row whose score row is exactly zero (Z_r; a vertex
+zeroed by cleaning has h_i = 0) scores the same against every column, and
+so does a column in Z_c, so any order among them is optimal, and the order
+a solver returns depends on the solver and on the last bits of h.  Both
+paths therefore end with one rule.  Every pair with i not in Z_r and
+sigma(i) not in Z_c is kept; the other non-zero rows take the
+smallest-label zero columns, in label order; the zero rows take the
+remaining columns, in label order.  Every re-paired entry scores 0 before
+and after, so the total is unchanged and sigma depends only on the optimum.
 """
 
 from __future__ import annotations
@@ -36,17 +53,23 @@ class AssignmentProblem:
     row_potential and col_potential (None means zero) are added to the cost
     -score by row and by column; they shift every assignment's total by the
     same constant, so they change the solver's work, not its optimum.
+    h and l (None when the score was built by hand) are the factors of
+    score = h l^T; with one column each, solve_lap sorts instead of running
+    the dense solver.
     """
     score: np.ndarray
     row_labels: np.ndarray
     col_labels: np.ndarray
     row_potential: np.ndarray | None = None
     col_potential: np.ndarray | None = None
+    h: np.ndarray | None = None
+    l: np.ndarray | None = None
 
 
 def build_scores(it: AmpIterate) -> AssignmentProblem:
-    """Dense score matrix h l^T over the non-seed vertices, with the
-    potentials 1/2 |h_i|^2 and 1/2 |l_j|^2 of the squared-distance cost."""
+    """Dense score matrix h l^T over the non-seed vertices, with its factors
+    and the potentials 1/2 |h_i|^2 and 1/2 |l_j|^2 of the squared-distance
+    cost."""
     if it.h is None or it.l is None:
         raise ParameterError("iterate carries no (h, l); run the linear step first")
     score = it.h @ it.l.T
@@ -54,26 +77,51 @@ def build_scores(it: AmpIterate) -> AssignmentProblem:
         raise ParameterError("non-finite assignment scores")
     return AssignmentProblem(score=score, row_labels=it.rows_i, col_labels=it.rows_j,
                              row_potential=0.5 * np.einsum("ij,ij->i", it.h, it.h),
-                             col_potential=0.5 * np.einsum("ij,ij->i", it.l, it.l))
+                             col_potential=0.5 * np.einsum("ij,ij->i", it.l, it.l),
+                             h=it.h, l=it.l)
 
 
 def solve_lap(p: AssignmentProblem) -> np.ndarray:
-    """Exact maximiser of sum_i score[i, sigma(i)].
+    """Exact maximiser of sum_i score[i, sigma(i)], with tied zero vertices
+    in the canonical order of the module docstring.
 
-    Minimises -score[i, j] + row_potential[i] + col_potential[j], built in
-    place on the one negated copy of the score.  Returns sigma as an array:
-    row i is assigned column sigma[i].
+    A rank-1 problem with factors is solved by sorting.  Otherwise the dense
+    solver minimises -score[i, j] + row_potential[i] + col_potential[j],
+    built in place on the one negated copy of the score.  Returns sigma as
+    an array: row i is assigned column sigma[i].
     """
     if p.score.shape[0] != p.score.shape[1]:
         raise ParameterError("score matrix must be square")
-    cost = -p.score
-    if p.row_potential is not None:
-        cost += p.row_potential[:, None]
-    if p.col_potential is not None:
-        cost += p.col_potential[None, :]
-    rows, cols = linear_sum_assignment(cost)
     sigma = np.empty(p.score.shape[0], dtype=np.intp)
-    sigma[rows] = cols
+    if p.h is not None and p.h.shape[1] == 1:
+        sigma[np.lexsort((p.row_labels, p.h[:, 0]))] = np.lexsort((p.col_labels, p.l[:, 0]))
+    else:
+        cost = -p.score
+        if p.row_potential is not None:
+            cost += p.row_potential[:, None]
+        if p.col_potential is not None:
+            cost += p.col_potential[None, :]
+        rows, cols = linear_sum_assignment(cost)
+        del cost
+        sigma[rows] = cols
+    return _settle_zero_ties(p, sigma)
+
+
+def _settle_zero_ties(p: AssignmentProblem, sigma: np.ndarray) -> np.ndarray:
+    """Re-pair the rows in Z_r and the rows sent into Z_c by label order."""
+    nonzero = p.score != 0
+    zero_row = ~nonzero.any(axis=1)
+    zero_col = ~nonzero.any(axis=0)
+    if not (zero_row.any() or zero_col.any()):
+        return sigma
+    rows = np.argsort(p.row_labels, kind="stable")
+    cols = np.argsort(p.col_labels, kind="stable")
+    taken = np.zeros(len(sigma), dtype=bool)
+    taken[sigma[~zero_row & ~zero_col[sigma]]] = True
+    movers = rows[~zero_row[rows] & zero_col[sigma[rows]]]
+    sigma[movers] = cols[zero_col[cols]][:len(movers)]
+    taken[sigma[movers]] = True
+    sigma[rows[zero_row[rows]]] = cols[~taken[cols]]
     return sigma
 
 

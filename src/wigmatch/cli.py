@@ -58,7 +58,10 @@ def _cmd_run(args) -> int:
 
 
 def _parse_list(text, cast):
-    return [cast(x.strip()) for x in text.split(",") if x.strip() != ""]
+    try:
+        return [cast(x.strip()) for x in text.split(",") if x.strip() != ""]
+    except ValueError as exc:
+        raise ParameterError(f"malformed list {text!r}: {exc}") from None
 
 
 def _cmd_sweep(args) -> int:
@@ -159,15 +162,16 @@ def _cmd_selftest(args) -> int:
                for p in itertools.permutations(range(6)))
     checks.append(("LAP matches brute force", abs(score[np.arange(6), sigma].sum() - best) < 1e-9))
 
-    h = rng.standard_normal((200, 2)) + 0.5
-    h[17] = 0.0
-    prob = build_scores(SimpleNamespace(h=h, l=0.3 * rng.standard_normal((200, 2)),
-                                        rows_i=np.arange(200), rows_j=np.arange(200)))
-    sigma = solve_lap(prob)
-    rows, cols = linear_sum_assignment(-prob.score)
-    gap = prob.score[np.arange(200), sigma].sum() - prob.score[rows, cols].sum()
-    checks.append(("rank-2 LAP equals raw solver",
-                   abs(gap) <= 1e-9 * float(np.abs(prob.score).max())))
+    for d, name in ((2, "rank-2 LAP equals raw solver"),
+                    (1, "rank-1 sort equals raw solver total")):
+        h = rng.standard_normal((200, d)) + 0.5
+        h[17] = 0.0
+        prob = build_scores(SimpleNamespace(h=h, l=0.3 * rng.standard_normal((200, d)),
+                                            rows_i=np.arange(200), rows_j=np.arange(200)))
+        sigma = solve_lap(prob)
+        rows, cols = linear_sum_assignment(-prob.score)
+        gap = prob.score[np.arange(200), sigma].sum() - prob.score[rows, cols].sum()
+        checks.append((name, abs(gap) <= 1e-9 * float(np.abs(prob.score).max())))
 
     a = compute_alpha()
     checks.append(("alpha value", abs(a - 0.15865525393145707) < 1e-12))

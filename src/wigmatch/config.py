@@ -52,6 +52,10 @@ class RunConfig:
     verbose: bool = False
 
     def validate(self) -> "RunConfig":
+        for name, (base, _) in FIELD_TYPES.items():
+            value = getattr(self, name)
+            if base is float and value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
         if not (0.0 < self.rho <= 1.0):

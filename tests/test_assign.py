@@ -124,6 +124,86 @@ def test_low_rank_score_reaches_raw_solver_total(rng, d):
         assert abs(total - float(np.sort(it.h[:, 0]) @ np.sort(it.l[:, 0]))) <= tol
 
 
+def raw_sigma(p):
+    """linear_sum_assignment on -score, with no tie rule."""
+    rows, cols = linear_sum_assignment(-p.score)
+    sigma = np.empty(len(rows), dtype=np.intp)
+    sigma[rows] = cols
+    return sigma
+
+
+def tie_rule(p, sigma):
+    """The zero-vertex rule of solve_lap, written out pair by pair."""
+    m = len(sigma)
+    zero_row = [not p.score[i].any() for i in range(m)]
+    zero_col = [not p.score[:, j].any() for j in range(m)]
+    by_row = sorted(range(m), key=lambda i: p.row_labels[i])
+    by_col = sorted(range(m), key=lambda j: p.col_labels[j])
+    out = [int(sigma[i]) if not zero_row[i] and not zero_col[sigma[i]] else None
+           for i in range(m)]
+    zero_cols = [j for j in by_col if zero_col[j]]
+    for i in by_row:
+        if not zero_row[i] and out[i] is None:
+            out[i] = zero_cols.pop(0)
+    free = [j for j in by_col if j not in out]
+    for i in by_row:
+        if zero_row[i]:
+            out[i] = free.pop(0)
+    return np.array(out)
+
+
+def iterate_with_zeros(rng, m, d):
+    """Continuous h and l with exact-zero rows in both."""
+    h = rng.standard_normal((m, d))
+    l = rng.standard_normal((m, d))
+    h[rng.choice(m, size=6, replace=False)] = 0.0
+    l[rng.choice(m, size=5, replace=False)] = 0.0
+    return SimpleNamespace(h=h, l=l, rows_i=np.arange(m), rows_j=np.arange(m))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solution_is_the_raw_solver_optimum_through_the_tie_rule(rng, d):
+    # d = 1 sorts and d = 2 runs the squared-distance solve; both must land
+    # on the raw solver's optimum with tied zero vertices in label order
+    for _ in range(30):
+        p = build_scores(iterate_with_zeros(rng, 40, d))
+        assert np.array_equal(solve_lap(p), tie_rule(p, raw_sigma(p)))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_pairs_do_not_depend_on_input_order(rng, d):
+    m = 60
+    it = iterate_with_zeros(rng, m, d)
+    if d == 1:
+        # many equal non-zero values: ties among them go by label
+        it.h = rng.choice([-2.0, -1.0, 0.0, 1.0, 3.0], size=(m, 1))
+        it.l = rng.choice([-1.5, 0.0, 0.5, 2.0], size=(m, 1))
+    it.rows_i = np.sort(rng.choice(3 * m, size=m, replace=False))
+    it.rows_j = np.sort(rng.choice(3 * m, size=m, replace=False))
+    p = build_scores(it)
+    pairs = set(zip(p.row_labels.tolist(), p.col_labels[solve_lap(p)].tolist()))
+    for _ in range(5):
+        pr, pc = rng.permutation(m), rng.permutation(m)
+        q = build_scores(SimpleNamespace(h=it.h[pr], l=it.l[pc],
+                                         rows_i=it.rows_i[pr], rows_j=it.rows_j[pc]))
+        assert set(zip(q.row_labels.tolist(),
+                       q.col_labels[solve_lap(q)].tolist())) == pairs
+
+
+def test_rank1_problem_does_not_call_the_dense_solver(rng, monkeypatch):
+    def refuse(cost):
+        raise AssertionError("dense solver called on a rank-1 problem")
+
+    monkeypatch.setattr("wigmatch.assign.linear_sum_assignment", refuse)
+    it = low_rank_iterate(rng, 301, 1)
+    p = build_scores(it)
+    sigma = solve_lap(p)
+    assert np.array_equal(np.sort(sigma), np.arange(301))
+    total = float(p.score[np.arange(301), sigma].sum())
+    best = float(np.sort(it.h[:, 0]) @ np.sort(it.l[:, 0]))
+    assert abs(total - best) <= 1e-9 * float(np.abs(p.score).max())
+
+
 def test_assemble_pi_explicit_tables():
     # n = 5, two seeds 0 -> 3 and 2 -> 0; complement rows (1, 3, 4) map onto
     # columns (1, 2, 4) by sigma

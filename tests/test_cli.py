@@ -89,6 +89,16 @@ def test_sweep_lists_allow_spaces(tmp_path, capsys):
     assert all(r["status"] == "ok" for r in rows)
 
 
+@pytest.mark.parametrize("args", [["sweep", "--ns", "80,abc", "--k0", "24"],
+                                  ["sweep", "--epsilons", "0.0,x", "--k0", "24"],
+                                  ["run", "--n", "80", "--k0", "24", "--epsilon", "0.05",
+                                   "--clique-weight", "nan"]])
+def test_malformed_values_exit_2(args):
+    code, _, err = run_cli(args)
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error:")
+
+
 def test_cli_subprocess_smoke():
     code, out, err = run_cli(["run", "--n", "64", "--rho", "0.9", "--k0", "24",
                               "--master-seed", "3", "--min-rounds", "0"])

@@ -2,10 +2,14 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wigmatch
 from wigmatch.config import RunConfig, make_config, parse_config_file
 from wigmatch.errors import ParameterError
 from wigmatch.pipeline import (compare_clean_corrupted,
@@ -47,6 +51,10 @@ def test_config_validation_errors():
         RunConfig(random_candidates=-1).validate()
     with pytest.raises(ParameterError):
         RunConfig(max_swaps=-1).validate()
+    for name in ("clique_weight", "spike_scale", "gamma", "denoiser_b", "rho"):
+        for value in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ParameterError, match="finite"):
+                RunConfig(**{name: value}).validate()
 
 
 def test_config_file_round_trip(tmp_path):
@@ -159,6 +167,38 @@ def test_run_record_determinism():
     assert c1["overlap_refine"] == c2["overlap_refine"]
     assert c1["swap_trace"] == c2["swap_trace"]
     assert r1["final"]["overlap_final"] == r2["final"]["overlap_final"]
+
+
+_TIMELESS_RECORD = """
+import json, sys
+from wigmatch import RunConfig, run_pipeline
+
+def strip(o):
+    if isinstance(o, dict):
+        return {k: strip(v) for k, v in o.items()
+                if k not in ("stages_s", "versions", "wall_s")}
+    return [strip(v) for v in o] if isinstance(o, list) else o
+
+print(json.dumps(strip(run_pipeline(RunConfig(**json.loads(sys.argv[1])).validate()))))
+"""
+
+
+def test_run_record_independent_of_blas_threads():
+    # Desk settings at master seed 101: h differs in its last bits between 1
+    # and 2 BLAS threads, which once reordered tied zero vertices in pi_lap.
+    cfg = dict(n=1000, rho=0.9, epsilon=0.01, strategy="rank1-spike", k0=24,
+               master_seed=101, verbose=True)
+    src = os.path.dirname(os.path.dirname(wigmatch.__file__))
+    records = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _TIMELESS_RECORD, json.dumps(cfg)],
+                              env=env, capture_output=True, text=True, timeout=600,
+                              check=True)
+        records.append(json.loads(proc.stdout))
+    assert records[0]["status"] == "ok"
+    assert records[0] == records[1]
 
 
 def test_run_record_failure_stage():
