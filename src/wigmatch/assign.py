@@ -14,15 +14,17 @@ Higher rank: a dense O(m^3) solve that minimises the squared distance
 
     cost[i, j] = 1/2 |h_i - l_j|^2 = 1/2 |h_i|^2 + 1/2 |l_j|^2 - <h_i, l_j>
 
-rather than -<h_i, l_j>.  The row term and the column term add the same
-constant, 1/2 sum_i |h_i|^2 + 1/2 sum_j |l_j|^2, to every permutation's
-total, so both forms have the same optimal assignments.  The rank-d inner
+rather than -<h_i, l_j>.  The row and column potentials 1/2 |h_i|^2 and
+1/2 |l_j|^2 come from the factors h and l; they add the same constant,
+1/2 sum_i |h_i|^2 + 1/2 sum_j |l_j|^2, to every permutation's total, so
+both forms have the same optimal assignments.  The rank-d inner
 product alone is highly degenerate: every row ranks the columns by one
 direction in R^d and prefers the same few far-out columns, so the
 shortest-augmenting-path solver walks long paths.  Under the squared
 distance each row prefers nearby columns and the paths stay short.  The
 problem stays square: leaving columns out would make the column term
-depend on the assignment.
+depend on the assignment.  A problem built by hand, without factors, is
+solved on the plain cost -score.
 
 Tied zero vertices: a row whose score row is exactly zero (Z_r; a vertex
 zeroed by cleaning has h_i = 0) scores the same against every column, and
@@ -50,34 +52,26 @@ from .errors import ParameterError
 class AssignmentProblem:
     """Maximise sum_i score[i, sigma(i)].
 
-    row_potential and col_potential (None means zero) are added to the cost
-    -score by row and by column; they shift every assignment's total by the
-    same constant, so they change the solver's work, not its optimum.
     h and l (None when the score was built by hand) are the factors of
-    score = h l^T; with one column each, solve_lap sorts instead of running
-    the dense solver.
+    score = h l^T.  With one column each, solve_lap sorts instead of running
+    the dense solver; with more, it derives the potentials 1/2 |h_i|^2 and
+    1/2 |l_j|^2 of the squared-distance cost from them.
     """
     score: np.ndarray
     row_labels: np.ndarray
     col_labels: np.ndarray
-    row_potential: np.ndarray | None = None
-    col_potential: np.ndarray | None = None
     h: np.ndarray | None = None
     l: np.ndarray | None = None
 
 
 def build_scores(it: AmpIterate) -> AssignmentProblem:
-    """Dense score matrix h l^T over the non-seed vertices, with its factors
-    and the potentials 1/2 |h_i|^2 and 1/2 |l_j|^2 of the squared-distance
-    cost."""
+    """Dense score matrix h l^T over the non-seed vertices, with its factors."""
     if it.h is None or it.l is None:
         raise ParameterError("iterate carries no (h, l); run the linear step first")
     score = it.h @ it.l.T
     if not np.isfinite(score).all():
         raise ParameterError("non-finite assignment scores")
     return AssignmentProblem(score=score, row_labels=it.rows_i, col_labels=it.rows_j,
-                             row_potential=0.5 * np.einsum("ij,ij->i", it.h, it.h),
-                             col_potential=0.5 * np.einsum("ij,ij->i", it.l, it.l),
                              h=it.h, l=it.l)
 
 
@@ -86,9 +80,9 @@ def solve_lap(p: AssignmentProblem) -> np.ndarray:
     in the canonical order of the module docstring.
 
     A rank-1 problem with factors is solved by sorting.  Otherwise the dense
-    solver minimises -score[i, j] + row_potential[i] + col_potential[j],
-    built in place on the one negated copy of the score.  Returns sigma as
-    an array: row i is assigned column sigma[i].
+    solver minimises -score[i, j], plus 1/2 |h_i|^2 + 1/2 |l_j|^2 when the
+    factors are present, built in place on the one negated copy of the
+    score.  Returns sigma as an array: row i is assigned column sigma[i].
     """
     if p.score.shape[0] != p.score.shape[1]:
         raise ParameterError("score matrix must be square")
@@ -97,10 +91,9 @@ def solve_lap(p: AssignmentProblem) -> np.ndarray:
         sigma[np.lexsort((p.row_labels, p.h[:, 0]))] = np.lexsort((p.col_labels, p.l[:, 0]))
     else:
         cost = -p.score
-        if p.row_potential is not None:
-            cost += p.row_potential[:, None]
-        if p.col_potential is not None:
-            cost += p.col_potential[None, :]
+        if p.h is not None:
+            cost += 0.5 * np.einsum("ij,ij->i", p.h, p.h)[:, None]
+            cost += 0.5 * np.einsum("ij,ij->i", p.l, p.l)[None, :]
         rows, cols = linear_sum_assignment(cost)
         del cost
         sigma[rows] = cols

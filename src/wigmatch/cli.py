@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -72,6 +73,10 @@ def _cmd_sweep(args) -> int:
     rhos = _parse_list(args.rhos, float) if args.rhos else [cfg.rho]
     epsilons = _parse_list(args.epsilons, float) if args.epsilons else [cfg.epsilon]
     strategies = _parse_list(args.strategies, str) if args.strategies else [cfg.strategy]
+    # an invalid list value is a config error, as the same value as a flag is
+    for n, rho, eps, strategy in itertools.product(ns, rhos, epsilons, strategies):
+        RunConfig(**{**cfg.as_dict(), "n": n, "rho": rho, "epsilon": eps,
+                     "strategy": strategy}).validate()
     rows = sweep(cfg, ns, rhos, epsilons, strategies, trials=cfg.trials,
                  csv_path=args.csv, summary_path=args.summary,
                  workers=args.workers)
@@ -203,8 +208,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--strategies", help="comma-separated strategy names")
     p_sweep.add_argument("--csv", help="per-row CSV output path")
     p_sweep.add_argument("--summary", help="JSON summary output path")
-    p_sweep.add_argument("--workers", type=int, default=None,
-                         help="worker processes (default WIGMATCH_WORKERS or 1)")
+    p_sweep.add_argument("--workers", type=int, default=1,
+                         help="worker processes (default 1)")
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_const = sub.add_parser("constants", help="print derived constants incl. the "

@@ -84,14 +84,6 @@ class RunConfig:
         return self
 
     @property
-    def gamma_value(self) -> float:
-        return self.gamma if self.gamma is not None else 4.0 / self.k0
-
-    @property
-    def spike_value(self) -> float:
-        return self.spike_scale if self.spike_scale is not None else 20.0 * math.sqrt(self.n)
-
-    @property
     def max_swaps_value(self) -> int:
         return self.max_swaps if self.max_swaps is not None else 10 * self.n
 

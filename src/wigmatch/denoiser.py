@@ -29,52 +29,33 @@ SUP_BOUND = 100.0  # cap on |varphi|, |varphi'|, |varphi''|
 
 @dataclass(frozen=True)
 class Denoiser:
-    """Entrywise nonlinearity varphi(x) = sum_i a_i cos(b_i x)."""
+    """Entrywise nonlinearity varphi(x) = a0 + a1 cos(b x)."""
 
-    terms: tuple[tuple[float, float], ...]   # (a_i, b_i) pairs
-    var_norm: float                           # a1, the normalisation constant
-
-    @property
-    def b(self) -> float:
-        return self.terms[1][1]
-
-    @property
-    def a1(self) -> float:
-        return self.terms[1][0]
+    a0: float
+    a1: float   # the normalisation constant
+    b: float
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a_i, b_i in self.terms:
-            out += a_i * np.cos(b_i * x)
-        return out
+        return self.a0 + self.a1 * np.cos(self.b * np.asarray(x, dtype=float))
 
     def deriv(self, x, order: int = 1):
-        x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
-        for a_i, b_i in self.terms:
-            if order % 4 == 0:
-                term = np.cos(b_i * x)
-            elif order % 4 == 1:
-                term = -np.sin(b_i * x)
-            elif order % 4 == 2:
-                term = -np.cos(b_i * x)
-            else:
-                term = np.sin(b_i * x)
-            out += a_i * (b_i ** order) * term
-        return out
+        """The order-th derivative of varphi; order 0 is varphi itself."""
+        if order == 0:
+            return self(x)
+        trig = (np.cos, np.sin)[order % 2](self.b * np.asarray(x, dtype=float))
+        if order % 4 in (1, 2):
+            trig = -trig
+        return self.a1 * (self.b ** order) * trig
 
     def sup_bound(self) -> float:
-        """Analytic bound sum_i |a_i| max(1, b_i^2) on varphi and its first two derivatives."""
-        return sum(abs(a_i) * max(1.0, b_i * b_i) for a_i, b_i in self.terms)
+        """Analytic bound |a0| + |a1| max(1, b^2) on varphi and its first two derivatives."""
+        return abs(self.a0) + abs(self.a1) * max(1.0, self.b * self.b)
 
 
 def make_denoiser(b: float = 1.0) -> Denoiser:
     """Two-term cosine denoiser with frequency b.
 
-    The constant offset is carried as a cos(0 x) term so the object stays a
-    plain cosine series.  Raises if the normalisation pushes the sup-norm
-    bound past 100.
+    Raises if the normalisation pushes the sup-norm bound past 100.
     """
     if b <= 0:
         raise ParameterError(f"b must be positive, got {b}")
@@ -83,7 +64,7 @@ def make_denoiser(b: float = 1.0) -> Denoiser:
         raise ParameterError(f"degenerate variance at b={b}")
     a1 = denom ** -0.5
     a0 = -a1 * math.exp(-b * b / 2.0)
-    d = Denoiser(terms=((a0, 0.0), (a1, b)), var_norm=a1)
+    d = Denoiser(a0=a0, a1=a1, b=b)
     if d.sup_bound() > SUP_BOUND:
         raise ParameterError(
             f"b={b} gives sup-norm bound {d.sup_bound():.3g} > {SUP_BOUND}")
@@ -167,7 +148,6 @@ class Schedule:
     c2: float
     lambda_cap: float
     gamma: float
-    mode: str
     signal_growth_factor: float  # K0 eps0^2 gamma (phi''(0) rho^2 / 16)^2
     eq25_ratio: float
 
@@ -236,6 +216,6 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
     growth = k0 * eps0 ** 2 * gamma * (pp * rho ** 2 / 16.0) ** 2
     return Schedule(rho=float(rho), k0=int(k0), eps0=eps0, ks=tuple(ks),
                     epss=tuple(epss), t_star=int(t_star), c2=pp / 2.0,
-                    lambda_cap=lambda_bound(d), gamma=float(gamma), mode=mode,
+                    lambda_cap=lambda_bound(d), gamma=float(gamma),
                     signal_growth_factor=float(growth),
                     eq25_ratio=float(growth_ratio_condition(rho, d, k0)))

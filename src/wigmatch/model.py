@@ -31,17 +31,13 @@ class CorrelatedInstance:
     a: np.ndarray
     b: np.ndarray
     pi_star: np.ndarray
-    rng_seed: int
 
 
 @dataclass(frozen=True)
 class CorruptionPlan:
+    """The corrupted principal minors: Q of A and R of B."""
     q: np.ndarray
     r: np.ndarray
-    e: np.ndarray
-    f: np.ndarray
-    strategy: str
-    epsilon: float
 
 
 @dataclass(frozen=True)
@@ -87,33 +83,26 @@ def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0)
     b = np.zeros((n, n))
     b[np.ix_(pi, pi)] = correlated
     np.fill_diagonal(b, 0.0)
-    return CorrelatedInstance(n=n, rho=float(rho), a=a, b=b, pi_star=pi, rng_seed=int(seed))
+    return CorrelatedInstance(n=n, rho=float(rho), a=a, b=b, pi_star=pi)
 
 
-def _perturbation(m_sub: np.ndarray, idx: np.ndarray, n: int, strategy: str,
-                  rng: np.random.Generator, clique_weight: float,
-                  spike_scale: float | None) -> np.ndarray:
-    """Symmetric perturbation on idx x idx, zero elsewhere and on the diagonal."""
-    e = np.zeros((n, n))
-    k = idx.size
-    if k == 0:
-        return e
+def _perturbation(m_sub: np.ndarray, n: int, strategy: str, rng: np.random.Generator,
+                  clique_weight: float, spike_scale: float | None) -> np.ndarray:
+    """The adversary's symmetric k x k block, zero on the diagonal, for the
+    principal minor m_sub; corrupt validates the strategy."""
+    k = m_sub.shape[0]
     if strategy == "planted-clique-weight":
-        block = clique_weight * (np.ones((k, k)) - np.eye(k))
-    elif strategy == "rank1-spike":
+        return clique_weight * (np.ones((k, k)) - np.eye(k))
+    if strategy == "rank1-spike":
         lam = spike_scale if spike_scale is not None else 20.0 * math.sqrt(n)
         v = rng.standard_normal(k)
         v /= np.linalg.norm(v)
         block = lam * np.outer(v, v)
         np.fill_diagonal(block, 0.0)
-    elif strategy == "zero-out":
-        block = -m_sub
-    elif strategy == "adaptive-sign-flip":
-        block = -2.0 * m_sub
-    else:
-        raise ParameterError(f"unknown corruption strategy {strategy!r}")
-    e[np.ix_(idx, idx)] = block
-    return e
+        return block
+    if strategy == "zero-out":
+        return -m_sub
+    return -2.0 * m_sub   # adaptive-sign-flip
 
 
 def corrupt(inst: CorrelatedInstance, epsilon: float, strategy: str, seed: int,
@@ -122,7 +111,8 @@ def corrupt(inst: CorrelatedInstance, epsilon: float, strategy: str, seed: int,
     """Apply one of the four adversaries to both matrices independently.
 
     The support sets Q, R are drawn uniformly with |Q| = |R| = ceil(eps*n);
-    the adversary may read A, B (zero-out and sign-flip do).
+    the adversary may read A, B (zero-out and sign-flip do).  A's block is
+    drawn before B's.
     """
     if not (0.0 <= epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
@@ -131,17 +121,17 @@ def corrupt(inst: CorrelatedInstance, epsilon: float, strategy: str, seed: int,
     n = inst.n
     k = math.ceil(epsilon * n)
     rng = generator(seed)
+    a_prime, b_prime = inst.a.copy(), inst.b.copy()
     if k == 0:
         q = np.empty(0, dtype=np.intp)
         r = np.empty(0, dtype=np.intp)
     else:
         q = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
         r = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-    e = _perturbation(inst.a[np.ix_(q, q)], q, n, strategy, rng, clique_weight, spike_scale)
-    f = _perturbation(inst.b[np.ix_(r, r)], r, n, strategy, rng, clique_weight, spike_scale)
-    obs = ObservedPair(a_prime=inst.a + e, b_prime=inst.b + f)
-    plan = CorruptionPlan(q=q, r=r, e=e, f=f, strategy=strategy, epsilon=float(epsilon))
-    return obs, plan
+        for m, idx in ((a_prime, q), (b_prime, r)):
+            minor = np.ix_(idx, idx)
+            m[minor] += _perturbation(m[minor], n, strategy, rng, clique_weight, spike_scale)
+    return ObservedPair(a_prime=a_prime, b_prime=b_prime), CorruptionPlan(q=q, r=r)
 
 
 def overlap(pi_hat: np.ndarray, pi_star: np.ndarray) -> float:

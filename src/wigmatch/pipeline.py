@@ -385,10 +385,8 @@ SWEEP_FIELDS = ["n", "rho", "epsilon", "strategy", "trial", "master_seed",
 
 
 def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
-          csv_path=None, summary_path=None, workers: int | None = None) -> list[dict]:
+          csv_path=None, summary_path=None, workers: int = 1) -> list[dict]:
     """Cartesian-product experiment with independent derived seeds per row."""
-    if workers is None:
-        workers = int(os.environ.get("WIGMATCH_WORKERS", "1"))
     cells = list(itertools.product(ns, rhos, epsilons, strategies))
     jobs = []
     row_idx = 0

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from wigmatch import assign
 from wigmatch.amp import SeedPair
 from wigmatch.assign import AssignmentProblem, assemble_pi, build_scores, solve_lap
 from wigmatch.errors import ParameterError
@@ -74,28 +75,25 @@ def test_build_scores_is_h_l_transpose():
     assert np.abs(build_scores(FakeIt()).score[2]).max() == 0.0
 
 
-def test_potentials_do_not_change_the_optimum(rng):
-    # row and column terms add one constant to every permutation's total
-    for _ in range(50):
-        score = rng.standard_normal((8, 8))
-        p = AssignmentProblem(score, np.arange(8), np.arange(8),
-                              row_potential=10.0 * rng.standard_normal(8),
-                              col_potential=10.0 * rng.standard_normal(8))
-        sigma = solve_lap(p)
-        achieved = float(score[np.arange(8), sigma].sum())
-        assert achieved == pytest.approx(brute_force_max(score), abs=1e-9)
+def test_dense_cost_is_half_squared_distance(rng, monkeypatch):
+    # the potentials come from the factors: with them the solver sees
+    # 1/2 |h_i - l_j|^2, and a hand-built problem sees the plain -score
+    seen = []
 
+    def capture(cost):
+        seen.append(cost.copy())
+        return linear_sum_assignment(cost)
 
-def test_build_scores_potentials_are_half_squared_norms(rng):
+    monkeypatch.setattr(assign, "linear_sum_assignment", capture)
     h = rng.standard_normal((5, 3))
     l = rng.standard_normal((5, 3))
     p = build_scores(SimpleNamespace(h=h, l=l, rows_i=np.arange(5), rows_j=np.arange(5)))
-    assert np.allclose(p.row_potential, 0.5 * (h * h).sum(axis=1))
-    assert np.allclose(p.col_potential, 0.5 * (l * l).sum(axis=1))
-    # the cost the solver sees is the squared distance 1/2 |h_i - l_j|^2
-    cost = -p.score + p.row_potential[:, None] + p.col_potential[None, :]
+    solve_lap(p)
+    solve_lap(AssignmentProblem(p.score, p.row_labels, p.col_labels))
     dist = 0.5 * ((h[:, None, :] - l[None, :, :]) ** 2).sum(axis=2)
-    assert np.allclose(cost, dist)
+    assert len(seen) == 2
+    assert np.allclose(seen[0], dist)
+    assert np.array_equal(seen[1], -p.score)
 
 
 def low_rank_iterate(rng, m, d):

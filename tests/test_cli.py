@@ -99,6 +99,17 @@ def test_malformed_values_exit_2(args):
     assert err.startswith("config error:")
 
 
+@pytest.mark.parametrize("lists", [["--rhos", "0.9,2.0"], ["--ns", "80,10"]])
+def test_invalid_sweep_list_value_exits_2(lists, tmp_path):
+    # every cell is validated before the first row runs, so no row is written
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(["sweep", "--n", "80", "--k0", "24", "--epsilons", "0.0",
+                              *lists, "--csv", str(csv_path)])
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error:")
+    assert "rows" not in out and not csv_path.exists()
+
+
 def test_cli_subprocess_smoke():
     code, out, err = run_cli(["run", "--n", "64", "--rho", "0.9", "--k0", "24",
                               "--master-seed", "3", "--min-rounds", "0"])

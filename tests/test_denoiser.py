@@ -69,6 +69,31 @@ def test_sup_bounds_on_grid():
     assert d.sup_bound() <= 100.0
 
 
+def old_series(d, x, order=None):
+    """The general cosine series sum_i a_i cos(b_i x) that Denoiser once was,
+    with its terms (a0, 0) and (a1, b); order None is the call itself."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    for a_i, b_i in ((d.a0, 0.0), (d.a1, d.b)):
+        if order is None:
+            out += a_i * np.cos(b_i * x)
+            continue
+        term = (np.cos(b_i * x), -np.sin(b_i * x), -np.cos(b_i * x),
+                np.sin(b_i * x))[order % 4]
+        out += a_i * (b_i ** order) * term
+    return out
+
+
+@pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
+def test_denoiser_matches_the_cosine_series(b):
+    d = make_denoiser(b)
+    x = np.linspace(-50.0, 50.0, 20001)
+    assert d(x).tobytes() == old_series(d, x).tobytes()
+    for order in (0, 1, 2):
+        assert np.array_equal(d.deriv(x, order), old_series(d, x, order))
+    assert np.array_equal(d.deriv(x, 0), d(x))
+
+
 def test_extreme_b_rejected():
     # small b blows up the normalisation, large b the second derivative
     with pytest.raises(ParameterError):

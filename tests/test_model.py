@@ -118,9 +118,60 @@ def test_support_confinement_exact():
         mask = np.zeros_like(diff, dtype=bool)
         mask[np.ix_(plan.q, plan.q)] = True
         assert np.abs(diff[~mask]).max() == 0.0
-        assert np.array_equal(plan.e, plan.e.T)
-        assert np.array_equal(plan.f, plan.f.T)
+        assert np.array_equal(diff, diff.T)
+        diff_b = obs.b_prime - inst.b
+        assert np.array_equal(diff_b, diff_b.T)
         assert plan.q.size <= math.ceil(0.05 * 120)
+
+
+def dense_corrupt(inst, epsilon, strategy, seed, clique_weight=5.0):
+    """corrupt's earlier formula: dense n x n perturbations E and F added to
+    A and B, with A's block drawn before B's."""
+    n = inst.n
+    k = math.ceil(epsilon * n)
+    rng = generator(seed)
+    q = r = np.empty(0, dtype=np.intp)
+    if k:
+        q = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
+        r = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
+
+    def perturbation(m, idx):
+        e = np.zeros((n, n))
+        if idx.size == 0:
+            return e
+        m_sub = m[np.ix_(idx, idx)]
+        if strategy == "planted-clique-weight":
+            block = clique_weight * (np.ones((k, k)) - np.eye(k))
+        elif strategy == "rank1-spike":
+            v = rng.standard_normal(k)
+            v /= np.linalg.norm(v)
+            block = 20.0 * math.sqrt(n) * np.outer(v, v)
+            np.fill_diagonal(block, 0.0)
+        elif strategy == "zero-out":
+            block = -m_sub
+        else:
+            block = -2.0 * m_sub
+        e[np.ix_(idx, idx)] = block
+        return e
+
+    e = perturbation(inst.a, q)
+    f = perturbation(inst.b, r)
+    return inst.a + e, inst.b + f, q, r
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05])
+@pytest.mark.parametrize("strategy", ["planted-clique-weight", "rank1-spike", "zero-out",
+                                      "adaptive-sign-flip"])
+def test_corrupt_is_byte_stable(strategy, epsilon):
+    # benchmark records depend on corrupt's values and on its draw order
+    inst = generate(120, 0.9, "uniform-random", 3)
+    a, b = inst.a.copy(), inst.b.copy()
+    obs, plan = corrupt(inst, epsilon, strategy, 17)
+    ref = dense_corrupt(inst, epsilon, strategy, 17)
+    got = (obs.a_prime, obs.b_prime, plan.q, plan.r)
+    for x, y in zip(got, ref):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+    assert inst.a.tobytes() == a.tobytes() and inst.b.tobytes() == b.tobytes()
 
 
 def test_adaptive_sign_flip_definition():
