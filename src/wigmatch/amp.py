@@ -14,11 +14,12 @@ cross-round correlation negligible.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .denoiser import Denoiser, Schedule
+from .denoiser import Denoiser, Schedule, phi_second_deriv_at_zero
 from .errors import NumericalError, ParameterError, SpectralDeficiencyError
 from .preprocess import CleanedPair
 from .rng import child
@@ -169,8 +170,6 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     stops the loop gracefully with the stop recorded; in "strict" mode the
     spectral error propagates.
     """
-    import time
-
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)
@@ -207,7 +206,6 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
                            max_resamples=max_resamples, mode=spectral_mode)
         # Taylor lower bound on the signal recursion, recorded each round
         if pp_rho is None:
-            from .denoiser import phi_second_deriv_at_zero
             pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
         log.eps_lower_bound_ok = bool(step.eps_next >= pp_rho * rm.eps_t ** 2 - 1e-12)
         log.resamples = step.resamples

@@ -89,10 +89,11 @@ def _cmd_constants(args) -> int:
     from .denoiser import (build_schedule, growth_ratio_condition, lambda_bound,
                            make_denoiser, reference_k0_bound, phi_map,
                            phi_second_deriv_at_zero)
-    from .refine import compute_alpha, compute_psi
+    from .refine import RefineParams
 
     cfg = _config_from_args(args)
     d = make_denoiser(cfg.denoiser_b)
+    rp = RefineParams.for_run(cfg.rho, cfg.n)
     out = {
         "denoiser_b": cfg.denoiser_b,
         "a1": d.a1,
@@ -102,9 +103,9 @@ def _cmd_constants(args) -> int:
         "eps0": phi_map(d, cfg.rho / 2.0),
         "reference_k0_bound": reference_k0_bound(cfg.rho, d),
         "eq25_ratio_at_k0": growth_ratio_condition(cfg.rho, d, cfg.k0),
-        "alpha": compute_alpha(),
-        "psi_rho": compute_psi(cfg.rho),
-        "delta": compute_psi(cfg.rho) * cfg.n / 10.0,
+        "alpha": rp.alpha,
+        "psi_rho": rp.psi_rho,
+        "delta": rp.delta,
         "t_star": build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", d,
                                  gamma=cfg.gamma, min_rounds=cfg.min_rounds).t_star,
     }

@@ -18,6 +18,10 @@ with C the integer co-neighbour count; C is kept exactly as an int32 table
 and a swap adds a +-1 outer product to it in place.  Both thresholds become
 integer lookups on d_A(u) + d_B(v), and each scan compares only the rows
 and columns whose current images are bad, a block of rows at a time.
+
+psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
+with T Owen's T function (Owen, "Tables for computing bivariate normal
+probabilities", Ann. Math. Statist. 1956).
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, stats
+from scipy.special import owens_t
 
 from .errors import NumericalError, ParameterError
 from .model import ObservedPair
@@ -42,25 +46,15 @@ def compute_alpha() -> float:
 def compute_psi(rho: float) -> float:
     """P(X >= 1, Y >= 1) for standard bivariate normals with correlation rho.
 
-    One-dimensional quadrature of the conditional tail: given X = x,
-    Y ~ N(rho x, 1 - rho^2).
+    Owen's closed form (Owen, "Tables for computing bivariate normal
+    probabilities", Ann. Math. Statist. 1956): P(X >= h, Y >= h) =
+    P(X >= h) - 2 T(h, a) with a = sqrt((1 - rho) / (1 + rho)) and T Owen's
+    T function.  T(h, 0) = 0 gives alpha at rho = 1; at rho = 0 it gives
+    alpha^2 to rounding.
     """
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
-    alpha = compute_alpha()
-    if rho >= 1.0:
-        return alpha
-    if rho == 0.0:
-        return alpha * alpha
-    s = math.sqrt(1.0 - rho * rho)
-
-    def integrand(x):
-        return stats.norm.pdf(x) * stats.norm.sf((1.0 - rho * x) / s)
-
-    val, err = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-10, limit=200)
-    if err > 1e-8:
-        raise NumericalError(f"orthant quadrature error {err:.2g} too large")
-    return float(val)
+    return float(compute_alpha() - 2.0 * owens_t(1.0, math.sqrt((1.0 - rho) / (1.0 + rho))))
 
 
 @dataclass(frozen=True)

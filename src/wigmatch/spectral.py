@@ -76,9 +76,9 @@ def initial_round(k0: int, eps0: float) -> RoundMatrices:
 
 
 def _window_eigvecs(m: np.ndarray, lo: float, hi: float):
+    """All eigenvalues of m, and the eigenvectors whose values lie in (lo, hi)."""
     vals, vecs = np.linalg.eigh(m)
-    keep = (vals > lo) & (vals < hi)
-    return vals[keep], vecs[:, keep]
+    return vals, vecs[:, (vals > lo) & (vals < hi)]
 
 
 def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
@@ -95,11 +95,10 @@ def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
     d = max(1, k // xi_factor)
     need = math.ceil(0.75 * k)
     lo, hi = PHI_WINDOW
-    _, u_good = _window_eigvecs(rm.phi, lo, hi)
-    _, v_good = _window_eigvecs(rm.psi, lo * rm.eps_t, hi * rm.eps_t)
+    ev_phi, u_good = _window_eigvecs(rm.phi, lo, hi)
+    ev_psi, v_good = _window_eigvecs(rm.psi, lo * rm.eps_t, hi * rm.eps_t)
     diag = {"k_t": k, "d": d, "phi_good": u_good.shape[1], "psi_good": v_good.shape[1],
-            "phi_eigvals": np.linalg.eigvalsh(rm.phi).tolist(),
-            "psi_eigvals": np.linalg.eigvalsh(rm.psi).tolist()}
+            "phi_eigvals": ev_phi.tolist(), "psi_eigvals": ev_psi.tolist()}
     if u_good.shape[1] < need or v_good.shape[1] < need:
         raise SpectralDeficiencyError(
             f"window eigenvector counts ({u_good.shape[1]}, {v_good.shape[1]}) "

@@ -1,15 +1,19 @@
 """Seeded refinement and final-selection tests.
 
-The orthant probability is checked against a Monte-Carlo oracle; the swap
-loop is checked against a literal re-implementation of the rule driven by
-neighborhood_stat alone.
+The orthant probability is checked against a Monte-Carlo oracle and against
+the quadrature its closed form replaced; the swap loop is checked against a
+literal re-implementation of the rule driven by neighborhood_stat alone.
 """
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import wigmatch
 from wigmatch import refine
 from wigmatch.errors import ParameterError
 from wigmatch.model import ObservedPair, corrupt, generate, overlap
@@ -47,7 +51,7 @@ def test_psi_endpoints():
 
 
 def test_psi_half_against_monte_carlo():
-    # 1e8 paired samples in chunks; quadrature must sit within 3 standard errors
+    # 1e8 paired samples in chunks; the closed form must sit within 3 standard errors
     rng = np.random.default_rng(123)
     rho = 0.5
     hits = 0
@@ -61,6 +65,33 @@ def test_psi_half_against_monte_carlo():
     p_mc = hits / total
     se = math.sqrt(p_mc * (1 - p_mc) / total)
     assert abs(compute_psi(rho) - p_mc) <= 3 * se
+
+
+def test_psi_matches_quadrature_reference():
+    # the one-dimensional quadrature of the conditional tail that Owen's
+    # closed form replaced: given X = x, Y ~ N(rho x, 1 - rho^2)
+    from scipy import integrate, stats
+
+    for rho in (0.05, 0.1, 0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999):
+        s = math.sqrt(1.0 - rho * rho)
+
+        def integrand(x):
+            return stats.norm.pdf(x) * stats.norm.sf((1.0 - rho * x) / s)
+
+        val, err = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-10, limit=200)
+        assert err <= 1e-8
+        assert compute_psi(rho) == pytest.approx(val, rel=0, abs=1e-15), rho
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
+    src = os.path.dirname(os.path.dirname(wigmatch.__file__))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys, wigmatch; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_psi_monotone_and_bracketed():
