@@ -49,6 +49,12 @@ class ObservedPair:
     def n(self) -> int:
         return self.a_prime.shape[0]
 
+    def indicators(self) -> "ObservedPair":
+        """The pair (A' >= 1, B' >= 1) as bool matrices.  Refinement and
+        selection read A' and B' only through x >= 1, which a bool keeps, so
+        they give the same result on either pair; idempotent."""
+        return ObservedPair(self.a_prime >= 1.0, self.b_prime >= 1.0)
+
 
 def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
     """Symmetric matrix, zero diagonal, one N(0,1) draw per unordered pair."""

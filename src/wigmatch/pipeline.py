@@ -1,8 +1,11 @@
 """End-to-end pipeline, run records, and experiment sweeps.
 
-A run executes generate -> corrupt -> clean_pair -> (per seed pair)
-init -> AMP -> scores -> assignment -> refinement -> final selection, and
-emits a schema-versioned RunRecord.  Sweeps run the cartesian product of
+A run executes generate -> corrupt -> clean_pair -> AMP for every seed
+pair -> (per seed pair) scores -> assignment -> refinement -> final
+selection, and emits a schema-versioned RunRecord.  Each n x n matrix dies
+at its last use: A and B after corrupt, A' and B' after cleaning (refine
+and selection read their bool indicators), the cleaned pair after AMP and
+each score after its assignment.  Sweeps run the cartesian product of
 small parameter grids with independent derived seeds and write one CSV row
 per (cell, trial) plus a JSON summary.
 """
@@ -22,7 +25,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .amp import SeedPair, bad_seed_pair, good_seed_pair, run_amp
+from .amp import bad_seed_pair, good_seed_pair, run_amp
 from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
@@ -126,48 +129,16 @@ def _split(stages_s: dict, stage: str, t0: float) -> float:
     return now
 
 
-def _run_candidate(label: str, seeds: SeedPair, cp, sched, dn, cfg: RunConfig,
-                   beta_seed: int, obs, inst, stages_s: dict) -> dict:
-    t = time.perf_counter()
-    res = run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
-                  beta_seed=beta_seed, xi_factor=cfg.xi_factor,
-                  max_resamples=cfg.max_resamples, spectral_mode=cfg.spectral_mode)
-    t = _split(stages_s, "amp", t)
-    prob = build_scores(res.iterate)
-    t = _split(stages_s, "score", t)
-    sigma = solve_lap(prob)
-    pi_lap = assemble_pi(seeds, prob, sigma)
-    t = _split(stages_s, "lap", t)
-    params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
-    trace: list | None = [] if cfg.verbose else None
-    pi_ref, info = seeded_refine(obs, pi_lap, cfg.rho, params,
-                                 selection=cfg.selection_rule, trace=trace)
-    _split(stages_s, "refine", t)
-    out = {
-        "label": label,
-        "goodness": seeds.goodness,
-        "overlap_lap": overlap(pi_lap, inst.pi_star),
-        "overlap_refine": overlap(pi_ref, inst.pi_star),
-        "swaps": info["swaps"],
-        "truncated": info["truncated"],
-        "stopped_reason": res.stopped_reason,
-        "rounds": [asdict(r) for r in res.rounds],
-        "pi": pi_ref,
-        "pi_lap": pi_lap,
-        "select_score": info["select_score"],
-    }
-    if trace is not None:
-        out["swap_trace"] = trace
-    if cfg.dump_dir:
-        os.makedirs(cfg.dump_dir, exist_ok=True)
-        np.save(os.path.join(cfg.dump_dir, f"score_{label}.npy"), prob.score)
-        with open(os.path.join(cfg.dump_dir, f"assignment_{label}.csv"), "w",
-                  newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["row_vertex", "col_vertex"])
-            for i, s in enumerate(sigma):
-                writer.writerow([int(prob.row_labels[i]), int(prob.col_labels[s])])
-    return out
+def _dump(dump_dir: str, label: str, prob, sigma) -> None:
+    """Write a candidate's score matrix and LAP assignment."""
+    os.makedirs(dump_dir, exist_ok=True)
+    np.save(os.path.join(dump_dir, f"score_{label}.npy"), prob.score)
+    with open(os.path.join(dump_dir, f"assignment_{label}.csv"), "w",
+              newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["row_vertex", "col_vertex"])
+        for i, s in enumerate(sigma):
+            writer.writerow([int(prob.row_labels[i]), int(prob.col_labels[s])])
 
 
 def run_pipeline(cfg: RunConfig) -> dict:
@@ -197,6 +168,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stage = "corrupt"
         obs, plan = corrupt(inst, cfg.epsilon, cfg.strategy, streams["corruption"],
                             clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
+        pi_star = inst.pi_star
+        del inst    # A and B die here: a run reads only pi_star after corrupt
         record["stages_s"]["corrupt"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -208,6 +181,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
                         trace_path=trace_path)
         record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                               "iters_a": cp.iters_a, "iters_b": cp.iters_b}
+        # refine and selection read A' and B' only through x >= 1
+        obs = obs.indicators()
         record["stages_s"]["clean"] = time.perf_counter() - t0
 
         stage = "schedule"
@@ -226,16 +201,56 @@ def run_pipeline(cfg: RunConfig) -> dict:
         stage = "amp"
         stages_s = record["stages_s"]
         stages_s.update(amp=0.0, score=0.0, lap=0.0, refine=0.0, select=0.0)
-        candidates: list[dict] = []
         exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
         exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
-        seeds = good_seed_pair(inst.pi_star, cfg.k0, exclude_u, exclude_v)
-        candidates.append(_run_candidate("oracle", seeds, cp, sched, dn, cfg,
-                                         streams["beta"], obs, inst, stages_s))
+        pairs = [("oracle", good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v))]
         for i in range(cfg.bad_seed_candidates):
-            bad = bad_seed_pair(inst.pi_star, cfg.k0, child(streams["corruption"], 100 + i))
-            candidates.append(_run_candidate(f"bad{i}", bad, cp, sched, dn, cfg,
-                                             streams["beta"], obs, inst, stages_s))
+            pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
+                                                   child(streams["corruption"], 100 + i))))
+        t = time.perf_counter()
+        amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
+                               beta_seed=streams["beta"], xi_factor=cfg.xi_factor,
+                               max_resamples=cfg.max_resamples,
+                               spectral_mode=cfg.spectral_mode)
+                       for _, seeds in pairs]
+        _split(stages_s, "amp", t)
+        del cp      # the cleaned pair dies once every seed pair has run AMP
+
+        candidates: list[dict] = []
+        for (label, seeds), res in zip(pairs, amp_results):
+            t = time.perf_counter()
+            stage = "score"
+            prob = build_scores(res.iterate)
+            t = _split(stages_s, "score", t)
+            stage = "lap"
+            sigma = solve_lap(prob)
+            pi_lap = assemble_pi(seeds, prob, sigma)
+            t = _split(stages_s, "lap", t)
+            if cfg.dump_dir:
+                _dump(cfg.dump_dir, label, prob, sigma)
+                t = time.perf_counter()
+            del prob    # the n x n score dies before refine builds its table
+            stage = "refine"
+            params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
+            trace: list | None = [] if cfg.verbose else None
+            pi_ref, info = seeded_refine(obs, pi_lap, cfg.rho, params,
+                                         selection=cfg.selection_rule, trace=trace)
+            _split(stages_s, "refine", t)
+            cand = {
+                "label": label,
+                "goodness": seeds.goodness,
+                "overlap_lap": overlap(pi_lap, pi_star),
+                "overlap_refine": overlap(pi_ref, pi_star),
+                "swaps": info["swaps"],
+                "truncated": info["truncated"],
+                "stopped_reason": res.stopped_reason,
+                "rounds": [asdict(r) for r in res.rounds],
+                "pi": pi_ref,
+                "select_score": info["select_score"],
+            }
+            if trace is not None:
+                cand["swap_trace"] = trace
+            candidates.append(cand)
         t0 = time.perf_counter()
         stage = "select"
         rng_rand = np.random.default_rng(child(streams["corruption"], 999))
@@ -243,7 +258,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             pi_rand = rng_rand.permutation(cfg.n).astype(np.intp)
             candidates.append({"label": f"random{i}", "goodness": None,
                                "overlap_lap": None,
-                               "overlap_refine": overlap(pi_rand, inst.pi_star),
+                               "overlap_refine": overlap(pi_rand, pi_star),
                                "swaps": 0, "truncated": False,
                                "stopped_reason": "n/a", "rounds": [],
                                "pi": pi_rand,
@@ -257,12 +272,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
         amp_rounds = candidates[0].get("rounds", [])
         record["rounds"] = amp_rounds
         record["candidates"] = [
-            {k: v for k, v in c.items() if k not in ("pi", "pi_lap", "rounds")}
+            {k: v for k, v in c.items() if k not in ("pi", "rounds")}
             for c in candidates
         ]
         record["final"] = {
             "selected_label": candidates[best]["label"],
-            "overlap_final": overlap(pi_final, inst.pi_star),
+            "overlap_final": overlap(pi_final, pi_star),
             "select_scores": scores,
         }
         record["assertions"] = _runtime_assertions(amp_rounds, sched)

@@ -63,28 +63,35 @@ def reinject_noise(obs: ObservedPair, seed: int,
     """Produce (hatA', hatB', G, H).  The outputs are not symmetric.
 
     g, h may be supplied explicitly (test hook); otherwise they are sampled
-    symmetric with one N(0,1) draw per unordered pair.
+    symmetric with one N(0,1) draw per unordered pair, G before H.
     """
+    rng, below = _noise_stream(obs, seed)
+    hat_a, g = _reinject(obs.a_prime, rng, below, g)
+    hat_b, h = _reinject(obs.b_prime, rng, below, h)
+    return hat_a, hat_b, g, h
+
+
+def _noise_stream(obs: ObservedPair, seed: int):
+    """Check that the pair is square and of one size; return the noise
+    generator and the strictly-below-diagonal mask."""
     n = obs.n
     if obs.a_prime.shape != (n, n) or obs.b_prime.shape != (n, n):
         raise ParameterError("observed pair must be square and same size")
-    rng = generator(seed)
-    if g is None:
-        g = _symmetric_standard_normal(n, rng)
-    if h is None:
-        h = _symmetric_standard_normal(n, rng)
-    below = np.tri(n, k=-1, dtype=bool)
-    return _flip_average(obs.a_prime, g, below), _flip_average(obs.b_prime, h, below), g, h
+    return generator(seed), np.tri(n, k=-1, dtype=bool)
 
 
-def _flip_average(m: np.ndarray, noise: np.ndarray, below: np.ndarray) -> np.ndarray:
-    """(m + noise) / sqrt(2) where `below`, (m - noise) / sqrt(2) elsewhere,
-    with a zero diagonal."""
+def _reinject(m: np.ndarray, rng: np.random.Generator, below: np.ndarray,
+              noise: np.ndarray | None = None):
+    """(hat, noise): hat is (m + noise) / sqrt(2) where `below`,
+    (m - noise) / sqrt(2) elsewhere, with a zero diagonal.  The noise is
+    drawn from rng unless given."""
+    if noise is None:
+        noise = _symmetric_standard_normal(m.shape[0], rng)
     hat = np.subtract(m, noise)
     np.add(m, noise, out=hat, where=below)
     hat /= math.sqrt(2.0)
     np.fill_diagonal(hat, 0.0)
-    return hat
+    return hat, noise
 
 
 def schatten8_bound(m: np.ndarray) -> float:
@@ -176,15 +183,23 @@ def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
     At each step the leading left/right unit singular vectors (v, u) are
     computed and index i is sampled with probability (v_i^2 + u_i^2) / 2;
     row and column i are then zeroed.  Returns (cleaned, zeroed_indices).
-    Zeroing is in-place on a copy; the matrix keeps its original shape so all
-    downstream indices stay in the input coordinates.  A step whose power
-    solve the Schatten-8 bound certified below the threshold ends the loop;
-    its trace row has "certified": true and the bound.
+    Zeroing is in-place on a copy, so m is left unchanged; the matrix keeps
+    its original shape so all downstream indices stay in the input
+    coordinates.  A step whose power solve the Schatten-8 bound certified
+    below the threshold ends the loop; its trace row has "certified": true
+    and the bound.
     """
-    n = m.shape[0]
-    if m.shape[0] != m.shape[1]:
-        raise ParameterError("matrix must be square")
     cleaned = np.array(m, dtype=float, copy=True)
+    return cleaned, _clean_in_place(cleaned, threshold_mult, seed, solver, trace)
+
+
+def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
+                    solver: str, trace: list | None) -> np.ndarray:
+    """spectral_clean's loop, zeroing the float matrix `cleaned` itself;
+    returns the sorted zeroed indices."""
+    n = cleaned.shape[0]
+    if cleaned.shape[0] != cleaned.shape[1]:
+        raise ParameterError("matrix must be square")
     threshold = threshold_mult * math.sqrt(n)
     rng = generator(seed)
     zeroed: list[int] = []
@@ -198,7 +213,7 @@ def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
                           "certified": bound is not None and certifies(bound, threshold),
                           "bound": bound})
         if sigma < threshold:   # a certified solve stops with its estimate below
-            return cleaned, np.array(sorted(zeroed), dtype=np.intp)
+            return np.array(sorted(zeroed), dtype=np.intp)
         p = 0.5 * (v * v + u * u)
         p = np.maximum(p, 0.0)
         total = p.sum()
@@ -216,14 +231,20 @@ def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
 
 def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
                solver: str = "auto", trace_path=None) -> CleanedPair:
-    """Re-inject noise, then clean both matrices independently."""
-    hat_a, hat_b = reinject_noise(obs, seed=child(seed, 0))[:2]
+    """Re-inject noise, then clean both matrices independently.
+
+    One matrix at a time: G is drawn, hatA' built and G freed, and hatA' is
+    cleaned in place before H is drawn.  The noise stream is read G then H,
+    as in reinject_noise, so the result equals spectral_clean on each
+    output of reinject_noise(obs, child(seed, 0)).
+    """
+    rng, below = _noise_stream(obs, child(seed, 0))
     trace_a: list | None = [] if trace_path else None
     trace_b: list | None = [] if trace_path else None
-    a_clean, s = spectral_clean(hat_a, threshold_mult, seed=child(seed, 1),
-                                solver=solver, trace=trace_a)
-    b_clean, t = spectral_clean(hat_b, threshold_mult, seed=child(seed, 2),
-                                solver=solver, trace=trace_b)
+    a_clean = _reinject(obs.a_prime, rng, below)[0]    # G dies with the tuple
+    s = _clean_in_place(a_clean, threshold_mult, child(seed, 1), solver, trace_a)
+    b_clean = _reinject(obs.b_prime, rng, below)[0]
+    t = _clean_in_place(b_clean, threshold_mult, child(seed, 2), solver, trace_b)
     if trace_path:
         with open(trace_path, "w") as fh:
             for side, tr in (("a", trace_a), ("b", trace_b)):

@@ -86,7 +86,9 @@ def neighborhood_stat(obs: ObservedPair, pi: np.ndarray, u: int, v: int,
 
 class CoNeighbourTable:
     """Exact counts C(u, v) = sum_w 1{A'[u,w] >= 1} 1{B'[v,pi(w)] >= 1}
-    under an evolving permutation pi, kept as int32 and updated in place."""
+    under an evolving permutation pi, kept as int32 and updated in place.
+    The observed pair and its indicator pair obs.indicators() give the same
+    counts."""
 
     def __init__(self, obs: ObservedPair, pi: np.ndarray):
         self.ind_a = obs.a_prime >= 1.0
@@ -128,7 +130,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     deterministic.  Returns (pi_hat, info) with
     info = {"swaps": int, "truncated": bool, "select_score": int}, where
     select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
-    read off the count table (A', B' symmetric with a zero diagonal).
+    read off the count table (A', B' symmetric with a zero diagonal).  obs
+    is read only through x >= 1, so the observed pair and its indicator pair
+    obs.indicators() give the same result.
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -226,7 +230,11 @@ def _max_qualifying(blocks, alpha, deg_a, deg_b):
 
 
 def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
-    """Number of unordered pairs u < v with A'[u,v] >= 1 and B'[pi(u),pi(v)] >= 1."""
+    """Number of unordered pairs u < v with A'[u,v] >= 1 and B'[pi(u),pi(v)] >= 1.
+
+    The observed pair and its indicator pair obs.indicators() give the same
+    count.
+    """
     pi = np.asarray(pi, dtype=np.intp)
     n = pi.size
     # B' is read only at the pairs above the diagonal where A' >= 1

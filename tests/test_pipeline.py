@@ -5,13 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import wigmatch
 from wigmatch.config import RunConfig, make_config, parse_config_file
-from wigmatch.errors import ParameterError
+from wigmatch import pipeline
+from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.pipeline import (compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
 
@@ -209,6 +211,38 @@ def test_run_record_failure_stage():
     assert rec["exit_code"] == 2
     assert "strategy" in rec["error"]
     assert "traceback" in rec
+
+
+
+@pytest.mark.parametrize("name, stage", [("build_scores", "score"), ("solve_lap", "lap"),
+                                         ("seeded_refine", "refine")])
+def test_run_record_failure_names_its_stage(monkeypatch, name, stage):
+    def fail(*args, **kwargs):
+        raise NumericalError(f"{name} failed")
+
+    monkeypatch.setattr(pipeline, name, fail)
+    rec = run_pipeline(small_cfg())
+    assert rec["status"] == f"failed:{stage}"
+    assert rec["exit_code"] == 3
+    assert rec["error"] == f"NumericalError: {name} failed"
+
+
+def test_run_peak_memory_is_bounded():
+    # Desk settings at n = 400.  Each n x n float64 matrix dies at its last
+    # use; the peak sits in clean_pair, which holds A', B', the cleaned A,
+    # the noise H and the re-injected B (5.1 matrices).
+    n = 400
+    cfg = RunConfig(n=n, rho=0.9, epsilon=0.01, strategy="rank1-spike", k0=24,
+                    bad_seed_candidates=1, random_candidates=2, master_seed=101)
+    assert run_pipeline(cfg)["status"] == "ok"     # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        rec = run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec["status"] == "ok"
+    assert peak <= 5.5 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n matrices"
 
 
 def test_dump_dir_artifacts(tmp_path):

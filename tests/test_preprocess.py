@@ -231,6 +231,37 @@ def test_clean_pair_clean_input_no_removals():
     assert cp.t.size == 0
 
 
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
+    # n <= 200 takes the dense solver, n = 300 the power solver
+    inst = generate(n, 0.9, "uniform-random", 41)
+    obs, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
+    cp = clean_pair(obs, seed=43)
+    hat_a, hat_b, _, _ = reinject_noise(obs, seed=child(43, 0))
+    a_clean, s = spectral_clean(hat_a, seed=child(43, 1))
+    b_clean, t = spectral_clean(hat_b, seed=child(43, 2))
+    assert s.size > 0 and t.size > 0
+    assert np.array_equal(cp.s, s) and np.array_equal(cp.t, t)
+    assert cp.a_clean.tobytes() == a_clean.tobytes()
+    assert cp.b_clean.tobytes() == b_clean.tobytes()
+    # the observed pair is read, never written
+    again, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
+    assert np.array_equal(obs.a_prime, again.a_prime)
+    assert np.array_equal(obs.b_prime, again.b_prime)
+
+
+def test_spectral_clean_leaves_input_unchanged():
+    inst = generate(120, 0.9, "identity", 44)
+    obs, _ = corrupt(inst, 0.05, "rank1-spike", 45, spike_scale=40.0 * math.sqrt(120))
+    hat_a, _, _, _ = reinject_noise(obs, seed=46)
+    before = hat_a.copy()
+    cleaned, zeroed = spectral_clean(hat_a, seed=47)
+    assert zeroed.size > 0
+    assert np.array_equal(hat_a, before)
+    assert not np.shares_memory(cleaned, hat_a)
+
+
 # ------------------------------------------------------- certified stop
 
 

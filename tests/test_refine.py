@@ -441,3 +441,43 @@ def test_refine_select_score_equals_selection_score(n):
     diag = int(table.counts[np.arange(n), table.pi].sum())
     assert diag % 2 == 0
     assert diag // 2 == selection_score(obs, table.pi)
+
+
+# ------------------------------------------------------- indicator pair
+
+
+def test_indicators_are_bool_and_idempotent():
+    inst = generate(60, 0.9, "uniform-random", 31)
+    obs, _ = corrupt(inst, 0.05, "planted-clique-weight", 32)
+    ind = obs.indicators()
+    assert ind.a_prime.dtype == bool and ind.b_prime.dtype == bool
+    assert np.array_equal(ind.a_prime, obs.a_prime >= 1.0)
+    assert np.array_equal(ind.b_prime, obs.b_prime >= 1.0)
+    again = ind.indicators()
+    assert again.a_prime.dtype == bool
+    assert np.array_equal(again.a_prime, ind.a_prime)
+    assert np.array_equal(again.b_prime, ind.b_prime)
+
+
+@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+def test_refine_and_selection_same_on_indicator_pair(selection):
+    n = 300
+    inst = generate(n, 0.9, "uniform-random", 33)
+    obs, _ = corrupt(inst, 0.05, "rank1-spike", 34)
+    ind = obs.indicators()
+    rng = np.random.default_rng(35)
+    pi = inst.pi_star.copy()
+    for _ in range(n // 3):
+        u, v = rng.integers(n, size=2)
+        pi[u], pi[v] = pi[v], pi[u]
+    trace_obs, trace_ind = [], []
+    out_obs, info_obs = seeded_refine(obs, pi, 0.9, selection=selection, trace=trace_obs)
+    out_ind, info_ind = seeded_refine(ind, pi, 0.9, selection=selection, trace=trace_ind)
+    assert info_obs["swaps"] > 0
+    assert np.array_equal(out_obs, out_ind)
+    assert info_obs == info_ind
+    assert trace_obs == trace_ind
+    for p in (pi, out_obs, rng.permutation(n)):
+        assert selection_score(obs, p) == selection_score(ind, p)
+        assert np.array_equal(CoNeighbourTable(obs, p).counts,
+                              CoNeighbourTable(ind, p).counts)
