@@ -135,28 +135,20 @@ def init_iterate(cp: CleanedPair, seeds: SeedPair, d: Denoiser) -> AmpIterate:
     return AmpIterate(f=f0, g=g0, h=None, l=None, t=0, rows_i=rows_i, rows_j=rows_j)
 
 
-def linear_step(it: AmpIterate, cp: CleanedPair, xi: np.ndarray,
-                a_sub: np.ndarray | None = None, b_sub: np.ndarray | None = None):
-    """h = (1/sqrt(n)) A_sub f Xi and l = (1/sqrt(n)) B_sub g Xi."""
-    n = cp.n
-    if a_sub is None:
-        a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
-    if b_sub is None:
-        b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
-    h = a_sub @ (it.f @ xi) / math.sqrt(n)
-    l = b_sub @ (it.g @ xi) / math.sqrt(n)
+def linear_step(it: AmpIterate, cp: CleanedPair, xi: np.ndarray):
+    """h = (1/sqrt(n)) A_sub f Xi and l = (1/sqrt(n)) B_sub g Xi, each
+    sub-matrix gathered inside its product and freed before the next."""
+    h = cp.a_clean[np.ix_(it.rows_i, it.rows_i)] @ (it.f @ xi) / math.sqrt(cp.n)
+    l = cp.b_clean[np.ix_(it.rows_j, it.rows_j)] @ (it.g @ xi) / math.sqrt(cp.n)
     if not (np.isfinite(h).all() and np.isfinite(l).all()):
         raise NumericalError(f"non-finite values in the linear step at round {it.t}")
     return h, l
 
 
-def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser,
-              a_sub: np.ndarray | None = None, b_sub: np.ndarray | None = None) -> AmpIterate:
+def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser) -> AmpIterate:
     """One full round: linear step with step.xi, then denoise through step.beta."""
-    h, l = linear_step(it, cp, step.xi, a_sub, b_sub)
-    f_next = d(h @ step.beta)
-    g_next = d(l @ step.beta)
-    return AmpIterate(f=f_next, g=g_next, h=h, l=l, t=it.t + 1,
+    h, l = linear_step(it, cp, step.xi)
+    return AmpIterate(f=d(h @ step.beta), g=d(l @ step.beta), h=h, l=l, t=it.t + 1,
                       rows_i=it.rows_i, rows_j=it.rows_j)
 
 
@@ -168,21 +160,18 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     The returned iterate carries the last computed (h, l); those drive the
     assignment stage.  In "record" mode a round whose frame cannot be built
     stops the loop gracefully with the stop recorded; in "strict" mode the
-    spectral error propagates.
+    spectral error propagates.  No sub-matrix is kept across rounds.
     """
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)
-    a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
-    b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
     logs: list[RoundLog] = []
     history = [rm]
     pp_rho = None
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     for t in range(t_target + 1):
         t0 = time.perf_counter()
-        dcur = max(1, rm.k_t // xi_factor)
-        log = RoundLog(t=t, k_t=rm.k_t, d=dcur, eps_t=rm.eps_t)
+        log = RoundLog(t=t, k_t=rm.k_t, d=max(1, rm.k_t // xi_factor), eps_t=rm.eps_t)
         try:
             xi = build_xi(rm, xi_factor=xi_factor)
         except SpectralDeficiencyError:
@@ -197,12 +186,11 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         log.psi_diag_min = float(pd.min())
         log.psi_diag_max = float(pd.max())
         if t == t_target:
-            it.h, it.l = linear_step(it, cp, xi, a_sub, b_sub)
+            it.h, it.l = linear_step(it, cp, xi)
             log.wall_s = time.perf_counter() - t0
             logs.append(log)
             break
-        k_next = sched.ks[t + 1]
-        step = sample_beta(rm, xi, k_next, d, sched.rho, seed=child(beta_seed, t),
+        step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
                            max_resamples=max_resamples, mode=spectral_mode)
         # Taylor lower bound on the signal recursion, recorded each round
         if pp_rho is None:
@@ -212,7 +200,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         log.accepted = step.accepted
         log.clamp_count = step.clamp_count
         log.window_phi, log.window_psi = step.next_rm.window_counts()
-        it = amp_round(it, cp, step, d, a_sub, b_sub)
+        it = amp_round(it, cp, step, d)
         rm = step.next_rm
         history.append(rm)
         log.wall_s = time.perf_counter() - t0

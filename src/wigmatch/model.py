@@ -22,6 +22,7 @@ from .errors import ParameterError
 from .rng import generator
 
 STRATEGIES = ("planted-clique-weight", "rank1-spike", "zero-out", "adaptive-sign-flip")
+NOISE_ROWS = 64     # rows per block when a noise matrix is drawn or re-injected
 
 
 @dataclass(frozen=True)
@@ -57,12 +58,15 @@ class ObservedPair:
 
 
 def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix, zero diagonal, one N(0,1) draw per unordered pair."""
+    """Symmetric matrix, zero diagonal, one N(0,1) draw per unordered pair:
+    the upper triangle in row-major order, one draw per NOISE_ROWS rows."""
     m = np.zeros((n, n))
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    vals = rng.standard_normal(n * (n - 1) // 2)
-    m[upper] = vals
-    m.T[upper] = vals
+    cols = np.arange(n)
+    for start in range(0, n, NOISE_ROWS):
+        upper = cols[start:start + NOISE_ROWS, None] < cols
+        vals = rng.standard_normal(int(np.count_nonzero(upper)))
+        m[start:start + NOISE_ROWS][upper] = vals
+        m.T[start:start + NOISE_ROWS][upper] = vals
     return m
 
 

@@ -3,11 +3,12 @@
 A run executes generate -> corrupt -> clean_pair -> AMP for every seed
 pair -> (per seed pair) scores -> assignment -> refinement -> final
 selection, and emits a schema-versioned RunRecord.  Each n x n matrix dies
-at its last use: A and B after corrupt, A' and B' after cleaning (refine
-and selection read their bool indicators), the cleaned pair after AMP and
-each score after its assignment.  Sweeps run the cartesian product of
-small parameter grids with independent derived seeds and write one CSV row
-per (cell, trial) plus a JSON summary.
+at its last use: A and B after corrupt, each noise matrix as it becomes
+its re-injected matrix, A' and B' after cleaning (refine and selection
+read their bool indicators), each AMP sub-matrix after its product, the
+cleaned pair after AMP and each score after its assignment.  Sweeps run
+the cartesian product of small parameter grids with independent derived
+seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
 
 from __future__ import annotations
@@ -327,7 +328,8 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
 def compare_clean_corrupted(cfg: RunConfig) -> dict:
     """Shared-randomness comparison: identical instance, noise and beta seeds,
     with and without corruption.  Returns the relative Frobenius gap of the
-    final h along with both iterates' metadata."""
+    final h along with both iterates' metadata.  Each step reads its own
+    stream, so each matrix can die at its last use."""
     cfg.validate()
     streams = derive_streams(cfg.master_seed)
     inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
@@ -337,26 +339,31 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
 
     obs_c, plan = corrupt(inst, cfg.epsilon, cfg.strategy, streams["corruption"],
                           clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
-    obs_0, _ = corrupt(inst, 0.0, cfg.strategy, streams["corruption"])
-
     cp_c = clean_pair(obs_c, streams["noise"], threshold_mult=cfg.threshold_mult)
+    del obs_c
+    obs_0, _ = corrupt(inst, 0.0, cfg.strategy, streams["corruption"])
+    pi_star = inst.pi_star
+    del inst
     cp_0 = clean_pair(obs_0, streams["noise"], threshold_mult=cfg.threshold_mult)
-
-    exclude_u = set(plan.q.tolist()) | set(cp_c.s.tolist()) | set(cp_0.s.tolist())
+    del obs_0
+    zeroed_c, zeroed_0 = cp_c.s.tolist(), cp_0.s.tolist()
+    exclude_u = set(plan.q.tolist()) | set(zeroed_c) | set(zeroed_0)
     exclude_v = set(plan.r.tolist()) | set(cp_c.t.tolist()) | set(cp_0.t.tolist())
-    seeds = good_seed_pair(inst.pi_star, cfg.k0, exclude_u, exclude_v)
+    seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
     kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"],
               xi_factor=cfg.xi_factor, max_resamples=cfg.max_resamples,
               spectral_mode=cfg.spectral_mode)
     res_c = run_amp(cp_c, seeds, sched, dn, **kw)
+    del cp_c
     res_0 = run_amp(cp_0, seeds, sched, dn, **kw)
+    del cp_0
     h_c, h_0 = res_c.iterate.h, res_0.iterate.h
     denom = float(np.linalg.norm(h_0))
     gap = float(np.linalg.norm(h_c - h_0)) / denom if denom > 0 else math.inf
     return {"gap": gap,
             "rounds_clean": res_0.iterate.t, "rounds_corrupted": res_c.iterate.t,
-            "zeroed_corrupted": cp_c.s.tolist(), "zeroed_clean": cp_0.s.tolist()}
+            "zeroed_corrupted": zeroed_c, "zeroed_clean": zeroed_0}
 
 
 def _sweep_row(args):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import ObservedPair, _symmetric_standard_normal
+from .model import NOISE_ROWS, ObservedPair, _symmetric_standard_normal
 from .rng import child, generator
 
 # Power iterations after which a solve still below the threshold tries the
@@ -62,36 +62,37 @@ def reinject_noise(obs: ObservedPair, seed: int,
                    h: np.ndarray | None = None):
     """Produce (hatA', hatB', G, H).  The outputs are not symmetric.
 
-    g, h may be supplied explicitly (test hook); otherwise they are sampled
-    symmetric with one N(0,1) draw per unordered pair, G before H.
+    g, h may be supplied explicitly (test hook, left unchanged); otherwise
+    they are sampled symmetric with one N(0,1) draw per unordered pair, G
+    before H.
     """
-    rng, below = _noise_stream(obs, seed)
-    hat_a, g = _reinject(obs.a_prime, rng, below, g)
-    hat_b, h = _reinject(obs.b_prime, rng, below, h)
-    return hat_a, hat_b, g, h
+    rng = _noise_stream(obs, seed)
+    g = _symmetric_standard_normal(obs.n, rng) if g is None else g
+    h = _symmetric_standard_normal(obs.n, rng) if h is None else h
+    return (_reinject(obs.a_prime, np.array(g, dtype=float)),
+            _reinject(obs.b_prime, np.array(h, dtype=float)), g, h)
 
 
-def _noise_stream(obs: ObservedPair, seed: int):
-    """Check that the pair is square and of one size; return the noise
-    generator and the strictly-below-diagonal mask."""
-    n = obs.n
-    if obs.a_prime.shape != (n, n) or obs.b_prime.shape != (n, n):
+def _noise_stream(obs: ObservedPair, seed: int) -> np.random.Generator:
+    """The noise generator, once the pair is checked square and of one size."""
+    if obs.a_prime.shape != (obs.n, obs.n) or obs.b_prime.shape != (obs.n, obs.n):
         raise ParameterError("observed pair must be square and same size")
-    return generator(seed), np.tri(n, k=-1, dtype=bool)
+    return generator(seed)
 
 
-def _reinject(m: np.ndarray, rng: np.random.Generator, below: np.ndarray,
-              noise: np.ndarray | None = None):
-    """(hat, noise): hat is (m + noise) / sqrt(2) where `below`,
-    (m - noise) / sqrt(2) elsewhere, with a zero diagonal.  The noise is
-    drawn from rng unless given."""
-    if noise is None:
-        noise = _symmetric_standard_normal(m.shape[0], rng)
-    hat = np.subtract(m, noise)
-    np.add(m, noise, out=hat, where=below)
-    hat /= math.sqrt(2.0)
-    np.fill_diagonal(hat, 0.0)
-    return hat, noise
+def _reinject(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """Overwrite the float noise with hat, NOISE_ROWS rows at a time, and
+    return it: (m + noise) / sqrt(2) below the diagonal, (m - noise) / sqrt(2)
+    elsewhere, with a zero diagonal."""
+    cols = np.arange(m.shape[0])
+    for start in range(0, m.shape[0], NOISE_ROWS):
+        rows = slice(start, start + NOISE_ROWS)
+        low = cols[rows, None] > cols
+        np.subtract(m[rows], noise[rows], out=noise[rows], where=~low)
+        np.add(m[rows], noise[rows], out=noise[rows], where=low)
+    noise /= math.sqrt(2.0)
+    np.fill_diagonal(noise, 0.0)
+    return noise
 
 
 def schatten8_bound(m: np.ndarray) -> float:
@@ -233,17 +234,17 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
                solver: str = "auto", trace_path=None) -> CleanedPair:
     """Re-inject noise, then clean both matrices independently.
 
-    One matrix at a time: G is drawn, hatA' built and G freed, and hatA' is
-    cleaned in place before H is drawn.  The noise stream is read G then H,
-    as in reinject_noise, so the result equals spectral_clean on each
-    output of reinject_noise(obs, child(seed, 0)).
+    One matrix at a time: G is drawn and hatA' built in its buffer, and
+    hatA' is cleaned in place before H is drawn.  The noise stream is read
+    G then H, as in reinject_noise, so the result equals spectral_clean on
+    each output of reinject_noise(obs, child(seed, 0)).
     """
-    rng, below = _noise_stream(obs, child(seed, 0))
+    rng = _noise_stream(obs, child(seed, 0))
     trace_a: list | None = [] if trace_path else None
     trace_b: list | None = [] if trace_path else None
-    a_clean = _reinject(obs.a_prime, rng, below)[0]    # G dies with the tuple
+    a_clean = _reinject(obs.a_prime, _symmetric_standard_normal(obs.n, rng))
     s = _clean_in_place(a_clean, threshold_mult, child(seed, 1), solver, trace_a)
-    b_clean = _reinject(obs.b_prime, rng, below)[0]
+    b_clean = _reinject(obs.b_prime, _symmetric_standard_normal(obs.n, rng))
     t = _clean_in_place(b_clean, threshold_mult, child(seed, 2), solver, trace_b)
     if trace_path:
         with open(trace_path, "w") as fh:

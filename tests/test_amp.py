@@ -1,5 +1,6 @@
 """Vector-AMP iteration tests: initialization, rounds, concentration."""
 
+import math
 from dataclasses import asdict
 
 import numpy as np
@@ -158,8 +159,6 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)
-    a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
-    b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
     logs = []
     pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
@@ -175,7 +174,7 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
         log.xi_ortho_err = float(np.linalg.norm(xi.T @ rm.phi @ xi - np.eye(xi.shape[1])))
         pd = np.diag(xi.T @ rm.psi @ xi)
         log.psi_diag_min, log.psi_diag_max = float(pd.min()), float(pd.max())
-        h, l = linear_step(it, cp, xi, a_sub, b_sub)
+        h, l = linear_step(it, cp, xi)
         it.h, it.l = h, l
         if t == t_target:
             logs.append(log)
@@ -232,6 +231,31 @@ def test_run_amp_matches_inline_rounds(min_rounds, spectral_mode):
     assert got[0].t == want[0].t
     if min_rounds == 2:
         assert got[0].t == 1 and got[2] == "spectral"   # amp_round ran once
+
+
+def test_linear_step_equals_products_on_pre_gathered_sub_matrices():
+    # linear_step gathers each sub-matrix inside its product; BLAS gets the
+    # same C-contiguous operand as from a copy gathered once up front, so h
+    # and l agree bit for bit, on round 0's iterate and on round 1's (whose
+    # frame cannot be built at this size, so a fixed one stands in)
+    n = 120
+    inst, cp, seeds = clean_setup(n, 0.9, 16)
+    sched = build_schedule(0.9, n, 24, min_rounds=2)
+    it = init_iterate(cp, seeds, D)
+    a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
+    b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
+    assert a_sub.flags.c_contiguous and b_sub.flags.c_contiguous
+    rm = initial_round(sched.k0, sched.eps0)
+    xi = build_xi(rm)
+    step = sample_beta(rm, xi, sched.ks[1], D, sched.rho, seed=child(3, 0),
+                       max_resamples=4, mode="record")
+    nxt = amp_round(it, cp, step, D)
+    assert nxt.t == 1
+    xi1 = np.linalg.qr(np.random.default_rng(0).standard_normal((sched.ks[1], 8)))[0]
+    for cur, frame, (h, l) in ((it, xi, (nxt.h, nxt.l)), (it, xi, linear_step(it, cp, xi)),
+                               (nxt, xi1, linear_step(nxt, cp, xi1))):
+        assert h.tobytes() == (a_sub @ (cur.f @ frame) / math.sqrt(n)).tobytes()
+        assert l.tobytes() == (b_sub @ (cur.g @ frame) / math.sqrt(n)).tobytes()
 
 
 def test_run_amp_deterministic():

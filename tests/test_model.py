@@ -64,10 +64,11 @@ def test_determinism():
     assert np.array_equal(a.pi_star, b.pi_star)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 64, 301])
+@pytest.mark.parametrize("n", [1, 2, 7, 64, 129, 301, 600])
 def test_symmetric_standard_normal_is_byte_stable(n):
     # benchmark instances depend on this fill order: draws go to the upper
-    # triangle in row-major order and are mirrored below the diagonal
+    # triangle in row-major order and are mirrored below the diagonal; 129
+    # and 600 span several row blocks and end in a partial one
     for seed in (0, 11, 101):
         ref = np.zeros((n, n))
         iu = np.triu_indices(n, 1)

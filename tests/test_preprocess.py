@@ -73,10 +73,11 @@ def test_reinjected_covariance_halved():
     assert abs(cov_lo - rho / 2.0) < 0.05
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 500])
+@pytest.mark.parametrize("n", [1, 2, 7, 129, 500, 600])
 def test_reinjection_is_byte_stable(n):
     # the earlier formula: an int64 sign matrix (+1 below the diagonal, -1
-    # above) times the noise, added to A' and divided by sqrt(2)
+    # above) times the noise, added to A' and divided by sqrt(2); 129, 500
+    # and 600 span several row blocks and end in a partial one
     a = goe(n, 40 + n) if n > 1 else np.zeros((1, 1))
     b = goe(n, 50 + n) if n > 1 else np.zeros((1, 1))
     hat_a, hat_b, g, h = reinject_noise(ObservedPair(a, b), seed=n)
@@ -232,9 +233,9 @@ def test_clean_pair_clean_input_no_removals():
 
 
 
-@pytest.mark.parametrize("n", [150, 300])
+@pytest.mark.parametrize("n", [129, 150, 300, 600])
 def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
-    # n <= 200 takes the dense solver, n = 300 the power solver
+    # n <= 200 takes the dense solver, n = 300 and 600 the power solver
     inst = generate(n, 0.9, "uniform-random", 41)
     obs, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
     cp = clean_pair(obs, seed=43)
