@@ -122,10 +122,10 @@ def _cmd_selftest(args) -> int:
 
     from .assign import AssignmentProblem, build_scores, solve_lap
     from .denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
-    from .model import generate, overlap
+    from .model import ObservedPair, generate, overlap
     from .preprocess import (certifies, leading_singular_triple, schatten8_bound,
                              spectral_clean)
-    from .refine import compute_alpha, compute_psi
+    from .refine import BATCH_SWAPS, RefineParams, compute_alpha, compute_psi, seeded_refine
 
     checks = []
 
@@ -183,6 +183,30 @@ def _cmd_selftest(args) -> int:
     checks.append(("alpha value", abs(a - 0.15865525393145707) < 1e-12))
     checks.append(("psi(0) = alpha^2", abs(compute_psi(0.0) - a * a) < 1e-10))
     checks.append(("psi(1) = alpha", abs(compute_psi(1.0) - a) < 1e-12))
+
+    # the scan-order swap rule with N recomputed from scratch before every swap
+    n = 200
+    inst = generate(n, 0.9, "identity", 205)
+    pi0 = np.arange(n)
+    wrong = np.random.default_rng(3).permutation(n)[n // 8:]
+    pi0[wrong] = wrong[np.random.default_rng(4).permutation(wrong.size)]
+    params = RefineParams.for_run(0.9, n)
+    pi_ref, info = seeded_refine(ObservedPair(inst.a, inst.b), pi0, 0.9, params)
+    ind_a, ind_b = (inst.a >= 1.0).astype(float), (inst.b >= 1.0).astype(float)
+    s = ind_a.sum(axis=1)[:, None] + ind_b.sum(axis=1)[None, :]
+    pi, swaps = pi0.copy(), 0
+    while swaps < params.max_swaps:
+        stat = ind_a @ ind_b[:, pi].T - a * s + n * a * a
+        inv = np.argsort(pi)
+        bad = stat[np.arange(n), pi] < params.delta / 10.0
+        qual = (stat >= params.delta) & bad[:, None] & bad[inv][None, :]
+        if not qual.any():
+            break
+        u, v = divmod(int(np.argmax(qual)), n)
+        pi[u], pi[inv[v]] = v, pi[u]
+        swaps += 1
+    checks.append(("refine equals dense recompute", info["swaps"] == swaps > BATCH_SWAPS
+                   and np.array_equal(pi_ref, pi)))
 
     failed = 0
     for name, ok in checks:

@@ -4,11 +4,13 @@ A run executes generate -> corrupt -> clean_pair -> AMP for every seed
 pair -> (per seed pair) scores -> assignment -> refinement -> final
 selection, and emits a schema-versioned RunRecord.  Each n x n matrix dies
 at its last use: A and B after corrupt, each noise matrix as it becomes
-its re-injected matrix, A' and B' after cleaning (refine and selection
-read their bool indicators), each AMP sub-matrix after its product, the
-cleaned pair after AMP and each score after its assignment.  Sweeps run
-the cartesian product of small parameter grids with independent derived
-seeds and write one CSV row per (cell, trial) plus a JSON summary.
+its re-injected matrix, A' and B' after cleaning as soon as each one's bool
+indicator is built (refine and selection read only the indicators), each
+AMP sub-matrix after its product, the cleaned pair after AMP and each score
+after its assignment.  The peak, 4.13 n x n float64, comes where A' >= 1
+is built next to A', B' and the cleaned pair; clean_pair holds 4.1.
+Sweeps run the cartesian product of small parameter grids with independent
+derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import exit_code_for
-from .model import corrupt, generate, overlap
+from .model import ObservedPair, corrupt, generate, overlap
 from .preprocess import clean_pair
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
@@ -182,8 +184,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
                         trace_path=trace_path)
         record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                               "iters_a": cp.iters_a, "iters_b": cp.iters_b}
-        # refine and selection read A' and B' only through x >= 1
-        obs = obs.indicators()
+        # refine and selection read A' and B' only through x >= 1: each
+        # matrix dies as soon as its bool indicator is built
+        a_prime, b_prime = obs.a_prime, obs.b_prime
+        del obs
+        ind_a = a_prime >= 1.0
+        del a_prime
+        ind = ObservedPair(ind_a, b_prime >= 1.0)
+        del b_prime
         record["stages_s"]["clean"] = time.perf_counter() - t0
 
         stage = "schedule"
@@ -234,7 +242,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             stage = "refine"
             params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
             trace: list | None = [] if cfg.verbose else None
-            pi_ref, info = seeded_refine(obs, pi_lap, cfg.rho, params,
+            pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params,
                                          selection=cfg.selection_rule, trace=trace)
             _split(stages_s, "refine", t)
             cand = {
@@ -263,7 +271,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                "swaps": 0, "truncated": False,
                                "stopped_reason": "n/a", "rounds": [],
                                "pi": pi_rand,
-                               "select_score": selection_score(obs, pi_rand)})
+                               "select_score": selection_score(ind, pi_rand)})
         # the rule of final_select, on the scores already computed
         scores = [c["select_score"] for c in candidates]
         best = int(np.argmax(scores))   # argmax returns the first maximiser

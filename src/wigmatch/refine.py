@@ -14,10 +14,15 @@ of the indicators do not depend on pi,
 
     N(u, v) = C(u, v) - alpha d_A(u) - alpha d_B(v) + n alpha^2
 
-with C the integer co-neighbour count; C is kept exactly as an int32 table
-and a swap adds a +-1 outer product to it in place.  Both thresholds become
-integer lookups on d_A(u) + d_B(v), and each scan compares only the rows
-and columns whose current images are bad, a block of rows at a time.
+with C the integer co-neighbour count, kept exactly in a float32 table.  A
+swap adds a +-1 outer product to C; the table defers it as one row of each
+of two factors and folds BATCH_SWAPS swaps in with one float32 product, the
+blocked update of the WY form (Schreiber and Van Loan, SIAM J. Sci. Stat.
+Comput. 1989), while the diagonal C(u, pi(u)) is kept current at every
+swap.  Every value is an integer below 2^24, so every sum is exact.  Both
+thresholds become integer lookups on d_A(u) + d_B(v), and each scan compares
+only the rows and columns whose current images are bad, a block of rows at
+a time, each row read as its table row plus its pending swaps.
 
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
 with T Owen's T function (Owen, "Tables for computing bivariate normal
@@ -84,38 +89,74 @@ def neighborhood_stat(obs: ObservedPair, pi: np.ndarray, u: int, v: int,
     return float(a_row @ b_row)
 
 
+# Swaps kept as factor rows before one product folds them into the table.
+BATCH_SWAPS = 32
+# Bad rows compared per block of the qualification scan.
+SCAN_ROWS = 32
+
+
 class CoNeighbourTable:
     """Exact counts C(u, v) = sum_w 1{A'[u,w] >= 1} 1{B'[v,pi(w)] >= 1}
-    under an evolving permutation pi, kept as int32 and updated in place.
-    The observed pair and its indicator pair obs.indicators() give the same
-    counts."""
+    under an evolving permutation pi, with the diagonal cur[u] = C(u, pi(u)).
+
+    A swap changes C by a +-1 outer product.  The table keeps its two
+    vectors as row k of the float32 factors da and db and folds BATCH_SWAPS
+    of them into the float32 table c with one product, c += da^T db; a read
+    adds the pending rows.  Every value is an integer below 2^24, so all
+    float32 sums are exact.  The observed pair and its indicator pair
+    obs.indicators() give the same counts."""
 
     def __init__(self, obs: ObservedPair, pi: np.ndarray):
         self.ind_a = obs.a_prime >= 1.0
         self.ind_b = obs.b_prime >= 1.0
         self.pi = np.array(pi, dtype=np.intp, copy=True)
+        n = self.pi.size
         self.inv = np.empty_like(self.pi)
-        self.inv[self.pi] = np.arange(self.pi.size)
+        self.inv[self.pi] = np.arange(n)
         # 0/1 products summed in float32, exact for counts below 2^24
-        prod = self.ind_a.astype(np.float32) @ self.ind_b[:, self.pi].astype(np.float32).T
-        self.counts = prod.astype(np.int32)
+        self.c = self.ind_a.astype(np.float32) @ self.ind_b[:, self.pi].astype(np.float32).T
+        self.cur = self.c[np.arange(n), self.pi]
+        self.da = np.empty((BATCH_SWAPS, n), dtype=np.float32)
+        self.db = np.empty((BATCH_SWAPS, n), dtype=np.float32)
+        self.k = 0      # swaps not yet folded into c
+
+    @property
+    def counts(self) -> np.ndarray:
+        """C as a new int32 table."""
+        self._fold()
+        return self.c.astype(np.int32)
+
+    def rows(self, r: np.ndarray) -> np.ndarray:
+        """Rows r of C, as float32."""
+        block = self.c[r]
+        if self.k:
+            block += self.da[:self.k, r].T @ self.db[:self.k]
+        return block
+
+    def at(self, u: int, v: int) -> int:
+        """C(u, v)."""
+        return int(self.c[u, v] + self.da[:self.k, u] @ self.db[:self.k, v])
 
     def swap(self, u: int, v: int) -> None:
         """Map u to v and pi^-1(v) to the old pi(u)."""
         p_v, w_u = int(self.inv[v]), int(self.pi[u])
+        # Column u of the permuted B indicator becomes B[:, v] and column p_v
+        # becomes B[:, w_u], so C += (A[:, u] - A[:, p_v]) (B[:, v] - B[:, w_u])^T.
+        da, db = self.da[self.k], self.db[self.k]
+        np.subtract(self.ind_a[:, u], self.ind_a[:, p_v], out=da, dtype=np.float32)
+        np.subtract(self.ind_b[:, v], self.ind_b[:, w_u], out=db, dtype=np.float32)
+        self.cur += da * db[self.pi]
+        self.k += 1
         self.pi[u], self.pi[p_v] = v, w_u
         self.inv[v], self.inv[w_u] = u, p_v
-        # Column u of the permuted B indicator becomes B[:, v] and column p_v
-        # becomes B[:, w_u], so C += (A[:, u] - A[:, p_v]) (B[:, v] - B[:, w_u])^T:
-        # rows in A[:, u] alone gain d_col, rows in A[:, p_v] alone lose it.
-        d_col = self.ind_b[:, v].astype(np.int32) - self.ind_b[:, w_u]
-        in_u, in_p = self.ind_a[:, u], self.ind_a[:, p_v]
-        self.counts[np.flatnonzero(in_u & ~in_p)] += d_col
-        self.counts[np.flatnonzero(in_p & ~in_u)] -= d_col
+        self.cur[u], self.cur[p_v] = self.at(u, v), self.at(p_v, w_u)
+        if self.k == len(self.da):
+            self._fold()
 
-
-# Bad rows compared per block of the qualification scan.
-SCAN_ROWS = 32
+    def _fold(self) -> None:
+        if self.k:
+            self.c += self.da[:self.k].T @ self.db[:self.k]
+            self.k = 0
 
 
 def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
@@ -130,9 +171,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     deterministic.  Returns (pi_hat, info) with
     info = {"swaps": int, "truncated": bool, "select_score": int}, where
     select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
-    read off the count table (A', B' symmetric with a zero diagonal).  obs
-    is read only through x >= 1, so the observed pair and its indicator pair
-    obs.indicators() give the same result.
+    read off the table's diagonal (A', B' symmetric with a zero diagonal).
+    obs is read only through x >= 1, so the observed pair and its indicator
+    pair obs.indicators() give the same result.
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -144,7 +185,7 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         raise ParameterError(f"unknown selection rule {selection!r}")
     alpha = params.alpha
     table = CoNeighbourTable(obs, pi)
-    counts, pi, inv = table.counts, table.pi, table.inv
+    pi, inv, cur = table.pi, table.inv, table.cur
     deg_a = np.count_nonzero(table.ind_a, axis=1)
     deg_b = np.count_nonzero(table.ind_b, axis=1)
     # N(u, v) = C(u, v) - alpha s + n alpha^2 with s = d_A(u) + d_B(v), so for
@@ -152,14 +193,15 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     shift = alpha * np.arange(2 * n + 1) - n * alpha * alpha
     t_hi = np.ceil(params.delta + shift).astype(np.int32)
     t_lo = np.ceil(params.delta / 10.0 + shift).astype(np.int32)
-    # t_hi by (distinct d_A value, v), so a row block's thresholds are a row gather
+    # t_hi by (distinct d_A value, v), so a row block's thresholds are a row
+    # gather; float32 like the table, and exact, as both hold small integers
     da_vals, da_code = np.unique(deg_a, return_inverse=True)
-    hi_by_deg = t_hi[da_vals[:, None] + deg_b[None, :]]
+    hi_by_deg = t_hi[da_vals[:, None] + deg_b[None, :]].astype(np.float32)
 
     def stat(c, s):
-        return float(c - alpha * s + n * alpha * alpha)
+        # an int count: a float32 one would keep the difference in float32
+        return float(int(c) - alpha * s + n * alpha * alpha)
 
-    idx = np.arange(n)
     swaps = 0
     truncated = False
     while True:
@@ -167,12 +209,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
             truncated = True
             break
         s_u = deg_a + deg_b[pi]
-        s_v = deg_a[inv] + deg_b
-        cur_u = counts[idx, pi]          # C(u, pi(u))
-        cur_v = counts[inv, idx]         # C(pi^-1(v), v)
-        bad_v = cur_v < t_lo[s_v]
-        rows = np.flatnonzero(cur_u < t_lo[s_u])
-        blocks = _blocks(counts, rows, bad_v, hi_by_deg, da_code)
+        bad = cur < t_lo[s_u]
+        # N(pi^-1(v), v) is row pi^-1(v)'s own statistic, so bad columns are bad[inv]
+        blocks = _blocks(table, np.flatnonzero(bad), bad[inv], hi_by_deg, da_code)
         if selection == "scan-order":
             hit = _first_qualifying(blocks)
         else:
@@ -181,17 +220,18 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
             break
         u, v = hit
         if trace is not None:
+            p_v = inv[v]
             trace.append({"u": u, "v": v,
-                          "n_uv": stat(counts[u, v], deg_a[u] + deg_b[v]),
-                          "n_u_cur": stat(cur_u[u], s_u[u]),
-                          "n_v_cur": stat(cur_v[v], s_v[v])})
+                          "n_uv": stat(table.at(u, v), deg_a[u] + deg_b[v]),
+                          "n_u_cur": stat(cur[u], s_u[u]),
+                          "n_v_cur": stat(cur[p_v], s_u[p_v])})
         table.swap(u, v)
         swaps += 1
-    select_score = int(counts[idx, pi].sum(dtype=np.int64)) // 2
+    select_score = int(cur.sum(dtype=np.float64)) // 2
     return pi, {"swaps": swaps, "truncated": truncated, "select_score": select_score}
 
 
-def _blocks(counts, rows, bad_v, hi_by_deg, da_code):
+def _blocks(table, rows, bad_v, hi_by_deg, da_code):
     """(rows, counts, qualifying mask) per block of SCAN_ROWS bad rows, in order.
 
     A pair (u, v) qualifies when v is a bad column and
@@ -199,7 +239,7 @@ def _blocks(counts, rows, bad_v, hi_by_deg, da_code):
     """
     for start in range(0, rows.size, SCAN_ROWS):
         r = rows[start:start + SCAN_ROWS]
-        block = counts[r]
+        block = table.rows(r)
         yield r, block, (block >= hi_by_deg[da_code[r]]) & bad_v
 
 

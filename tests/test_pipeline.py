@@ -232,8 +232,9 @@ def test_run_peak_memory_is_bounded():
     # use, and each re-injected matrix is built in its noise's buffer.  The
     # peak, 4.3 matrices, comes in clean_pair while H is drawn next to A',
     # B' and the cleaned A (a noise row block is a sixth of the matrix at
-    # this size), or where the bool indicators are built next to A', B' and
-    # the cleaned pair (4.25).  corrupt holds 4.0: A, B, A' and B'.
+    # this size).  A' >= 1 is built next to A', B' and the cleaned pair
+    # (4.125), and A' dies before B' >= 1 is built.  corrupt holds 4.0: A,
+    # B, A' and B'.
     n = 400
     cfg = RunConfig(n=n, rho=0.9, epsilon=0.01, strategy="rank1-spike", k0=24,
                     bad_seed_candidates=1, random_candidates=2, master_seed=101)

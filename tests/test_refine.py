@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,30 +328,90 @@ def dense_refine(obs, pi0, params, selection):
     return pi, swaps, stats, ranks, filtered
 
 
+def check_against_dense(obs, pi0, params, selection, min_swaps):
+    """seeded_refine and dense_refine give the same swaps, N values and result;
+    returns dense_refine's per-swap ranks and filter count."""
+    trace = []
+    out, info = seeded_refine(obs, pi0, 0.9, params, selection=selection, trace=trace)
+    expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params, selection)
+    assert len(swaps) >= min_swaps
+    assert [(t["u"], t["v"]) for t in trace] == swaps
+    assert np.array_equal(out, expected)
+    assert info == {"swaps": len(swaps), "truncated": len(swaps) == params.max_swaps,
+                    "select_score": selection_score(obs, expected)}
+    assert [t["n_uv"] for t in trace] == pytest.approx(stats, abs=1e-9)
+    return ranks, filtered
+
+
+def shuffled_identity(n, seed):
+    rng = np.random.default_rng(seed)
+    pi0 = np.arange(n)
+    wrong = rng.permutation(n)[n // 4:]
+    pi0[wrong] = wrong[rng.permutation(wrong.size)]
+    return pi0
+
+
 @pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
 @pytest.mark.parametrize("block_rows", [1, 3, refine.SCAN_ROWS])
 def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
     n, rho = 150, 0.9
     inst, obs = clean_obs(n, rho, 203)
-    rng = np.random.default_rng(3)
-    pi0 = np.arange(n)
-    wrong = rng.permutation(n)[n // 4:]
-    pi0[wrong] = wrong[rng.permutation(wrong.size)]
-    params = RefineParams.for_run(rho, n)
     monkeypatch.setattr(refine, "SCAN_ROWS", block_rows)
-    trace = []
-    out, info = seeded_refine(obs, pi0, rho, params, selection=selection, trace=trace)
-    expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params, selection)
-    assert [(t["u"], t["v"]) for t in trace] == swaps
-    assert np.array_equal(out, expected)
-    assert info == {"swaps": len(swaps), "truncated": False,
-                    "select_score": selection_score(obs, expected)}
-    assert [t["n_uv"] for t in trace] == pytest.approx(stats, abs=1e-9)
+    ranks, filtered = check_against_dense(obs, shuffled_identity(n, 3),
+                                          RefineParams.for_run(rho, n), selection, 20)
     # the case exercises the filter and, below the default block size, a
     # first qualifying pair past the first block of bad rows
-    assert len(swaps) >= 20 and filtered == len(swaps)
+    assert filtered == len(ranks)
     if block_rows < refine.SCAN_ROWS:
         assert max(ranks) >= block_rows
+
+
+@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("batch", [1, 3, refine.BATCH_SWAPS])
+def test_refine_matches_dense_recompute_per_batch(monkeypatch, selection, batch):
+    # 31 or more swaps: every batch size below the default folds many times
+    n, rho = 150, 0.9
+    inst, obs = clean_obs(n, rho, 203)
+    monkeypatch.setattr(refine, "BATCH_SWAPS", batch)
+    check_against_dense(obs, shuffled_identity(n, 3), RefineParams.for_run(rho, n),
+                        selection, 31)
+
+
+@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+def test_refine_truncated_within_a_batch_matches_dense_recompute(selection):
+    # unlimited, both rules make more than 50 swaps on this case
+    n, rho = 200, 0.9
+    inst, obs = clean_obs(n, rho, 205)
+    params = RefineParams.for_run(rho, n, max_swaps=refine.BATCH_SWAPS + 13)
+    assert params.max_swaps % refine.BATCH_SWAPS != 0
+    check_against_dense(obs, shuffled_identity(n, 3), params, selection, params.max_swaps)
+
+
+def test_refine_memory_stays_at_the_table_build():
+    # The peak is the float32 product that builds C: both float32 operands
+    # and the result next to the bool indicators, 14.07 bytes per table
+    # entry.  The scan then holds the indicators and C (6 bytes an entry)
+    # plus 256 bytes of swap factors per vertex; float32 copies of both
+    # indicators and a dense threshold table kept beside C would reach 18.
+    n = 400
+    inst = generate(n, 0.9, "uniform-random", 101)
+    obs, _ = corrupt(inst, 0.01, "rank1-spike", 102)
+    ind = obs.indicators()
+    del obs
+    rng = np.random.default_rng(7)
+    pi = inst.pi_star.copy()
+    for _ in range(n // 2):
+        u, v = rng.integers(n, size=2)
+        pi[u], pi[v] = pi[v], pi[u]
+    seeded_refine(ind, pi, 0.9)     # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        _, info = seeded_refine(ind, pi, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert info["swaps"] > refine.BATCH_SWAPS
+    assert peak <= 14.08 * n * n, f"peak {peak / (n * n):.3f} bytes per entry"
 
 
 # ---------------------------------------------------------- final select
