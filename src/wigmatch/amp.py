@@ -8,7 +8,10 @@ cleaned matrices and one entrywise denoiser step:
 
 with A_sub, B_sub the cleaned matrices restricted to the non-seed rows and
 columns.  There is no Onsager correction; the frame construction makes the
-cross-round correlation negligible.
+cross-round correlation negligible.  A round whose frame cannot be built
+ends the loop as a recorded spectral stop, and a round whose beta draws all
+fail the eigenvalue windows goes on with the best draw, recorded as not
+accepted; a run is never ended by the spectral subroutine.
 """
 
 from __future__ import annotations
@@ -158,10 +161,13 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     """Iterate through round max(t_star, min_rounds).
 
     The returned iterate carries the last computed (h, l); those drive the
-    assignment stage.  In "record" mode a round whose frame cannot be built
-    stops the loop gracefully with the stop recorded; in "strict" mode the
-    spectral error propagates.  No sub-matrix is kept across rounds.
+    assignment stage.  A round whose frame cannot be built stops the loop
+    gracefully with the stop recorded, and a round whose beta draws all fail
+    keeps the best one with the violation recorded.  spectral_mode accepts
+    only "record", the one policy.  No sub-matrix is kept across rounds.
     """
+    if spectral_mode != "record":
+        raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)
@@ -175,8 +181,6 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         try:
             xi = build_xi(rm, xi_factor=xi_factor)
         except SpectralDeficiencyError:
-            if spectral_mode == "strict":
-                raise
             stopped = "spectral"
             break
         proj_phi = xi.T @ rm.phi @ xi
@@ -191,7 +195,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             logs.append(log)
             break
         step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
-                           max_resamples=max_resamples, mode=spectral_mode)
+                           max_resamples=max_resamples)
         # Taylor lower bound on the signal recursion, recorded each round
         if pp_rho is None:
             pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0

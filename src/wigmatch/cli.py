@@ -1,11 +1,10 @@
-"""Command-line interface: run, sweep, selftest, constants."""
+"""Command-line interface: run, sweep, constants."""
 
 from __future__ import annotations
 
 import argparse
 import itertools
 import json
-import math
 import sys
 
 from .config import CHOICES, FIELD_TYPES, RunConfig, make_config
@@ -113,108 +112,6 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _cmd_selftest(args) -> int:
-    """Fast property checks runnable without pytest."""
-    from types import SimpleNamespace
-
-    import numpy as np
-    from scipy.optimize import linear_sum_assignment
-
-    from .assign import AssignmentProblem, build_scores, solve_lap
-    from .denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
-    from .model import ObservedPair, generate, overlap
-    from .preprocess import (certifies, leading_singular_triple, schatten8_bound,
-                             spectral_clean)
-    from .refine import BATCH_SWAPS, RefineParams, compute_alpha, compute_psi, seeded_refine
-
-    checks = []
-
-    d = make_denoiser()
-    nodes, weights = np.polynomial.hermite.hermgauss(200)
-    x = math.sqrt(2.0) * nodes
-    w = weights / math.sqrt(math.pi)
-    checks.append(("denoiser mean zero", abs(float(w @ d(x))) < 1e-10))
-    checks.append(("denoiser unit variance", abs(float(w @ (d(x) ** 2)) - 1.0) < 1e-10))
-    checks.append(("phi(1) = 1", abs(phi_map(d, 1.0) - 1.0) < 1e-10))
-    checks.append(("phi''(0) > 0", phi_second_deriv_at_zero(d) > 0))
-
-    rng = np.random.default_rng(0)
-    m = rng.standard_normal((40, 40))
-    sig, _, _, _ = leading_singular_triple(m, method="power")
-    sig_ref = float(np.linalg.svd(m, compute_uv=False)[0])
-    checks.append(("power iteration vs dense SVD", abs(sig - sig_ref) / sig_ref < 1e-8))
-
-    goe = np.triu(np.random.default_rng(1).standard_normal((300, 300)), 1)
-    goe += goe.T
-    bound = schatten8_bound(goe)
-    checks.append(("Schatten-8 bound above sigma_1 and certifies a 300x300 GOE",
-                   bound >= float(np.linalg.svd(goe, compute_uv=False)[0])
-                   and certifies(bound, 10.0 * math.sqrt(300))))
-
-    inst = generate(200, 0.9, "uniform-random", 7)
-    checks.append(("instance symmetric", bool(np.allclose(inst.a, inst.a.T))))
-    checks.append(("zero diagonal", float(np.abs(np.diag(inst.a)).max()) == 0.0))
-    checks.append(("overlap of truth", overlap(inst.pi_star, inst.pi_star) == 1.0))
-
-    cleaned, zeroed = spectral_clean(np.array([[0.0, 20 * math.sqrt(2)],
-                                               [20 * math.sqrt(2), 0.0]]), seed=3)
-    checks.append(("cleaning 2x2 example", len(zeroed) == 1
-                   and float(np.abs(cleaned).max()) == 0.0))
-
-    import itertools
-    score = rng.standard_normal((6, 6))
-    sigma = solve_lap(AssignmentProblem(score, np.arange(6), np.arange(6)))
-    best = max(sum(score[i, p[i]] for i in range(6))
-               for p in itertools.permutations(range(6)))
-    checks.append(("LAP matches brute force", abs(score[np.arange(6), sigma].sum() - best) < 1e-9))
-
-    for d, name in ((2, "rank-2 LAP equals raw solver"),
-                    (1, "rank-1 sort equals raw solver total")):
-        h = rng.standard_normal((200, d)) + 0.5
-        h[17] = 0.0
-        prob = build_scores(SimpleNamespace(h=h, l=0.3 * rng.standard_normal((200, d)),
-                                            rows_i=np.arange(200), rows_j=np.arange(200)))
-        sigma = solve_lap(prob)
-        rows, cols = linear_sum_assignment(-prob.score)
-        gap = prob.score[np.arange(200), sigma].sum() - prob.score[rows, cols].sum()
-        checks.append((name, abs(gap) <= 1e-9 * float(np.abs(prob.score).max())))
-
-    a = compute_alpha()
-    checks.append(("alpha value", abs(a - 0.15865525393145707) < 1e-12))
-    checks.append(("psi(0) = alpha^2", abs(compute_psi(0.0) - a * a) < 1e-10))
-    checks.append(("psi(1) = alpha", abs(compute_psi(1.0) - a) < 1e-12))
-
-    # the scan-order swap rule with N recomputed from scratch before every swap
-    n = 200
-    inst = generate(n, 0.9, "identity", 205)
-    pi0 = np.arange(n)
-    wrong = np.random.default_rng(3).permutation(n)[n // 8:]
-    pi0[wrong] = wrong[np.random.default_rng(4).permutation(wrong.size)]
-    params = RefineParams.for_run(0.9, n)
-    pi_ref, info = seeded_refine(ObservedPair(inst.a, inst.b), pi0, 0.9, params)
-    ind_a, ind_b = (inst.a >= 1.0).astype(float), (inst.b >= 1.0).astype(float)
-    s = ind_a.sum(axis=1)[:, None] + ind_b.sum(axis=1)[None, :]
-    pi, swaps = pi0.copy(), 0
-    while swaps < params.max_swaps:
-        stat = ind_a @ ind_b[:, pi].T - a * s + n * a * a
-        inv = np.argsort(pi)
-        bad = stat[np.arange(n), pi] < params.delta / 10.0
-        qual = (stat >= params.delta) & bad[:, None] & bad[inv][None, :]
-        if not qual.any():
-            break
-        u, v = divmod(int(np.argmax(qual)), n)
-        pi[u], pi[inv[v]] = v, pi[u]
-        swaps += 1
-    checks.append(("refine equals dense recompute", info["swaps"] == swaps > BATCH_SWAPS
-                   and np.array_equal(pi_ref, pi)))
-
-    failed = 0
-    for name, ok in checks:
-        print(f"{'PASS' if ok else 'FAIL'}  {name}")
-        failed += 0 if ok else 1
-    return 0 if failed == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wigmatch",
@@ -241,10 +138,6 @@ def build_parser() -> argparse.ArgumentParser:
                                                "reference seed-size bound")
     _add_config_flags(p_const)
     p_const.set_defaults(func=_cmd_constants)
-
-    p_self = sub.add_parser("selftest", help="fast built-in property checks")
-    _add_config_flags(p_self)
-    p_self.set_defaults(func=_cmd_selftest)
 
     return parser
 

@@ -10,6 +10,7 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
+from .denoiser import build_schedule, make_denoiser
 from .errors import ParameterError
 from .model import STRATEGIES
 from .rng import derive_streams
@@ -18,8 +19,8 @@ MODES = ("oracle-seed",)
 CHOICES = {
     "strategy": STRATEGIES,
     "mode": MODES,
-    "spectral_mode": ("record", "strict"),
-    "selection_rule": ("scan-order", "max-stat"),
+    "spectral_mode": ("record",),
+    "selection_rule": ("scan-order",),
 }
 
 
@@ -36,8 +37,8 @@ class RunConfig:
     denoiser_b: float = 1.0
     master_seed: int = 0
     mode: str = "oracle-seed"          # the one mode; kept in every record
-    spectral_mode: str = "record"
-    selection_rule: str = "scan-order"
+    spectral_mode: str = "record"       # the one policy; kept in every record
+    selection_rule: str = "scan-order"  # the one rule; kept in every record
     trials: int = 1
     threshold_mult: float = 10.0
     clique_weight: float = 5.0
@@ -81,6 +82,10 @@ class RunConfig:
             raise ParameterError("trials must be >= 1")
         if self.xi_factor < 1:
             raise ParameterError("xi_factor must be >= 1")
+        # the denoiser and the schedule a run builds, so a value either
+        # refuses fails here rather than after generate, corrupt and clean
+        build_schedule(self.rho, self.n, self.k0, "practical", make_denoiser(self.denoiser_b),
+                       gamma=self.gamma, min_rounds=self.min_rounds)
         return self
 
     @property

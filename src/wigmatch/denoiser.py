@@ -38,15 +38,6 @@ class Denoiser:
     def __call__(self, x):
         return self.a0 + self.a1 * np.cos(self.b * np.asarray(x, dtype=float))
 
-    def deriv(self, x, order: int = 1):
-        """The order-th derivative of varphi; order 0 is varphi itself."""
-        if order == 0:
-            return self(x)
-        trig = (np.cos, np.sin)[order % 2](self.b * np.asarray(x, dtype=float))
-        if order % 4 in (1, 2):
-            trig = -trig
-        return self.a1 * (self.b ** order) * trig
-
     def sup_bound(self) -> float:
         """Analytic bound |a0| + |a1| max(1, b^2) on varphi and its first two derivatives."""
         return abs(self.a0) + abs(self.a1) * max(1.0, self.b * self.b)
@@ -162,29 +153,23 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
                    min_rounds: int = 2) -> Schedule:
     """Round sizes K_t and a-priori signal levels eps_t.
 
-    Practical mode uses K_{t+1} = gamma * K_t^2 with gamma defaulting to
-    4 / k0 (so K quadruples on the first round) and the sizing proxy
+    K_{t+1} = gamma * K_t^2 with gamma defaulting to 4 / k0 (so K
+    quadruples on the first round) and the sizing proxy
     eps_{t+1} = phi(rho/2 * eps_t).  The realised eps sequence is
     recomputed during a run from the spectral subroutine's trace.
 
     t_star = min{t : K_t >= (log n)^1.1}; the list extends through
     max(t_star, min_rounds) so a forced-rounds run is fully sized.
 
-    Paper-constants mode only documents the reference K_0 bound; any desk
-    value of k0 fails its precondition.
+    mode accepts only "practical", the one schedule.  The paper's constants
+    need K_0 >= reference_k0_bound, which no runnable k0 reaches; the
+    `constants` command prints that bound.
     """
     if d is None:
         d = make_denoiser()
     if not (0.0 < rho <= 1.0):
         raise ParameterError(f"rho must lie in (0, 1], got {rho}")
-    if mode == "asymptotic":
-        bound = reference_k0_bound(rho, d)
-        if k0 < bound:
-            raise ParameterError(
-                "asymptotic-constants mode requires K0 >= "
-                f"{bound:.6g} (got {k0}); this mode documents the reference "
-                "value and is not runnable at practical sizes")
-    elif mode != "practical":
+    if mode != "practical":
         raise ParameterError(f"unknown schedule mode {mode!r}")
     if k0 < 12:
         raise ScheduleError(f"k0 must be >= 12 so K_t/12 >= 1, got {k0}")

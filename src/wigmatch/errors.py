@@ -14,9 +14,9 @@ class NumericalError(RuntimeError):
 
 
 class SpectralDeficiencyError(RuntimeError):
-    """The spectral subroutine could not produce valid round matrices.
+    """build_xi could not build a frame from the round matrices.
 
-    Carries diagnostics so the caller can log eigenvalue histograms.
+    Carries diagnostics: the window counts and the eigenvalues.
     """
 
     def __init__(self, message, diagnostics=None):

@@ -9,7 +9,8 @@ with opposite signs above and below the diagonal:
 which halves the pair correlation and makes all entries i.i.d. N(0, 1)
 again.  Cleaning then repeatedly zeroes a row/column sampled from the
 leading singular vectors' mass until the operator norm drops below
-threshold_mult * sqrt(n).
+threshold_mult * sqrt(n).  Power iteration finds the singular vectors at
+every n.
 
 Power iteration proves the last step only slowly when no spike is left:
 the top of the spectrum has no gap.  Such a solve tries, once, the
@@ -115,34 +116,22 @@ def certifies(bound: float, below: float) -> bool:
 
 
 def leading_singular_triple(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10000,
-                            method: str = "auto", seed: int = 0,
-                            v0: np.ndarray | None = None):
-    """Leading singular value and unit left/right singular vectors.
-
-    method: "dense" uses a full SVD, "power" alternates M v / M^T u until the
-    singular-value estimate stagnates, "auto" picks dense for n <= 200.
-    """
-    return _singular_triple(m, tol, max_iter, method, seed, v0)[:4]
+                            seed: int = 0, v0: np.ndarray | None = None):
+    """Leading singular value and unit left/right singular vectors, and the
+    iteration count, by power iteration: M v / M^T u alternate until the
+    singular-value estimate stagnates."""
+    return _singular_triple(m, tol, max_iter, seed, v0)[:4]
 
 
-def _singular_triple(m, tol=1e-10, max_iter=10000, method="auto", seed=0, v0=None,
-                     below=None):
+def _singular_triple(m, tol=1e-10, max_iter=10000, seed=0, v0=None, below=None):
     """leading_singular_triple plus the Schatten-8 bound, or None if untried.
 
-    With `below` given, a power solve still unconverged after CERTIFY_AFTER
+    With `below` given, a solve still unconverged after CERTIFY_AFTER
     iterations whose estimate is under `below` computes the bound once, and
     stops there if the bound certifies sigma_1 < below.  The returned sigma
     is always power iteration's estimate, a lower bound on sigma_1.
     """
     n = m.shape[0]
-    if method == "auto":
-        method = "dense" if n <= 200 else "power"
-    if method == "dense":
-        u_all, s_all, vt_all = np.linalg.svd(m)
-        return float(s_all[0]), u_all[:, 0], vt_all[0, :], 1, None
-    if method != "power":
-        raise ParameterError(f"unknown method {method!r}")
-
     if v0 is not None:
         v = v0.astype(float, copy=True)
     else:
@@ -178,7 +167,7 @@ def _singular_triple(m, tol=1e-10, max_iter=10000, method="auto", seed=0, v0=Non
 
 
 def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
-                   solver: str = "auto", trace: list | None = None):
+                   trace: list | None = None):
     """Zero out rows/columns until the operator norm is below threshold_mult*sqrt(n).
 
     At each step the leading left/right unit singular vectors (v, u) are
@@ -191,11 +180,11 @@ def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
     and the bound.
     """
     cleaned = np.array(m, dtype=float, copy=True)
-    return cleaned, _clean_in_place(cleaned, threshold_mult, seed, solver, trace)
+    return cleaned, _clean_in_place(cleaned, threshold_mult, seed, trace)
 
 
 def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
-                    solver: str, trace: list | None) -> np.ndarray:
+                    trace: list | None) -> np.ndarray:
     """spectral_clean's loop, zeroing the float matrix `cleaned` itself;
     returns the sorted zeroed indices."""
     n = cleaned.shape[0]
@@ -207,7 +196,7 @@ def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
     warm = None
     for step in range(n + 1):
         sigma, u, v, iters, bound = _singular_triple(
-            cleaned, method=solver, seed=child(seed, step), v0=warm, below=threshold)
+            cleaned, seed=child(seed, step), v0=warm, below=threshold)
         if trace is not None:
             trace.append({"iteration": step, "top_singular_value": float(sigma),
                           "removed_index": None,
@@ -231,7 +220,7 @@ def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
 
 
 def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
-               solver: str = "auto", trace_path=None) -> CleanedPair:
+               trace_path=None) -> CleanedPair:
     """Re-inject noise, then clean both matrices independently.
 
     One matrix at a time: G is drawn and hatA' built in its buffer, and
@@ -243,9 +232,9 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
     trace_a: list | None = [] if trace_path else None
     trace_b: list | None = [] if trace_path else None
     a_clean = _reinject(obs.a_prime, _symmetric_standard_normal(obs.n, rng))
-    s = _clean_in_place(a_clean, threshold_mult, child(seed, 1), solver, trace_a)
+    s = _clean_in_place(a_clean, threshold_mult, child(seed, 1), trace_a)
     b_clean = _reinject(obs.b_prime, _symmetric_standard_normal(obs.n, rng))
-    t = _clean_in_place(b_clean, threshold_mult, child(seed, 2), solver, trace_b)
+    t = _clean_in_place(b_clean, threshold_mult, child(seed, 2), trace_b)
     if trace_path:
         with open(trace_path, "w") as fh:
             for side, tr in (("a", trace_a), ("b", trace_b)):

@@ -8,8 +8,9 @@ alpha = P(N(0,1) >= 1) and psi(rho) the bivariate upper orthant mass at
     N(u, v) = sum_w (1{A'[u, w] >= 1} - alpha)(1{B'[v, pi(w)] >= 1} - alpha)
 
 a swap u -> v fires when N(u, v) >= Delta while both current images look
-bad (below Delta / 10), with Delta = psi(rho) n / 10.  The statistic is
-evaluated against the evolving permutation.  Since the row degrees d_A, d_B
+bad (below Delta / 10), with Delta = psi(rho) n / 10.  The first
+qualifying pair in row-major order swaps, and the scan restarts; the
+statistic is evaluated against the evolving permutation.  Since the row degrees d_A, d_B
 of the indicators do not depend on pi,
 
     N(u, v) = C(u, v) - alpha d_A(u) - alpha d_B(v) + n alpha^2
@@ -165,10 +166,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
                   trace: list | None = None):
     """Apply the swap rule until no pair qualifies or max_swaps is reached.
 
-    selection "scan-order" applies the first qualifying pair in row-major
-    (u, v) order and restarts the scan; "max-stat" applies the qualifying
-    pair with the largest N, the first in row-major order on ties.  Both are
-    deterministic.  Returns (pi_hat, info) with
+    Each swap applies the first qualifying pair in row-major (u, v) order
+    and restarts the scan, so the result is deterministic.  selection
+    accepts only "scan-order", the one rule.  Returns (pi_hat, info) with
     info = {"swaps": int, "truncated": bool, "select_score": int}, where
     select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
     read off the table's diagonal (A', B' symmetric with a zero diagonal).
@@ -181,7 +181,7 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         raise ParameterError("pi_tilde is not a permutation of [n]")
     if params is None:
         params = RefineParams.for_run(rho, n)
-    if selection not in ("scan-order", "max-stat"):
+    if selection != "scan-order":
         raise ParameterError(f"unknown selection rule {selection!r}")
     alpha = params.alpha
     table = CoNeighbourTable(obs, pi)
@@ -211,11 +211,7 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         s_u = deg_a + deg_b[pi]
         bad = cur < t_lo[s_u]
         # N(pi^-1(v), v) is row pi^-1(v)'s own statistic, so bad columns are bad[inv]
-        blocks = _blocks(table, np.flatnonzero(bad), bad[inv], hi_by_deg, da_code)
-        if selection == "scan-order":
-            hit = _first_qualifying(blocks)
-        else:
-            hit = _max_qualifying(blocks, alpha, deg_a, deg_b)
+        hit = _first_qualifying(table, np.flatnonzero(bad), bad[inv], hi_by_deg, da_code)
         if hit is None:
             break
         u, v = hit
@@ -231,42 +227,21 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     return pi, {"swaps": swaps, "truncated": truncated, "select_score": select_score}
 
 
-def _blocks(table, rows, bad_v, hi_by_deg, da_code):
-    """(rows, counts, qualifying mask) per block of SCAN_ROWS bad rows, in order.
+def _first_qualifying(table, rows, bad_v, hi_by_deg, da_code):
+    """First qualifying pair in row-major order, or None; the scan reads
+    SCAN_ROWS bad rows at a time and stops at the first block that has one.
 
     A pair (u, v) qualifies when v is a bad column and
     C(u, v) >= hi_by_deg[da_code[u], v].
     """
     for start in range(0, rows.size, SCAN_ROWS):
         r = rows[start:start + SCAN_ROWS]
-        block = table.rows(r)
-        yield r, block, (block >= hi_by_deg[da_code[r]]) & bad_v
-
-
-def _first_qualifying(blocks):
-    """First qualifying pair in row-major order; the scan stops at the first
-    row block that has one."""
-    for r, _, qual in blocks:
+        qual = (table.rows(r) >= hi_by_deg[da_code[r]]) & bad_v
         k = int(np.argmax(qual))
         if qual.flat[k]:
             i, v = divmod(k, qual.shape[1])
             return int(r[i]), v
     return None
-
-
-def _max_qualifying(blocks, alpha, deg_a, deg_b):
-    """Qualifying pair with the largest N, the first in row-major order on ties."""
-    best, best_key = None, -np.inf
-    for r, block, qual in blocks:
-        # N - n alpha^2 = C - alpha s; summing s first makes equal (C, s) tie exactly
-        s = deg_a[r, None] + deg_b[None, :]
-        key = np.where(qual, block - alpha * s, -np.inf)
-        k = int(np.argmax(key))
-        if key.flat[k] > best_key:
-            best_key = key.flat[k]
-            i, v = divmod(k, key.shape[1])
-            best = int(r[i]), v
-    return best
 
 
 def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:

@@ -14,8 +14,8 @@ ceil(3 K/4) eigenvalues inside the windows; otherwise beta is resampled.
 At asymptotic K acceptance happens within a couple of tries.  At small K
 the condition is unattainable: concentration of the mapped Gram matrix
 needs K_{t+1} well below (K_t/12)^2 / 1000, which no growing schedule
-satisfies, so "record" mode keeps the best candidate and reports the
-violation instead of failing.
+satisfies, so once the draws run out the best candidate is kept and the
+violation recorded instead of failing.
 """
 
 from __future__ import annotations
@@ -168,16 +168,16 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
 
 def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
                 rho: float, seed: int, max_resamples: int = 64,
-                mode: str = "strict", validator=None) -> SpectralStep:
+                mode: str = "record", validator=None) -> SpectralStep:
     """Sample beta, resampling until the updated pair meets the windows.
 
-    mode "strict" raises SpectralDeficiencyError when max_resamples draws all
-    fail; mode "record" returns the best candidate (largest in-window
-    eigenvalue count) flagged accepted=False.  validator overrides the
+    When max_resamples + 1 draws all fail, the best candidate (largest
+    in-window eigenvalue count) is returned flagged accepted=False.  mode
+    accepts only "record", the one policy.  validator overrides the
     acceptance predicate (testing hook); default is the eigenvalue-window
     condition on the candidate round.
     """
-    if mode not in ("strict", "record"):
+    if mode != "record":
         raise ParameterError(f"unknown sampling mode {mode!r}")
     dim = xi.shape[1]
     best = best_counts = None
@@ -194,16 +194,4 @@ def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
             best = SpectralStep(xi=xi, beta=beta, resamples=max_resamples + 1,
                                 accepted=False, clamp_count=clamps,
                                 next_rm=rm_next, eps_next=eps_next)
-    if mode == "record":
-        return best
-    n_phi, n_psi = best_counts
-    ev_phi = np.linalg.eigvalsh(best.next_rm.phi)
-    ev_psi = np.linalg.eigvalsh(best.next_rm.psi)
-    hist_phi, edges_phi = np.histogram(ev_phi, bins=16)
-    hist_psi, edges_psi = np.histogram(ev_psi, bins=16)
-    raise SpectralDeficiencyError(
-        f"no beta accepted after {max_resamples + 1} draws at K = {rm.k_t} -> "
-        f"{k_next} (best window counts: phi {n_phi}, psi {n_psi}, "
-        f"need {math.ceil(0.75 * k_next)})",
-        {"phi_hist": hist_phi.tolist(), "phi_edges": edges_phi.tolist(),
-         "psi_hist": hist_psi.tolist(), "psi_edges": edges_psi.tolist()})
+    return best

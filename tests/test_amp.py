@@ -134,9 +134,10 @@ def test_run_amp_graceful_spectral_stop():
 
 
 def test_run_amp_strict_raises():
+    # spectral_mode accepts only "record"
     inst, cp, seeds = clean_setup(120, 0.9, 17)
     sched = build_schedule(0.9, 120, 24, min_rounds=2)
-    with pytest.raises(SpectralDeficiencyError):
+    with pytest.raises(ParameterError, match="spectral mode"):
         run_amp(cp, seeds, sched, D, min_rounds=2, beta_seed=3,
                 spectral_mode="strict", max_resamples=4)
 
@@ -167,8 +168,6 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
         try:
             xi = build_xi(rm, xi_factor=xi_factor)
         except SpectralDeficiencyError:
-            if spectral_mode == "strict":
-                raise
             stopped = "spectral"
             break
         log.xi_ortho_err = float(np.linalg.norm(xi.T @ rm.phi @ xi - np.eye(xi.shape[1])))
@@ -193,14 +192,7 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
     return it, logs, stopped
 
 
-def _outcome(fn):
-    try:
-        return fn()
-    except SpectralDeficiencyError as exc:
-        return ("raised", str(exc))
-
-
-@pytest.mark.parametrize("spectral_mode", ["record", "strict"])
+@pytest.mark.parametrize("spectral_mode", ["record"])
 @pytest.mark.parametrize("min_rounds", [0, 2])
 def test_run_amp_matches_inline_rounds(min_rounds, spectral_mode):
     inst, cp, seeds = clean_setup(120, 0.9, 16)
@@ -219,11 +211,7 @@ def test_run_amp_matches_inline_rounds(min_rounds, spectral_mode):
         it, logs, stopped = _run_amp_inline_rounds(cp, seeds, sched, D, **kw)
         return it, untimed(logs), stopped
 
-    got, want = _outcome(current), _outcome(inline)
-    if want[0] == "raised":
-        assert spectral_mode == "strict" and min_rounds == 2
-        assert got == want
-        return
+    got, want = current(), inline()
     assert got[1] == want[1]
     assert got[2] == want[2]
     for name in ("f", "g", "h", "l", "rows_i", "rows_j"):

@@ -58,13 +58,6 @@ def test_constants_subcommand(capsys):
     assert out["t_star"] == 0
 
 
-def test_selftest_subcommand(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
-    assert out.count("PASS") >= 10
-
-
 def test_sweep_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     summary = tmp_path / "summary.json"
@@ -144,9 +137,8 @@ def _hand_written_flags(p):
     p.add_argument("--denoiser-b", dest="denoiser_b", type=float)
     p.add_argument("--master-seed", dest="master_seed", type=int)
     p.add_argument("--mode", choices=["oracle-seed"])
-    p.add_argument("--spectral-mode", dest="spectral_mode", choices=["record", "strict"])
-    p.add_argument("--selection-rule", dest="selection_rule",
-                   choices=["scan-order", "max-stat"])
+    p.add_argument("--spectral-mode", dest="spectral_mode", choices=["record"])
+    p.add_argument("--selection-rule", dest="selection_rule", choices=["scan-order"])
     p.add_argument("--trials", type=int)
     p.add_argument("--threshold-mult", dest="threshold_mult", type=float)
     p.add_argument("--clique-weight", dest="clique_weight", type=float)
@@ -218,7 +210,9 @@ def test_config_file_and_flag_give_the_same_value(name, tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--strategy", "nope"],
-                                   ["--mode", "tiny-enumeration"]])
+                                   ["--mode", "tiny-enumeration"],
+                                   ["--selection-rule", "max-stat"],
+                                   ["--spectral-mode", "strict"]])
 def test_unknown_choice_exits_2(flags):
     code, _, err = run_cli(["run", "--n", "64", *flags])
     assert code == 2, err

@@ -53,6 +53,16 @@ def test_config_validation_errors():
         RunConfig(random_candidates=-1).validate()
     with pytest.raises(ParameterError):
         RunConfig(max_swaps=-1).validate()
+    # values the denoiser or the schedule refuses fail before the run starts
+    for b in (0.0, 10.0):
+        with pytest.raises(ParameterError, match="b must be positive|sup-norm bound"):
+            RunConfig(denoiser_b=b).validate()
+    with pytest.raises(ParameterError, match="does not exceed"):
+        RunConfig(gamma=1.0 / 48.0, min_rounds=2).validate()
+    with pytest.raises(ParameterError, match="selection_rule"):
+        RunConfig(selection_rule="max-stat").validate()
+    with pytest.raises(ParameterError, match="spectral_mode"):
+        RunConfig(spectral_mode="strict").validate()
     for name in ("clique_weight", "spike_scale", "gamma", "denoiser_b", "rho"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="finite"):
@@ -340,6 +350,20 @@ def test_sweep_rows_and_outputs(tmp_path):
         assert cell["resamples_mean"] is None     # no round sampled beta
     assert all(r["resamples_mean"] is None for r in rows)
     assert all(r["resamples_mean"] == "" for r in csv.DictReader(text))
+
+
+def test_sweep_workers_give_the_rows_and_summary_of_one_process(tmp_path):
+    base = small_cfg(n=64, min_rounds=0, k0=12)
+    out = {}
+    for workers in (1, 2):
+        summary_path = tmp_path / f"summary{workers}.json"
+        rows = sweep(base, ns=[64], rhos=[0.9], epsilons=[0.0, 0.05],
+                     strategies=["zero-out", "rank1-spike"], trials=1,
+                     summary_path=summary_path, workers=workers)
+        out[workers] = ([{k: v for k, v in r.items() if k != "wall_s"} for r in rows],
+                        json.loads(summary_path.read_text()))
+    assert len(out[1][0]) == 4 and all(r["status"] == "ok" for r in out[1][0])
+    assert out[2] == out[1]
 
 
 def test_sweep_resamples_mean_with_forced_rounds(tmp_path):

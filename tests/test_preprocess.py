@@ -96,7 +96,7 @@ def test_reinjection_is_byte_stable(n):
 def test_power_iteration_matches_dense_svd(n, rng):
     for k in range(3):
         m = rng.standard_normal((n, n))
-        sigma, u, v, iters = leading_singular_triple(m, method="power", seed=k)
+        sigma, u, v, iters = leading_singular_triple(m, seed=k)
         ref = float(np.linalg.svd(m, compute_uv=False)[0])
         assert abs(sigma - ref) / ref < 1e-8
         # returned vectors reproduce the singular value
@@ -105,20 +105,20 @@ def test_power_iteration_matches_dense_svd(n, rng):
 
 def test_power_iteration_on_symmetric_goe():
     m = goe(300, 4)
-    sigma, _, _, _ = leading_singular_triple(m, method="power", seed=1)
+    sigma, _, _, _ = leading_singular_triple(m, seed=1)
     ref = float(np.linalg.svd(m, compute_uv=False)[0])
     assert abs(sigma - ref) / ref < 1e-6
 
 
 def test_power_iteration_zero_matrix():
-    sigma, _, _, _ = leading_singular_triple(np.zeros((8, 8)), method="power")
+    sigma, _, _, _ = leading_singular_triple(np.zeros((8, 8)))
     assert sigma == 0.0
 
 
 def test_power_iteration_nonconvergence_raises():
     m = goe(60, 2)
     with pytest.raises(NumericalError, match="did not converge"):
-        leading_singular_triple(m, method="power", max_iter=2)
+        leading_singular_triple(m, max_iter=2)
 
 
 # ------------------------------------------------------- spectral_clean
@@ -201,13 +201,8 @@ def test_clean_pair_composition(tmp_path):
         assert np.all(cp.a_clean[i, :] == 0.0)
     lines = trace_path.read_text().strip().split("\n")
     assert len(lines) >= 2  # at least the final below-threshold check per matrix
-    # the dense solver (n <= 200) never tries the bound
+    # a spike-free final step is certified by the bound
     rows = [json.loads(x) for x in lines]
-    assert all(r["certified"] is False and r["bound"] is None for r in rows)
-
-    # with the power solver, a spike-free final step is certified by the bound
-    cp = clean_pair(obs, seed=11, solver="power", trace_path=trace_path)
-    rows = [json.loads(x) for x in trace_path.read_text().strip().split("\n")]
     threshold = 10.0 * math.sqrt(n)
     for side, cleaned in (("a", cp.a_clean), ("b", cp.b_clean)):
         *steps, last = [r for r in rows if r["matrix"] == side]
@@ -235,7 +230,6 @@ def test_clean_pair_clean_input_no_removals():
 
 @pytest.mark.parametrize("n", [129, 150, 300, 600])
 def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
-    # n <= 200 takes the dense solver, n = 300 and 600 the power solver
     inst = generate(n, 0.9, "uniform-random", 41)
     obs, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
     cp = clean_pair(obs, seed=43)
@@ -351,7 +345,7 @@ def test_bound_is_above_sigma_and_never_certifies_at_threshold(kind, rel):
         sigma = float(np.linalg.svd(m, compute_uv=False)[0])
         bound = schatten8_bound(m)
         assert bound >= sigma
-        est, _, _, _, tried = _singular_triple(m, method="power", seed=seed, below=threshold)
+        est, _, _, _, tried = _singular_triple(m, seed=seed, below=threshold)
         assert est <= sigma * (1 + 1e-12)
         if sigma >= threshold:
             assert tried is None or not preprocess.certifies(tried, threshold)
@@ -392,9 +386,9 @@ def test_slow_spike_free_solve_is_certified_before_convergence():
     n = 300
     m = goe(n, 4)
     threshold = 10.0 * math.sqrt(n)
-    _, _, _, full_iters = leading_singular_triple(m, method="power", seed=3)
+    _, _, _, full_iters = leading_singular_triple(m, seed=3)
     assert full_iters > 2 * CERTIFY_AFTER
-    sigma, u, v, iters, bound = _singular_triple(m, method="power", seed=3, below=threshold)
+    sigma, u, v, iters, bound = _singular_triple(m, seed=3, below=threshold)
     assert iters == CERTIFY_AFTER
     assert preprocess.certifies(bound, threshold)
     # the returned triple is power iteration's after CERTIFY_AFTER steps

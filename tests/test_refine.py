@@ -252,16 +252,15 @@ def test_refine_max_swaps_truncation():
     assert info["truncated"]
 
 
-def test_refine_selection_rules_both_terminate():
+def test_refine_scan_order_terminates_and_other_rules_are_refused():
     inst, obs = clean_obs(300, 0.9, 79)
     pi0 = np.arange(300)
     wrong = np.arange(75, 300)
     pi0[wrong] = wrong[np.random.default_rng(9).permutation(225)]
     out_scan, _ = seeded_refine(obs, pi0, 0.9, selection="scan-order")
-    out_max, _ = seeded_refine(obs, pi0, 0.9, selection="max-stat")
-    truth = np.arange(300)
-    assert overlap(out_max, truth) >= overlap(pi0, truth)
-    assert overlap(out_scan, truth) >= overlap(pi0, truth)
+    assert overlap(out_scan, np.arange(300)) >= overlap(pi0, np.arange(300))
+    with pytest.raises(ParameterError, match="selection rule"):
+        seeded_refine(obs, pi0, 0.9, selection="max-stat")
 
 
 def test_refine_rejects_non_permutation():
@@ -289,10 +288,11 @@ def test_count_table_exact_after_many_swaps():
     assert np.array_equal(table.counts, ind_a @ ind_b[:, table.pi].T)
 
 
-def dense_refine(obs, pi0, params, selection):
+def dense_refine(obs, pi0, params):
     """The swap rule on a dense N table recomputed from scratch before every
     swap, with no table kept between swaps, no bad-row or bad-column
-    filtering ahead of the threshold test and no row blocks.
+    filtering ahead of the threshold test and no row blocks; the first
+    qualifying pair in row-major order swaps.
 
     Also returns, per swap, N at the chosen pair and the number of bad rows
     above its row, and the number of swaps at which some pair passed the
@@ -316,10 +316,7 @@ def dense_refine(obs, pi0, params, selection):
         if not qual.any():
             break
         filtered += bool(np.any(above & ~qual))
-        if selection == "scan-order":
-            u, v = divmod(int(np.argmax(qual)), n)
-        else:
-            u, v = divmod(int(np.argmax(np.where(qual, stat, -np.inf))), n)
+        u, v = divmod(int(np.argmax(qual)), n)
         swaps.append((u, v))
         stats.append(stat[u, v])
         ranks.append(int(np.count_nonzero(bad_u[:u])))
@@ -333,7 +330,7 @@ def check_against_dense(obs, pi0, params, selection, min_swaps):
     returns dense_refine's per-swap ranks and filter count."""
     trace = []
     out, info = seeded_refine(obs, pi0, 0.9, params, selection=selection, trace=trace)
-    expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params, selection)
+    expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params)
     assert len(swaps) >= min_swaps
     assert [(t["u"], t["v"]) for t in trace] == swaps
     assert np.array_equal(out, expected)
@@ -351,7 +348,7 @@ def shuffled_identity(n, seed):
     return pi0
 
 
-@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("selection", ["scan-order"])
 @pytest.mark.parametrize("block_rows", [1, 3, refine.SCAN_ROWS])
 def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
     n, rho = 150, 0.9
@@ -366,7 +363,7 @@ def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
         assert max(ranks) >= block_rows
 
 
-@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("selection", ["scan-order"])
 @pytest.mark.parametrize("batch", [1, 3, refine.BATCH_SWAPS])
 def test_refine_matches_dense_recompute_per_batch(monkeypatch, selection, batch):
     # 31 or more swaps: every batch size below the default folds many times
@@ -377,9 +374,9 @@ def test_refine_matches_dense_recompute_per_batch(monkeypatch, selection, batch)
                         selection, 31)
 
 
-@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("selection", ["scan-order"])
 def test_refine_truncated_within_a_batch_matches_dense_recompute(selection):
-    # unlimited, both rules make more than 50 swaps on this case
+    # unlimited, the rule makes more than 50 swaps on this case
     n, rho = 200, 0.9
     inst, obs = clean_obs(n, rho, 205)
     params = RefineParams.for_run(rho, n, max_swaps=refine.BATCH_SWAPS + 13)
@@ -520,7 +517,7 @@ def test_indicators_are_bool_and_idempotent():
     assert np.array_equal(again.b_prime, ind.b_prime)
 
 
-@pytest.mark.parametrize("selection", ["scan-order", "max-stat"])
+@pytest.mark.parametrize("selection", ["scan-order"])
 def test_refine_and_selection_same_on_indicator_pair(selection):
     n = 300
     inst = generate(n, 0.9, "uniform-random", 33)
