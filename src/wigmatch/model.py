@@ -81,17 +81,22 @@ def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0)
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
     rng = generator(seed)
     a = _symmetric_standard_normal(n, rng)
-    z = _symmetric_standard_normal(n, rng)
+    c = _symmetric_standard_normal(n, rng)     # Z, which becomes the correlated matrix
     if pi_mode == "identity":
         pi = np.arange(n, dtype=np.intp)
     elif pi_mode == "uniform-random":
         pi = rng.permutation(n).astype(np.intp)
     else:
         raise ParameterError(f"unknown pi_mode {pi_mode!r}")
-    # B in image coordinates: B[pi(i), pi(j)] = rho A[i,j] + sqrt(1-rho^2) Z[i,j]
-    correlated = rho * a + math.sqrt(max(0.0, 1.0 - rho * rho)) * z
-    b = np.zeros((n, n))
-    b[np.ix_(pi, pi)] = correlated
+    # C = sqrt(1-rho^2) Z + rho A in Z's buffer, with the two roundings of
+    # rho * a + s * z (IEEE addition commutes)
+    c *= math.sqrt(max(0.0, 1.0 - rho * rho))
+    for start in range(0, n, NOISE_ROWS):
+        c[start:start + NOISE_ROWS] += rho * a[start:start + NOISE_ROWS]
+    # B in image coordinates, B[pi(i), pi(j)] = C[i, j], gathered: B = C[inv][:, inv]
+    inv = np.argsort(pi)
+    b = c[np.ix_(inv, inv)]
+    del c
     np.fill_diagonal(b, 0.0)
     return CorrelatedInstance(n=n, rho=float(rho), a=a, b=b, pi_star=pi)
 
@@ -122,26 +127,34 @@ def corrupt(inst: CorrelatedInstance, epsilon: float, strategy: str, seed: int,
 
     The support sets Q, R are drawn uniformly with |Q| = |R| = ceil(eps*n);
     the adversary may read A, B (zero-out and sign-flip do).  A's block is
-    drawn before B's.
+    drawn before B's.  A and B are copied, so inst is left unchanged.
     """
+    a_prime, b_prime = inst.a.copy(), inst.b.copy()
+    plan = _corrupt_in_place(a_prime, b_prime, epsilon, strategy, seed,
+                             clique_weight, spike_scale)
+    return ObservedPair(a_prime=a_prime, b_prime=b_prime), plan
+
+
+def _corrupt_in_place(a: np.ndarray, b: np.ndarray, epsilon: float, strategy: str,
+                      seed: int, clique_weight: float = 5.0,
+                      spike_scale: float | None = None) -> CorruptionPlan:
+    """corrupt's draws, adding each adversary block to A and B themselves,
+    which become A' and B'."""
     if not (0.0 <= epsilon < 1.0):
         raise ParameterError(f"epsilon must lie in [0, 1), got {epsilon}")
     if strategy not in STRATEGIES:
         raise ParameterError(f"unknown corruption strategy {strategy!r}; choose from {STRATEGIES}")
-    n = inst.n
+    n = a.shape[0]
     k = math.ceil(epsilon * n)
-    rng = generator(seed)
-    a_prime, b_prime = inst.a.copy(), inst.b.copy()
     if k == 0:
-        q = np.empty(0, dtype=np.intp)
-        r = np.empty(0, dtype=np.intp)
-    else:
-        q = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        r = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
-        for m, idx in ((a_prime, q), (b_prime, r)):
-            minor = np.ix_(idx, idx)
-            m[minor] += _perturbation(m[minor], n, strategy, rng, clique_weight, spike_scale)
-    return ObservedPair(a_prime=a_prime, b_prime=b_prime), CorruptionPlan(q=q, r=r)
+        return CorruptionPlan(q=np.empty(0, dtype=np.intp), r=np.empty(0, dtype=np.intp))
+    rng = generator(seed)
+    q = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
+    r = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
+    for m, idx in ((a, q), (b, r)):
+        minor = np.ix_(idx, idx)
+        m[minor] += _perturbation(m[minor], n, strategy, rng, clique_weight, spike_scale)
+    return CorruptionPlan(q=q, r=r)
 
 
 def overlap(pi_hat: np.ndarray, pi_star: np.ndarray) -> float:

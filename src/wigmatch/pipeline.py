@@ -2,13 +2,18 @@
 
 A run executes generate -> corrupt -> clean_pair -> AMP for every seed
 pair -> (per seed pair) scores -> assignment -> refinement -> final
-selection, and emits a schema-versioned RunRecord.  Each n x n matrix dies
-at its last use: A and B after corrupt, each noise matrix as it becomes
-its re-injected matrix, A' and B' after cleaning as soon as each one's bool
-indicator is built (refine and selection read only the indicators), each
-AMP sub-matrix after its product, the cleaned pair after AMP and each score
-after its assignment.  The peak, 4.13 n x n float64, comes where A' >= 1
-is built next to A', B' and the cleaned pair; clean_pair holds 4.1.
+selection, and emits a schema-versioned RunRecord.  Each stage owns the
+matrices it replaces, and each n x n matrix dies at its last use: Z as it
+becomes the correlated matrix and that matrix once B is gathered from it;
+A and B as corrupt turns them into A' and B' in place; each noise matrix
+as it becomes its re-injected matrix; A' and B' in cleaning, each as soon
+as its bool indicator is built (refine and selection read only the
+indicators) and before its re-injected matrix is cleaned; each AMP
+sub-matrix after its product; the cleaned pair after AMP and each score
+after its assignment.  generate holds 3 n x n float64, corrupt 2 and
+cleaning at most about 3.25, with the certificate's M^T M; the peak,
+about 3.4 by ru_maxrss, is in AMP: the cleaned pair, the indicators and
+one gathered sub-matrix.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
@@ -33,8 +38,8 @@ from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import exit_code_for
-from .model import ObservedPair, corrupt, generate, overlap
-from .preprocess import clean_pair
+from .model import _corrupt_in_place, generate, overlap
+from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
 
@@ -169,10 +174,11 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
         t0 = time.perf_counter()
         stage = "corrupt"
-        obs, plan = corrupt(inst, cfg.epsilon, cfg.strategy, streams["corruption"],
-                            clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
-        pi_star = inst.pi_star
-        del inst    # A and B die here: a run reads only pi_star after corrupt
+        plan = _corrupt_in_place(inst.a, inst.b, cfg.epsilon, cfg.strategy,
+                                 streams["corruption"], clique_weight=cfg.clique_weight,
+                                 spike_scale=cfg.spike_scale)
+        observed, pi_star = [inst.a, inst.b], inst.pi_star
+        del inst    # A' and B' are now held by observed alone
         record["stages_s"]["corrupt"] = time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -180,18 +186,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         trace_path = None
         if cfg.trace_cleaning and cfg.output:
             trace_path = str(cfg.output) + ".cleaning.jsonl"
-        cp = clean_pair(obs, streams["noise"], threshold_mult=cfg.threshold_mult,
-                        trace_path=trace_path)
+        cp, ind = _clean_owned(observed, streams["noise"], cfg.threshold_mult, trace_path)
         record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                               "iters_a": cp.iters_a, "iters_b": cp.iters_b}
-        # refine and selection read A' and B' only through x >= 1: each
-        # matrix dies as soon as its bool indicator is built
-        a_prime, b_prime = obs.a_prime, obs.b_prime
-        del obs
-        ind_a = a_prime >= 1.0
-        del a_prime
-        ind = ObservedPair(ind_a, b_prime >= 1.0)
-        del b_prime
         record["stages_s"]["clean"] = time.perf_counter() - t0
 
         stage = "schedule"
@@ -337,7 +334,8 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     """Shared-randomness comparison: identical instance, noise and beta seeds,
     with and without corruption.  Returns the relative Frobenius gap of the
     final h along with both iterates' metadata.  Each step reads its own
-    stream, so each matrix can die at its last use."""
+    stream, so each matrix can die at its last use: the corrupted copies and
+    then A and B die in cleaning."""
     cfg.validate()
     streams = derive_streams(cfg.master_seed)
     inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
@@ -345,15 +343,14 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     sched = build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", dn,
                            gamma=cfg.gamma, min_rounds=cfg.min_rounds)
 
-    obs_c, plan = corrupt(inst, cfg.epsilon, cfg.strategy, streams["corruption"],
-                          clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
-    cp_c = clean_pair(obs_c, streams["noise"], threshold_mult=cfg.threshold_mult)
-    del obs_c
-    obs_0, _ = corrupt(inst, 0.0, cfg.strategy, streams["corruption"])
-    pi_star = inst.pi_star
+    corrupted = [inst.a.copy(), inst.b.copy()]
+    plan = _corrupt_in_place(*corrupted, cfg.epsilon, cfg.strategy, streams["corruption"],
+                             clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
+    cp_c = _clean_owned(corrupted, streams["noise"], cfg.threshold_mult)[0]
+    # at eps = 0, corrupt only copies A and B: hand them over as they are
+    uncorrupted, pi_star = [inst.a, inst.b], inst.pi_star
     del inst
-    cp_0 = clean_pair(obs_0, streams["noise"], threshold_mult=cfg.threshold_mult)
-    del obs_0
+    cp_0 = _clean_owned(uncorrupted, streams["noise"], cfg.threshold_mult)[0]
     zeroed_c, zeroed_0 = cp_c.s.tolist(), cp_0.s.tolist()
     exclude_u = set(plan.q.tolist()) | set(zeroed_c) | set(zeroed_0)
     exclude_v = set(plan.r.tolist()) | set(cp_c.t.tolist()) | set(cp_0.t.tolist())

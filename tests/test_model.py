@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from wigmatch.errors import ParameterError
-from wigmatch.model import _symmetric_standard_normal, corrupt, generate, overlap
+from wigmatch.model import (_corrupt_in_place, _symmetric_standard_normal, corrupt, generate,
+                            overlap)
 from wigmatch.rng import generator
 
 
@@ -81,6 +82,30 @@ def test_symmetric_standard_normal_is_byte_stable(n):
         got = _symmetric_standard_normal(n, rng)
         assert got.tobytes() == ref.tobytes()
         assert np.array_equal(rng.standard_normal(3), tail)
+
+
+def scatter_generate(n, rho, pi_mode, seed):
+    """generate's earlier formula: rho * a + s * z as a new matrix, scattered
+    into zeros at (pi, pi)."""
+    rng = generator(seed)
+    a = _symmetric_standard_normal(n, rng)
+    z = _symmetric_standard_normal(n, rng)
+    pi = np.arange(n) if pi_mode == "identity" else rng.permutation(n)
+    b = np.zeros((n, n))
+    b[np.ix_(pi, pi)] = rho * a + math.sqrt(max(0.0, 1.0 - rho * rho)) * z
+    np.fill_diagonal(b, 0.0)
+    return a, b, pi.astype(np.intp)
+
+
+@pytest.mark.parametrize("n", [150, 200])
+@pytest.mark.parametrize("pi_mode", ["identity", "uniform-random"])
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.9, 1.0])
+def test_generate_matches_scatter_formula(n, pi_mode, rho):
+    # benchmark records depend on these bytes; 150 and 200 end in a partial
+    # row block
+    inst = generate(n, rho, pi_mode, 31)
+    for got, want in zip((inst.a, inst.b, inst.pi_star), scatter_generate(n, rho, pi_mode, 31)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 def test_generate_validation():
@@ -173,6 +198,10 @@ def test_corrupt_is_byte_stable(strategy, epsilon):
     for x, y in zip(got, ref):
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
     assert inst.a.tobytes() == a.tobytes() and inst.b.tobytes() == b.tobytes()
+    # the in-place core perturbs its own matrices to the same bytes
+    core_plan = _corrupt_in_place(a, b, epsilon, strategy, 17)
+    for x, y in zip((a, b, core_plan.q, core_plan.r), got):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
 
 
 def test_adaptive_sign_flip_definition():

@@ -9,8 +9,8 @@ import pytest
 from wigmatch import preprocess
 from wigmatch.errors import NumericalError
 from wigmatch.model import STRATEGIES, ObservedPair, corrupt, generate
-from wigmatch.preprocess import (CERTIFY_AFTER, _singular_triple, clean_pair,
-                                 leading_singular_triple, reinject_noise,
+from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _singular_triple, certificate,
+                                 clean_pair, leading_singular_triple, reinject_noise,
                                  schatten8_bound, spectral_clean)
 from wigmatch.rng import child, generator
 
@@ -209,6 +209,7 @@ def test_clean_pair_composition(tmp_path):
         assert all(not r["certified"] and r["removed_index"] is not None for r in steps)
         assert last["removed_index"] is None
         if last["certified"]:
+            assert last["norm"] in ("S4", "S8")
             sigma = float(np.linalg.norm(cleaned, 2))
             # the row reports power iteration's estimate, at most sigma_1, and
             # the bound, above it
@@ -244,6 +245,18 @@ def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
     again, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
     assert np.array_equal(obs.a_prime, again.a_prime)
     assert np.array_equal(obs.b_prime, again.b_prime)
+    # the owning core run takes the matrices from its list, cleans them as
+    # clean_pair does and returns the indicators that obs.indicators() gives
+    observed = [again.a_prime, again.b_prime]
+    owned, ind = _clean_owned(observed, 43, 10.0)
+    assert observed == []
+    assert np.array_equal(owned.s, cp.s) and np.array_equal(owned.t, cp.t)
+    assert owned.a_clean.tobytes() == cp.a_clean.tobytes()
+    assert owned.b_clean.tobytes() == cp.b_clean.tobytes()
+    assert (owned.iters_a, owned.iters_b) == (cp.iters_a, cp.iters_b)
+    ref = obs.indicators()
+    for got, want in ((ind.a_prime, ref.a_prime), (ind.b_prime, ref.b_prime)):
+        assert got.dtype == want.dtype == bool and np.array_equal(got, want)
 
 
 def test_spectral_clean_leaves_input_unchanged():
@@ -342,13 +355,21 @@ def test_bound_is_above_sigma_and_never_certifies_at_threshold(kind, rel):
         m = goe(n, 900 + seed) if kind == "goe" else spiked(n, 900 + seed)
         if rel is not None:
             m = scaled(m, threshold * rel)
-        sigma = float(np.linalg.svd(m, compute_uv=False)[0])
+        sv = np.linalg.svd(m, compute_uv=False)
+        sigma = float(sv[0])
         bound = schatten8_bound(m)
-        assert bound >= sigma
+        norm, s4 = certificate(m, below=math.inf)
+        assert norm == "S4" and s4 == pytest.approx(float(np.sum(sv ** 4)) ** 0.25, rel=1e-12)
+        assert s4 >= bound >= sigma
+        if sigma >= threshold:
+            # neither rung certifies at or above the threshold
+            assert not preprocess.certifies(s4, threshold)
+            assert not preprocess.certifies(bound, threshold)
+            assert certificate(m, threshold) == ("S8", bound)
         est, _, _, _, tried = _singular_triple(m, seed=seed, below=threshold)
         assert est <= sigma * (1 + 1e-12)
         if sigma >= threshold:
-            assert tried is None or not preprocess.certifies(tried, threshold)
+            assert tried is None or not preprocess.certifies(tried[1], threshold)
             trace = []
             _, zeroed = spectral_clean(m, seed=seed, trace=trace)
             assert zeroed.size >= 1 and not trace[0]["certified"]
@@ -382,14 +403,29 @@ def test_schatten8_bound_value(monkeypatch, block_rows):
     assert schatten8_bound(np.zeros((5, 5))) == 0.0
 
 
+@pytest.mark.parametrize("below, expected", [(300.0, ("S4", 240.0)), (160.0, ("S8", 120.0)),
+                                             (100.0, ("S8", 120.0))])
+def test_certificate_ladder(below, expected):
+    # all 256 singular values equal 60: S4 = 60 * 256^(1/4) = 240 and
+    # S8 = 60 * 256^(1/8) = 120; S8 is formed only when S4 does not certify,
+    # and is returned when neither does
+    n = 256
+    q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((n, n)))
+    norm, bound = certificate(60.0 * q, below)
+    assert norm == expected[0] and bound == pytest.approx(expected[1], rel=1e-12)
+    assert preprocess.certifies(bound, below) is (bound < below)
+
+
 def test_slow_spike_free_solve_is_certified_before_convergence():
     n = 300
     m = goe(n, 4)
     threshold = 10.0 * math.sqrt(n)
     _, _, _, full_iters = leading_singular_triple(m, seed=3)
     assert full_iters > 2 * CERTIFY_AFTER
-    sigma, u, v, iters, bound = _singular_triple(m, seed=3, below=threshold)
+    sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
     assert iters == CERTIFY_AFTER
+    # a spike-free matrix at n = 300 has S4 / threshold near 0.49
+    assert norm == "S4" and bound == certificate(m, threshold)[1]
     assert preprocess.certifies(bound, threshold)
     # the returned triple is power iteration's after CERTIFY_AFTER steps
     ref_v = generator(3).standard_normal(n)
