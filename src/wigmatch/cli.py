@@ -105,7 +105,7 @@ def _cmd_constants(args) -> int:
         "alpha": rp.alpha,
         "psi_rho": rp.psi_rho,
         "delta": rp.delta,
-        "t_star": build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", d,
+        "t_star": build_schedule(cfg.rho, cfg.n, cfg.k0, d=d,
                                  gamma=cfg.gamma, min_rounds=cfg.min_rounds).t_star,
     }
     print(json.dumps(out, indent=2))

@@ -24,7 +24,6 @@ class SpectralDeficiencyError(RuntimeError):
         self.diagnostics = diagnostics or {}
 
 
-EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 EXIT_SPECTRAL = 4

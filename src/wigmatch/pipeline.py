@@ -193,7 +193,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
         stage = "schedule"
         dn = make_denoiser(cfg.denoiser_b)
-        sched = build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", dn,
+        sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn,
                                gamma=cfg.gamma, min_rounds=cfg.min_rounds)
         record["schedule"] = {"ks": list(sched.ks), "epss": list(sched.epss),
                               "t_star": sched.t_star, "eps0": sched.eps0,
@@ -216,8 +216,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         t = time.perf_counter()
         amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
                                beta_seed=streams["beta"], xi_factor=cfg.xi_factor,
-                               max_resamples=cfg.max_resamples,
-                               spectral_mode=cfg.spectral_mode)
+                               max_resamples=cfg.max_resamples)
                        for _, seeds in pairs]
         _split(stages_s, "amp", t)
         del cp      # the cleaned pair dies once every seed pair has run AMP
@@ -239,8 +238,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             stage = "refine"
             params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
             trace: list | None = [] if cfg.verbose else None
-            pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params,
-                                         selection=cfg.selection_rule, trace=trace)
+            pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params, trace=trace)
             _split(stages_s, "refine", t)
             cand = {
                 "label": label,
@@ -296,8 +294,13 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if record["status"] == "ok":
         validate_record(record)
     if cfg.output:
-        with open(cfg.output, "w") as fh:
-            json.dump(record, fh, indent=2)
+        try:
+            with open(cfg.output, "w") as fh:
+                json.dump(record, fh, indent=2)
+        except OSError as exc:  # an earlier failure keeps its own status
+            if record["status"] == "ok":
+                record.update(status="failed:output", exit_code=exit_code_for(exc),
+                              error=f"{type(exc).__name__}: {exc}")
     return record
 
 
@@ -340,7 +343,7 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     streams = derive_streams(cfg.master_seed)
     inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
     dn = make_denoiser(cfg.denoiser_b)
-    sched = build_schedule(cfg.rho, cfg.n, cfg.k0, "practical", dn,
+    sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn,
                            gamma=cfg.gamma, min_rounds=cfg.min_rounds)
 
     corrupted = [inst.a.copy(), inst.b.copy()]
@@ -357,8 +360,7 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
     kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"],
-              xi_factor=cfg.xi_factor, max_resamples=cfg.max_resamples,
-              spectral_mode=cfg.spectral_mode)
+              xi_factor=cfg.xi_factor, max_resamples=cfg.max_resamples)
     res_c = run_amp(cp_c, seeds, sched, dn, **kw)
     del cp_c
     res_0 = run_amp(cp_0, seeds, sched, dn, **kw)

@@ -100,15 +100,6 @@ def _reinject(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return noise
 
 
-def schatten8_bound(m: np.ndarray) -> float:
-    """(sum_i sigma_i^8)^(1/8) = ||(M^T M)^2||_F^(1/4), an upper bound on sigma_1.
-
-    P = M^T M is formed once and ||P P||_F^2 is summed over row blocks of P,
-    so the work space is one n x n matrix and one block.
-    """
-    return _schatten8(m.T @ m)
-
-
 def certificate(m: np.ndarray, below: float) -> tuple[str, float]:
     """The first rung of the ladder S4 >= S8 >= sigma_1 that certifies
     sigma_1 < below, as ("S4", S4) or ("S8", S8); ("S8", S8) also when

@@ -41,6 +41,14 @@ def test_run_writes_manifest(tmp_path, capsys):
     assert rec["config"]["n"] == 80
 
 
+def test_run_output_under_missing_directory_exits_1(tmp_path, capsys):
+    code = main(["run", "--n", "80", "--k0", "24", "--master-seed", "1",
+                 "--output", str(tmp_path / "missing" / "run.json")])
+    line = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
+    assert code == 1
+    assert line["status"] == "failed:output"
+
+
 def test_config_error_exit_code(capsys):
     code = main(["run", "--n", "100", "--rho", "2.0"])
     capsys.readouterr()
@@ -167,7 +175,11 @@ def _flag_specs(add_flags):
 def test_generated_flags_match_the_hand_written_list():
     generated = _flag_specs(_add_config_flags)
     expected = _flag_specs(_hand_written_flags)
-    expected["strategy"]["choices"] = list(STRATEGIES)   # the one intended change
+    # the intended changes: strategy's choices are listed, and the three
+    # one-value options are constants rather than flags
+    expected["strategy"]["choices"] = list(STRATEGIES)
+    for one_value in ("mode", "spectral_mode", "selection_rule"):
+        del expected[one_value]
     assert list(generated) == list(expected)
     for dest in expected:
         assert generated[dest] == expected[dest], dest
@@ -216,4 +228,26 @@ def test_config_file_and_flag_give_the_same_value(name, tmp_path):
 def test_unknown_choice_exits_2(flags):
     code, _, err = run_cli(["run", "--n", "64", *flags])
     assert code == 2, err
-    assert "invalid choice" in err
+    # the three one-value options are constants, so their flags do not exist
+    assert ("invalid choice" if flags[0] == "--strategy" else "unrecognized arguments") in err
+
+
+def test_one_value_options_are_constants_not_fields():
+    names = {f.name for f in fields(RunConfig)}
+    assert names.isdisjoint({"mode", "spectral_mode", "selection_rule"})
+    assert len(names) == 22
+    # the constants stay readable on a config
+    cfg = RunConfig()
+    assert (cfg.mode, cfg.spectral_mode, cfg.selection_rule) == (
+        "oracle-seed", "record", "scan-order")
+    assert all(len(values) >= 2 for values in CHOICES.values())
+
+
+def test_one_value_option_is_refused_as_flag_and_as_config_key(tmp_path):
+    code, _, err = run_cli(["run", "--n", "64", "--mode", "oracle-seed"])
+    assert code == 2 and "unrecognized arguments" in err, err
+    path = tmp_path / "run.cfg"
+    path.write_text("n = 64\nmode = oracle-seed\n")
+    code, _, err = run_cli(["run", "--config", str(path)])
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error:") and "unknown config key 'mode'" in err

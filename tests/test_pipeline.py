@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.pipeline import (compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
+from wigmatch.rng import derive_streams
 
 
 def small_cfg(**kw):
@@ -59,10 +61,6 @@ def test_config_validation_errors():
             RunConfig(denoiser_b=b).validate()
     with pytest.raises(ParameterError, match="does not exceed"):
         RunConfig(gamma=1.0 / 48.0, min_rounds=2).validate()
-    with pytest.raises(ParameterError, match="selection_rule"):
-        RunConfig(selection_rule="max-stat").validate()
-    with pytest.raises(ParameterError, match="spectral_mode"):
-        RunConfig(spectral_mode="strict").validate()
     for name in ("clique_weight", "spike_scale", "gamma", "denoiser_b", "rho"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="finite"):
@@ -97,10 +95,10 @@ def test_config_file_rejects_unknown_key(tmp_path):
 
 def test_stream_seeds_documented_split():
     cfg = small_cfg()
-    seeds = cfg.stream_seeds()
+    seeds = derive_streams(cfg.master_seed)
     assert set(seeds) == {"instance", "noise", "beta", "corruption"}
     assert len(set(seeds.values())) == 4
-    assert seeds == small_cfg().stream_seeds()
+    assert seeds == derive_streams(small_cfg().master_seed)
 
 
 # ------------------------------------------------------------- pipeline
@@ -112,6 +110,7 @@ def test_run_record_ok_and_schema(tmp_path):
     rec = run_pipeline(cfg)
     assert rec["status"] == "ok"
     validate_record(rec)
+    assert list(rec["config"]) == [f.name for f in fields(RunConfig)]
     on_disk = json.loads(out.read_text())
     assert on_disk["schema_version"] == rec["schema_version"]
     labels = [c["label"] for c in rec["candidates"]]
@@ -222,6 +221,20 @@ def test_run_record_failure_stage():
     assert "strategy" in rec["error"]
     assert "traceback" in rec
 
+
+
+def test_run_record_output_failure_is_recorded(tmp_path):
+    missing = str(tmp_path / "missing" / "run.json")
+    rec = run_pipeline(small_cfg(output=missing))
+    assert rec["status"] == "failed:output"
+    assert rec["exit_code"] == 1
+    assert rec["error"].startswith("FileNotFoundError")
+    assert "final" in rec       # the run itself completed
+    cfg = small_cfg(output=missing)
+    cfg.strategy = "bogus"      # an earlier failure keeps its status
+    rec = run_pipeline(cfg)
+    assert rec["status"] == "failed:setup"
+    assert rec["exit_code"] == 2
 
 
 @pytest.mark.parametrize("name, stage", [("build_scores", "score"), ("solve_lap", "lap"),

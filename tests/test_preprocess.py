@@ -11,7 +11,7 @@ from wigmatch.errors import NumericalError
 from wigmatch.model import STRATEGIES, ObservedPair, corrupt, generate
 from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _singular_triple, certificate,
                                  clean_pair, leading_singular_triple, reinject_noise,
-                                 schatten8_bound, spectral_clean)
+                                 spectral_clean)
 from wigmatch.rng import child, generator
 
 
@@ -357,7 +357,7 @@ def test_bound_is_above_sigma_and_never_certifies_at_threshold(kind, rel):
             m = scaled(m, threshold * rel)
         sv = np.linalg.svd(m, compute_uv=False)
         sigma = float(sv[0])
-        bound = schatten8_bound(m)
+        bound = preprocess._schatten8(m.T @ m)
         norm, s4 = certificate(m, below=math.inf)
         assert norm == "S4" and s4 == pytest.approx(float(np.sum(sv ** 4)) ** 0.25, rel=1e-12)
         assert s4 >= bound >= sigma
@@ -384,7 +384,8 @@ def test_bound_certifies_only_outside_the_margin():
     y = np.random.default_rng(6).standard_normal(n)
     rank1 = np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
     for rel, expected in ((1.0, False), (1 - 1e-10, False), (1 - 1e-8, True)):
-        bound = schatten8_bound(threshold * rel * rank1)
+        m = threshold * rel * rank1
+        bound = preprocess._schatten8(m.T @ m)
         assert bound == pytest.approx(threshold * rel, rel=1e-13)
         assert preprocess.certifies(bound, threshold) is expected
 
@@ -398,9 +399,10 @@ def test_schatten8_bound_value(monkeypatch, block_rows):
     q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
     s = np.linspace(0.5, 3.0, n)
     monkeypatch.setattr(preprocess, "BOUND_ROWS", block_rows)
-    got = schatten8_bound(q1 @ np.diag(s) @ q2.T)
+    m = q1 @ np.diag(s) @ q2.T
+    got = preprocess._schatten8(m.T @ m)
     assert got == pytest.approx(float(np.sum(s ** 8) ** 0.125), rel=1e-12)
-    assert schatten8_bound(np.zeros((5, 5))) == 0.0
+    assert preprocess._schatten8(np.zeros((5, 5))) == 0.0
 
 
 @pytest.mark.parametrize("below, expected", [(300.0, ("S4", 240.0)), (160.0, ("S8", 120.0)),
