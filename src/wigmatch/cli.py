@@ -91,10 +91,10 @@ def _cmd_constants(args) -> int:
     from .refine import RefineParams
 
     cfg = _config_from_args(args)
-    d = make_denoiser(cfg.denoiser_b)
+    d = make_denoiser()
     rp = RefineParams.for_run(cfg.rho, cfg.n)
     out = {
-        "denoiser_b": cfg.denoiser_b,
+        "denoiser_b": d.b,
         "a1": d.a1,
         "phi_second_deriv_at_zero": phi_second_deriv_at_zero(d),
         "c2": phi_second_deriv_at_zero(d) / 2.0,
@@ -106,7 +106,7 @@ def _cmd_constants(args) -> int:
         "psi_rho": rp.psi_rho,
         "delta": rp.delta,
         "t_star": build_schedule(cfg.rho, cfg.n, cfg.k0, d=d,
-                                 gamma=cfg.gamma, min_rounds=cfg.min_rounds).t_star,
+                                 min_rounds=cfg.min_rounds).t_star,
     }
     print(json.dumps(out, indent=2))
     return 0

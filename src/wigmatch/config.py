@@ -1,7 +1,12 @@
 """Run configuration: flat key=value files with CLI-flag overrides.
 
 The RunConfig field types are the only schema: the config-file parser and
-the CLI flags are both derived from them.
+the CLI flags are both derived from them.  A field is a value a caller
+varies.  The algorithm's fixed values (the round growth, frame width,
+denoiser frequency, cleaning threshold, adversary weights and the resample
+and swap caps) are the defaults of the library parameters they stand for;
+RunConfig repeats them as plain class constants, not fields, only so that
+the benchmark's replay can read them from a config.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-from .denoiser import build_schedule, make_denoiser
+from .denoiser import build_schedule
 from .errors import ParameterError
 from .model import STRATEGIES
 
@@ -24,17 +29,9 @@ class RunConfig:
     epsilon: float = 0.0
     strategy: str = "planted-clique-weight"
     k0: int = 24
-    gamma: float | None = None          # None -> 4 / k0
     min_rounds: int = 0                 # 0 -> stop at t_star
-    xi_factor: int = 12
-    denoiser_b: float = 1.0
-    master_seed: int = 0
+    master_seed: int = 0                # 64-bit
     trials: int = 1
-    threshold_mult: float = 10.0
-    clique_weight: float = 5.0
-    spike_scale: float | None = None    # None -> 20 sqrt(n)
-    max_resamples: int = 64
-    max_swaps: int | None = None        # None -> 10 n
     bad_seed_candidates: int = 0
     random_candidates: int = 0
     output: str | None = None           # JSON manifest path
@@ -42,10 +39,19 @@ class RunConfig:
     trace_cleaning: bool = False
     verbose: bool = False
 
-    # constants, not fields: the benchmark's replay still reads them
+    # constants, not fields, kept only because the benchmark's replay reads
+    # them; from gamma on, each is the default of the library parameter
     mode = "oracle-seed"
     spectral_mode = "record"
     selection_rule = "scan-order"
+    gamma = None            # 4 / k0
+    xi_factor = 12
+    denoiser_b = 1.0
+    threshold_mult = 10.0
+    clique_weight = 5.0
+    spike_scale = None      # 20 sqrt(n)
+    max_resamples = 64
+    max_swaps = None        # 10 n
 
     def validate(self) -> "RunConfig":
         for name, (base, _) in FIELD_TYPES.items():
@@ -62,21 +68,17 @@ class RunConfig:
                     f"{name} must be one of {allowed}, got {getattr(self, name)!r}")
         if self.k0 >= self.n:
             raise ParameterError("k0 must be smaller than n")
-        for name in ("min_rounds", "max_resamples", "max_swaps",
-                     "bad_seed_candidates", "random_candidates"):
+        if not (0 <= self.master_seed < 2 ** 64):
+            raise ParameterError(f"master_seed must lie in [0, 2**64), got {self.master_seed}")
+        for name in ("min_rounds", "bad_seed_candidates", "random_candidates"):
             value = getattr(self, name)
-            if value is not None and value < 0:
+            if value < 0:
                 raise ParameterError(f"{name} must be >= 0, got {value}")
-        if not self.threshold_mult > 0.0:
-            raise ParameterError(f"threshold_mult must be > 0, got {self.threshold_mult}")
         if self.trials < 1:
             raise ParameterError("trials must be >= 1")
-        if self.xi_factor < 1:
-            raise ParameterError("xi_factor must be >= 1")
-        # the denoiser and the schedule a run builds, so a value either
-        # refuses fails here rather than after generate, corrupt and clean
-        build_schedule(self.rho, self.n, self.k0, d=make_denoiser(self.denoiser_b),
-                       gamma=self.gamma, min_rounds=self.min_rounds)
+        # the schedule a run builds, so a value it refuses fails here rather
+        # than after generate, corrupt and clean
+        build_schedule(self.rho, self.n, self.k0, min_rounds=self.min_rounds)
         return self
 
     @property

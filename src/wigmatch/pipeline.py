@@ -152,11 +152,10 @@ def _dump(dump_dir: str, label: str, prob, sigma) -> None:
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute one full run and return its RunRecord (never raises; failures
     are recorded with the stage name and mapped exit code)."""
-    streams = derive_streams(cfg.master_seed)
     record: dict = {
         "schema_version": SCHEMA_VERSION,
         "config": _sanitize(cfg.as_dict()),
-        "stream_seeds": streams,
+        "stream_seeds": {},
         "status": "ok",
         "exit_code": 0,
         "error": None,
@@ -167,6 +166,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
     stage = "setup"
     try:
         cfg.validate()
+        streams = record["stream_seeds"] = derive_streams(cfg.master_seed)
         t0 = time.perf_counter()
         stage = "generate"
         inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
@@ -175,8 +175,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         t0 = time.perf_counter()
         stage = "corrupt"
         plan = _corrupt_in_place(inst.a, inst.b, cfg.epsilon, cfg.strategy,
-                                 streams["corruption"], clique_weight=cfg.clique_weight,
-                                 spike_scale=cfg.spike_scale)
+                                 streams["corruption"])
         observed, pi_star = [inst.a, inst.b], inst.pi_star
         del inst    # A' and B' are now held by observed alone
         record["stages_s"]["corrupt"] = time.perf_counter() - t0
@@ -186,15 +185,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
         trace_path = None
         if cfg.trace_cleaning and cfg.output:
             trace_path = str(cfg.output) + ".cleaning.jsonl"
-        cp, ind = _clean_owned(observed, streams["noise"], cfg.threshold_mult, trace_path)
+        cp, ind = _clean_owned(observed, streams["noise"], trace_path=trace_path)
         record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                               "iters_a": cp.iters_a, "iters_b": cp.iters_b}
         record["stages_s"]["clean"] = time.perf_counter() - t0
 
         stage = "schedule"
-        dn = make_denoiser(cfg.denoiser_b)
-        sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn,
-                               gamma=cfg.gamma, min_rounds=cfg.min_rounds)
+        dn = make_denoiser()
+        sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
         record["schedule"] = {"ks": list(sched.ks), "epss": list(sched.epss),
                               "t_star": sched.t_star, "eps0": sched.eps0,
                               "gamma": sched.gamma, "c2": sched.c2,
@@ -215,8 +213,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                                    child(streams["corruption"], 100 + i))))
         t = time.perf_counter()
         amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
-                               beta_seed=streams["beta"], xi_factor=cfg.xi_factor,
-                               max_resamples=cfg.max_resamples)
+                               beta_seed=streams["beta"])
                        for _, seeds in pairs]
         _split(stages_s, "amp", t)
         del cp      # the cleaned pair dies once every seed pair has run AMP
@@ -236,7 +233,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 t = time.perf_counter()
             del prob    # the n x n score dies before refine builds its table
             stage = "refine"
-            params = RefineParams.for_run(cfg.rho, cfg.n, cfg.max_swaps_value)
+            params = RefineParams.for_run(cfg.rho, cfg.n)
             trace: list | None = [] if cfg.verbose else None
             pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params, trace=trace)
             _split(stages_s, "refine", t)
@@ -342,25 +339,22 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     cfg.validate()
     streams = derive_streams(cfg.master_seed)
     inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
-    dn = make_denoiser(cfg.denoiser_b)
-    sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn,
-                           gamma=cfg.gamma, min_rounds=cfg.min_rounds)
+    dn = make_denoiser()
+    sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
 
     corrupted = [inst.a.copy(), inst.b.copy()]
-    plan = _corrupt_in_place(*corrupted, cfg.epsilon, cfg.strategy, streams["corruption"],
-                             clique_weight=cfg.clique_weight, spike_scale=cfg.spike_scale)
-    cp_c = _clean_owned(corrupted, streams["noise"], cfg.threshold_mult)[0]
+    plan = _corrupt_in_place(*corrupted, cfg.epsilon, cfg.strategy, streams["corruption"])
+    cp_c = _clean_owned(corrupted, streams["noise"])[0]
     # at eps = 0, corrupt only copies A and B: hand them over as they are
     uncorrupted, pi_star = [inst.a, inst.b], inst.pi_star
     del inst
-    cp_0 = _clean_owned(uncorrupted, streams["noise"], cfg.threshold_mult)[0]
+    cp_0 = _clean_owned(uncorrupted, streams["noise"])[0]
     zeroed_c, zeroed_0 = cp_c.s.tolist(), cp_0.s.tolist()
     exclude_u = set(plan.q.tolist()) | set(zeroed_c) | set(zeroed_0)
     exclude_v = set(plan.r.tolist()) | set(cp_c.t.tolist()) | set(cp_0.t.tolist())
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
-    kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"],
-              xi_factor=cfg.xi_factor, max_resamples=cfg.max_resamples)
+    kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"])
     res_c = run_amp(cp_c, seeds, sched, dn, **kw)
     del cp_c
     res_0 = run_amp(cp_0, seeds, sched, dn, **kw)

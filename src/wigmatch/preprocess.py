@@ -246,7 +246,7 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
     return _clean_owned([obs.a_prime, obs.b_prime], seed, threshold_mult, trace_path)[0]
 
 
-def _clean_owned(observed: list, seed: int, threshold_mult: float,
+def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
                  trace_path=None) -> tuple[CleanedPair, ObservedPair]:
     """clean_pair on observed = [A', B'], which the list hands over: it is
     emptied, so a matrix the caller holds no other reference to dies as soon

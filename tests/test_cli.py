@@ -15,6 +15,11 @@ from wigmatch.errors import EXIT_CONFIG
 from wigmatch.model import STRATEGIES
 
 
+# RunConfig's class constants that stand for library parameter defaults
+ALGORITHM_CONSTANTS = ("gamma", "xi_factor", "denoiser_b", "threshold_mult",
+                       "clique_weight", "spike_scale", "max_resamples", "max_swaps")
+
+
 def run_cli(args):
     proc = subprocess.run([sys.executable, "-m", "wigmatch.cli", *args],
                           capture_output=True, text=True, timeout=600)
@@ -93,7 +98,8 @@ def test_sweep_lists_allow_spaces(tmp_path, capsys):
 @pytest.mark.parametrize("args", [["sweep", "--ns", "80,abc", "--k0", "24"],
                                   ["sweep", "--epsilons", "0.0,x", "--k0", "24"],
                                   ["run", "--n", "80", "--k0", "24", "--epsilon", "0.05",
-                                   "--clique-weight", "nan"]])
+                                   "--rho", "nan"],
+                                  ["run", "--n", "64", "--master-seed", "-1"]])
 def test_malformed_values_exit_2(args):
     code, _, err = run_cli(args)
     assert code == EXIT_CONFIG, err
@@ -176,10 +182,10 @@ def test_generated_flags_match_the_hand_written_list():
     generated = _flag_specs(_add_config_flags)
     expected = _flag_specs(_hand_written_flags)
     # the intended changes: strategy's choices are listed, and the three
-    # one-value options are constants rather than flags
+    # one-value options and the eight algorithm constants are not flags
     expected["strategy"]["choices"] = list(STRATEGIES)
-    for one_value in ("mode", "spectral_mode", "selection_rule"):
-        del expected[one_value]
+    for constant in ("mode", "spectral_mode", "selection_rule", *ALGORITHM_CONSTANTS):
+        del expected[constant]
     assert list(generated) == list(expected)
     for dest in expected:
         assert generated[dest] == expected[dest], dest
@@ -233,13 +239,16 @@ def test_unknown_choice_exits_2(flags):
 
 
 def test_one_value_options_are_constants_not_fields():
-    names = {f.name for f in fields(RunConfig)}
-    assert names.isdisjoint({"mode", "spectral_mode", "selection_rule"})
-    assert len(names) == 22
+    names = [f.name for f in fields(RunConfig)]
+    assert names == ["n", "rho", "epsilon", "strategy", "k0", "min_rounds", "master_seed",
+                     "trials", "bad_seed_candidates", "random_candidates", "output",
+                     "dump_dir", "trace_cleaning", "verbose"]
     # the constants stay readable on a config
     cfg = RunConfig()
     assert (cfg.mode, cfg.spectral_mode, cfg.selection_rule) == (
         "oracle-seed", "record", "scan-order")
+    assert [getattr(cfg, name) for name in ALGORITHM_CONSTANTS] == [
+        None, 12, 1.0, 10.0, 5.0, None, 64, None]
     assert all(len(values) >= 2 for values in CHOICES.values())
 
 
@@ -251,3 +260,10 @@ def test_one_value_option_is_refused_as_flag_and_as_config_key(tmp_path):
     code, _, err = run_cli(["run", "--config", str(path)])
     assert code == EXIT_CONFIG, err
     assert err.startswith("config error:") and "unknown config key 'mode'" in err
+    # so are the algorithm constants
+    code, _, err = run_cli(["run", "--n", "64", "--threshold-mult", "8"])
+    assert code == 2 and "unrecognized arguments" in err, err
+    path.write_text("n = 64\ngamma = 0.2\n")
+    code, _, err = run_cli(["run", "--config", str(path)])
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error:") and "unknown config key 'gamma'" in err

@@ -1,6 +1,7 @@
 """Pipeline orchestration: records, determinism, schema, sweeps."""
 
 import csv
+import inspect
 import json
 import os
 import subprocess
@@ -44,27 +45,52 @@ def test_config_validation_errors():
     with pytest.raises(ParameterError):
         RunConfig(n=20, k0=24).validate()
     with pytest.raises(ParameterError):
-        RunConfig(threshold_mult=0.0).validate()
-    with pytest.raises(ParameterError):
-        RunConfig(threshold_mult=-1.0).validate()
-    with pytest.raises(ParameterError):
-        RunConfig(max_resamples=-1, min_rounds=1).validate()
-    with pytest.raises(ParameterError):
         RunConfig(bad_seed_candidates=-1).validate()
     with pytest.raises(ParameterError):
         RunConfig(random_candidates=-1).validate()
-    with pytest.raises(ParameterError):
-        RunConfig(max_swaps=-1).validate()
-    # values the denoiser or the schedule refuses fail before the run starts
-    for b in (0.0, 10.0):
-        with pytest.raises(ParameterError, match="b must be positive|sup-norm bound"):
-            RunConfig(denoiser_b=b).validate()
-    with pytest.raises(ParameterError, match="does not exceed"):
-        RunConfig(gamma=1.0 / 48.0, min_rounds=2).validate()
-    for name in ("clique_weight", "spike_scale", "gamma", "denoiser_b", "rho"):
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ParameterError, match="master_seed"):
+            RunConfig(master_seed=seed).validate()
+    RunConfig(master_seed=2 ** 64 - 1).validate()
+    for name in ("rho", "epsilon"):
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="finite"):
                 RunConfig(**{name: value}).validate()
+
+
+def test_replay_reads_the_defaults_the_run_uses():
+    # the benchmark's replay rebuilds a run as RunConfig(**record["config"])
+    # and passes RunConfig's class constants where run_pipeline relies on
+    # the library defaults; the two must stay equal
+    from wigmatch.amp import run_amp
+    from wigmatch.denoiser import build_schedule, make_denoiser
+    from wigmatch.model import _corrupt_in_place, corrupt
+    from wigmatch.preprocess import _clean_owned, clean_pair
+    from wigmatch.refine import RefineParams, seeded_refine
+
+    def default(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    pairs = {"gamma": (build_schedule, "gamma"),
+             "xi_factor": (run_amp, "xi_factor"),
+             "max_resamples": (run_amp, "max_resamples"),
+             "spectral_mode": (run_amp, "spectral_mode"),
+             "denoiser_b": (make_denoiser, "b"),
+             "threshold_mult": (clean_pair, "threshold_mult"),
+             "clique_weight": (corrupt, "clique_weight"),
+             "spike_scale": (corrupt, "spike_scale"),
+             "selection_rule": (seeded_refine, "selection")}
+    for constant, (fn, name) in pairs.items():
+        assert getattr(RunConfig, constant) == default(fn, name), constant
+    # run_pipeline calls the in-place cores, whose defaults are the same
+    assert default(_clean_owned, "threshold_mult") == default(clean_pair, "threshold_mult")
+    for name in ("clique_weight", "spike_scale"):
+        assert default(_corrupt_in_place, name) == default(corrupt, name)
+    cfg = small_cfg(n=64, bad_seed_candidates=1)
+    assert cfg.max_swaps_value == RefineParams.for_run(cfg.rho, cfg.n).max_swaps
+    rec = run_pipeline(cfg)
+    assert rec["status"] == "ok"
+    assert RunConfig(**rec["config"]) == cfg
 
 
 def test_config_file_round_trip(tmp_path):
@@ -76,13 +102,13 @@ def test_config_file_round_trip(tmp_path):
         "epsilon=0.0\n"
         "strategy = zero-out\n"
         "master_seed = 99\n"
-        "gamma = none\n"
+        "output = none\n"
         "verbose = true\n")
     cfg = make_config(path, {"rho": 0.9})
     assert cfg.n == 64
     assert cfg.rho == 0.9          # flag override wins
     assert cfg.strategy == "zero-out"
-    assert cfg.gamma is None
+    assert cfg.output is None
     assert cfg.verbose is True
 
 
@@ -220,7 +246,11 @@ def test_run_record_failure_stage():
     assert rec["exit_code"] == 2
     assert "strategy" in rec["error"]
     assert "traceback" in rec
-
+    # refused before the streams are derived from it
+    rec = run_pipeline(RunConfig(n=64, master_seed=-1))
+    assert (rec["status"], rec["exit_code"]) == ("failed:setup", 2)
+    assert rec["error"].startswith("ParameterError: master_seed")
+    assert list(rec)[:3] == ["schema_version", "config", "stream_seeds"]
 
 
 def test_run_record_output_failure_is_recorded(tmp_path):
@@ -388,13 +418,14 @@ def test_sweep_workers_give_the_rows_and_summary_of_one_process(tmp_path):
 
 
 def test_sweep_resamples_mean_with_forced_rounds(tmp_path):
-    base = small_cfg(n=80, min_rounds=1, max_resamples=3)
+    base = small_cfg(n=80, min_rounds=1)
     summary_path = tmp_path / "summary.json"
     rows = sweep(base, ns=[80], rhos=[0.9], epsilons=[0.0],
                  strategies=["zero-out"], trials=2, summary_path=summary_path)
-    assert [r["resamples_mean"] for r in rows] == [4.0, 4.0]   # all 4 draws rejected
+    # all 64 + 1 draws rejected
+    assert [r["resamples_mean"] for r in rows] == [65.0, 65.0]
     cell, = json.loads(summary_path.read_text()).values()
-    assert cell["resamples_mean"] == 4.0
+    assert cell["resamples_mean"] == 65.0
 
 
 def test_sweep_single_cell_matches_run_pipeline():

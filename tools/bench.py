@@ -10,9 +10,12 @@ another in turn, so that drift of the machine spreads over all of them.
 It writes BENCH_<short-sha>.json at the repository root, with "-dirty"
 after the commit when tracked files differ from it: for each workload and
 end-to-end metric the raw values, their median and quartiles, and whether
-every run was correct and how many runs failed.  It also records the
-commit, the BLAS thread count, the CPU count and the 1-minute load average
-at the start.
+every run was correct and how many runs failed.  A run of perfbench/run.py
+that exits non-zero (a stage died or hit its time limit) counts as not
+correct and keeps its exit code; the statistics are over the runs that
+finished (null if none), and the file is still written.  It also records
+the commit, the BLAS thread count, the CPU count and the 1-minute load
+average at the start.  The exit code is 1 unless every run was correct.
 
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
@@ -39,17 +42,26 @@ def _git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _run(workload: str, seconds: float) -> tuple[dict, dict]:
-    """One benchmark run: its settings line and its result line."""
+def _run(workload: str, seconds: float) -> tuple[dict | None, dict]:
+    """One benchmark run: its settings line (None if it did not finish) and
+    its result line, with the run's exit code added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=ROOT, capture_output=True, text=True, check=True)
+                          cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode != 0:
+        sys.stderr.write(proc.stderr)
+        return None, {"correct": False, "attempted": 0, "failed": 0,
+                      "exit_code": proc.returncode}
     lines = proc.stdout.strip().splitlines()
-    return json.loads(lines[-2].removeprefix("perfbench: ")), json.loads(lines[-1])
+    return (json.loads(lines[-2].removeprefix("perfbench: ")),
+            {**json.loads(lines[-1]), "exit_code": 0})
 
 
 def summarize(values: list[float]) -> dict:
-    """Raw values, median and quartiles (inclusive method)."""
+    """Raw values, median and quartiles (inclusive method); null without values."""
+    if len(values) < 2:
+        median = values[0] if values else None
+        return {"values": values, "median": median, "q1": median, "q3": median}
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
@@ -63,19 +75,23 @@ def bench(spec: dict) -> dict:
     for rep in range(REPEATS):
         for name in names:
             settings, result = _run(name, spec["run_seconds"])
-            blas_threads.add(settings["blas_threads"])
+            if settings is not None:
+                blas_threads.add(settings["blas_threads"])
             runs[name].append(result)
             print(f"bench: {name} run {rep + 1}/{REPEATS}: correct={result['correct']} "
-                  f"failed={result['failed']}", file=sys.stderr)
+                  f"failed={result['failed']} exit_code={result['exit_code']}",
+                  file=sys.stderr)
     dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
     workloads = {}
     for name, results in runs.items():
+        finished = [r for r in results if r["exit_code"] == 0]
         metrics = {m["name"]: dict(unit=m["unit"], **summarize(
-                       [r["metrics"][m["name"]]["value"] for r in results]))
+                       [r["metrics"][m["name"]]["value"] for r in finished]))
                    for m in spec["end_to_end"]}
         workloads[name] = {"correct": all(r["correct"] for r in results),
                            "attempted": sum(r["attempted"] for r in results),
                            "failed": sum(r["failed"] for r in results),
+                           "exit_codes": [r["exit_code"] for r in results],
                            "metrics": metrics}
     return {"commit": _git("rev-parse", "HEAD"), "dirty": dirty, "seed": SEED,
             "repeats": REPEATS, "blas_threads": sorted(blas_threads),
@@ -94,6 +110,9 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
             continue
         for m in spec["end_to_end"]:
             ma, mb = wa["metrics"][m["name"]], wb["metrics"][m["name"]]
+            if ma["median"] is None or mb["median"] is None:
+                lines.append(f"{name:<12} {m['name']:<12} no finished run")
+                continue
             change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
             worse = change if m["better"] == "lower" else 0.0 - change   # no -0.0
             spread = max(ma["q3"] - ma["q1"], mb["q3"] - mb["q1"])
