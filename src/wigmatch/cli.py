@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -37,19 +38,17 @@ def _cmd_run(args) -> int:
     for trial in range(cfg.trials):
         trial_cfg = cfg
         if cfg.trials > 1:
-            kw = cfg.as_dict()
-            kw.update(master_seed=child(cfg.master_seed, trial), trials=1,
-                      output=(f"{cfg.output}.{trial}" if cfg.output else None))
-            trial_cfg = RunConfig(**kw).validate()
+            trial_cfg = dataclasses.replace(
+                cfg, master_seed=child(cfg.master_seed, trial), trials=1,
+                output=(f"{cfg.output}.{trial}" if cfg.output else None)).validate()
         record = run_pipeline(trial_cfg)
         line = {"trial": trial, "status": record["status"]}
         if record["status"] == "ok":
+            oracle = record["candidates"][0]
             line.update(overlap_final=record["final"]["overlap_final"],
-                        selected=record["final"]["selected_label"])
-            for cand in record["candidates"]:
-                if cand["label"] == "oracle":
-                    line.update(overlap_lap=cand["overlap_lap"],
-                                overlap_refine=cand["overlap_refine"])
+                        selected=record["final"]["selected_label"],
+                        overlap_lap=oracle["overlap_lap"],
+                        overlap_refine=oracle["overlap_refine"])
         else:
             line["error"] = record["error"]
         print(json.dumps(line))
@@ -74,8 +73,7 @@ def _cmd_sweep(args) -> int:
     strategies = _parse_list(args.strategies, str) if args.strategies else [cfg.strategy]
     # an invalid list value is a config error, as the same value as a flag is
     for n, rho, eps, strategy in itertools.product(ns, rhos, epsilons, strategies):
-        RunConfig(**{**cfg.as_dict(), "n": n, "rho": rho, "epsilon": eps,
-                     "strategy": strategy}).validate()
+        dataclasses.replace(cfg, n=n, rho=rho, epsilon=eps, strategy=strategy).validate()
     rows = sweep(cfg, ns, rhos, epsilons, strategies, trials=cfg.trials,
                  csv_path=args.csv, summary_path=args.summary,
                  workers=args.workers)

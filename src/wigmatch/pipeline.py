@@ -1,26 +1,31 @@
 """End-to-end pipeline, run records, and experiment sweeps.
 
-A run executes generate -> corrupt -> clean_pair -> AMP for every seed
-pair -> (per seed pair) scores -> assignment -> refinement -> final
-selection, and emits a schema-versioned RunRecord.  Each stage owns the
-matrices it replaces, and each n x n matrix dies at its last use: Z as it
-becomes the correlated matrix and that matrix once B is gathered from it;
-A and B as corrupt turns them into A' and B' in place; each noise matrix
-as it becomes its re-injected matrix; A' and B' in cleaning, each as soon
-as its bool indicator is built (refine and selection read only the
-indicators) and before its re-injected matrix is cleaned; each AMP
-sub-matrix after its product; the cleaned pair after AMP and each score
-after its assignment.  generate holds 3 n x n float64, corrupt 2 and
-cleaning at most about 3.25, with the certificate's M^T M; the peak,
-about 3.4 by ru_maxrss, is in AMP: the cleaned pair, the indicators and
-one gathered sub-matrix.
+A run executes the stages generate -> corrupt (A and B in place) -> clean
+(re-inject noise and spectrally clean each matrix) -> schedule -> AMP for
+every seed pair -> per seed pair score -> LAP -> dump (with --dump-dir) ->
+refine -> select, and emits a schema-versioned RunRecord.  One stage
+context names the stage that a failure records as failed:<stage> and adds
+each stage's wall time to stages_s; schedule and dump are not timed.
+Each stage owns the matrices it replaces, and each n x n matrix dies at
+its last use: Z as it becomes the correlated matrix and that matrix once
+B is gathered from it; A and B as corrupt turns them into A' and B' in
+place; each noise matrix as it becomes its re-injected matrix; A' and B'
+in cleaning, each as soon as its bool indicator is built (refine and
+selection read only the indicators) and before its re-injected matrix is
+cleaned; each AMP sub-matrix after its product; the cleaned pair after
+AMP and each score after its assignment.  generate holds 3 n x n
+float64, corrupt 2 and cleaning at most about 3.25, with the
+certificate's M^T M; the peak, about 3.4 by ru_maxrss, is in AMP: the
+cleaned pair, the indicators and one gathered sub-matrix.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import dataclasses
 import functools
 import itertools
 import json
@@ -28,7 +33,6 @@ import math
 import os
 import time
 import traceback
-from dataclasses import asdict
 
 import numpy as np
 
@@ -130,11 +134,25 @@ def _sanitize(obj):
     return obj
 
 
-def _split(stages_s: dict, stage: str, t0: float) -> float:
-    """Add the time since t0 to stages_s[stage]; return the current time."""
-    now = time.perf_counter()
-    stages_s[stage] += now - t0
-    return now
+class _Stages:
+    """`with stage(name):` makes name the stage that a failure records as
+    failed:<name> and, unless timed=False, adds the block's wall time to
+    stages_s[name]."""
+
+    def __init__(self, stages_s: dict):
+        self.current = "setup"
+        self.stages_s = stages_s
+
+    @contextlib.contextmanager
+    def __call__(self, name: str, timed: bool = True):
+        self.current = name
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            if timed:
+                self.stages_s[name] = (self.stages_s.get(name, 0.0)
+                                       + time.perf_counter() - t0)
 
 
 def _dump(dump_dir: str, label: str, prob, sigma) -> None:
@@ -163,81 +181,70 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "versions": {"package": _pkg_version, "numpy": np.__version__,
                      "scipy": __import__("scipy").__version__},
     }
-    stage = "setup"
+    stage = _Stages(record["stages_s"])
     try:
         cfg.validate()
         streams = record["stream_seeds"] = derive_streams(cfg.master_seed)
-        t0 = time.perf_counter()
-        stage = "generate"
-        inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
-        record["stages_s"]["generate"] = time.perf_counter() - t0
+        with stage("generate"):
+            inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
 
-        t0 = time.perf_counter()
-        stage = "corrupt"
-        plan = _corrupt_in_place(inst.a, inst.b, cfg.epsilon, cfg.strategy,
-                                 streams["corruption"])
-        observed, pi_star = [inst.a, inst.b], inst.pi_star
-        del inst    # A' and B' are now held by observed alone
-        record["stages_s"]["corrupt"] = time.perf_counter() - t0
+        with stage("corrupt"):
+            plan = _corrupt_in_place(inst.a, inst.b, cfg.epsilon, cfg.strategy,
+                                     streams["corruption"])
+            observed, pi_star = [inst.a, inst.b], inst.pi_star
+            del inst    # A' and B' are now held by observed alone
 
-        t0 = time.perf_counter()
-        stage = "clean"
-        trace_path = None
-        if cfg.trace_cleaning and cfg.output:
-            trace_path = str(cfg.output) + ".cleaning.jsonl"
-        cp, ind = _clean_owned(observed, streams["noise"], trace_path=trace_path)
-        record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
-                              "iters_a": cp.iters_a, "iters_b": cp.iters_b}
-        record["stages_s"]["clean"] = time.perf_counter() - t0
+        with stage("clean"):
+            trace_path = None
+            if cfg.trace_cleaning and cfg.output:
+                trace_path = str(cfg.output) + ".cleaning.jsonl"
+            cp, ind = _clean_owned(observed, streams["noise"], trace_path=trace_path)
+            record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
+                                  "iters_a": cp.iters_a, "iters_b": cp.iters_b}
 
-        stage = "schedule"
-        dn = make_denoiser()
-        sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
-        record["schedule"] = {"ks": list(sched.ks), "epss": list(sched.epss),
-                              "t_star": sched.t_star, "eps0": sched.eps0,
-                              "gamma": sched.gamma, "c2": sched.c2,
-                              "lambda_cap": sched.lambda_cap,
-                              "signal_growth_factor": sched.signal_growth_factor,
-                              "signal_growth_condition_met": sched.signal_growth_factor > 1.0,
-                              "eq25_ratio": sched.eq25_ratio,
-                              "eq25_satisfied": sched.eq25_ratio < 1.01 and sched.eq25_ratio > 0}
+        with stage("schedule", timed=False):
+            dn = make_denoiser()
+            sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
+            record["schedule"] = {
+                "ks": list(sched.ks), "epss": list(sched.epss),
+                "t_star": sched.t_star, "eps0": sched.eps0,
+                "gamma": sched.gamma, "c2": sched.c2,
+                "lambda_cap": sched.lambda_cap,
+                "signal_growth_factor": sched.signal_growth_factor,
+                "signal_growth_condition_met": sched.signal_growth_factor > 1.0,
+                "eq25_ratio": sched.eq25_ratio,
+                "eq25_satisfied": sched.eq25_ratio < 1.01 and sched.eq25_ratio > 0}
 
-        stage = "amp"
-        stages_s = record["stages_s"]
-        stages_s.update(amp=0.0, score=0.0, lap=0.0, refine=0.0, select=0.0)
-        exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
-        exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
-        pairs = [("oracle", good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v))]
-        for i in range(cfg.bad_seed_candidates):
-            pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
-                                                   child(streams["corruption"], 100 + i))))
-        t = time.perf_counter()
-        amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
-                               beta_seed=streams["beta"])
-                       for _, seeds in pairs]
-        _split(stages_s, "amp", t)
+        with stage("amp"):
+            exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
+            exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
+            pairs = [("oracle", good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v))]
+            for i in range(cfg.bad_seed_candidates):
+                pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
+                                                       child(streams["corruption"], 100 + i))))
+            amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
+                                   beta_seed=streams["beta"])
+                           for _, seeds in pairs]
         del cp      # the cleaned pair dies once every seed pair has run AMP
 
+        # one record entry per candidate; its permutation is kept for selection
         candidates: list[dict] = []
+        perms: list[np.ndarray] = []
         for (label, seeds), res in zip(pairs, amp_results):
-            t = time.perf_counter()
-            stage = "score"
-            prob = build_scores(res.iterate)
-            t = _split(stages_s, "score", t)
-            stage = "lap"
-            sigma = solve_lap(prob)
-            pi_lap = assemble_pi(seeds, prob, sigma)
-            t = _split(stages_s, "lap", t)
+            with stage("score"):
+                prob = build_scores(res.iterate)
+            with stage("lap"):
+                sigma = solve_lap(prob)
+                pi_lap = assemble_pi(seeds, prob, sigma)
             if cfg.dump_dir:
-                _dump(cfg.dump_dir, label, prob, sigma)
-                t = time.perf_counter()
+                with stage("dump", timed=False):
+                    _dump(cfg.dump_dir, label, prob, sigma)
             del prob    # the n x n score dies before refine builds its table
-            stage = "refine"
-            params = RefineParams.for_run(cfg.rho, cfg.n)
-            trace: list | None = [] if cfg.verbose else None
-            pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params, trace=trace)
-            _split(stages_s, "refine", t)
-            cand = {
+            with stage("refine"):
+                params = RefineParams.for_run(cfg.rho, cfg.n)
+                trace: list | None = [] if cfg.verbose else None
+                pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params, trace=trace)
+            candidates.append({
                 "label": label,
                 "goodness": seeds.goodness,
                 "overlap_lap": overlap(pi_lap, pi_star),
@@ -245,45 +252,36 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 "swaps": info["swaps"],
                 "truncated": info["truncated"],
                 "stopped_reason": res.stopped_reason,
-                "rounds": [asdict(r) for r in res.rounds],
-                "pi": pi_ref,
                 "select_score": info["select_score"],
-            }
+            })
             if trace is not None:
-                cand["swap_trace"] = trace
-            candidates.append(cand)
-        t0 = time.perf_counter()
-        stage = "select"
-        rng_rand = np.random.default_rng(child(streams["corruption"], 999))
-        for i in range(cfg.random_candidates):
-            pi_rand = rng_rand.permutation(cfg.n).astype(np.intp)
-            candidates.append({"label": f"random{i}", "goodness": None,
-                               "overlap_lap": None,
-                               "overlap_refine": overlap(pi_rand, pi_star),
-                               "swaps": 0, "truncated": False,
-                               "stopped_reason": "n/a", "rounds": [],
-                               "pi": pi_rand,
-                               "select_score": selection_score(ind, pi_rand)})
-        # the rule of final_select, on the scores already computed
-        scores = [c["select_score"] for c in candidates]
-        best = int(np.argmax(scores))   # argmax returns the first maximiser
-        pi_final = candidates[best]["pi"]
-        _split(stages_s, "select", t0)
+                candidates[-1]["swap_trace"] = trace
+            perms.append(pi_ref)
+        with stage("select"):
+            rng_rand = np.random.default_rng(child(streams["corruption"], 999))
+            for i in range(cfg.random_candidates):
+                pi_rand = rng_rand.permutation(cfg.n).astype(np.intp)
+                candidates.append({"label": f"random{i}", "goodness": None,
+                                   "overlap_lap": None,
+                                   "overlap_refine": overlap(pi_rand, pi_star),
+                                   "swaps": 0, "truncated": False,
+                                   "stopped_reason": "n/a",
+                                   "select_score": selection_score(ind, pi_rand)})
+                perms.append(pi_rand)
+            # the rule of final_select, on the scores already computed
+            scores = [c["select_score"] for c in candidates]
+            best = int(np.argmax(scores))   # argmax returns the first maximiser
 
-        amp_rounds = candidates[0].get("rounds", [])
-        record["rounds"] = amp_rounds
-        record["candidates"] = [
-            {k: v for k, v in c.items() if k not in ("pi", "rounds")}
-            for c in candidates
-        ]
+        record["rounds"] = [dataclasses.asdict(r) for r in amp_results[0].rounds]
+        record["candidates"] = candidates
         record["final"] = {
             "selected_label": candidates[best]["label"],
-            "overlap_final": overlap(pi_final, pi_star),
+            "overlap_final": overlap(perms[best], pi_star),
             "select_scores": scores,
         }
-        record["assertions"] = _runtime_assertions(amp_rounds, sched)
+        record["assertions"] = _runtime_assertions(record["rounds"], sched)
     except Exception as exc:  # recorded, not raised: callers read status
-        record["status"] = f"failed:{stage}"
+        record["status"] = f"failed:{stage.current}"
         record["exit_code"] = exit_code_for(exc)
         record["error"] = f"{type(exc).__name__}: {exc}"
         record["traceback"] = traceback.format_exc()
@@ -311,15 +309,11 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
         "signal_growth_monotone": None,
     }
     if rounds:
-        errs = [r["xi_ortho_err"] for r in rounds if r.get("xi_ortho_err") is not None]
-        out["xi_phi_orthonormal"] = bool(errs and max(errs) <= 1e-8)
-        diag_ok = []
-        for r in rounds:
-            if r.get("psi_diag_min") is None:
-                continue
-            lo, hi = 0.9 * r["eps_t"], 1.1 * r["eps_t"]
-            diag_ok.append(lo < r["psi_diag_min"] and r["psi_diag_max"] < hi)
-        out["psi_diag_in_window"] = bool(diag_ok) and all(diag_ok)
+        # every logged round built its frame, so it has these three values
+        out["xi_phi_orthonormal"] = max(r["xi_ortho_err"] for r in rounds) <= 1e-8
+        out["psi_diag_in_window"] = all(
+            0.9 * r["eps_t"] < r["psi_diag_min"] and r["psi_diag_max"] < 1.1 * r["eps_t"]
+            for r in rounds)
         accepted = [r["accepted"] for r in rounds if r.get("accepted") is not None]
         out["spectral_window_all_rounds"] = all(accepted) if accepted else None
         lb = [r["eps_lower_bound_ok"] for r in rounds if r.get("eps_lower_bound_ok") is not None]
@@ -367,44 +361,36 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
             "zeroed_corrupted": zeroed_c, "zeroed_clean": zeroed_0}
 
 
-def _sweep_row(args):
-    base, n, rho, eps, strategy, trial, row_idx = args
-    cfg_kw = dict(base.as_dict())
-    cfg_kw.update(n=n, rho=rho, epsilon=eps, strategy=strategy,
-                  master_seed=child(base.master_seed, row_idx),
-                  trials=1, output=None)
-    cfg = RunConfig(**cfg_kw)
-    t0 = time.perf_counter()
-    try:
-        rec = run_pipeline(cfg)
-        cand0 = rec.get("candidates", [{}])[0] if rec["status"] == "ok" else {}
-        resamples = [r["resamples"] for r in rec.get("rounds", [])
-                     if r.get("resamples") is not None]
-        return {
-            "n": n, "rho": rho, "epsilon": eps, "strategy": strategy,
-            "trial": trial, "master_seed": cfg.master_seed,
-            "status": rec["status"],
-            "overlap_lap": cand0.get("overlap_lap"),
-            "overlap_refine": cand0.get("overlap_refine"),
-            "overlap_final": rec.get("final", {}).get("overlap_final"),
-            "cleaning_iters": (rec.get("cleaning", {}).get("iters_a", 0)
-                               + rec.get("cleaning", {}).get("iters_b", 0)),
-            "resamples_mean": float(np.mean(resamples)) if resamples else None,
-            "wall_s": time.perf_counter() - t0,
-            "error": rec.get("error"),
-        }
-    except Exception as exc:  # defensive: run_pipeline should not raise
-        return {"n": n, "rho": rho, "epsilon": eps, "strategy": strategy,
-                "trial": trial, "master_seed": cfg.master_seed,
-                "status": "failed:sweep", "overlap_lap": None,
-                "overlap_refine": None, "overlap_final": None,
-                "cleaning_iters": None, "resamples_mean": None,
-                "wall_s": time.perf_counter() - t0, "error": str(exc)}
-
-
 SWEEP_FIELDS = ["n", "rho", "epsilon", "strategy", "trial", "master_seed",
                 "status", "overlap_lap", "overlap_refine", "overlap_final",
                 "cleaning_iters", "resamples_mean", "wall_s", "error"]
+
+
+def _sweep_row(args):
+    base, n, rho, eps, strategy, trial, row_idx = args
+    cfg = dataclasses.replace(base, n=n, rho=rho, epsilon=eps, strategy=strategy,
+                              master_seed=child(base.master_seed, row_idx),
+                              trials=1, output=None)
+    row = dict.fromkeys(SWEEP_FIELDS)
+    row.update(n=n, rho=rho, epsilon=eps, strategy=strategy, trial=trial,
+               master_seed=cfg.master_seed)
+    t0 = time.perf_counter()
+    try:
+        rec = run_pipeline(cfg)
+        cleaning = rec.get("cleaning", {})
+        resamples = [r["resamples"] for r in rec.get("rounds", [])
+                     if r["resamples"] is not None]
+        row.update(status=rec["status"], error=rec["error"],
+                   cleaning_iters=cleaning.get("iters_a", 0) + cleaning.get("iters_b", 0),
+                   resamples_mean=float(np.mean(resamples)) if resamples else None)
+        if rec["status"] == "ok":
+            row.update(overlap_lap=rec["candidates"][0]["overlap_lap"],
+                       overlap_refine=rec["candidates"][0]["overlap_refine"],
+                       overlap_final=rec["final"]["overlap_final"])
+    except Exception as exc:  # defensive: run_pipeline should not raise
+        row.update(status="failed:sweep", error=str(exc))
+    row["wall_s"] = time.perf_counter() - t0
+    return row
 
 
 def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
@@ -430,10 +416,11 @@ def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
             writer.writeheader()
             writer.writerows(rows)
     if summary_path:
+        by_cell: dict[tuple, list[dict]] = {cell: [] for cell in cells}
+        for r in rows:
+            by_cell[r["n"], r["rho"], r["epsilon"], r["strategy"]].append(r)
         summary = {}
-        for (n, rho, eps, strategy) in cells:
-            cell_rows = [r for r in rows if (r["n"], r["rho"], r["epsilon"],
-                                             r["strategy"]) == (n, rho, eps, strategy)]
+        for (n, rho, eps, strategy), cell_rows in by_cell.items():
             ok = [r for r in cell_rows if r["status"] == "ok"]
             key = f"n={n},rho={rho},eps={eps},strategy={strategy}"
             ovs = [r["overlap_final"] for r in ok if r["overlap_final"] is not None]

@@ -154,7 +154,7 @@ def test_run_amp_min_rounds_zero_stops_at_t_star():
 
 
 def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor,
-                           max_resamples, spectral_mode):
+                           max_resamples):
     """run_amp's loop as it was with amp_round's body written out inline;
     returns (iterate, rounds, stopped_reason)."""
     t_target = max(sched.t_star, min_rounds)
@@ -179,7 +179,7 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
             logs.append(log)
             break
         step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
-                           max_resamples=max_resamples, mode=spectral_mode)
+                           max_resamples=max_resamples)
         log.eps_lower_bound_ok = bool(step.eps_next >= pp_rho * rm.eps_t ** 2 - 1e-12)
         log.resamples = step.resamples
         log.accepted = step.accepted
@@ -192,13 +192,11 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
     return it, logs, stopped
 
 
-@pytest.mark.parametrize("spectral_mode", ["record"])
 @pytest.mark.parametrize("min_rounds", [0, 2])
-def test_run_amp_matches_inline_rounds(min_rounds, spectral_mode):
+def test_run_amp_matches_inline_rounds(min_rounds):
     inst, cp, seeds = clean_setup(120, 0.9, 16)
     sched = build_schedule(0.9, 120, 24, min_rounds=min_rounds)
-    kw = dict(min_rounds=min_rounds, beta_seed=3, xi_factor=12, max_resamples=4,
-              spectral_mode=spectral_mode)
+    kw = dict(min_rounds=min_rounds, beta_seed=3, xi_factor=12, max_resamples=4)
 
     def untimed(rounds):
         return [{k: v for k, v in asdict(r).items() if k != "wall_s"} for r in rounds]

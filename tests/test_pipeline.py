@@ -18,7 +18,7 @@ from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.pipeline import (compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
-from wigmatch.rng import derive_streams
+from wigmatch.rng import child, derive_streams
 
 
 def small_cfg(**kw):
@@ -208,15 +208,11 @@ def test_run_record_determinism():
 
 _TIMELESS_RECORD = """
 import json, sys
+sys.path.insert(0, sys.argv[1])
+from records import strip
 from wigmatch import RunConfig, run_pipeline
 
-def strip(o):
-    if isinstance(o, dict):
-        return {k: strip(v) for k, v in o.items()
-                if k not in ("stages_s", "versions", "wall_s")}
-    return [strip(v) for v in o] if isinstance(o, list) else o
-
-print(json.dumps(strip(run_pipeline(RunConfig(**json.loads(sys.argv[1])).validate()))))
+print(json.dumps(strip(run_pipeline(RunConfig(**json.loads(sys.argv[2])).validate()))))
 """
 
 
@@ -226,11 +222,12 @@ def test_run_record_independent_of_blas_threads():
     cfg = dict(n=1000, rho=0.9, epsilon=0.01, strategy="rank1-spike", k0=24,
                master_seed=101, verbose=True)
     src = os.path.dirname(os.path.dirname(wigmatch.__file__))
+    tools = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
     records = []
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _TIMELESS_RECORD, json.dumps(cfg)],
+        proc = subprocess.run([sys.executable, "-c", _TIMELESS_RECORD, tools, json.dumps(cfg)],
                               env=env, capture_output=True, text=True, timeout=600,
                               check=True)
         records.append(json.loads(proc.stdout))
@@ -267,17 +264,31 @@ def test_run_record_output_failure_is_recorded(tmp_path):
     assert rec["exit_code"] == 2
 
 
-@pytest.mark.parametrize("name, stage", [("build_scores", "score"), ("solve_lap", "lap"),
-                                         ("seeded_refine", "refine")])
-def test_run_record_failure_names_its_stage(monkeypatch, name, stage):
+_STAGES = ["generate", "corrupt", "clean", "schedule", "amp", "score", "lap", "dump",
+           "refine", "select"]
+
+
+@pytest.mark.parametrize("name, stage", [
+    ("generate", "generate"), ("_corrupt_in_place", "corrupt"), ("_clean_owned", "clean"),
+    ("build_schedule", "schedule"), ("run_amp", "amp"), ("build_scores", "score"),
+    ("solve_lap", "lap"), ("_dump", "dump"), ("seeded_refine", "refine"),
+    ("selection_score", "select")])
+def test_run_record_failure_names_its_stage(monkeypatch, tmp_path, name, stage):
+    exc = OSError if stage == "dump" else NumericalError
+
     def fail(*args, **kwargs):
-        raise NumericalError(f"{name} failed")
+        raise exc(f"{name} failed")
 
     monkeypatch.setattr(pipeline, name, fail)
-    rec = run_pipeline(small_cfg())
+    # only a run with a dump directory dumps, and only a random candidate is
+    # scored in the select stage
+    rec = run_pipeline(small_cfg(dump_dir=str(tmp_path / "dumps"), random_candidates=1))
     assert rec["status"] == f"failed:{stage}"
-    assert rec["exit_code"] == 3
-    assert rec["error"] == f"NumericalError: {name} failed"
+    assert rec["exit_code"] == (1 if exc is OSError else 3)
+    assert rec["error"] == f"{exc.__name__}: {name} failed"
+    # stages_s lists the timed stages the run entered, the failing one too
+    entered = _STAGES[:_STAGES.index(stage) + 1]
+    assert list(rec["stages_s"]) == [s for s in entered if s not in ("schedule", "dump")]
 
 
 def test_run_peak_memory_is_bounded():
@@ -338,6 +349,30 @@ def test_run_rss_growth_is_bounded():
         assert out["status"] == "ok"
         growth = out["growth_kb"] * 1024 / (8 * n * n)
         assert growth <= 4.0, f"{strategy}: peak RSS grew by {growth:.2f} n x n matrices"
+
+
+def test_run_cleaning_trace_is_written_with_output(tmp_path, monkeypatch):
+    n = 120
+    out = tmp_path / "run.json"
+    cfg = small_cfg(n=n, epsilon=0.15, strategy="rank1-spike", trace_cleaning=True,
+                    output=str(out))
+    rec = run_pipeline(cfg)
+    assert rec["status"] == "ok"
+    lines = (tmp_path / "run.json.cleaning.jsonl").read_text().splitlines()
+    rows = [json.loads(line) for line in lines]
+    assert rec["cleaning"]["zeroed_a"] and rec["cleaning"]["zeroed_b"]
+    for name in "ab":
+        mine = [r for r in rows if r["matrix"] == name]
+        removed = [r["removed_index"] for r in mine if r["removed_index"] is not None]
+        assert sorted(removed) == rec["cleaning"][f"zeroed_{name}"]
+        assert mine[-1]["top_singular_value"] < 10 * np.sqrt(n)
+    # the trace file is named after the record's, so without one none is written
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    monkeypatch.chdir(bare)
+    cfg.output = None
+    assert run_pipeline(cfg)["status"] == "ok"
+    assert list(bare.iterdir()) == []
 
 
 def test_dump_dir_artifacts(tmp_path):
@@ -432,19 +467,40 @@ def test_sweep_single_cell_matches_run_pipeline():
     base = small_cfg(n=80, min_rounds=0)
     rows = sweep(base, [80], [0.9], [0.02], ["planted-clique-weight"], trials=1)
     assert len(rows) == 1
-    from wigmatch.rng import child
-
     cfg = RunConfig(**{**base.as_dict(),
                        "master_seed": child(base.master_seed, 0), "output": None})
     rec = run_pipeline(cfg)
     assert rows[0]["overlap_final"] == rec["final"]["overlap_final"]
 
 
-def test_sweep_records_partial_failures():
-    base = small_cfg(n=80, min_rounds=0)
-    rows = sweep(base, ns=[80, 10], rhos=[0.9], epsilons=[0.0],
-                 strategies=["zero-out"], trials=1)
-    status = {r["n"]: r["status"] for r in rows}
-    assert status[80] == "ok"
-    assert status[10] != "ok"                     # k0 = 24 >= n fails validation
-    assert len(rows) == 2
+def test_sweep_records_partial_failures(tmp_path, monkeypatch):
+    # every kind of row has every field: an ok row, a row whose run failed
+    # (k0 = 24 >= n fails validation) and a row whose run_pipeline raised
+    base = small_cfg(n=80, min_rounds=1)
+    csv_path = tmp_path / "rows.csv"
+    rows = sweep(base, ns=[80, 10], rhos=[0.9], epsilons=[0.15],
+                 strategies=["rank1-spike"], trials=1, csv_path=csv_path)
+    with open(csv_path, newline="") as fh:
+        assert next(csv.reader(fh)) == pipeline.SWEEP_FIELDS
+
+    def fail(cfg):
+        raise RuntimeError("run_pipeline raised")
+
+    monkeypatch.setattr(pipeline, "run_pipeline", fail)
+    rows += sweep(base, ns=[80], rhos=[0.9], epsilons=[0.15], strategies=["rank1-spike"],
+                  trials=1)
+    assert [list(r) for r in rows] == [pipeline.SWEEP_FIELDS] * 3
+    assert all(r.pop("wall_s") >= 0.0 for r in rows)
+    cell = {"rho": 0.9, "epsilon": 0.15, "strategy": "rank1-spike", "trial": 0}
+    ok, setup, raised = rows
+    assert ok == {"n": 80, **cell, "master_seed": child(7, 0), "status": "ok",
+                  "overlap_lap": 0.3125, "overlap_refine": 0.275, "overlap_final": 0.275,
+                  "cleaning_iters": 2, "resamples_mean": 65.0, "error": None}
+    assert setup.pop("error").startswith("ParameterError")
+    assert setup == {"n": 10, **cell, "master_seed": child(7, 1), "status": "failed:setup",
+                     "overlap_lap": None, "overlap_refine": None, "overlap_final": None,
+                     "cleaning_iters": 0, "resamples_mean": None}
+    assert raised == {"n": 80, **cell, "master_seed": child(7, 0), "status": "failed:sweep",
+                      "overlap_lap": None, "overlap_refine": None, "overlap_final": None,
+                      "cleaning_iters": None, "resamples_mean": None,
+                      "error": "run_pipeline raised"}

@@ -325,11 +325,11 @@ def dense_refine(obs, pi0, params):
     return pi, swaps, stats, ranks, filtered
 
 
-def check_against_dense(obs, pi0, params, selection, min_swaps):
+def check_against_dense(obs, pi0, params, min_swaps):
     """seeded_refine and dense_refine give the same swaps, N values and result;
     returns dense_refine's per-swap ranks and filter count."""
     trace = []
-    out, info = seeded_refine(obs, pi0, 0.9, params, selection=selection, trace=trace)
+    out, info = seeded_refine(obs, pi0, 0.9, params, trace=trace)
     expected, swaps, stats, ranks, filtered = dense_refine(obs, pi0, params)
     assert len(swaps) >= min_swaps
     assert [(t["u"], t["v"]) for t in trace] == swaps
@@ -348,14 +348,13 @@ def shuffled_identity(n, seed):
     return pi0
 
 
-@pytest.mark.parametrize("selection", ["scan-order"])
 @pytest.mark.parametrize("block_rows", [1, 3, refine.SCAN_ROWS])
-def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
+def test_refine_matches_dense_recompute(monkeypatch, block_rows):
     n, rho = 150, 0.9
     inst, obs = clean_obs(n, rho, 203)
     monkeypatch.setattr(refine, "SCAN_ROWS", block_rows)
     ranks, filtered = check_against_dense(obs, shuffled_identity(n, 3),
-                                          RefineParams.for_run(rho, n), selection, 20)
+                                          RefineParams.for_run(rho, n), 20)
     # the case exercises the filter and, below the default block size, a
     # first qualifying pair past the first block of bad rows
     assert filtered == len(ranks)
@@ -363,25 +362,22 @@ def test_refine_matches_dense_recompute(monkeypatch, selection, block_rows):
         assert max(ranks) >= block_rows
 
 
-@pytest.mark.parametrize("selection", ["scan-order"])
 @pytest.mark.parametrize("batch", [1, 3, refine.BATCH_SWAPS])
-def test_refine_matches_dense_recompute_per_batch(monkeypatch, selection, batch):
+def test_refine_matches_dense_recompute_per_batch(monkeypatch, batch):
     # 31 or more swaps: every batch size below the default folds many times
     n, rho = 150, 0.9
     inst, obs = clean_obs(n, rho, 203)
     monkeypatch.setattr(refine, "BATCH_SWAPS", batch)
-    check_against_dense(obs, shuffled_identity(n, 3), RefineParams.for_run(rho, n),
-                        selection, 31)
+    check_against_dense(obs, shuffled_identity(n, 3), RefineParams.for_run(rho, n), 31)
 
 
-@pytest.mark.parametrize("selection", ["scan-order"])
-def test_refine_truncated_within_a_batch_matches_dense_recompute(selection):
+def test_refine_truncated_within_a_batch_matches_dense_recompute():
     # unlimited, the rule makes more than 50 swaps on this case
     n, rho = 200, 0.9
     inst, obs = clean_obs(n, rho, 205)
     params = RefineParams.for_run(rho, n, max_swaps=refine.BATCH_SWAPS + 13)
     assert params.max_swaps % refine.BATCH_SWAPS != 0
-    check_against_dense(obs, shuffled_identity(n, 3), params, selection, params.max_swaps)
+    check_against_dense(obs, shuffled_identity(n, 3), params, params.max_swaps)
 
 
 def test_refine_memory_stays_at_the_table_build():
@@ -517,8 +513,7 @@ def test_indicators_are_bool_and_idempotent():
     assert np.array_equal(again.b_prime, ind.b_prime)
 
 
-@pytest.mark.parametrize("selection", ["scan-order"])
-def test_refine_and_selection_same_on_indicator_pair(selection):
+def test_refine_and_selection_same_on_indicator_pair():
     n = 300
     inst = generate(n, 0.9, "uniform-random", 33)
     obs, _ = corrupt(inst, 0.05, "rank1-spike", 34)
@@ -529,8 +524,8 @@ def test_refine_and_selection_same_on_indicator_pair(selection):
         u, v = rng.integers(n, size=2)
         pi[u], pi[v] = pi[v], pi[u]
     trace_obs, trace_ind = [], []
-    out_obs, info_obs = seeded_refine(obs, pi, 0.9, selection=selection, trace=trace_obs)
-    out_ind, info_ind = seeded_refine(ind, pi, 0.9, selection=selection, trace=trace_ind)
+    out_obs, info_obs = seeded_refine(obs, pi, 0.9, trace=trace_obs)
+    out_ind, info_ind = seeded_refine(ind, pi, 0.9, trace=trace_ind)
     assert info_obs["swaps"] > 0
     assert np.array_equal(out_obs, out_ind)
     assert info_obs == info_ind

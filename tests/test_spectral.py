@@ -207,8 +207,7 @@ def test_sample_beta_deterministic():
     assert np.array_equal(s1.beta, s2.beta)
 
 
-def _reference_sample_beta(rm, xi, k_next, d, rho, seed, max_resamples, mode="record",
-                           validator=None):
+def _reference_sample_beta(rm, xi, k_next, d, rho, seed, max_resamples, validator=None):
     """sample_beta as first written: the window counts are recomputed for
     the best-candidate score after the default acceptance has computed them."""
     if validator is None:
@@ -246,19 +245,17 @@ def _assert_same_step(got, want):
 
 # K = 120 -> 4 accepts after some rejections on some seeds and exhausts
 # 9 draws on others; 24 -> 96 is the desk case, where every draw fails.
-@pytest.mark.parametrize("mode", ["record"])
 @pytest.mark.parametrize("k, k_next, seed", [(120, 4, s) for s in range(8)]
                          + [(24, 96, 0), (24, 96, 5)])
-def test_sample_beta_matches_reference_loop(mode, k, k_next, seed):
+def test_sample_beta_matches_reference_loop(k, k_next, seed):
     rm = initial_round(k, 0.3)
     xi = build_xi(rm)
-    kw = dict(rho=0.8, seed=seed, max_resamples=8, mode=mode)
+    kw = dict(rho=0.8, seed=seed, max_resamples=8)
     want = _reference_sample_beta(rm, xi, k_next, D, **kw)
     _assert_same_step(sample_beta(rm, xi, k_next, D, **kw), want)
 
 
-@pytest.mark.parametrize("mode", ["record"])
-def test_sample_beta_validator_decides_acceptance(mode):
+def test_sample_beta_validator_decides_acceptance():
     # a custom validator overrides the windows in both directions
     rm = initial_round(120, 0.3)
     xi = build_xi(rm)
@@ -272,7 +269,7 @@ def test_sample_beta_validator_decides_acceptance(mode):
         return check
 
     # the windows reject every draw of 120 -> 24 and accept one of 120 -> 4
-    kw = dict(rho=0.8, seed=0, max_resamples=8, mode=mode)
+    kw = dict(rho=0.8, seed=0, max_resamples=8)
     want = _reference_sample_beta(rm, xi, 24, D, validator=every_fourth(), **kw)
     got = sample_beta(rm, xi, 24, D, validator=every_fourth(), **kw)
     assert got.accepted and got.resamples == 3
