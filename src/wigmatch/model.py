@@ -70,6 +70,34 @@ def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
     return m
 
 
+def _permute_in_place(m: np.ndarray, order: np.ndarray) -> None:
+    """Turn the square matrix m into m[order][:, order] in its own buffer,
+    with O(NOISE_ROWS n) scratch: rows move along the cycles of order through
+    one row of scratch, then each block of NOISE_ROWS rows gathers its
+    columns.  Only copies, so the result is the gather's, byte for byte."""
+    n = m.shape[0]
+    order = np.asarray(order, dtype=np.intp)
+    to = order.tolist()
+    row = np.empty(n, dtype=m.dtype)
+    done = np.zeros(n, dtype=bool)
+    for start in range(n):
+        if done[start] or to[start] == start:
+            continue
+        row[:] = m[start]
+        i = start
+        while to[i] != start:
+            m[i] = m[to[i]]
+            done[i] = True
+            i = to[i]
+        m[i] = row
+        done[i] = True
+    block = np.empty((min(NOISE_ROWS, n), n), dtype=m.dtype)
+    for start in range(0, n, NOISE_ROWS):
+        rows = m[start:start + NOISE_ROWS]
+        np.take(rows, order, axis=1, out=block[:len(rows)])
+        rows[...] = block[:len(rows)]
+
+
 def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0) -> CorrelatedInstance:
     """Draw a correlated pair (A, B) with latent permutation pi_star.
 
@@ -93,10 +121,10 @@ def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0)
     c *= math.sqrt(max(0.0, 1.0 - rho * rho))
     for start in range(0, n, NOISE_ROWS):
         c[start:start + NOISE_ROWS] += rho * a[start:start + NOISE_ROWS]
-    # B in image coordinates, B[pi(i), pi(j)] = C[i, j], gathered: B = C[inv][:, inv]
-    inv = np.argsort(pi)
-    b = c[np.ix_(inv, inv)]
-    del c
+    # B in image coordinates, B[pi(i), pi(j)] = C[i, j]: B = C[inv][:, inv],
+    # permuted in C's own buffer, so generate holds two n x n matrices
+    b = c
+    _permute_in_place(b, np.argsort(pi))
     np.fill_diagonal(b, 0.0)
     return CorrelatedInstance(n=n, rho=float(rho), a=a, b=b, pi_star=pi)
 

@@ -6,17 +6,17 @@ every seed pair -> per seed pair score -> LAP -> dump (with --dump-dir) ->
 refine -> select, and emits a schema-versioned RunRecord.  One stage
 context names the stage that a failure records as failed:<stage> and adds
 each stage's wall time to stages_s; schedule and dump are not timed.
-Each stage owns the matrices it replaces, and each n x n matrix dies at
-its last use: Z as it becomes the correlated matrix and that matrix once
-B is gathered from it; A and B as corrupt turns them into A' and B' in
-place; each noise matrix as it becomes its re-injected matrix; A' and B'
-in cleaning, each as soon as its bool indicator is built (refine and
-selection read only the indicators) and before its re-injected matrix is
-cleaned; each AMP sub-matrix after its product; the cleaned pair after
-AMP and each score after its assignment.  generate holds 3 n x n
-float64, corrupt 2 and cleaning at most about 3.25, with the
-certificate's M^T M; the peak, about 3.4 by ru_maxrss, is in AMP: the
-cleaned pair, the indicators and one gathered sub-matrix.
+Each stage owns the matrices it replaces, no stage before the LAP copies
+an n x n matrix, and each dies at its last use.  generate builds the
+correlated matrix in Z's buffer and permutes it into B in place; corrupt
+turns A and B into A' and B' in place; cleaning builds the bool
+indicators (refine and selection read only those), then re-injects noise
+over A' and B' and cleans them in their own buffers; AMP permutes the
+cleaned pair in place for each seed pair and multiplies by views of it;
+the cleaned pair dies after AMP and each score after its assignment.
+generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25;
+the peak, about 2.45 by ru_maxrss, is the LAP: the score, the cost and
+the indicators.  The --trace-cleaning rows are written with the record.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
@@ -37,13 +37,13 @@ import traceback
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .amp import bad_seed_pair, good_seed_pair, run_amp
+from .amp import _arrange_in_place, bad_seed_pair, good_seed_pair, run_amp
 from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import exit_code_for
 from .model import _corrupt_in_place, generate, overlap
-from .preprocess import _clean_owned
+from .preprocess import _clean_owned, _write_trace
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
 
@@ -182,6 +182,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                      "scipy": __import__("scipy").__version__},
     }
     stage = _Stages(record["stages_s"])
+    clean_trace: list | None = [] if cfg.trace_cleaning and cfg.output else None
     try:
         cfg.validate()
         streams = record["stream_seeds"] = derive_streams(cfg.master_seed)
@@ -195,10 +196,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             del inst    # A' and B' are now held by observed alone
 
         with stage("clean"):
-            trace_path = None
-            if cfg.trace_cleaning and cfg.output:
-                trace_path = str(cfg.output) + ".cleaning.jsonl"
-            cp, ind = _clean_owned(observed, streams["noise"], trace_path=trace_path)
+            cp, ind = _clean_owned(observed, streams["noise"], trace=clean_trace)
             record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                                   "iters_a": cp.iters_a, "iters_b": cp.iters_b}
 
@@ -222,10 +220,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for i in range(cfg.bad_seed_candidates):
                 pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
                                                        child(streams["corruption"], 100 + i))))
-            amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
-                                   beta_seed=streams["beta"])
-                           for _, seeds in pairs]
-        del cp      # the cleaned pair dies once every seed pair has run AMP
+            # each seed pair arranges the cleaned pair in place from the
+            # previous one's layout, and AMP reads it as views
+            layout, amp_results = cp, []
+            for _, seeds in pairs:
+                layout = _arrange_in_place(layout, seeds)
+                amp_results.append(run_amp(layout, seeds, sched, dn,
+                                           min_rounds=cfg.min_rounds, beta_seed=streams["beta"]))
+        del cp, layout      # the cleaned pair dies once every seed pair has run AMP
 
         # one record entry per candidate; its permutation is kept for selection
         candidates: list[dict] = []
@@ -290,6 +292,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         validate_record(record)
     if cfg.output:
         try:
+            if clean_trace:
+                _write_trace(str(cfg.output) + ".cleaning.jsonl", clean_trace)
             with open(cfg.output, "w") as fh:
                 json.dump(record, fh, indent=2)
         except OSError as exc:  # an earlier failure keeps its own status
@@ -349,9 +353,9 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
     kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"])
-    res_c = run_amp(cp_c, seeds, sched, dn, **kw)
+    res_c = run_amp(_arrange_in_place(cp_c, seeds), seeds, sched, dn, **kw)
     del cp_c
-    res_0 = run_amp(cp_0, seeds, sched, dn, **kw)
+    res_0 = run_amp(_arrange_in_place(cp_0, seeds), seeds, sched, dn, **kw)
     del cp_0
     h_c, h_0 = res_c.iterate.h, res_0.iterate.h
     denom = float(np.linalg.norm(h_0))

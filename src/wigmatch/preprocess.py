@@ -14,9 +14,10 @@ every n.
 
 Power iteration proves the last step only slowly when no spike is left:
 the top of the spectrum has no gap.  Such a solve tries, once, a ladder of
-two Schatten-norm bounds on sigma_1.  With P = M^T M formed, the Schatten-4
-norm S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2) costs one more pass; only
-when it does not certify is P P formed, by row blocks, for the Schatten-8
+two Schatten-norm bounds on sigma_1.  The Schatten-4 norm
+S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M, is summed over the
+blocks of P on and above its diagonal, so P is never held whole; only when
+it does not certify is P formed, and P P by row blocks, for the Schatten-8
 norm S8 = ||P P||_F^(1/4), and S4 >= S8 >= sigma_1.  When the bound lies
 below the threshold the loop stops there.  Power iteration's estimate never
 exceeds sigma_1, so the uncertified loop would have stopped at the same
@@ -43,7 +44,7 @@ CERTIFY_AFTER = 40
 # The bound certifies only below threshold * (1 - CERTIFY_MARGIN), far
 # outside its rounding error.
 CERTIFY_MARGIN = 1e-9
-# Rows of M^T M per block of the product (M^T M)^2.
+# Rows of M^T M per block of its sum of squares and of the product (M^T M)^2.
 BOUND_ROWS = 256
 
 
@@ -100,16 +101,46 @@ def _reinject(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return noise
 
 
+def _reinject_in_place(m: np.ndarray, rng: np.random.Generator) -> None:
+    """Overwrite the float matrix m with its re-injected matrix, equal byte
+    for byte to _reinject(m, _symmetric_standard_normal(n, rng)).  Each
+    NOISE_ROWS block of G is drawn as _symmetric_standard_normal draws it,
+    its upper triangle only, and applied with the same two roundings: to the
+    block's rows as (m - g) / sqrt(2) and to the mirrored columns below the
+    diagonal as (m + g) / sqrt(2).  The diagonal becomes zero."""
+    cols = np.arange(m.shape[0])
+    for start in range(0, m.shape[0], NOISE_ROWS):
+        rows = slice(start, start + NOISE_ROWS)
+        upper = cols[rows, None] < cols
+        g = np.zeros(upper.shape)
+        g[upper] = rng.standard_normal(int(np.count_nonzero(upper)))
+        for block, op in ((m[rows], np.subtract), (m.T[rows], np.add)):
+            op(block, g, out=block, where=upper)
+            np.divide(block, math.sqrt(2.0), out=block, where=upper)
+    np.fill_diagonal(m, 0.0)
+
+
 def certificate(m: np.ndarray, below: float) -> tuple[str, float]:
     """The first rung of the ladder S4 >= S8 >= sigma_1 that certifies
     sigma_1 < below, as ("S4", S4) or ("S8", S8); ("S8", S8) also when
-    neither does.  S4 = ||M^T M||_F^(1/2) is read off P = M^T M, and P P is
-    formed only when S4 fails."""
-    p = m.T @ m
-    s4 = math.sqrt(math.sqrt(float(np.vdot(p, p))))
+    neither does.  P = M^T M is formed only when S4 fails."""
+    s4 = _schatten4(m)
     if certifies(s4, below):
         return "S4", s4
-    return "S8", _schatten8(p)
+    return "S8", _schatten8(m.T @ m)
+
+
+def _schatten4(m: np.ndarray) -> float:
+    """||M^T M||_F^(1/2), summed over BOUND_ROWS column blocks of M: each
+    block's diagonal block of P = M^T M once and the blocks right of it
+    twice, so no more than a BOUND_ROWS x n block of P is held."""
+    total = 0.0
+    for start in range(0, m.shape[1], BOUND_ROWS):
+        left = m[:, start:start + BOUND_ROWS]
+        diag = left.T @ left
+        right = left.T @ m[:, start + BOUND_ROWS:]
+        total += float(np.vdot(diag, diag)) + 2.0 * float(np.vdot(right, right))
+    return math.sqrt(math.sqrt(total))
 
 
 def _schatten8(p: np.ndarray) -> float:
@@ -237,39 +268,49 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
                trace_path=None) -> CleanedPair:
     """Re-inject noise, then clean both matrices independently.
 
-    One matrix at a time: G is drawn and hatA' built in its buffer, and
-    hatA' is cleaned in place before H is drawn.  The noise stream is read
-    G then H, as in reinject_noise, so the result equals spectral_clean on
-    each output of reinject_noise(obs, child(seed, 0)).  obs is left
-    unchanged.
+    obs is copied, so it is left unchanged, and each copy becomes its
+    cleaned matrix in its own buffer (see _clean_owned).  The noise stream
+    is read G then H, as in reinject_noise, so the result equals
+    spectral_clean on each output of reinject_noise(obs, child(seed, 0)).
+    With trace_path, every solve's trace row is written there, one JSON
+    object per line with "matrix" "a" or "b".
     """
-    return _clean_owned([obs.a_prime, obs.b_prime], seed, threshold_mult, trace_path)[0]
+    trace: list | None = [] if trace_path else None
+    observed = [np.array(obs.a_prime, dtype=float), np.array(obs.b_prime, dtype=float)]
+    cp = _clean_owned(observed, seed, threshold_mult, trace)[0]
+    if trace_path:
+        _write_trace(trace_path, trace)
+    return cp
+
+
+def _write_trace(path, rows: list) -> None:
+    """Write cleaning trace rows, one JSON object per line."""
+    with open(path, "w") as fh:
+        for row in rows:
+            fh.write(json.dumps(row) + "\n")
 
 
 def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
-                 trace_path=None) -> tuple[CleanedPair, ObservedPair]:
-    """clean_pair on observed = [A', B'], which the list hands over: it is
-    emptied, so a matrix the caller holds no other reference to dies as soon
-    as its indicator x >= 1 is built, before its re-injected matrix is
-    cleaned.  Returns the cleaned pair and the bool pair (A' >= 1, B' >= 1),
-    which is all that refinement and selection read of A' and B'."""
+                 trace: list | None = None) -> tuple[CleanedPair, ObservedPair]:
+    """clean_pair on observed = [A', B'], float matrices which the list hands
+    over: it is emptied, and one matrix at a time, its indicator x >= 1 is
+    built, the noise is re-injected over it in place (G for A', then H for
+    B') and it is cleaned in place, so cleaning holds no n x n matrix beyond
+    the pair.  Returns the cleaned pair and the bool pair (A' >= 1, B' >= 1),
+    which is all that refinement and selection read of A' and B'.  With
+    `trace` a list, every solve's trace row is appended to it, with
+    "matrix" "a" or "b"."""
     rng = _noise_stream(observed[0], observed[1], child(seed, 0))
-    n = observed[0].shape[0]
-    cleaned, zeroed, indicators, traces = [], [], [], []
-    for side in (1, 2):
+    cleaned, zeroed, indicators = [], [], []
+    for side, name in ((1, "a"), (2, "b")):
         m = observed.pop(0)
-        hat = _reinject(m, _symmetric_standard_normal(n, rng))
         indicators.append(m >= 1.0)
-        del m
-        trace: list | None = [] if trace_path else None
-        zeroed.append(_clean_in_place(hat, threshold_mult, child(seed, side), trace))
-        cleaned.append(hat)
-        traces.append(trace)
-    if trace_path:
-        with open(trace_path, "w") as fh:
-            for name, tr in zip("ab", traces):
-                for row in tr:
-                    fh.write(json.dumps({"matrix": name, **row}) + "\n")
+        _reinject_in_place(m, rng)
+        rows: list | None = [] if trace is not None else None
+        zeroed.append(_clean_in_place(m, threshold_mult, child(seed, side), rows))
+        cleaned.append(m)
+        if trace is not None:
+            trace.extend({"matrix": name, **row} for row in rows)
     s, t = zeroed
     cp = CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=s, t=t,
                      iters_a=len(s), iters_b=len(t))

@@ -6,8 +6,8 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wigmatch.amp import (AmpIterate, RoundLog, SeedPair, amp_round, bad_seed_pair,
-                          good_seed_pair, init_iterate, linear_step, run_amp)
+from wigmatch.amp import (AmpIterate, RoundLog, SeedPair, _arrange_in_place, amp_round,
+                          bad_seed_pair, good_seed_pair, init_iterate, linear_step, run_amp)
 from wigmatch.denoiser import build_schedule, make_denoiser, phi_second_deriv_at_zero
 from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.model import corrupt, generate
@@ -242,6 +242,41 @@ def test_linear_step_equals_products_on_pre_gathered_sub_matrices():
                                (nxt, xi1, linear_step(nxt, cp, xi1))):
         assert h.tobytes() == (a_sub @ (cur.f @ frame) / math.sqrt(n)).tobytes()
         assert l.tobytes() == (b_sub @ (cur.g @ frame) / math.sqrt(n)).tobytes()
+
+
+@pytest.mark.parametrize("k0", [12, 24])
+def test_amp_on_the_arranged_pair_equals_the_gathered_products(k0):
+    # the run arranges the cleaned pair in place for each seed pair, the
+    # second from the first one's layout, and multiplies by views with
+    # lda = n; the inline rounds gather each sub-matrix from the unarranged
+    # pair, and run_amp on a CleanedPair leaves it unchanged
+    n = 150
+    inst, cp, _ = clean_setup(n, 0.9, 21, k0=k0)
+    oracle = good_seed_pair(inst.pi_star, k0, exclude_u=[0, 2, 5], exclude_v=[inst.pi_star[7]])
+    pairs = [oracle, bad_seed_pair(inst.pi_star, k0, seed=4)]
+    assert not np.array_equal(pairs[0].u_seq, pairs[1].u_seq)
+    assert not np.array_equal(np.sort(pairs[0].v_seq), np.sort(pairs[1].v_seq))
+    kw = dict(min_rounds=2, beta_seed=3, xi_factor=12, max_resamples=4)
+    sched = build_schedule(0.9, n, k0, min_rounds=2)
+    a, b = cp.a_clean.copy(), cp.b_clean.copy()
+    layout = type(cp)(a, b, cp.s, cp.t, cp.iters_a, cp.iters_b)
+    for seeds in pairs:
+        want, _, _ = _run_amp_inline_rounds(cp, seeds, sched, D, **kw)
+        public = run_amp(cp, seeds, sched, D, **kw).iterate
+        layout = _arrange_in_place(layout, seeds)
+        assert layout.a_clean is a and layout.b_clean is b
+        got = run_amp(layout, seeds, sched, D, **kw).iterate
+        for name in ("f", "g", "h", "l", "rows_i", "rows_j"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+            assert np.array_equal(getattr(public, name), getattr(want, name)), name
+    # undoing the last arrangement gives back cp, which run_amp left unchanged
+    for arranged, order, original in ((a, layout.order_a, cp.a_clean),
+                                      (b, layout.order_b, cp.b_clean)):
+        back = np.argsort(order)
+        assert np.array_equal(arranged[np.ix_(back, back)], original)
+    # a pair arranged for other seeds is refused
+    with pytest.raises(ParameterError, match="not arranged"):
+        run_amp(layout, oracle, sched, D, **kw)
 
 
 def test_run_amp_deterministic():

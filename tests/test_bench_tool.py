@@ -87,3 +87,45 @@ def test_compare_reports_a_metric_without_finished_runs():
     peak, matched = bench.compare(SPEC, a, b)[1:]
     assert peak.split()[2:] == ["no", "finished", "run"]
     assert matched.split()[4:] == ["+0.0%", "+0.00", "no"]
+
+
+def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):
+    this, other = tmp_path / "this", tmp_path / "other"
+    this.mkdir()
+    other.mkdir()
+    (this / "BENCHMARK.json").write_text(
+        json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}]}))
+    commits = {str(this): ("fedcba9876543210", " M src/x.py"),
+               str(other): ("0123456789abcdef", "")}
+    calls = []
+
+    def fake_git(root, *args):
+        commit, status = commits[root]
+        return status if args[0] == "status" else commit
+
+    def fake_run(root, workload, seconds):
+        calls.append((root, workload))
+        peak = 300.0 if root == str(this) else 320.0
+        result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
+                  "metrics": {"peak_rss_mb": {"value": peak + len(calls)},
+                              "matched_lap": {"value": 26}}}
+        return {"blas_threads": 2}, result
+
+    monkeypatch.setattr(bench, "ROOT", str(this))
+    monkeypatch.setattr(bench, "_git", fake_git)
+    monkeypatch.setattr(bench, "_run", fake_run)
+    assert bench.main(["--against", str(other)]) == 0
+    # each workload runs once in each checkout per repeat, the other
+    # checkout first on the first and third repeat
+    t, o = str(this), str(other)
+    assert calls == [(o, "w"), (t, "w"), (o, "v"), (t, "v"),
+                     (t, "w"), (o, "w"), (t, "v"), (o, "v"),
+                     (o, "w"), (t, "w"), (o, "v"), (t, "v")]
+    mine = json.loads((this / "BENCH_fedcba9-dirty.json").read_text())
+    theirs = json.loads((this / "BENCH_0123456.json").read_text())
+    assert (mine["commit"], mine["dirty"]) == ("fedcba9876543210", True)
+    assert (theirs["commit"], theirs["dirty"]) == ("0123456789abcdef", False)
+    assert mine["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [302.0, 305.0, 310.0]
+    assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [321.0, 326.0, 329.0]
+    assert theirs["workloads"]["v"]["exit_codes"] == [0, 0, 0]
+    assert not list(other.iterdir())

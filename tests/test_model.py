@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from wigmatch.errors import ParameterError
-from wigmatch.model import (_corrupt_in_place, _symmetric_standard_normal, corrupt, generate,
-                            overlap)
+from wigmatch.model import (_corrupt_in_place, _permute_in_place, _symmetric_standard_normal,
+                            corrupt, generate, overlap)
 from wigmatch.rng import generator
 
 
@@ -106,6 +106,29 @@ def test_generate_matches_scatter_formula(n, pi_mode, rho):
     inst = generate(n, rho, pi_mode, 31)
     for got, want in zip((inst.a, inst.b, inst.pi_star), scatter_generate(n, rho, pi_mode, 31)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, kind", [(1, "random"), (64, "random"), (200, "random"),
+                                     (200, "identity"), (129, "one-cycle"),
+                                     (130, "fixed-points")])
+def test_permute_in_place_equals_the_gather(n, kind):
+    # rows move along cycles, columns by NOISE_ROWS blocks; 129, 130 and 200
+    # end in a partial block, and the one long cycle moves every row once
+    rng = np.random.default_rng(n)
+    idx = np.arange(n)
+    if kind == "random":
+        order = rng.permutation(n)
+    elif kind == "identity":
+        order = idx
+    elif kind == "one-cycle":
+        order = np.roll(idx, 1)
+    else:                           # every third vertex stays, the rest are shuffled
+        order = idx.copy()
+        order[idx % 3 != 0] = rng.permutation(idx[idx % 3 != 0])
+    m = rng.standard_normal((n, n))
+    want = m[np.ix_(order, order)]
+    _permute_in_place(m, order)
+    assert m.tobytes() == want.tobytes()
 
 
 def test_generate_validation():

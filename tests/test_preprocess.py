@@ -8,10 +8,10 @@ import pytest
 
 from wigmatch import preprocess
 from wigmatch.errors import NumericalError
-from wigmatch.model import STRATEGIES, ObservedPair, corrupt, generate
-from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _singular_triple, certificate,
-                                 clean_pair, leading_singular_triple, reinject_noise,
-                                 spectral_clean)
+from wigmatch.model import STRATEGIES, ObservedPair, _symmetric_standard_normal, corrupt, generate
+from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _reinject, _reinject_in_place,
+                                 _singular_triple, certificate, clean_pair,
+                                 leading_singular_triple, reinject_noise, spectral_clean)
 from wigmatch.rng import child, generator
 
 
@@ -87,6 +87,21 @@ def test_reinjection_is_byte_stable(n):
         ref = (m + sgn * noise) / math.sqrt(2.0)
         np.fill_diagonal(ref, 0.0)
         assert hat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
+def test_reinjection_in_place_equals_drawn_noise(n):
+    # cleaning re-injects over A' block by block; the bytes and the noise
+    # stream's position afterwards are those of drawing G whole
+    m = goe(n, 60 + n) if n > 1 else np.zeros((1, 1))
+    m[::7] += 2.5                   # the rows are not symmetric to the columns
+    rng = generator(n)
+    want = _reinject(m, _symmetric_standard_normal(n, rng))
+    tail = rng.standard_normal(3)
+    rng = generator(n)
+    _reinject_in_place(m, rng)
+    assert m.tobytes() == want.tobytes()
+    assert np.array_equal(rng.standard_normal(3), tail)
 
 
 # ------------------------------------------------------- singular triple
@@ -403,6 +418,18 @@ def test_schatten8_bound_value(monkeypatch, block_rows):
     got = preprocess._schatten8(m.T @ m)
     assert got == pytest.approx(float(np.sum(s ** 8) ** 0.125), rel=1e-12)
     assert preprocess._schatten8(np.zeros((5, 5))) == 0.0
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+@pytest.mark.parametrize("n", [5, 300])
+def test_blocked_schatten4_equals_the_full_product(monkeypatch, block_rows, n):
+    # S4 sums the blocks of P = M^T M on and above the diagonal, those above
+    # it twice; M is not symmetric, so P is not M M^T
+    monkeypatch.setattr(preprocess, "BOUND_ROWS", block_rows)
+    m = np.random.default_rng(n).standard_normal((n, n)) + 0.5
+    p = m.T @ m
+    want = float(np.vdot(p, p)) ** 0.25
+    assert preprocess._schatten4(m) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("below, expected", [(300.0, ("S4", 240.0)), (160.0, ("S8", 120.0)),

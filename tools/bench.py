@@ -1,6 +1,7 @@
 """Repeated benchmark runs of one checkout, and a comparison of two of them.
 
     python3 tools/bench.py                 # writes BENCH_<short-sha>.json
+    python3 tools/bench.py --against DIR   # and DIR's BENCH file, run by run
     python3 tools/bench.py --compare BENCH_A.json BENCH_B.json
 
 Run from any directory; the checkout is the one this file lies in.  The
@@ -16,6 +17,13 @@ correct and keeps its exit code; the statistics are over the runs that
 finished (null if none), and the file is still written.  It also records
 the commit, the BLAS thread count, the CPU count and the 1-minute load
 average at the start.  The exit code is 1 unless every run was correct.
+
+--against DIR does the same in this checkout and in the checkout DIR (for
+example a clone of the parent commit), alternating the two run by run: for
+each workload and repeat, one run in each, DIR's first on odd repeats and
+this checkout's first on even ones.  Both BENCH files are written at this
+repository's root, so that a pair made under the same load of the machine
+can be committed together.
 
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
@@ -37,17 +45,17 @@ REPEATS = 3
 SEED = 1
 
 
-def _git(*args: str) -> str:
-    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True,
+def _git(root: str, *args: str) -> str:
+    return subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
                           check=True).stdout.strip()
 
 
-def _run(workload: str, seconds: float) -> tuple[dict | None, dict]:
-    """One benchmark run: its settings line (None if it did not finish) and
-    its result line, with the run's exit code added."""
+def _run(root: str, workload: str, seconds: float) -> tuple[dict | None, dict]:
+    """One benchmark run in the checkout root: its settings line (None if it
+    did not finish) and its result line, with the run's exit code added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
-                          cwd=ROOT, capture_output=True, text=True)
+                          cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
         return None, {"correct": False, "attempted": 0, "failed": 0,
@@ -66,22 +74,32 @@ def summarize(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def bench(spec: dict) -> dict:
-    """Run every workload REPEATS times, interleaved, and summarize."""
+def bench(spec: dict, roots: list[str]) -> list[dict]:
+    """Run every workload REPEATS times in each checkout of roots,
+    interleaved: the workloads in turn and, for each, the checkouts one
+    after the other, the first of them alternating from repeat to repeat.
+    Returns one summary per checkout."""
     load_1min = os.getloadavg()[0]
     names = [w["name"] for w in spec["workloads"]]
-    runs: dict[str, list[dict]] = {name: [] for name in names}
-    blas_threads = set()
+    runs = {root: {name: [] for name in names} for root in roots}
+    blas_threads: dict[str, set] = {root: set() for root in roots}
     for rep in range(REPEATS):
         for name in names:
-            settings, result = _run(name, spec["run_seconds"])
-            if settings is not None:
-                blas_threads.add(settings["blas_threads"])
-            runs[name].append(result)
-            print(f"bench: {name} run {rep + 1}/{REPEATS}: correct={result['correct']} "
-                  f"failed={result['failed']} exit_code={result['exit_code']}",
-                  file=sys.stderr)
-    dirty = bool(_git("status", "--porcelain", "--untracked-files=no"))
+            for root in (roots if rep % 2 == 0 else roots[::-1]):
+                settings, result = _run(root, name, spec["run_seconds"])
+                if settings is not None:
+                    blas_threads[root].add(settings["blas_threads"])
+                runs[root][name].append(result)
+                print(f"bench: {root} {name} run {rep + 1}/{REPEATS}: "
+                      f"correct={result['correct']} failed={result['failed']} "
+                      f"exit_code={result['exit_code']}", file=sys.stderr)
+    return [_summary(spec, root, runs[root], blas_threads[root], load_1min) for root in roots]
+
+
+def _summary(spec: dict, root: str, runs: dict[str, list[dict]], blas_threads: set,
+             load_1min: float) -> dict:
+    """The BENCH file of one checkout's runs."""
+    dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
     workloads = {}
     for name, results in runs.items():
         finished = [r for r in results if r["exit_code"] == 0]
@@ -93,7 +111,7 @@ def bench(spec: dict) -> dict:
                            "failed": sum(r["failed"] for r in results),
                            "exit_codes": [r["exit_code"] for r in results],
                            "metrics": metrics}
-    return {"commit": _git("rev-parse", "HEAD"), "dirty": dirty, "seed": SEED,
+    return {"commit": _git(root, "rev-parse", "HEAD"), "dirty": dirty, "seed": SEED,
             "repeats": REPEATS, "blas_threads": sorted(blas_threads),
             "cpu_count": os.cpu_count(), "load_1min_at_start": load_1min,
             "workloads": workloads}
@@ -126,6 +144,8 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
+    ap.add_argument("--against", metavar="DIR",
+                    help="another checkout to run alternately with this one")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -136,14 +156,17 @@ def main(argv=None) -> int:
                 files.append(json.load(fh))
         print("\n".join(compare(spec, *files)))
         return 0
-    out = bench(spec)
-    suffix = "-dirty" if out["dirty"] else ""
-    path = os.path.join(ROOT, f"BENCH_{out['commit'][:7]}{suffix}.json")
-    with open(path, "w") as fh:
-        json.dump(out, fh, indent=1)
-        fh.write("\n")
-    print(path)
-    return 0 if all(w["correct"] and not w["failed"] for w in out["workloads"].values()) else 1
+    roots = [os.path.abspath(args.against), ROOT] if args.against else [ROOT]
+    outs = bench(spec, roots)
+    for out in outs:
+        suffix = "-dirty" if out["dirty"] else ""
+        path = os.path.join(ROOT, f"BENCH_{out['commit'][:7]}{suffix}.json")
+        with open(path, "w") as fh:
+            json.dump(out, fh, indent=1)
+            fh.write("\n")
+        print(path)
+    return 0 if all(w["correct"] and not w["failed"]
+                    for out in outs for w in out["workloads"].values()) else 1
 
 
 if __name__ == "__main__":
