@@ -21,8 +21,7 @@ from .errors import (NumericalError, ParameterError, ScheduleError,
 from .model import (CorrelatedInstance, CorruptionPlan, ObservedPair, corrupt,
                     generate, overlap)
 from .pipeline import compare_clean_corrupted, run_pipeline, sweep, validate_record
-from .preprocess import (CleanedPair, clean_pair, leading_singular_triple,
-                         reinject_noise, spectral_clean)
+from .preprocess import CleanedPair, clean_pair, reinject_noise, spectral_clean
 from .refine import (RefineParams, compute_alpha, compute_psi, final_select,
                      neighborhood_stat, seeded_refine, selection_score)
 from .spectral import (RoundMatrices, SpectralStep, build_xi, initial_round,

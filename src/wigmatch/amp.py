@@ -7,20 +7,21 @@ cleaned matrices and one entrywise denoiser step:
     f' = varphi(h beta),               g' = varphi(l beta)
 
 with A_sub, B_sub the cleaned matrices restricted to the non-seed rows and
-columns; run_amp reads them as views of a pair arranged for the seed pair
-(see ArrangedPair).  There is no Onsager correction; the frame
-construction makes the cross-round correlation negligible.  A round whose
-frame cannot be built ends the loop as a recorded spectral stop, and a
-round whose beta draws all fail the eigenvalue windows goes on with the
-best draw, recorded as not accepted; a run is never ended by the spectral
-subroutine.
+columns.  The run reads them as views of a pair arranged in place for the
+seed pair (see ArrangedPair); from a CleanedPair, left unchanged, each
+product gathers its sub-matrix, and the bytes are the same.  There is no
+Onsager correction; the frame construction makes the cross-round
+correlation negligible.  A round whose frame cannot be built ends the
+loop as a recorded spectral stop, and a round whose beta draws all fail
+the eigenvalue windows goes on with the best draw, recorded as not
+accepted; a run is never ended by the spectral subroutine.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -57,6 +58,8 @@ def good_seed_pair(pi_star: np.ndarray, k0: int, exclude_u=(), exclude_v=()) -> 
     exclude_u is Q union S, exclude_v is R union T.  Deterministic given the
     instance and corruption, so runs replay exactly.
     """
+    if k0 < 1:
+        raise ParameterError(f"a seed pair needs k0 >= 1, got k0={k0}")
     bad_u = set(int(i) for i in exclude_u)
     bad_v = set(int(i) for i in exclude_v)
     us = []
@@ -80,6 +83,8 @@ def bad_seed_pair(pi_star: np.ndarray, k0: int, seed: int) -> SeedPair:
     include corrupted or zeroed vertices.  The images pi_star(u) are
     permuted by a random derangement drawn from seed.
     """
+    if k0 < 2:
+        raise ParameterError(f"a bad seed pair needs k0 >= 2 to derange, got k0={k0}")
     good = good_seed_pair(pi_star, k0)
     rng = np.random.default_rng(seed)
     v = good.v_seq.copy()
@@ -193,14 +198,12 @@ def linear_step(it: AmpIterate, cp: CleanedPair | ArrangedPair, xi: np.ndarray):
     gathered inside its product and freed before the next.  BLAS computes
     the same bytes from either operand."""
     m = it.rows_i.size
-    if isinstance(cp, ArrangedPair):
-        a_sub, b_sub = cp.a_clean[:m, :m], cp.b_clean[:m, :m]
-    else:
-        a_sub = cp.a_clean[np.ix_(it.rows_i, it.rows_i)]
-        b_sub = cp.b_clean[np.ix_(it.rows_j, it.rows_j)]
-    h = a_sub @ (it.f @ xi) / math.sqrt(cp.n)
-    del a_sub
-    l = b_sub @ (it.g @ xi) / math.sqrt(cp.n)
+
+    def sub(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return mat[:m, :m] if isinstance(cp, ArrangedPair) else mat[np.ix_(rows, rows)]
+
+    h = sub(cp.a_clean, it.rows_i) @ (it.f @ xi) / math.sqrt(cp.n)
+    l = sub(cp.b_clean, it.rows_j) @ (it.g @ xi) / math.sqrt(cp.n)
     if not (np.isfinite(h).all() and np.isfinite(l).all()):
         raise NumericalError(f"non-finite values in the linear step at round {it.t}")
     return h, l
@@ -223,16 +226,13 @@ def run_amp(cp: CleanedPair | ArrangedPair, seeds: SeedPair, sched: Schedule, d:
     assignment stage.  A round whose frame cannot be built stops the loop
     gracefully with the stop recorded, and a round whose beta draws all fail
     keeps the best one with the violation recorded.  spectral_mode accepts
-    only "record", the one policy.  Every product reads the pair arranged
-    for seeds: a CleanedPair is left unchanged and AMP runs on a copy
-    arranged in place; an ArrangedPair must be arranged for seeds and is
-    read in place.
+    only "record", the one policy.  An ArrangedPair must be arranged for
+    seeds, and its sub-matrices are read as views (the run's path); from a
+    CleanedPair, which is left unchanged, each product gathers its
+    sub-matrix, one at a time, and gives the same bytes.
     """
     if spectral_mode != "record":
         raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
-    if not isinstance(cp, ArrangedPair):
-        cp = _arrange_in_place(replace(cp, a_clean=cp.a_clean.copy(),
-                                       b_clean=cp.b_clean.copy()), seeds)
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)

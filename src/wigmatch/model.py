@@ -57,16 +57,34 @@ class ObservedPair:
         return ObservedPair(self.a_prime >= 1.0, self.b_prime >= 1.0)
 
 
-def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Symmetric matrix, zero diagonal, one N(0,1) draw per unordered pair:
-    the upper triangle in row-major order, one draw per NOISE_ROWS rows."""
-    m = np.zeros((n, n))
+def _row_blocks(n: int):
+    """The noise matrices' blocks of NOISE_ROWS rows: (rows, upper), the row
+    slice and the bool mask of the block's entries above the diagonal."""
     cols = np.arange(n)
     for start in range(0, n, NOISE_ROWS):
-        upper = cols[start:start + NOISE_ROWS, None] < cols
-        vals = rng.standard_normal(int(np.count_nonzero(upper)))
-        m[start:start + NOISE_ROWS][upper] = vals
-        m.T[start:start + NOISE_ROWS][upper] = vals
+        rows = slice(start, start + NOISE_ROWS)
+        yield rows, cols[rows, None] < cols
+
+
+def _noise_blocks(n: int, rng: np.random.Generator):
+    """The noise format: a symmetric n x n matrix with zero diagonal and one
+    N(0,1) draw per unordered pair, drawn above the diagonal in row-major
+    order with one standard_normal call per block of _row_blocks(n).
+    Yields (rows, upper, g): g[upper] holds the block's draws, and g is read
+    only there, since one buffer holds every block in turn."""
+    buffer = np.empty((min(NOISE_ROWS, n), n))
+    for rows, upper in _row_blocks(n):
+        g = buffer[:upper.shape[0]]
+        g[upper] = rng.standard_normal(int(np.count_nonzero(upper)))
+        yield rows, upper, g
+
+
+def _symmetric_standard_normal(n: int, rng: np.random.Generator) -> np.ndarray:
+    """The matrix of _noise_blocks(n, rng), whole."""
+    m = np.zeros((n, n))
+    for rows, upper, g in _noise_blocks(n, rng):
+        np.copyto(m[rows], g, where=upper)
+        np.copyto(m.T[rows], g, where=upper)
     return m
 
 

@@ -11,12 +11,13 @@ an n x n matrix, and each dies at its last use.  generate builds the
 correlated matrix in Z's buffer and permutes it into B in place; corrupt
 turns A and B into A' and B' in place; cleaning builds the bool
 indicators (refine and selection read only those), then re-injects noise
-over A' and B' and cleans them in their own buffers; AMP permutes the
-cleaned pair in place for each seed pair and multiplies by views of it;
-the cleaned pair dies after AMP and each score after its assignment.
+over A' and B', each block of noise rows as it is drawn, and cleans them
+in their own buffers; AMP permutes the cleaned pair in place for each
+seed pair and multiplies by views of it; the cleaned pair dies after AMP and each score after its assignment.
 generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25;
 the peak, about 2.45 by ru_maxrss, is the LAP: the score, the cost and
-the indicators.  The --trace-cleaning rows are written with the record.
+the indicators.  run_pipeline is the one writer of the --trace-cleaning
+rows, to <output>.cleaning.jsonl just before the record.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
@@ -43,7 +44,7 @@ from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import exit_code_for
 from .model import _corrupt_in_place, generate, overlap
-from .preprocess import _clean_owned, _write_trace
+from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
 
@@ -293,7 +294,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
     if cfg.output:
         try:
             if clean_trace:
-                _write_trace(str(cfg.output) + ".cleaning.jsonl", clean_trace)
+                with open(str(cfg.output) + ".cleaning.jsonl", "w") as fh:
+                    fh.writelines(json.dumps(row) + "\n" for row in clean_trace)
             with open(cfg.output, "w") as fh:
                 json.dump(record, fh, indent=2)
         except OSError as exc:  # an earlier failure keeps its own status

@@ -7,10 +7,12 @@ with opposite signs above and below the diagonal:
     hatA[i, j] = (A'[i, j] - G[i, j]) / sqrt(2)   for i < j
 
 which halves the pair correlation and makes all entries i.i.d. N(0, 1)
-again.  Cleaning then repeatedly zeroes a row/column sampled from the
-leading singular vectors' mass until the operator norm drops below
-threshold_mult * sqrt(n).  Power iteration finds the singular vectors at
-every n.
+again.  G is never held whole: each block of its rows is drawn
+(model._noise_blocks) and applied to those rows of A' and to the mirrored
+columns, in the matrix's own buffer (_reinject_in_place).  Cleaning then
+repeatedly zeroes a row/column sampled from the leading singular vectors'
+mass until the operator norm drops below threshold_mult * sqrt(n).  Power
+iteration finds the singular vectors at every n.
 
 Power iteration proves the last step only slowly when no spike is left:
 the top of the spectrum has no gap.  Such a solve tries, once, a ladder of
@@ -26,14 +28,13 @@ step and the zeroed sets are unchanged.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import NOISE_ROWS, ObservedPair, _symmetric_standard_normal
+from .model import ObservedPair, _noise_blocks, _row_blocks, _symmetric_standard_normal
 from .rng import child, generator
 
 # Power iterations after which a solve still below the threshold tries the
@@ -67,15 +68,21 @@ def reinject_noise(obs: ObservedPair, seed: int,
                    h: np.ndarray | None = None):
     """Produce (hatA', hatB', G, H).  The outputs are not symmetric.
 
-    g, h may be supplied explicitly (test hook, left unchanged); otherwise
-    they are sampled symmetric with one N(0,1) draw per unordered pair, G
-    before H.
+    A' and B' are copied, and each copy is re-injected in place by
+    _reinject_in_place from the blocks of G (H).  g, h may be supplied
+    explicitly (test hook, left unchanged) as symmetric matrices, of which
+    only the part above the diagonal is read; otherwise they are sampled by
+    model._symmetric_standard_normal, G before H.
     """
     rng = _noise_stream(obs.a_prime, obs.b_prime, seed)
     g = _symmetric_standard_normal(obs.n, rng) if g is None else g
     h = _symmetric_standard_normal(obs.n, rng) if h is None else h
-    return (_reinject(obs.a_prime, np.array(g, dtype=float)),
-            _reinject(obs.b_prime, np.array(h, dtype=float)), g, h)
+    hats = []
+    for m, noise in ((obs.a_prime, g), (obs.b_prime, h)):
+        hat, noise = np.array(m, dtype=float), np.asarray(noise, dtype=float)
+        _reinject_in_place(hat, ((rows, upper, noise[rows]) for rows, upper in _row_blocks(obs.n)))
+        hats.append(hat)
+    return hats[0], hats[1], g, h
 
 
 def _noise_stream(a_prime: np.ndarray, b_prime: np.ndarray, seed: int) -> np.random.Generator:
@@ -86,34 +93,13 @@ def _noise_stream(a_prime: np.ndarray, b_prime: np.ndarray, seed: int) -> np.ran
     return generator(seed)
 
 
-def _reinject(m: np.ndarray, noise: np.ndarray) -> np.ndarray:
-    """Overwrite the float noise with hat, NOISE_ROWS rows at a time, and
-    return it: (m + noise) / sqrt(2) below the diagonal, (m - noise) / sqrt(2)
-    elsewhere, with a zero diagonal."""
-    cols = np.arange(m.shape[0])
-    for start in range(0, m.shape[0], NOISE_ROWS):
-        rows = slice(start, start + NOISE_ROWS)
-        low = cols[rows, None] > cols
-        np.subtract(m[rows], noise[rows], out=noise[rows], where=~low)
-        np.add(m[rows], noise[rows], out=noise[rows], where=low)
-    noise /= math.sqrt(2.0)
-    np.fill_diagonal(noise, 0.0)
-    return noise
-
-
-def _reinject_in_place(m: np.ndarray, rng: np.random.Generator) -> None:
-    """Overwrite the float matrix m with its re-injected matrix, equal byte
-    for byte to _reinject(m, _symmetric_standard_normal(n, rng)).  Each
-    NOISE_ROWS block of G is drawn as _symmetric_standard_normal draws it,
-    its upper triangle only, and applied with the same two roundings: to the
-    block's rows as (m - g) / sqrt(2) and to the mirrored columns below the
-    diagonal as (m + g) / sqrt(2).  The diagonal becomes zero."""
-    cols = np.arange(m.shape[0])
-    for start in range(0, m.shape[0], NOISE_ROWS):
-        rows = slice(start, start + NOISE_ROWS)
-        upper = cols[rows, None] < cols
-        g = np.zeros(upper.shape)
-        g[upper] = rng.standard_normal(int(np.count_nonzero(upper)))
+def _reinject_in_place(m: np.ndarray, blocks) -> None:
+    """Overwrite the float matrix m with its re-injected matrix, from the
+    blocks of G in model._noise_blocks' format, (rows, upper, g), each g
+    read only above the diagonal: there each block's rows become
+    (m - g) / sqrt(2), and the mirrored columns below it (m + g) / sqrt(2),
+    each with two roundings.  The diagonal becomes zero."""
+    for rows, upper, g in blocks:
         for block, op in ((m[rows], np.subtract), (m.T[rows], np.add)):
             op(block, g, out=block, where=upper)
             np.divide(block, math.sqrt(2.0), out=block, where=upper)
@@ -157,17 +143,11 @@ def certifies(bound: float, below: float) -> bool:
     return bound <= below * (1.0 - CERTIFY_MARGIN)
 
 
-def leading_singular_triple(m: np.ndarray, tol: float = 1e-10, max_iter: int = 10000,
-                            seed: int = 0, v0: np.ndarray | None = None):
-    """Leading singular value and unit left/right singular vectors, and the
-    iteration count, by power iteration: M v / M^T u alternate until the
-    singular-value estimate stagnates."""
-    return _singular_triple(m, tol, max_iter, seed, v0)[:4]
-
-
 def _singular_triple(m, tol=1e-10, max_iter=10000, seed=0, v0=None, below=None):
-    """leading_singular_triple plus the certificate (norm, bound), or None
-    if untried.
+    """Leading singular value and unit left/right singular vectors, the
+    iteration count and the certificate (norm, bound), or None if untried,
+    by power iteration: M v / M^T u alternate until the singular-value
+    estimate stagnates.
 
     With `below` given, a solve still unconverged after CERTIFY_AFTER
     iterations whose estimate is under `below` computes the certificate
@@ -264,30 +244,16 @@ def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
     raise NumericalError("cleaning loop exceeded n iterations; solver is inconsistent")
 
 
-def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0,
-               trace_path=None) -> CleanedPair:
+def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0) -> CleanedPair:
     """Re-inject noise, then clean both matrices independently.
 
     obs is copied, so it is left unchanged, and each copy becomes its
     cleaned matrix in its own buffer (see _clean_owned).  The noise stream
     is read G then H, as in reinject_noise, so the result equals
     spectral_clean on each output of reinject_noise(obs, child(seed, 0)).
-    With trace_path, every solve's trace row is written there, one JSON
-    object per line with "matrix" "a" or "b".
     """
-    trace: list | None = [] if trace_path else None
     observed = [np.array(obs.a_prime, dtype=float), np.array(obs.b_prime, dtype=float)]
-    cp = _clean_owned(observed, seed, threshold_mult, trace)[0]
-    if trace_path:
-        _write_trace(trace_path, trace)
-    return cp
-
-
-def _write_trace(path, rows: list) -> None:
-    """Write cleaning trace rows, one JSON object per line."""
-    with open(path, "w") as fh:
-        for row in rows:
-            fh.write(json.dumps(row) + "\n")
+    return _clean_owned(observed, seed, threshold_mult)[0]
 
 
 def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
@@ -305,7 +271,7 @@ def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
     for side, name in ((1, "a"), (2, "b")):
         m = observed.pop(0)
         indicators.append(m >= 1.0)
-        _reinject_in_place(m, rng)
+        _reinject_in_place(m, _noise_blocks(m.shape[0], rng))
         rows: list | None = [] if trace is not None else None
         zeroed.append(_clean_in_place(m, threshold_mult, child(seed, side), rows))
         cleaned.append(m)

@@ -1,6 +1,7 @@
 """Vector-AMP iteration tests: initialization, rounds, concentration."""
 
 import math
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -55,6 +56,20 @@ def test_bad_seed_pair_is_fully_mismatched():
     sp = bad_seed_pair(pi, 12, seed=5)
     assert not np.any(sp.v_seq == pi[sp.u_seq])
     assert sp.goodness is False
+
+
+def test_good_seed_pair_refuses_k0_below_one():
+    # k0 = 0 used to return every clean vertex
+    with pytest.raises(ParameterError, match="k0=0"):
+        good_seed_pair(np.random.default_rng(2).permutation(7), 0)
+
+
+@pytest.mark.parametrize("k0", [0, 1])
+def test_bad_seed_pair_refuses_k0_below_two(k0):
+    # one seed has no derangement (the draw loop never ended), and k0 = 0
+    # failed in SeedPair with a message that did not name k0
+    with pytest.raises(ParameterError, match=f"k0={k0}"):
+        bad_seed_pair(np.random.default_rng(2).permutation(7), k0, seed=3)
 
 
 # ------------------------------------------------------------------ init
@@ -277,6 +292,26 @@ def test_amp_on_the_arranged_pair_equals_the_gathered_products(k0):
     # a pair arranged for other seeds is refused
     with pytest.raises(ParameterError, match="not arranged"):
         run_amp(layout, oracle, sched, D, **kw)
+
+
+def test_run_amp_on_a_cleaned_pair_gathers_one_sub_matrix_at_a_time():
+    # the public run_amp on a CleanedPair neither copies nor arranges the
+    # pair: each product gathers its (n - k0)^2 sub-matrix and frees it
+    # before the next, and cp is left unchanged
+    n = 600
+    inst, cp, seeds = clean_setup(n, 0.9, 23)
+    a, b = cp.a_clean.copy(), cp.b_clean.copy()
+    sched = build_schedule(0.9, n, 24, min_rounds=2)
+    kw = dict(min_rounds=2, beta_seed=3, max_resamples=4)
+    run_amp(cp, seeds, sched, D, **kw)                 # warm-up: imports and caches
+    tracemalloc.start()
+    try:
+        run_amp(cp, seeds, sched, D, **kw)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n, f"peak {peak / (8 * n * n):.2f} n x n matrices"
+    assert np.array_equal(cp.a_clean, a) and np.array_equal(cp.b_clean, b)
 
 
 def test_run_amp_deterministic():

@@ -1,6 +1,5 @@
 """Noise re-injection, power iteration, and spectral-cleaning tests."""
 
-import json
 import math
 
 import numpy as np
@@ -8,10 +7,11 @@ import pytest
 
 from wigmatch import preprocess
 from wigmatch.errors import NumericalError
-from wigmatch.model import STRATEGIES, ObservedPair, _symmetric_standard_normal, corrupt, generate
-from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _reinject, _reinject_in_place,
-                                 _singular_triple, certificate, clean_pair,
-                                 leading_singular_triple, reinject_noise, spectral_clean)
+from wigmatch.model import (STRATEGIES, ObservedPair, _noise_blocks, _symmetric_standard_normal,
+                            corrupt, generate)
+from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _reinject_in_place,
+                                 _singular_triple, certificate, clean_pair, reinject_noise,
+                                 spectral_clean)
 from wigmatch.rng import child, generator
 
 
@@ -73,20 +73,24 @@ def test_reinjected_covariance_halved():
     assert abs(cov_lo - rho / 2.0) < 0.05
 
 
+def sign_formula(m, noise):
+    """Re-injection by its formula: an int64 sign matrix (+1 below the
+    diagonal, -1 above) times the noise, added to A' and divided by
+    sqrt(2), with a zero diagonal."""
+    idx = np.arange(m.shape[0])
+    ref = (m + np.sign(idx[:, None] - idx[None, :]) * noise) / math.sqrt(2.0)
+    np.fill_diagonal(ref, 0.0)
+    return ref
+
+
 @pytest.mark.parametrize("n", [1, 2, 7, 129, 500, 600])
 def test_reinjection_is_byte_stable(n):
-    # the earlier formula: an int64 sign matrix (+1 below the diagonal, -1
-    # above) times the noise, added to A' and divided by sqrt(2); 129, 500
-    # and 600 span several row blocks and end in a partial one
+    # 129, 500 and 600 span several row blocks and end in a partial one
     a = goe(n, 40 + n) if n > 1 else np.zeros((1, 1))
     b = goe(n, 50 + n) if n > 1 else np.zeros((1, 1))
     hat_a, hat_b, g, h = reinject_noise(ObservedPair(a, b), seed=n)
-    idx = np.arange(n)
-    sgn = np.sign(idx[:, None] - idx[None, :])
     for hat, m, noise in ((hat_a, a, g), (hat_b, b, h)):
-        ref = (m + sgn * noise) / math.sqrt(2.0)
-        np.fill_diagonal(ref, 0.0)
-        assert hat.tobytes() == ref.tobytes()
+        assert hat.tobytes() == sign_formula(m, noise).tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 129, 300])
@@ -96,12 +100,24 @@ def test_reinjection_in_place_equals_drawn_noise(n):
     m = goe(n, 60 + n) if n > 1 else np.zeros((1, 1))
     m[::7] += 2.5                   # the rows are not symmetric to the columns
     rng = generator(n)
-    want = _reinject(m, _symmetric_standard_normal(n, rng))
+    want = sign_formula(m, _symmetric_standard_normal(n, rng))
     tail = rng.standard_normal(3)
     rng = generator(n)
-    _reinject_in_place(m, rng)
+    _reinject_in_place(m, _noise_blocks(n, rng))
     assert m.tobytes() == want.tobytes()
     assert np.array_equal(rng.standard_normal(3), tail)
+
+
+def test_explicit_noise_is_read_above_the_diagonal_only():
+    # an explicit g stands for the symmetric matrix of its upper triangle
+    n = 129
+    a, b = goe(n, 70), goe(n, 71)
+    g = np.random.default_rng(72).standard_normal((n, n))     # not symmetric
+    upper = np.triu(g, 1)
+    before = g.copy()
+    hat_a, _, got_g, _ = reinject_noise(ObservedPair(a, b), seed=3, g=g, h=g)
+    assert got_g is g and np.array_equal(g, before)
+    assert hat_a.tobytes() == sign_formula(a, upper + upper.T).tobytes()
 
 
 # ------------------------------------------------------- singular triple
@@ -111,7 +127,7 @@ def test_reinjection_in_place_equals_drawn_noise(n):
 def test_power_iteration_matches_dense_svd(n, rng):
     for k in range(3):
         m = rng.standard_normal((n, n))
-        sigma, u, v, iters = leading_singular_triple(m, seed=k)
+        sigma, u, v, iters = _singular_triple(m, seed=k)[:4]
         ref = float(np.linalg.svd(m, compute_uv=False)[0])
         assert abs(sigma - ref) / ref < 1e-8
         # returned vectors reproduce the singular value
@@ -120,20 +136,20 @@ def test_power_iteration_matches_dense_svd(n, rng):
 
 def test_power_iteration_on_symmetric_goe():
     m = goe(300, 4)
-    sigma, _, _, _ = leading_singular_triple(m, seed=1)
+    sigma, _, _, _ = _singular_triple(m, seed=1)[:4]
     ref = float(np.linalg.svd(m, compute_uv=False)[0])
     assert abs(sigma - ref) / ref < 1e-6
 
 
 def test_power_iteration_zero_matrix():
-    sigma, _, _, _ = leading_singular_triple(np.zeros((8, 8)))
+    sigma, _, _, _ = _singular_triple(np.zeros((8, 8)))[:4]
     assert sigma == 0.0
 
 
 def test_power_iteration_nonconvergence_raises():
     m = goe(60, 2)
     with pytest.raises(NumericalError, match="did not converge"):
-        leading_singular_triple(m, max_iter=2)
+        _singular_triple(m, max_iter=2)[:4]
 
 
 # ------------------------------------------------------- spectral_clean
@@ -201,12 +217,12 @@ def test_clean_uncorrupted_goe_mean_removals():
 # ------------------------------------------------------------ clean_pair
 
 
-def test_clean_pair_composition(tmp_path):
+def test_clean_pair_composition():
     inst = generate(150, 0.9, "identity", 9)
     obs, plan = corrupt(inst, 0.04, "rank1-spike", 10,
                         spike_scale=40.0 * math.sqrt(150))
-    trace_path = tmp_path / "trace.jsonl"
-    cp = clean_pair(obs, seed=11, trace_path=trace_path)
+    rows = []
+    cp = _clean_owned([obs.a_prime, obs.b_prime], seed=11, trace=rows)[0]
     n = 150
     assert np.linalg.norm(cp.a_clean, 2) < 10.0 * math.sqrt(n)
     assert np.linalg.norm(cp.b_clean, 2) < 10.0 * math.sqrt(n)
@@ -214,10 +230,8 @@ def test_clean_pair_composition(tmp_path):
     assert cp.iters_b == cp.t.size
     for i in cp.s:
         assert np.all(cp.a_clean[i, :] == 0.0)
-    lines = trace_path.read_text().strip().split("\n")
-    assert len(lines) >= 2  # at least the final below-threshold check per matrix
+    assert len(rows) >= 2  # at least the final below-threshold check per matrix
     # a spike-free final step is certified by the bound
-    rows = [json.loads(x) for x in lines]
     threshold = 10.0 * math.sqrt(n)
     for side, cleaned in (("a", cp.a_clean), ("b", cp.b_clean)):
         *steps, last = [r for r in rows if r["matrix"] == side]
@@ -449,7 +463,7 @@ def test_slow_spike_free_solve_is_certified_before_convergence():
     n = 300
     m = goe(n, 4)
     threshold = 10.0 * math.sqrt(n)
-    _, _, _, full_iters = leading_singular_triple(m, seed=3)
+    _, _, _, full_iters = _singular_triple(m, seed=3)[:4]
     assert full_iters > 2 * CERTIFY_AFTER
     sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
     assert iters == CERTIFY_AFTER
