@@ -7,14 +7,14 @@ cleaned matrices and one entrywise denoiser step:
     f' = varphi(h beta),               g' = varphi(l beta)
 
 with A_sub, B_sub the cleaned matrices restricted to the non-seed rows and
-columns.  The run reads them as views of a pair arranged in place for the
-seed pair (see ArrangedPair); from a CleanedPair, left unchanged, each
-product gathers its sub-matrix, and the bytes are the same.  There is no
-Onsager correction; the frame construction makes the cross-round
-correlation negligible.  A round whose frame cannot be built ends the
-loop as a recorded spectral stop, and a round whose beta draws all fail
-the eigenvalue windows goes on with the best draw, recorded as not
-accepted; a run is never ended by the spectral subroutine.
+columns.  A_sub x is the non-seed rows of A x~, where x~ is x with zero
+rows at the seeds, so every caller multiplies by the cleaned pair where it
+lies, neither moving nor copying it.  There is no Onsager correction; the
+frame construction makes the cross-round correlation negligible.  A round
+whose frame cannot be built ends the loop as a recorded spectral stop, and
+a round whose beta draws all fail the eigenvalue windows goes on with the
+best draw, recorded as not accepted; a run is never ended by the spectral
+subroutine.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ import numpy as np
 
 from .denoiser import Denoiser, Schedule, phi_second_deriv_at_zero
 from .errors import NumericalError, ParameterError, SpectralDeficiencyError
-from .model import _permute_in_place
 from .preprocess import CleanedPair
 from .rng import child
 from .spectral import RoundMatrices, SpectralStep, build_xi, initial_round, sample_beta
@@ -132,92 +131,49 @@ class AmpResult:
     round_history: list[RoundMatrices]
 
 
-@dataclass(frozen=True)
-class ArrangedPair:
-    """A cleaned pair arranged for one seed pair: row and column p of a_clean
-    hold vertex order_a[p], the non-seed vertices (rows_i, increasing) first
-    and then the u-seeds in sequence order; likewise b_clean with rows_j and
-    the v-seeds.  With m = n - k0, A_sub is the view a_clean[:m, :m] and the
-    seed columns the view a_clean[:m, m:]; BLAS takes such a view with
-    lda = n, so no product copies a matrix."""
-    a_clean: np.ndarray
-    b_clean: np.ndarray
-    order_a: np.ndarray
-    order_b: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.a_clean.shape[0]
-
-
-def _orders(n: int, seeds: SeedPair) -> tuple[np.ndarray, np.ndarray]:
-    """The vertex orders of the pair arranged for seeds: rows_i then u_seq,
-    rows_j then v_seq."""
+def _non_seed_rows(n: int, seeds: SeedPair) -> tuple[np.ndarray, np.ndarray]:
+    """rows_i = [n] minus the u-seeds and rows_j = [n] minus the v-seeds,
+    each in increasing order."""
     u = np.asarray(seeds.u_seq, dtype=np.intp)
     v = np.asarray(seeds.v_seq, dtype=np.intp)
     if u.size and (u.max() >= n or u.min() < 0 or v.max() >= n or v.min() < 0):
         raise ParameterError("seed indices out of range")
-    return (np.concatenate([np.setdiff1d(np.arange(n), u), u]),
-            np.concatenate([np.setdiff1d(np.arange(n), v), v]))
+    return np.setdiff1d(np.arange(n), u), np.setdiff1d(np.arange(n), v)
 
 
-def _arrange_in_place(pair: CleanedPair | ArrangedPair, seeds: SeedPair) -> ArrangedPair:
-    """pair's matrices arranged for seeds in their own buffers, from the
-    vertex order of a CleanedPair or the layout of an ArrangedPair, by
-    model._permute_in_place.  pair is stale afterwards."""
-    order_a, order_b = _orders(pair.n, seeds)
-    if isinstance(pair, ArrangedPair):
-        moves = np.argsort(pair.order_a)[order_a], np.argsort(pair.order_b)[order_b]
-    else:
-        moves = order_a, order_b
-    _permute_in_place(pair.a_clean, moves[0])
-    _permute_in_place(pair.b_clean, moves[1])
-    return ArrangedPair(pair.a_clean, pair.b_clean, order_a, order_b)
+def init_iterate(cp: CleanedPair, seeds: SeedPair, d: Denoiser) -> AmpIterate:
+    """f0[i, k] = varphi(A_clean[i, u_k]) on non-seed rows; likewise g0."""
+    rows_i, rows_j = _non_seed_rows(cp.n, seeds)
+    return AmpIterate(f=d(cp.a_clean[np.ix_(rows_i, seeds.u_seq)]),
+                      g=d(cp.b_clean[np.ix_(rows_j, seeds.v_seq)]), h=None, l=None, t=0,
+                      rows_i=rows_i, rows_j=rows_j)
 
 
-def init_iterate(cp: CleanedPair | ArrangedPair, seeds: SeedPair, d: Denoiser) -> AmpIterate:
-    """f0[i, k] = varphi(A_clean[i, u_k]) on non-seed rows; likewise g0.  An
-    ArrangedPair must be arranged for seeds; its seed columns are read as
-    views."""
-    order_a, order_b = _orders(cp.n, seeds)
-    m = cp.n - seeds.k0
-    if isinstance(cp, ArrangedPair):
-        if not (np.array_equal(cp.order_a, order_a) and np.array_equal(cp.order_b, order_b)):
-            raise ParameterError("the pair is not arranged for these seeds")
-        a_seeds, b_seeds = cp.a_clean[:m, m:], cp.b_clean[:m, m:]
-    else:
-        a_seeds = cp.a_clean[np.ix_(order_a[:m], order_a[m:])]
-        b_seeds = cp.b_clean[np.ix_(order_b[:m], order_b[m:])]
-    return AmpIterate(f=d(a_seeds), g=d(b_seeds), h=None, l=None, t=0,
-                      rows_i=order_a[:m], rows_j=order_b[:m])
+def linear_step(it: AmpIterate, cp: CleanedPair, xi: np.ndarray):
+    """h = (1/sqrt(n)) A_sub f Xi and l = (1/sqrt(n)) B_sub g Xi.  A_sub x is
+    read as the rows_i rows of A x~, with x~ equal to x on rows_i and zero on
+    the u-seeds, so the pair is neither moved nor copied."""
 
+    def sub_product(mat: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+        padded = np.zeros((cp.n, x.shape[1]))
+        padded[rows] = x
+        return (mat @ padded)[rows] / math.sqrt(cp.n)
 
-def linear_step(it: AmpIterate, cp: CleanedPair | ArrangedPair, xi: np.ndarray):
-    """h = (1/sqrt(n)) A_sub f Xi and l = (1/sqrt(n)) B_sub g Xi.  An
-    ArrangedPair gives each sub-matrix as a view; from a CleanedPair it is
-    gathered inside its product and freed before the next.  BLAS computes
-    the same bytes from either operand."""
-    m = it.rows_i.size
-
-    def sub(mat: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return mat[:m, :m] if isinstance(cp, ArrangedPair) else mat[np.ix_(rows, rows)]
-
-    h = sub(cp.a_clean, it.rows_i) @ (it.f @ xi) / math.sqrt(cp.n)
-    l = sub(cp.b_clean, it.rows_j) @ (it.g @ xi) / math.sqrt(cp.n)
+    h = sub_product(cp.a_clean, it.rows_i, it.f @ xi)
+    l = sub_product(cp.b_clean, it.rows_j, it.g @ xi)
     if not (np.isfinite(h).all() and np.isfinite(l).all()):
         raise NumericalError(f"non-finite values in the linear step at round {it.t}")
     return h, l
 
 
-def amp_round(it: AmpIterate, cp: CleanedPair | ArrangedPair, step: SpectralStep,
-              d: Denoiser) -> AmpIterate:
+def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser) -> AmpIterate:
     """One full round: linear step with step.xi, then denoise through step.beta."""
     h, l = linear_step(it, cp, step.xi)
     return AmpIterate(f=d(h @ step.beta), g=d(l @ step.beta), h=h, l=l, t=it.t + 1,
                       rows_i=it.rows_i, rows_j=it.rows_j)
 
 
-def run_amp(cp: CleanedPair | ArrangedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
+def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = 12,
             max_resamples: int = 64, spectral_mode: str = "record") -> AmpResult:
     """Iterate through round max(t_star, min_rounds).
@@ -226,13 +182,14 @@ def run_amp(cp: CleanedPair | ArrangedPair, seeds: SeedPair, sched: Schedule, d:
     assignment stage.  A round whose frame cannot be built stops the loop
     gracefully with the stop recorded, and a round whose beta draws all fail
     keeps the best one with the violation recorded.  spectral_mode accepts
-    only "record", the one policy.  An ArrangedPair must be arranged for
-    seeds, and its sub-matrices are read as views (the run's path); from a
-    CleanedPair, which is left unchanged, each product gathers its
-    sub-matrix, one at a time, and gives the same bytes.
+    only "record", the one policy.  seeds must have the schedule's k0.  cp
+    is read where it lies and left unchanged (see linear_step).
     """
     if spectral_mode != "record":
         raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
+    if seeds.k0 != sched.k0:
+        raise ParameterError(f"the seed pair has k0={seeds.k0} but the schedule "
+                             f"has k0={sched.k0}")
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
     it = init_iterate(cp, seeds, d)

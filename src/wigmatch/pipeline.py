@@ -12,8 +12,9 @@ correlated matrix in Z's buffer and permutes it into B in place; corrupt
 turns A and B into A' and B' in place; cleaning builds the bool
 indicators (refine and selection read only those), then re-injects noise
 over A' and B', each block of noise rows as it is drawn, and cleans them
-in their own buffers; AMP permutes the cleaned pair in place for each
-seed pair and multiplies by views of it; the cleaned pair dies after AMP and each score after its assignment.
+in their own buffers; AMP multiplies by the cleaned pair where it lies,
+for every seed pair; the cleaned pair dies after AMP and each score after
+its assignment.
 generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25;
 the peak, about 2.45 by ru_maxrss, is the LAP: the score, the cost and
 the indicators.  run_pipeline is the one writer of the --trace-cleaning
@@ -38,11 +39,11 @@ import traceback
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .amp import _arrange_in_place, bad_seed_pair, good_seed_pair, run_amp
+from .amp import bad_seed_pair, good_seed_pair, run_amp
 from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
-from .errors import exit_code_for
+from .errors import ParameterError, exit_code_for
 from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
@@ -221,14 +222,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for i in range(cfg.bad_seed_candidates):
                 pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
                                                        child(streams["corruption"], 100 + i))))
-            # each seed pair arranges the cleaned pair in place from the
-            # previous one's layout, and AMP reads it as views
-            layout, amp_results = cp, []
-            for _, seeds in pairs:
-                layout = _arrange_in_place(layout, seeds)
-                amp_results.append(run_amp(layout, seeds, sched, dn,
-                                           min_rounds=cfg.min_rounds, beta_seed=streams["beta"]))
-        del cp, layout      # the cleaned pair dies once every seed pair has run AMP
+            amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
+                                   beta_seed=streams["beta"]) for _, seeds in pairs]
+        del cp      # the cleaned pair dies once every seed pair has run AMP
 
         # one record entry per candidate; its permutation is kept for selection
         candidates: list[dict] = []
@@ -355,9 +351,9 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
     kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"])
-    res_c = run_amp(_arrange_in_place(cp_c, seeds), seeds, sched, dn, **kw)
+    res_c = run_amp(cp_c, seeds, sched, dn, **kw)
     del cp_c
-    res_0 = run_amp(_arrange_in_place(cp_0, seeds), seeds, sched, dn, **kw)
+    res_0 = run_amp(cp_0, seeds, sched, dn, **kw)
     del cp_0
     h_c, h_0 = res_c.iterate.h, res_0.iterate.h
     denom = float(np.linalg.norm(h_0))
@@ -402,6 +398,8 @@ def _sweep_row(args):
 def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
           csv_path=None, summary_path=None, workers: int = 1) -> list[dict]:
     """Cartesian-product experiment with independent derived seeds per row."""
+    if workers < 1:
+        raise ParameterError(f"workers must be >= 1, got {workers}")
     cells = list(itertools.product(ns, rhos, epsilons, strategies))
     jobs = []
     row_idx = 0

@@ -129,3 +129,24 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [321.0, 326.0, 329.0]
     assert theirs["workloads"]["v"]["exit_codes"] == [0, 0, 0]
     assert not list(other.iterdir())
+
+
+def test_against_refuses_two_checkouts_that_would_write_one_file(monkeypatch, tmp_path,
+                                                                 capsys):
+    # two clones of one commit, both clean (an A/A check) or both dirty, would
+    # give both BENCH files one name, so the second would overwrite the first
+    this, other = tmp_path / "this", tmp_path / "other"
+    this.mkdir()
+    other.mkdir()
+    (this / "BENCHMARK.json").write_text(
+        json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
+    calls = []
+    for status in ("", " M src/x.py"):
+        monkeypatch.setattr(bench, "ROOT", str(this))
+        monkeypatch.setattr(bench, "_git", lambda root, *args, status=status:
+                            status if args[0] == "status" else "0123456789abcdef")
+        monkeypatch.setattr(bench, "_run", lambda *args: calls.append(args))
+        assert bench.main(["--against", str(other)]) == 2
+        assert "BENCH_0123456" in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in this.iterdir()) == ["BENCHMARK.json"]

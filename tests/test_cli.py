@@ -99,7 +99,9 @@ def test_sweep_lists_allow_spaces(tmp_path, capsys):
                                   ["sweep", "--epsilons", "0.0,x", "--k0", "24"],
                                   ["run", "--n", "80", "--k0", "24", "--epsilon", "0.05",
                                    "--rho", "nan"],
-                                  ["run", "--n", "64", "--master-seed", "-1"]])
+                                  ["run", "--n", "64", "--master-seed", "-1"],
+                                  ["sweep", "--n", "80", "--k0", "24", "--workers", "0"],
+                                  ["sweep", "--n", "80", "--k0", "24", "--workers", "-3"]])
 def test_malformed_values_exit_2(args):
     code, _, err = run_cli(args)
     assert code == EXIT_CONFIG, err

@@ -23,7 +23,9 @@ example a clone of the parent commit), alternating the two run by run: for
 each workload and repeat, one run in each, DIR's first on odd repeats and
 this checkout's first on even ones.  Both BENCH files are written at this
 repository's root, so that a pair made under the same load of the machine
-can be committed together.
+can be committed together.  If both checkouts are at the same commit and
+both are clean or both dirty, the two files would have one name, and it
+exits 2 before the first run.
 
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
@@ -74,11 +76,23 @@ def summarize(values: list[float]) -> dict:
     return {"values": values, "median": median, "q1": q1, "q3": q3}
 
 
-def bench(spec: dict, roots: list[str]) -> list[dict]:
+def _head(root: str) -> dict:
+    """The commit of the checkout root and whether tracked files differ from it."""
+    return {"commit": _git(root, "rev-parse", "HEAD"),
+            "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no"))}
+
+
+def _path(head: dict) -> str:
+    """Where the BENCH file of a checkout with this head is written."""
+    suffix = "-dirty" if head["dirty"] else ""
+    return os.path.join(ROOT, f"BENCH_{head['commit'][:7]}{suffix}.json")
+
+
+def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
     """Run every workload REPEATS times in each checkout of roots,
     interleaved: the workloads in turn and, for each, the checkouts one
     after the other, the first of them alternating from repeat to repeat.
-    Returns one summary per checkout."""
+    Returns one summary per checkout, headed by its entry of heads."""
     load_1min = os.getloadavg()[0]
     names = [w["name"] for w in spec["workloads"]]
     runs = {root: {name: [] for name in names} for root in roots}
@@ -93,13 +107,13 @@ def bench(spec: dict, roots: list[str]) -> list[dict]:
                 print(f"bench: {root} {name} run {rep + 1}/{REPEATS}: "
                       f"correct={result['correct']} failed={result['failed']} "
                       f"exit_code={result['exit_code']}", file=sys.stderr)
-    return [_summary(spec, root, runs[root], blas_threads[root], load_1min) for root in roots]
+    return [_summary(spec, head, runs[root], blas_threads[root], load_1min)
+            for root, head in zip(roots, heads)]
 
 
-def _summary(spec: dict, root: str, runs: dict[str, list[dict]], blas_threads: set,
+def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], blas_threads: set,
              load_1min: float) -> dict:
     """The BENCH file of one checkout's runs."""
-    dirty = bool(_git(root, "status", "--porcelain", "--untracked-files=no"))
     workloads = {}
     for name, results in runs.items():
         finished = [r for r in results if r["exit_code"] == 0]
@@ -111,8 +125,7 @@ def _summary(spec: dict, root: str, runs: dict[str, list[dict]], blas_threads: s
                            "failed": sum(r["failed"] for r in results),
                            "exit_codes": [r["exit_code"] for r in results],
                            "metrics": metrics}
-    return {"commit": _git(root, "rev-parse", "HEAD"), "dirty": dirty, "seed": SEED,
-            "repeats": REPEATS, "blas_threads": sorted(blas_threads),
+    return {**head, "seed": SEED, "repeats": REPEATS, "blas_threads": sorted(blas_threads),
             "cpu_count": os.cpu_count(), "load_1min_at_start": load_1min,
             "workloads": workloads}
 
@@ -157,10 +170,13 @@ def main(argv=None) -> int:
         print("\n".join(compare(spec, *files)))
         return 0
     roots = [os.path.abspath(args.against), ROOT] if args.against else [ROOT]
-    outs = bench(spec, roots)
-    for out in outs:
-        suffix = "-dirty" if out["dirty"] else ""
-        path = os.path.join(ROOT, f"BENCH_{out['commit'][:7]}{suffix}.json")
+    heads = [_head(root) for root in roots]
+    paths = [_path(head) for head in heads]
+    if len(set(paths)) < len(paths):
+        print(f"bench: both checkouts would write {paths[0]}", file=sys.stderr)
+        return 2
+    outs = bench(spec, roots, heads)
+    for out, path in zip(outs, paths):
         with open(path, "w") as fh:
             json.dump(out, fh, indent=1)
             fh.write("\n")
