@@ -29,7 +29,8 @@ from .denoiser import Denoiser, Schedule, phi_second_deriv_at_zero
 from .errors import NumericalError, ParameterError, SpectralDeficiencyError
 from .preprocess import CleanedPair
 from .rng import child
-from .spectral import RoundMatrices, SpectralStep, build_xi, initial_round, sample_beta
+from .spectral import (RoundMatrices, SpectralStep, build_xi, frame_width, initial_round,
+                       sample_beta)
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     for t in range(t_target + 1):
         t0 = time.perf_counter()
-        log = RoundLog(t=t, k_t=rm.k_t, d=max(1, rm.k_t // xi_factor), eps_t=rm.eps_t)
+        log = RoundLog(t=t, k_t=rm.k_t, d=frame_width(rm.k_t, xi_factor), eps_t=rm.eps_t)
         try:
             xi = build_xi(rm, xi_factor=xi_factor)
         except SpectralDeficiencyError:

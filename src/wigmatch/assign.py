@@ -24,7 +24,9 @@ shortest-augmenting-path solver walks long paths.  Under the squared
 distance each row prefers nearby columns and the paths stay short.  The
 problem stays square: leaving columns out would make the column term
 depend on the assignment.  A problem built by hand, without factors, is
-solved on the plain cost -score.
+solved on the plain cost -score.  The dense solver is SciPy's, imported on
+its first call, so a process that solves only rank-1 problems never loads
+scipy.optimize.
 
 Tied zero vertices: a row whose score row is exactly zero (Z_r; a vertex
 zeroed by cleaning has h_i = 0) scores the same against every column, and
@@ -42,10 +44,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .amp import AmpIterate, SeedPair
 from .errors import ParameterError
+
+
+def linear_sum_assignment(cost: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """scipy.optimize.linear_sum_assignment(cost), importing it on the first
+    call: the import costs about 0.5 s and 47 MB, which rank 1 never needs."""
+    from scipy.optimize import linear_sum_assignment as solve
+
+    return solve(cost)
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,14 @@
 """End-to-end pipeline, run records, and experiment sweeps.
 
-A run executes the stages generate -> corrupt (A and B in place) -> clean
-(re-inject noise and spectrally clean each matrix) -> schedule -> AMP for
-every seed pair -> per seed pair score -> LAP -> dump (with --dump-dir) ->
-refine -> select, and emits a schema-versioned RunRecord.  One stage
-context names the stage that a failure records as failed:<stage> and adds
-each stage's wall time to stages_s; schedule and dump are not timed.
+A run executes the stages schedule -> generate -> corrupt (A and B in
+place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
+for every seed pair -> per seed pair score -> LAP -> dump (with
+--dump-dir) -> refine -> select, and emits a schema-versioned RunRecord.
+One stage context names the stage that a failure records as
+failed:<stage> and adds each stage's wall time to stages_s; schedule and
+dump are not timed.  A run whose last frame has two or more columns will
+solve a dense LAP, so it imports the dense solver (SciPy) before
+generate; a rank-1 run never loads it.
 Each stage owns the matrices it replaces, no stage before the LAP copies
 an n x n matrix, and each dies at its last use.  generate builds the
 correlated matrix in Z's buffer and permutes it into B in place; corrupt
@@ -15,10 +18,13 @@ over A' and B', each block of noise rows as it is drawn, and cleans them
 in their own buffers; AMP multiplies by the cleaned pair where it lies,
 for every seed pair; the cleaned pair dies after AMP and each score after
 its assignment.
-generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25;
-the peak, about 2.45 by ru_maxrss, is the LAP: the score, the cost and
-the indicators.  run_pipeline is the one writer of the --trace-cleaning
-rows, to <output>.cleaning.jsonl just before the record.
+generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25.
+By ru_maxrss at n = 3000 the run peaks at about 2.45 n x n: in cleaning
+(S4's blocks of P) when no spike is left, and otherwise in AMP, whose
+first n x n by n x d product with d >= 2 touches OpenBLAS's threaded GEMM
+buffer (+0.13 n x n with two threads).  Score, LAP and refine add nothing
+above it.  run_pipeline is the one writer of the --trace-cleaning rows,
+to <output>.cleaning.jsonl just before the record.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
@@ -40,7 +46,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .amp import bad_seed_pair, good_seed_pair, run_amp
-from .assign import assemble_pi, build_scores, solve_lap
+from .assign import assemble_pi, build_scores, linear_sum_assignment, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import ParameterError, exit_code_for
@@ -48,6 +54,7 @@ from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
+from .spectral import frame_width
 
 SCHEMA_VERSION = 1
 
@@ -187,6 +194,14 @@ def run_pipeline(cfg: RunConfig) -> dict:
     clean_trace: list | None = [] if cfg.trace_cleaning and cfg.output else None
     try:
         cfg.validate()
+        with stage("schedule", timed=False):
+            dn = make_denoiser()
+            sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
+        if frame_width(sched.ks[-1]) >= 2:
+            # a frame of two or more columns makes a dense LAP: import its
+            # solver before the run's arrays, so that SciPy's modules are not
+            # left above them in the heap when they are freed
+            linear_sum_assignment(np.zeros((0, 0)))
         streams = record["stream_seeds"] = derive_streams(cfg.master_seed)
         with stage("generate"):
             inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])
@@ -202,18 +217,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
             record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
                                   "iters_a": cp.iters_a, "iters_b": cp.iters_b}
 
-        with stage("schedule", timed=False):
-            dn = make_denoiser()
-            sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
-            record["schedule"] = {
-                "ks": list(sched.ks), "epss": list(sched.epss),
-                "t_star": sched.t_star, "eps0": sched.eps0,
-                "gamma": sched.gamma, "c2": sched.c2,
-                "lambda_cap": sched.lambda_cap,
-                "signal_growth_factor": sched.signal_growth_factor,
-                "signal_growth_condition_met": sched.signal_growth_factor > 1.0,
-                "eq25_ratio": sched.eq25_ratio,
-                "eq25_satisfied": sched.eq25_ratio < 1.01 and sched.eq25_ratio > 0}
+        # after cleaning, so that the record keeps its key order
+        record["schedule"] = {
+            "ks": list(sched.ks), "epss": list(sched.epss),
+            "t_star": sched.t_star, "eps0": sched.eps0,
+            "gamma": sched.gamma, "c2": sched.c2,
+            "lambda_cap": sched.lambda_cap,
+            "signal_growth_factor": sched.signal_growth_factor,
+            "signal_growth_condition_met": sched.signal_growth_factor > 1.0,
+            "eq25_ratio": sched.eq25_ratio,
+            "eq25_satisfied": sched.eq25_ratio < 1.01 and sched.eq25_ratio > 0}
 
         with stage("amp"):
             exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())

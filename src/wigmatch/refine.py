@@ -27,7 +27,8 @@ a time, each row read as its table row plus its pending swaps.
 
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
 with T Owen's T function (Owen, "Tables for computing bivariate normal
-probabilities", Ann. Math. Statist. 1956).
+probabilities", Ann. Math. Statist. 1956), computed from its defining
+integral over [0, a], a <= 1, by PSI_NODES-point Gauss-Legendre quadrature.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import owens_t
 
 from .errors import NumericalError, ParameterError
 from .model import ObservedPair
@@ -48,6 +48,11 @@ def compute_alpha() -> float:
     return 0.5 * math.erfc(1.0 / math.sqrt(2.0))
 
 
+# Gauss-Legendre nodes and weights on [-1, 1] for Owen's T integral.
+PSI_NODES = 24
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(PSI_NODES)
+
+
 @functools.lru_cache
 def compute_psi(rho: float) -> float:
     """P(X >= 1, Y >= 1) for standard bivariate normals with correlation rho.
@@ -55,12 +60,20 @@ def compute_psi(rho: float) -> float:
     Owen's closed form (Owen, "Tables for computing bivariate normal
     probabilities", Ann. Math. Statist. 1956): P(X >= h, Y >= h) =
     P(X >= h) - 2 T(h, a) with a = sqrt((1 - rho) / (1 + rho)) and T Owen's
-    T function.  T(h, 0) = 0 gives alpha at rho = 1; at rho = 0 it gives
-    alpha^2 to rounding.
+    T function, here by its defining integral
+
+        T(1, a) = (1 / 2 pi) int_0^a exp(-(1 + x^2) / 2) / (1 + x^2) dx.
+
+    The integrand is smooth and a <= 1, so PSI_NODES Gauss-Legendre nodes
+    give T to within 1e-16 of scipy.special.owens_t.  T(1, 0) = 0 gives
+    alpha at rho = 1; at rho = 0 it gives alpha^2 to rounding.
     """
     if not (0.0 <= rho <= 1.0):
         raise ParameterError(f"rho must lie in [0, 1], got {rho}")
-    return float(compute_alpha() - 2.0 * owens_t(1.0, math.sqrt((1.0 - rho) / (1.0 + rho))))
+    a = math.sqrt((1.0 - rho) / (1.0 + rho))
+    q = 1.0 + (0.5 * a * (_GL_X + 1.0)) ** 2
+    owens_t = 0.5 * a * float(_GL_W @ (np.exp(-0.5 * q) / q)) / (2.0 * math.pi)
+    return float(compute_alpha() - 2.0 * owens_t)
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg as sla
 
 from .denoiser import Denoiser, phi_map
 from .errors import ParameterError, SpectralDeficiencyError
@@ -81,18 +80,37 @@ def _window_eigvecs(m: np.ndarray, lo: float, hi: float):
     return vals, vecs[:, (vals > lo) & (vals < hi)]
 
 
+def frame_width(k_t: int, xi_factor: int = 12) -> int:
+    """d, the number of columns of a round's frame Xi: K_t // xi_factor, at least 1."""
+    return max(1, k_t // xi_factor)
+
+
+def generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues mu (ascending) and b-orthonormal x of a x = mu b x, for
+    symmetric a and symmetric positive definite b.
+
+    Cholesky reduction (Golub and Van Loan, Matrix Computations, 8.7):
+    b = L L^T, solve the symmetric problem C y = mu y with C = L^-1 a L^-T,
+    then back-substitute x = L^-T y, so x^T b x = y^T y = I.
+    """
+    low = np.linalg.cholesky(b)
+    mu, y = np.linalg.eigh(np.linalg.solve(low, np.linalg.solve(low, a).T))
+    return mu, np.linalg.solve(low.T, y)
+
+
 def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
     """Frame Xi with Xi^T Phi Xi = I and Xi^T Psi Xi diagonal in the window.
 
     Construction: intersect the spans of the good eigenvectors of Phi and of
     Psi via principal angles, then solve the generalised eigenproblem
-    (W^T Psi W) x = mu (W^T Phi W) x inside the intersection and keep d
-    Ritz directions whose values fall in (0.9 eps, 1.1 eps), closest to eps
-    first.  Raises SpectralDeficiencyError when the good sets, the
-    intersection, or the in-window Ritz set are too small.
+    (W^T Psi W) x = mu (W^T Phi W) x inside the intersection by Cholesky
+    reduction (generalized_eigh) and keep d Ritz directions whose values
+    fall in (0.9 eps, 1.1 eps), closest to eps first.  Raises
+    SpectralDeficiencyError when the good sets, the intersection, or the
+    in-window Ritz set are too small.
     """
     k = rm.k_t
-    d = max(1, k // xi_factor)
+    d = frame_width(k, xi_factor)
     need = math.ceil(0.75 * k)
     lo, hi = PHI_WINDOW
     ev_phi, u_good = _window_eigvecs(rm.phi, lo, hi)
@@ -114,7 +132,7 @@ def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
     w = u_good @ uu[:, take]          # orthonormal basis of the intersection
     a = w.T @ rm.psi @ w
     b = w.T @ rm.phi @ w
-    mu, x = sla.eigh((a + a.T) / 2.0, (b + b.T) / 2.0)   # x is b-orthonormal
+    mu, x = generalized_eigh((a + a.T) / 2.0, (b + b.T) / 2.0)   # x is b-orthonormal
     in_window = np.flatnonzero((mu > lo * rm.eps_t) & (mu < hi * rm.eps_t))
     if in_window.size < d:
         diag["ritz_in_window"] = int(in_window.size)

@@ -150,3 +150,57 @@ def test_against_refuses_two_checkouts_that_would_write_one_file(monkeypatch, tm
         assert "BENCH_0123456" in capsys.readouterr().err
     assert calls == []
     assert sorted(p.name for p in this.iterdir()) == ["BENCHMARK.json"]
+
+
+def test_tier1_times_one_test_run_per_checkout_after_the_benchmark(monkeypatch, tmp_path,
+                                                                  capsys):
+    this, other = tmp_path / "this", tmp_path / "other"
+    this.mkdir()
+    other.mkdir()
+    (this / "BENCHMARK.json").write_text(
+        json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
+    commits = {str(this): ("fedcba9876543210", " M src/x.py"),
+               str(other): ("0123456789abcdef", "")}
+    events = []
+
+    def fake_run(root, workload, seconds):
+        events.append(("bench", root))
+        result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
+                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}}}
+        return {"blas_threads": 2}, result
+
+    def fake_pytest(cmd, cwd, env, **kwargs):
+        events.append(("tier1", cwd))
+        assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+        assert env["PYTHONPATH"].split(os.pathsep)[0] == os.path.join(cwd, "src")
+        failed = 4 if cwd == str(other) else 5
+        out = f"....F\n===== short test summary =====\n{failed} failed, 348 passed in 160.21s\n"
+        return subprocess.CompletedProcess(cmd, 1, out, "")
+
+    monkeypatch.setattr(bench, "ROOT", str(this))
+    monkeypatch.setattr(bench, "_git", lambda root, *args:
+                        commits[root][1] if args[0] == "status" else commits[root][0])
+    monkeypatch.setattr(bench, "_run", fake_run)
+    monkeypatch.setattr(bench, "subprocess", types.SimpleNamespace(
+        run=fake_pytest, CompletedProcess=subprocess.CompletedProcess))
+    # off by default
+    assert bench.main(["--against", str(other)]) == 0
+    assert [e for e in events if e[0] == "tier1"] == []
+    assert "tier1" not in json.loads((this / "BENCH_0123456.json").read_text())
+    events.clear()
+    # the tier-1 failures do not change the exit code
+    assert bench.main(["--against", str(other), "--tier1"]) == 0
+    assert events[-2:] == [("tier1", str(other)), ("tier1", str(this))]
+    assert all(kind == "bench" for kind, _ in events[:-2])
+    mine = json.loads((this / "BENCH_fedcba9-dirty.json").read_text())["tier1"]
+    theirs = json.loads((this / "BENCH_0123456.json").read_text())["tier1"]
+    assert (theirs["passed"], theirs["failed"], theirs["exit_code"]) == (348, 4, 1)
+    assert (mine["passed"], mine["failed"], mine["exit_code"]) == (348, 5, 1)
+    assert mine["wall_s"] >= 0.0
+    capsys.readouterr()
+    assert bench.main(["--compare", str(this / "BENCH_0123456.json"),
+                       str(this / "BENCH_fedcba9-dirty.json")]) == 0
+    tail = capsys.readouterr().out.strip().splitlines()[-2:]
+    assert tail[0].startswith("tier-1 A: ") and tail[0].endswith(
+        "348 passed, 4 failed, exit code 1")
+    assert tail[1].endswith("348 passed, 5 failed, exit code 1")

@@ -264,7 +264,7 @@ def test_run_record_output_failure_is_recorded(tmp_path):
     assert rec["exit_code"] == 2
 
 
-_STAGES = ["generate", "corrupt", "clean", "schedule", "amp", "score", "lap", "dump",
+_STAGES = ["schedule", "generate", "corrupt", "clean", "amp", "score", "lap", "dump",
            "refine", "select"]
 
 

@@ -84,15 +84,54 @@ def test_psi_matches_quadrature_reference():
         assert compute_psi(rho) == pytest.approx(val, rel=0, abs=1e-15), rho
 
 
-def test_import_leaves_out_scipy_stats_and_integrate():
+def test_psi_matches_owens_t():
+    # the Gauss-Legendre integral against SciPy's Owen's T, which it replaced
+    from scipy.special import owens_t
+
+    a = compute_alpha()
+    for i in range(101):
+        rho = i / 100
+        ref = float(a - 2.0 * owens_t(1.0, math.sqrt((1.0 - rho) / (1.0 + rho))))
+        assert abs(compute_psi(rho) - ref) <= 1e-16, rho
+        if rho == 0.9:      # the benchmark's rho: bit-equal
+            assert compute_psi(rho) == ref
+
+
+def _subprocess_env():
     src = os.path.dirname(os.path.dirname(wigmatch.__file__))
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_import_leaves_out_scipy_stats_and_integrate():
     code = ("import sys, wigmatch; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120, check=True)
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_rank1_run_loads_no_scipy_submodule():
+    # a frame of one column (k0 = 12) is solved by sorting; only a dense
+    # LAP (k0 = 24, two columns) needs SciPy, and the run imports it
+    code = """if True:
+        import sys
+        from wigmatch import RunConfig, run_pipeline
+
+        def loaded():
+            return sorted(m for m in sys.modules if m.split('.')[:2] in (
+                ['scipy', 'optimize'], ['scipy', 'linalg'], ['scipy', 'special'],
+                ['scipy', 'sparse']))
+
+        cfg = dict(n=120, rho=0.9, epsilon=0.05, strategy='rank1-spike', k0=12,
+                   bad_seed_candidates=1, random_candidates=1, master_seed=0)
+        print(run_pipeline(RunConfig(**cfg))['status'], loaded())
+        print(run_pipeline(RunConfig(**dict(cfg, k0=24)))['status'],
+              'scipy.optimize' in loaded())
+        """
+    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == ["ok []", "ok True"]
 
 
 def test_psi_monotone_and_bracketed():

@@ -5,11 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from wigmatch import spectral
 from wigmatch.denoiser import make_denoiser, phi_map, phi_second_deriv_at_zero
 from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.rng import child
-from wigmatch.spectral import (RoundMatrices, SpectralStep, build_xi, initial_round,
-                               sample_beta, sample_sign_matrix, update_round)
+from wigmatch.spectral import (RoundMatrices, SpectralStep, build_xi, generalized_eigh,
+                               initial_round, sample_beta, sample_sign_matrix,
+                               update_round)
 
 D = make_denoiser(1.0)
 
@@ -33,6 +35,35 @@ def test_xi_isotropic_case():
     off = proj - np.diag(np.diag(proj))
     assert np.abs(off).max() <= 1e-8
     assert np.all((np.diag(proj) > 0.27) & (np.diag(proj) < 0.33))
+
+
+@pytest.mark.parametrize("k", [1, 3, 8, 20, 50])
+def test_generalized_eigh_matches_scipy(k):
+    from scipy import linalg as sla
+
+    rng = np.random.default_rng(k)
+    for _ in range(10):
+        a = rng.standard_normal((k, k))
+        a = (a + a.T) / 2.0
+        m = rng.standard_normal((k, k))
+        b = m @ m.T + 0.5 * np.eye(k)
+        mu, x = generalized_eigh(a, b)
+        mu_ref = sla.eigh(a, b, eigvals_only=True)
+        assert np.abs(mu - mu_ref).max() <= 1e-12 * np.abs(mu_ref).max()
+        assert np.abs(x.T @ b @ x - np.eye(k)).max() <= 1e-12
+        assert np.abs(a @ x - b @ x * mu).max() <= 1e-12 * np.abs(a @ x).max()
+
+
+@pytest.mark.parametrize("k0", [12, 24, 36, 48])
+def test_initial_frame_is_byte_equal_to_the_scipy_solve(k0, monkeypatch):
+    # a run's default frame is round 0's: the Cholesky reduction must give
+    # the frame scipy.linalg.eigh(a, b) gave, to the last bit
+    from scipy import linalg as sla
+
+    rm = initial_round(k0, phi_map(D, 0.9 / 2.0))
+    xi = build_xi(rm)
+    monkeypatch.setattr(spectral, "generalized_eigh", sla.eigh)
+    assert xi.tobytes() == build_xi(rm).tobytes()
 
 
 def test_xi_avoids_bad_quarter():

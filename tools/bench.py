@@ -2,6 +2,7 @@
 
     python3 tools/bench.py                 # writes BENCH_<short-sha>.json
     python3 tools/bench.py --against DIR   # and DIR's BENCH file, run by run
+    python3 tools/bench.py --tier1         # and one timed tier-1 test run
     python3 tools/bench.py --compare BENCH_A.json BENCH_B.json
 
 Run from any directory; the checkout is the one this file lies in.  The
@@ -27,10 +28,15 @@ can be committed together.  If both checkouts are at the same commit and
 both are clean or both dirty, the two files would have one name, and it
 exits 2 before the first run.
 
+--tier1 then runs the tier-1 command of ROADMAP.md once in each checkout,
+after all benchmark runs, and adds its wall time, passed and failed counts
+and exit code to that checkout's BENCH file as "tier1".  Its exit code does
+not change the script's.
+
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
 worse, 1.0 is the bound), and whether the change is larger than both
-files' quartile spreads.
+files' quartile spreads; then each file's tier-1 run, if either has one.
 """
 
 from __future__ import annotations
@@ -38,9 +44,11 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 3
@@ -65,6 +73,23 @@ def _run(root: str, workload: str, seconds: float) -> tuple[dict | None, dict]:
     lines = proc.stdout.strip().splitlines()
     return (json.loads(lines[-2].removeprefix("perfbench: ")),
             {**json.loads(lines[-1]), "exit_code": 0})
+
+
+def _tier1(root: str) -> dict:
+    """One run of the tier-1 command in the checkout root: its wall time,
+    the passed and failed counts of pytest's summary line and its exit code."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.join(root, "src"), os.environ.get("PYTHONPATH")])))
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                           "--continue-on-collection-errors"],
+                          cwd=root, env=env, capture_output=True, text=True)
+    wall_s = time.perf_counter() - t0
+    lines = proc.stdout.strip().splitlines()
+    counts = {"passed": 0, "failed": 0}
+    for number, outcome in re.findall(r"(\d+) (passed|failed)", lines[-1] if lines else ""):
+        counts[outcome] = int(number)
+    return {"wall_s": wall_s, **counts, "exit_code": proc.returncode}
 
 
 def summarize(values: list[float]) -> dict:
@@ -151,6 +176,12 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
             lines.append(f"{name:<12} {m['name']:<12} {ma['median']:>10.4g} "
                          f"{mb['median']:>10.4g} {change:>+8.1%} {worse / m['bound']:>+9.2f}  "
                          f"{'yes' if beyond else 'no'}")
+    if "tier1" in a or "tier1" in b:
+        for tag, f in (("A", a), ("B", b)):
+            t = f.get("tier1")
+            lines.append(f"tier-1 {tag}: " + (
+                f"{t['wall_s']:.1f} s, {t['passed']} passed, {t['failed']} failed, "
+                f"exit code {t['exit_code']}" if t else "not run"))
     return lines
 
 
@@ -159,6 +190,8 @@ def main(argv=None) -> int:
     ap.add_argument("--compare", nargs=2, metavar=("A", "B"))
     ap.add_argument("--against", metavar="DIR",
                     help="another checkout to run alternately with this one")
+    ap.add_argument("--tier1", action="store_true",
+                    help="then time one tier-1 test run in each checkout")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
@@ -176,6 +209,10 @@ def main(argv=None) -> int:
         print(f"bench: both checkouts would write {paths[0]}", file=sys.stderr)
         return 2
     outs = bench(spec, roots, heads)
+    if args.tier1:
+        for out, root in zip(outs, roots):
+            out["tier1"] = _tier1(root)
+            print(f"bench: {root} tier-1: {out['tier1']}", file=sys.stderr)
     for out, path in zip(outs, paths):
         with open(path, "w") as fh:
             json.dump(out, fh, indent=1)
