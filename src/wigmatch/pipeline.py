@@ -6,9 +6,7 @@ for every seed pair -> per seed pair score -> LAP -> dump (with
 --dump-dir) -> refine -> select, and emits a schema-versioned RunRecord.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
-dump are not timed.  A run whose last frame has two or more columns will
-solve a dense LAP, so it imports the dense solver (SciPy) before
-generate; a rank-1 run never loads it.
+dump are not timed.
 Each stage owns the matrices it replaces, no stage before the LAP copies
 an n x n matrix, and each dies at its last use.  generate builds the
 correlated matrix in Z's buffer and permutes it into B in place; corrupt
@@ -46,7 +44,7 @@ import numpy as np
 
 from . import __version__ as _pkg_version
 from .amp import bad_seed_pair, good_seed_pair, run_amp
-from .assign import assemble_pi, build_scores, linear_sum_assignment, solve_lap
+from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
 from .errors import ParameterError, exit_code_for
@@ -54,7 +52,6 @@ from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
-from .spectral import frame_width
 
 SCHEMA_VERSION = 1
 
@@ -197,11 +194,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
         with stage("schedule", timed=False):
             dn = make_denoiser()
             sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
-        if frame_width(sched.ks[-1]) >= 2:
-            # a frame of two or more columns makes a dense LAP: import its
-            # solver before the run's arrays, so that SciPy's modules are not
-            # left above them in the heap when they are freed
-            linear_sum_assignment(np.zeros((0, 0)))
         streams = record["stream_seeds"] = derive_streams(cfg.master_seed)
         with stage("generate"):
             inst = generate(cfg.n, cfg.rho, "uniform-random", streams["instance"])

@@ -1,5 +1,9 @@
+import os
+
 import numpy as np
 import pytest
+
+import wigmatch
 
 
 def pytest_configure(config):
@@ -10,3 +14,12 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def subprocess_env():
+    """os.environ with this checkout's package first on PYTHONPATH, for
+    tests that run wigmatch in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(wigmatch.__file__))
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

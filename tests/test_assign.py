@@ -1,6 +1,10 @@
 """Assignment stage tests, with a factorial brute-force oracle."""
 
 import itertools
+import json
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -200,6 +204,60 @@ def test_rank1_problem_does_not_call_the_dense_solver(rng, monkeypatch):
     total = float(p.score[np.arange(301), sigma].sum())
     best = float(np.sort(it.h[:, 0]) @ np.sort(it.l[:, 0]))
     assert abs(total - best) <= 1e-9 * float(np.abs(p.score).max())
+
+
+_KERNEL_ORDER = """if True:
+    import json, sys
+    from types import SimpleNamespace
+    import numpy as np
+    from wigmatch import assign
+
+    def solve():
+        rng = np.random.default_rng(7)
+        h, l = rng.standard_normal((200, 2)), rng.standard_normal((200, 2))
+        return assign.solve_lap(assign.build_scores(SimpleNamespace(
+            h=h, l=l, rows_i=np.arange(200), rows_j=np.arange(200)))).tolist()
+
+    if sys.argv[1] == "kernel-first":
+        sigma = solve()
+        import scipy.optimize
+    else:
+        import scipy.optimize
+        sigma = solve()
+    print(json.dumps({"same": scipy.optimize.linear_sum_assignment
+                              is assign._kernel().linear_sum_assignment,
+                      "sigma": sigma}))
+    """
+
+
+def test_kernel_and_package_share_one_solver(subprocess_env):
+    # the kernel loaded alone is the module that scipy.optimize imports,
+    # whichever of the two comes first
+    out = [json.loads(subprocess.run(
+        [sys.executable, "-c", _KERNEL_ORDER, order], env=subprocess_env,
+        capture_output=True, text=True, timeout=120, check=True).stdout)
+        for order in ("kernel-first", "package-first")]
+    assert [o["same"] for o in out] == [True, True]
+    assert out[0]["sigma"] == out[1]["sigma"]
+    assert sorted(out[0]["sigma"]) == list(range(200))
+
+
+def test_missing_kernel_fails_the_lap_stage(subprocess_env, tmp_path):
+    # a scipy package whose optimize/ directory is empty: a dense run
+    # records the failed load at the LAP and does not raise
+    (tmp_path / "scipy" / "optimize").mkdir(parents=True)
+    (tmp_path / "scipy" / "__init__.py").write_text('__version__ = "0"\n')
+    env = dict(subprocess_env,
+               PYTHONPATH=os.pathsep.join([str(tmp_path), subprocess_env["PYTHONPATH"]]))
+    code = ("import json; from wigmatch import RunConfig, run_pipeline; "
+            "rec = run_pipeline(RunConfig(n=120, rho=0.9, epsilon=0.05, "
+            "strategy='rank1-spike', k0=24, master_seed=0)); "
+            "print(json.dumps([rec['status'], rec['exit_code'], rec['error']]))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    status, exit_code, error = json.loads(proc.stdout)
+    assert (status, exit_code) == ("failed:lap", 1)
+    assert "scipy.optimize._lsap" in error
 
 
 def test_assemble_pi_explicit_tables():

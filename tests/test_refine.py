@@ -6,7 +6,6 @@ literal re-implementation of the rule driven by neighborhood_stat alone.
 """
 
 import math
-import os
 import subprocess
 import sys
 import tracemalloc
@@ -14,7 +13,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import wigmatch
 from wigmatch import refine
 from wigmatch.errors import ParameterError
 from wigmatch.model import ObservedPair, corrupt, generate, overlap
@@ -97,23 +95,17 @@ def test_psi_matches_owens_t():
             assert compute_psi(rho) == ref
 
 
-def _subprocess_env():
-    src = os.path.dirname(os.path.dirname(wigmatch.__file__))
-    return dict(os.environ,
-                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-
-
-def test_import_leaves_out_scipy_stats_and_integrate():
+def test_import_leaves_out_scipy_stats_and_integrate(subprocess_env):
     code = ("import sys, wigmatch; print(sorted(m for m in sys.modules "
             "if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'integrate'])))")
-    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.strip() == "[]"
 
 
-def test_rank1_run_loads_no_scipy_submodule():
+def test_rank1_run_loads_no_scipy_submodule(subprocess_env):
     # a frame of one column (k0 = 12) is solved by sorting; only a dense
-    # LAP (k0 = 24, two columns) needs SciPy, and the run imports it
+    # LAP (k0 = 24, two columns) needs SciPy, and it loads the LAP kernel alone
     code = """if True:
         import sys
         from wigmatch import RunConfig, run_pipeline
@@ -126,12 +118,11 @@ def test_rank1_run_loads_no_scipy_submodule():
         cfg = dict(n=120, rho=0.9, epsilon=0.05, strategy='rank1-spike', k0=12,
                    bad_seed_candidates=1, random_candidates=1, master_seed=0)
         print(run_pipeline(RunConfig(**cfg))['status'], loaded())
-        print(run_pipeline(RunConfig(**dict(cfg, k0=24)))['status'],
-              'scipy.optimize' in loaded())
+        print(run_pipeline(RunConfig(**dict(cfg, k0=24)))['status'], loaded())
         """
-    proc = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(),
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines() == ["ok []", "ok True"]
+    assert proc.stdout.splitlines() == ["ok []", "ok ['scipy.optimize._lsap']"]
 
 
 def test_psi_monotone_and_bracketed():
