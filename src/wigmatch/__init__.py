@@ -16,7 +16,7 @@ from .config import RunConfig, make_config
 from .denoiser import (Denoiser, Schedule, build_schedule, lambda_bound,
                        make_denoiser, reference_k0_bound, phi_map,
                        phi_second_deriv_at_zero, taylor_coefficients)
-from .errors import (NumericalError, ParameterError, ScheduleError,
+from .errors import (NumericalError, ParameterError, RecordError, ScheduleError,
                      SpectralDeficiencyError)
 from .model import (CorrelatedInstance, CorruptionPlan, ObservedPair, corrupt,
                     generate, overlap)

@@ -9,6 +9,10 @@ class ScheduleError(ParameterError):
     """Growth schedule cannot be built from the given constants."""
 
 
+class RecordError(ValueError):
+    """A run record that RUN_RECORD_SCHEMA refuses."""
+
+
 class NumericalError(RuntimeError):
     """A numerical routine failed to converge or produced non-finite values."""
 

@@ -32,13 +32,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
-import functools
 import itertools
 import json
 import math
+import numbers
 import os
 import time
 import traceback
+from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -47,7 +48,7 @@ from .amp import bad_seed_pair, good_seed_pair, run_amp
 from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
-from .errors import ParameterError, exit_code_for
+from .errors import ParameterError, RecordError, exit_code_for
 from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
@@ -105,23 +106,76 @@ RUN_RECORD_SCHEMA = {
 }
 
 
-@functools.cache
-def _record_validator():
-    """A validator for RUN_RECORD_SCHEMA, whose own check runs once."""
-    import jsonschema
+# The keywords that RUN_RECORD_SCHEMA uses, the only ones _check implements;
+# "$schema" names the draft (2020-12) and checks nothing.
+_KEYWORDS = {"$schema", "type", "const", "required", "properties",
+             "additionalProperties", "items"}
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "null": type(None)}
 
-    cls = jsonschema.validators.validator_for(RUN_RECORD_SCHEMA)
-    cls.check_schema(RUN_RECORD_SCHEMA)
-    return cls(RUN_RECORD_SCHEMA)
+
+def _is_type(value, name: str) -> bool:
+    """Draft 2020-12's type test: an integral float is an integer, and a
+    bool is neither an integer nor a number."""
+    if name == "integer":
+        return ((isinstance(value, int) and not isinstance(value, bool))
+                or (isinstance(value, float) and value.is_integer()))
+    if name == "number":
+        return isinstance(value, numbers.Number) and not isinstance(value, bool)
+    return isinstance(value, _TYPES[name])
+
+
+def _equal(a, b) -> bool:
+    """JSON Schema's equality for const: 1 equals 1.0, True does not equal
+    1, and sequences and mappings compare item by item."""
+    if a is b:
+        return True
+    if isinstance(a, str) or isinstance(b, str):
+        return a == b
+    if isinstance(a, Sequence) and isinstance(b, Sequence):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, Mapping) and isinstance(b, Mapping):
+        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
+    if isinstance(a, bool) or isinstance(b, bool):
+        return False
+    return a == b
+
+
+def _check(value, schema: dict, path: str) -> None:
+    """Raise RecordError at the first keyword of schema that value at path
+    breaks, worded as the JSON Schema reference validator words it; refuse
+    a keyword outside _KEYWORDS."""
+    unknown = set(schema) - _KEYWORDS
+    if unknown:
+        raise ValueError(f"the record check implements no keyword {sorted(unknown)}")
+    if "type" in schema:
+        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
+        if not any(_is_type(value, t) for t in types):
+            raise RecordError(f"{path}: {value!r} is not of type "
+                              + ", ".join(map(repr, types)))
+    if "const" in schema and not _equal(value, schema["const"]):
+        raise RecordError(f"{path}: {schema['const']!r} was expected")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                raise RecordError(f"{path}: {key!r} is a required property")
+        properties = schema.get("properties", {})
+        for key, sub in properties.items():
+            if key in value:
+                _check(value[key], sub, f"{path}.{key}")
+        if "additionalProperties" in schema:
+            for key, item in value.items():
+                if key not in properties:
+                    _check(item, schema["additionalProperties"], f"{path}.{key}")
+    if isinstance(value, list) and "items" in schema:
+        for i, item in enumerate(value):
+            _check(item, schema["items"], f"{path}[{i}]")
 
 
 def validate_record(record: dict) -> None:
-    """Raise the jsonschema.ValidationError that jsonschema.validate would."""
-    import jsonschema
-
-    error = jsonschema.exceptions.best_match(_record_validator().iter_errors(record))
-    if error is not None:
-        raise error
+    """Raise RecordError where record breaks RUN_RECORD_SCHEMA, as a
+    Draft 2020-12 validator would refuse it, naming the value's path."""
+    _check(record, RUN_RECORD_SCHEMA, "$")
 
 
 def _sanitize(obj):

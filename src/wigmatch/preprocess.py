@@ -19,11 +19,12 @@ the top of the spectrum has no gap.  Such a solve tries, once, a ladder of
 two Schatten-norm bounds on sigma_1.  The Schatten-4 norm
 S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M, is summed over the
 blocks of P on and above its diagonal, so P is never held whole; only when
-it does not certify is P formed, and P P by row blocks, for the Schatten-8
-norm S8 = ||P P||_F^(1/4), and S4 >= S8 >= sigma_1.  When the bound lies
-below the threshold the loop stops there.  Power iteration's estimate never
-exceeds sigma_1, so the uncertified loop would have stopped at the same
-step and the zeroed sets are unchanged.
+it does not certify is P formed, for the Schatten-8 norm
+S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the blocks
+of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.  When the
+bound lies below the threshold the loop stops there.  Power iteration's
+estimate never exceeds sigma_1, so the uncertified loop would have stopped
+at the same step and the zeroed sets are unchanged.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ CERTIFY_AFTER = 40
 # The bound certifies only below threshold * (1 - CERTIFY_MARGIN), far
 # outside its rounding error.
 CERTIFY_MARGIN = 1e-9
-# Rows of M^T M per block of its sum of squares and of the product (M^T M)^2.
+# Rows of M^T M per block of its sum of squares (of P P, for S8, with P = M^T M).
 BOUND_ROWS = 256
 
 
@@ -113,7 +114,8 @@ def certificate(m: np.ndarray, below: float) -> tuple[str, float]:
     s4 = _schatten4(m)
     if certifies(s4, below):
         return "S4", s4
-    return "S8", _schatten8(m.T @ m)
+    # P is symmetric, so ||P P||_F = ||P^T P||_F = S4(P)^2
+    return "S8", math.sqrt(_schatten4(m.T @ m))
 
 
 def _schatten4(m: np.ndarray) -> float:
@@ -127,15 +129,6 @@ def _schatten4(m: np.ndarray) -> float:
         right = left.T @ m[:, start + BOUND_ROWS:]
         total += float(np.vdot(diag, diag)) + 2.0 * float(np.vdot(right, right))
     return math.sqrt(math.sqrt(total))
-
-
-def _schatten8(p: np.ndarray) -> float:
-    """||P P||_F^(1/4) for P = M^T M, summed over row blocks of P."""
-    total = 0.0
-    for start in range(0, p.shape[0], BOUND_ROWS):
-        q = p[start:start + BOUND_ROWS] @ p
-        total += float(np.vdot(q, q))
-    return math.sqrt(math.sqrt(math.sqrt(total)))
 
 
 def certifies(bound: float, below: float) -> bool:

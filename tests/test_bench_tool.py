@@ -69,7 +69,9 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
     assert bench.main([]) == 1
-    assert len(runs) == bench.REPEATS == 3
+    # three runs, then one traced run
+    assert len(runs) == bench.REPEATS + 1 == 4
+    assert [cmd[-1] for cmd in runs] == ["0", "0", "0", "1"]
     out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
     w = out["workloads"]["w"]
     assert (w["correct"], w["attempted"], w["failed"]) == (False, 8, 0)
@@ -78,6 +80,8 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
     assert w["metrics"]["peak_rss_mb"]["values"] == [2.0, 3.0]
     assert w["metrics"]["peak_rss_mb"]["median"] == 2.5
     assert out["blas_threads"] == [2]
+    assert out["layers"] == {"w": {"correct": True, "failed": 0, "exit_code": 0,
+                                   "values": {"peak_rss_mb": 4.0, "matched_lap": 4.0}}}
 
 
 def test_compare_reports_a_metric_without_finished_runs():
@@ -97,14 +101,14 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
         json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}]}))
     commits = {str(this): ("fedcba9876543210", " M src/x.py"),
                str(other): ("0123456789abcdef", "")}
-    calls = []
+    calls, traced = [], []
 
     def fake_git(root, *args):
         commit, status = commits[root]
         return status if args[0] == "status" else commit
 
-    def fake_run(root, workload, seconds):
-        calls.append((root, workload))
+    def fake_run(root, workload, seconds, trace=0):
+        (traced if trace else calls).append((root, workload))
         peak = 300.0 if root == str(this) else 320.0
         result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
                   "metrics": {"peak_rss_mb": {"value": peak + len(calls)},
@@ -121,6 +125,8 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     assert calls == [(o, "w"), (t, "w"), (o, "v"), (t, "v"),
                      (t, "w"), (o, "w"), (t, "v"), (o, "v"),
                      (o, "w"), (t, "w"), (o, "v"), (t, "v")]
+    # then one traced run of each workload in each checkout
+    assert traced == [(o, "w"), (t, "w"), (o, "v"), (t, "v")]
     mine = json.loads((this / "BENCH_fedcba9-dirty.json").read_text())
     theirs = json.loads((this / "BENCH_0123456.json").read_text())
     assert (mine["commit"], mine["dirty"]) == ("fedcba9876543210", True)
@@ -128,6 +134,8 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     assert mine["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [302.0, 305.0, 310.0]
     assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [321.0, 326.0, 329.0]
     assert theirs["workloads"]["v"]["exit_codes"] == [0, 0, 0]
+    assert mine["layers"]["w"]["values"] == {"peak_rss_mb": 312.0, "matched_lap": 26}
+    assert theirs["layers"]["v"]["values"] == {"peak_rss_mb": 332.0, "matched_lap": 26}
     assert not list(other.iterdir())
 
 
@@ -163,7 +171,7 @@ def test_tier1_times_one_test_run_per_checkout_after_the_benchmark(monkeypatch, 
                str(other): ("0123456789abcdef", "")}
     events = []
 
-    def fake_run(root, workload, seconds):
+    def fake_run(root, workload, seconds, trace=0):
         events.append(("bench", root))
         result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
                   "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}}}
@@ -204,3 +212,38 @@ def test_tier1_times_one_test_run_per_checkout_after_the_benchmark(monkeypatch, 
     assert tail[0].startswith("tier-1 A: ") and tail[0].endswith(
         "348 passed, 4 failed, exit code 1")
     assert tail[1].endswith("348 passed, 5 failed, exit code 1")
+
+
+def test_compare_prints_both_files_traced_layers():
+    a = _file([100.0, 100.0, 100.0], [20, 20, 20])
+    b = _file([90.0, 90.0, 90.0], [20, 20, 20])
+    a["layers"] = {"w": {"values": {"pipeline.validate_s": 0.0125, "refine.swaps": 4360}}}
+    b["layers"] = {"w": {"values": {"pipeline.validate_s": 0.0031, "amp.rounds": 1}},
+                   "v": {"values": {}}}
+    lines = bench.compare(SPEC, a, b)
+    assert lines[3].split() == ["workload", "layer", "A", "B"]
+    assert [line.split() for line in lines[4:]] == [
+        ["w", "pipeline.validate_s", "0.0125", "0.0031"],
+        ["w", "refine.swaps", "4360", "-"],
+        ["w", "amp.rounds", "-", "1"]]
+    # files without a traced pass print no layer lines
+    assert len(bench.compare(SPEC, _file([1.0], [1]), _file([1.0], [1]))) == 3
+
+
+def test_an_incorrect_traced_run_makes_the_exit_code_1(monkeypatch, tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(
+        json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
+
+    def fake_run(root, workload, seconds, trace=0):
+        result = {"correct": not trace, "attempted": 1, "failed": 0, "exit_code": 0,
+                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}}}
+        return {"blas_threads": 2}, result
+
+    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
+    monkeypatch.setattr(bench, "_git", lambda root, *args:
+                        "" if args[0] == "status" else "0123456789abcdef")
+    monkeypatch.setattr(bench, "_run", fake_run)
+    assert bench.main([]) == 1
+    out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
+    assert out["workloads"]["w"]["correct"] is True
+    assert out["layers"]["w"]["correct"] is False

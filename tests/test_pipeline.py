@@ -1,5 +1,6 @@
 """Pipeline orchestration: records, determinism, schema, sweeps."""
 
+import copy
 import csv
 import inspect
 import json
@@ -15,8 +16,8 @@ import pytest
 import wigmatch
 from wigmatch.config import RunConfig, make_config, parse_config_file
 from wigmatch import pipeline
-from wigmatch.errors import NumericalError, ParameterError
-from wigmatch.pipeline import (compare_clean_corrupted,
+from wigmatch.errors import NumericalError, ParameterError, RecordError
+from wigmatch.pipeline import (RUN_RECORD_SCHEMA, compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
 from wigmatch.rng import child, derive_streams
 
@@ -152,13 +153,125 @@ def test_run_record_ok_and_schema(tmp_path):
 
 
 def test_validate_record_rejects_missing_status():
-    import jsonschema
-
     rec = run_pipeline(small_cfg(n=80, min_rounds=0))
     del rec["status"]
-    with pytest.raises(jsonschema.ValidationError) as exc:
+    with pytest.raises(RecordError) as exc:
         validate_record(rec)
     assert "'status' is a required property" in str(exc.value)
+
+
+def _record_cases():
+    """(label, record) pairs: run records as they come, and copies with one
+    value deleted, replaced or added at a path."""
+    ok = run_pipeline(small_cfg(n=80, epsilon=0.1, strategy="rank1-spike",
+                                bad_seed_candidates=1, random_candidates=1, verbose=True))
+    ok0 = run_pipeline(small_cfg(n=80, min_rounds=0))
+    failed = run_pipeline(RunConfig(n=64, master_seed=-1))
+    assert ok["status"] == ok0["status"] == "ok" and failed["status"] != "ok"
+    assert ok["cleaning"]["zeroed_a"] == [57]
+    cases = [("ok", ok), ("ok t*=0", ok0), ("failed", failed)]
+
+    def edit(label, path, value=None, delete=False):
+        rec = copy.deepcopy(ok)
+        *parents, last = path
+        target = rec
+        for key in parents:
+            target = target[key]
+        if delete:
+            del target[last]
+        else:
+            target[last] = value
+        cases.append((f"{label} at {path}", rec))
+
+    for key in RUN_RECORD_SCHEMA["required"]:
+        edit("deleted", (key,), delete=True)
+    props = RUN_RECORD_SCHEMA["properties"]
+    typed = [((key,), sub) for key, sub in props.items()]
+    typed += [(("cleaning", key), sub) for key, sub in props["cleaning"]["properties"].items()]
+    typed += [(("cleaning", "zeroed_a", 0), {"type": "integer"})]
+    typed += [(("candidates", 0, key), sub)
+              for key, sub in props["candidates"]["items"]["properties"].items()]
+    # a wrong type for every typed property, and the edge cases of integer
+    values = ["text", 2, 2.0, 2.5, True, None, [], {}]
+    for path, sub in typed:
+        if "type" in sub:
+            for value in values:
+                edit(repr(value), path, value)
+    for key in props["candidates"]["items"]["required"]:
+        edit("deleted", ("candidates", 0, key), delete=True)
+    for value in (2, 1.0, True):
+        edit(repr(value), ("schema_version",), value)
+    edit("a string", ("stages_s", "amp"), "0.1")
+    edit("a number", ("assertions", "psi_diag_in_window"), 1)
+    edit("an object", ("rounds", 0), [])
+    edit("an extra key", ("extra",), {"any": "thing"})
+    edit("an extra key", ("cleaning", "extra"), "x")
+    edit("an extra key", ("candidates", 0, "extra"), [1])
+    return cases
+
+
+def test_record_check_agrees_with_jsonschema():
+    import jsonschema
+
+    jsonschema.Draft202012Validator.check_schema(RUN_RECORD_SCHEMA)
+    reference = jsonschema.Draft202012Validator(RUN_RECORD_SCHEMA)
+    outcomes = set()
+    for label, rec in _record_cases():
+        errors = list(reference.iter_errors(rec))
+        try:
+            validate_record(rec)
+        except RecordError as exc:
+            assert errors, label
+            if len(errors) == 1:    # the same wording and path
+                assert str(exc) == f"{errors[0].json_path}: {errors[0].message}", label
+            outcomes.add(False)
+        else:
+            assert not errors, label
+            outcomes.add(True)
+    assert outcomes == {True, False}
+
+
+@pytest.mark.parametrize("a, b", [(1, 1.0), (1, True), (0, False), (True, True), (None, 0),
+                                  ("1", 1), ([1, True], [1.0, True]), ([1], [True]),
+                                  ({"a": 1}, {"a": 1.0}), ({"a": 1}, {"b": 1}), ([], {})])
+def test_const_equality_follows_jsonschema(a, b):
+    from jsonschema._utils import equal
+
+    assert pipeline._equal(a, b) is pipeline._equal(b, a) is equal(a, b)
+
+
+def test_record_check_refuses_a_keyword_it_does_not_implement(monkeypatch):
+    rec = run_pipeline(small_cfg(n=80, min_rounds=0))
+    monkeypatch.setitem(RUN_RECORD_SCHEMA["properties"]["final"], "minProperties", 1)
+    with pytest.raises(ValueError, match="minProperties"):
+        validate_record(rec)
+
+
+def test_run_validates_its_record_without_jsonschema(subprocess_env):
+    # the benchmark's warm-up run: jsonschema is never imported, and the
+    # record is still checked inside run_pipeline
+    code = """if True:
+        import copy, sys
+        from wigmatch import RecordError, RunConfig, pipeline
+
+        calls = []
+        check = pipeline.validate_record
+        pipeline.validate_record = lambda rec: calls.append(check(rec))
+        rec = pipeline.run_pipeline(RunConfig(
+            n=120, rho=0.9, epsilon=0.05, strategy='rank1-spike', k0=12,
+            bad_seed_candidates=1, random_candidates=1, master_seed=0))
+        bad = copy.deepcopy(rec)
+        bad['candidates'][0]['swaps'] = 'many'
+        try:
+            check(bad)
+        except RecordError as exc:
+            print(exc)
+        print(rec['status'], len(calls), 'jsonschema' in sys.modules)
+        """
+    proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.splitlines() == [
+        "$.candidates[0].swaps: 'many' is not of type 'integer'", "ok 1 False"]
 
 
 def test_default_run_stops_at_t_star_with_the_same_matching():

@@ -368,6 +368,13 @@ def scaled(m, sigma):
     return m * (sigma / float(np.linalg.norm(m, 2)))
 
 
+def s8(m):
+    """The Schatten-8 bound, which certificate returns when S4 cannot certify."""
+    norm, bound = certificate(m, -math.inf)
+    assert norm == "S8"
+    return bound
+
+
 def spiked(n, seed):
     m = goe(n, seed)
     v = np.random.default_rng(seed).standard_normal(n)
@@ -386,7 +393,7 @@ def test_bound_is_above_sigma_and_never_certifies_at_threshold(kind, rel):
             m = scaled(m, threshold * rel)
         sv = np.linalg.svd(m, compute_uv=False)
         sigma = float(sv[0])
-        bound = preprocess._schatten8(m.T @ m)
+        bound = s8(m)
         norm, s4 = certificate(m, below=math.inf)
         assert norm == "S4" and s4 == pytest.approx(float(np.sum(sv ** 4)) ** 0.25, rel=1e-12)
         assert s4 >= bound >= sigma
@@ -414,7 +421,7 @@ def test_bound_certifies_only_outside_the_margin():
     rank1 = np.outer(x / np.linalg.norm(x), y / np.linalg.norm(y))
     for rel, expected in ((1.0, False), (1 - 1e-10, False), (1 - 1e-8, True)):
         m = threshold * rel * rank1
-        bound = preprocess._schatten8(m.T @ m)
+        bound = s8(m)
         assert bound == pytest.approx(threshold * rel, rel=1e-13)
         assert preprocess.certifies(bound, threshold) is expected
 
@@ -429,9 +436,20 @@ def test_schatten8_bound_value(monkeypatch, block_rows):
     s = np.linspace(0.5, 3.0, n)
     monkeypatch.setattr(preprocess, "BOUND_ROWS", block_rows)
     m = q1 @ np.diag(s) @ q2.T
-    got = preprocess._schatten8(m.T @ m)
-    assert got == pytest.approx(float(np.sum(s ** 8) ** 0.125), rel=1e-12)
-    assert preprocess._schatten8(np.zeros((5, 5))) == 0.0
+    assert s8(m) == pytest.approx(float(np.sum(s ** 8) ** 0.125), rel=1e-12)
+    assert s8(np.zeros((5, 5))) == 0.0
+
+
+@pytest.mark.parametrize("block_rows", [1, 7, 256])
+@pytest.mark.parametrize("n", [5, 300])
+def test_s8_equals_the_full_product_of_p(monkeypatch, block_rows, n):
+    # S8 is S4 of the symmetric P = M^T M, summed by its blocks on and above
+    # the diagonal; the reference forms P P whole
+    monkeypatch.setattr(preprocess, "BOUND_ROWS", block_rows)
+    m = np.random.default_rng(n + 1).standard_normal((n, n)) + 0.5
+    p = m.T @ m
+    pp = p @ p
+    assert s8(m) == pytest.approx(float(np.vdot(pp, pp)) ** 0.125, rel=1e-12)
 
 
 @pytest.mark.parametrize("block_rows", [1, 7, 256])

@@ -33,10 +33,20 @@ after all benchmark runs, and adds its wall time, passed and failed counts
 and exit code to that checkout's BENCH file as "tier1".  Its exit code does
 not change the script's.
 
+After the --trace 0 runs, each workload runs once more with --trace 1 in
+each checkout, the checkouts in the order of the first repeat, and the
+per-layer values go into that checkout's BENCH file under "layers", with
+the run's correctness, failed count and exit code; a traced run that is
+not correct also makes the exit code 1.  This pass adds about 15 s per
+workload and checkout on two cores (45 s for one checkout, 90 s with
+--against), since each traced run also runs its workload's timed phase.
+
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
 worse, 1.0 is the bound), and whether the change is larger than both
-files' quartile spreads; then each file's tier-1 run, if either has one.
+files' quartile spreads; then, for each workload and layer, both files'
+values of the traced run ("-" where a file has none); then each file's
+tier-1 run, if either has one.
 """
 
 from __future__ import annotations
@@ -60,11 +70,13 @@ def _git(root: str, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _run(root: str, workload: str, seconds: float) -> tuple[dict | None, dict]:
+def _run(root: str, workload: str, seconds: float,
+         trace: int = 0) -> tuple[dict | None, dict]:
     """One benchmark run in the checkout root: its settings line (None if it
     did not finish) and its result line, with the run's exit code added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
+                           "--seed", str(SEED), "--seconds", str(seconds),
+                           "--trace", str(trace)],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -116,8 +128,9 @@ def _path(head: dict) -> str:
 def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
     """Run every workload REPEATS times in each checkout of roots,
     interleaved: the workloads in turn and, for each, the checkouts one
-    after the other, the first of them alternating from repeat to repeat.
-    Returns one summary per checkout, headed by its entry of heads."""
+    after the other, the first of them alternating from repeat to repeat;
+    then each workload once traced in each checkout.  Returns one summary
+    per checkout, headed by its entry of heads."""
     load_1min = os.getloadavg()[0]
     names = [w["name"] for w in spec["workloads"]]
     runs = {root: {name: [] for name in names} for root in roots}
@@ -132,12 +145,23 @@ def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
                 print(f"bench: {root} {name} run {rep + 1}/{REPEATS}: "
                       f"correct={result['correct']} failed={result['failed']} "
                       f"exit_code={result['exit_code']}", file=sys.stderr)
-    return [_summary(spec, head, runs[root], blas_threads[root], load_1min)
+    layers: dict[str, dict] = {root: {} for root in roots}
+    for name in names:
+        for root in roots:
+            _, result = _run(root, name, spec["run_seconds"], trace=1)
+            layers[root][name] = {
+                "correct": result["correct"], "failed": result["failed"],
+                "exit_code": result["exit_code"],
+                "values": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
+            print(f"bench: {root} {name} traced: correct={result['correct']} "
+                  f"failed={result['failed']} exit_code={result['exit_code']}",
+                  file=sys.stderr)
+    return [_summary(spec, head, runs[root], layers[root], blas_threads[root], load_1min)
             for root, head in zip(roots, heads)]
 
 
-def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], blas_threads: set,
-             load_1min: float) -> dict:
+def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], layers: dict,
+             blas_threads: set, load_1min: float) -> dict:
     """The BENCH file of one checkout's runs."""
     workloads = {}
     for name, results in runs.items():
@@ -152,12 +176,13 @@ def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], blas_threads: 
                            "metrics": metrics}
     return {**head, "seed": SEED, "repeats": REPEATS, "blas_threads": sorted(blas_threads),
             "cpu_count": os.cpu_count(), "load_1min_at_start": load_1min,
-            "workloads": workloads}
+            "workloads": workloads, "layers": layers}
 
 
 def compare(spec: dict, a: dict, b: dict) -> list[str]:
     """One line per workload and metric: medians, change as a share of the
-    bound (positive is worse) and whether it exceeds both quartile spreads."""
+    bound (positive is worse) and whether it exceeds both quartile spreads;
+    then one per workload and layer with both traced values."""
     lines = [f"{'workload':<12} {'metric':<12} {'A median':>10} {'B median':>10} "
              f"{'change':>8} {'of bound':>9}  beyond spread"]
     for name, wa in a["workloads"].items():
@@ -176,6 +201,15 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
             lines.append(f"{name:<12} {m['name']:<12} {ma['median']:>10.4g} "
                          f"{mb['median']:>10.4g} {change:>+8.1%} {worse / m['bound']:>+9.2f}  "
                          f"{'yes' if beyond else 'no'}")
+    la, lb = a.get("layers", {}), b.get("layers", {})
+    if la or lb:
+        lines.append(f"{'workload':<12} {'layer':<29} {'A':>10} {'B':>10}")
+    for name in dict.fromkeys([*la, *lb]):
+        va = la.get(name, {}).get("values", {})
+        vb = lb.get(name, {}).get("values", {})
+        for layer in dict.fromkeys([*va, *vb]):
+            cells = [f"{f[layer]:>10.4g}" if layer in f else f"{'-':>10}" for f in (va, vb)]
+            lines.append(f"{name:<12} {layer:<29} {cells[0]} {cells[1]}")
     if "tier1" in a or "tier1" in b:
         for tag, f in (("A", a), ("B", b)):
             t = f.get("tier1")
@@ -219,7 +253,8 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(path)
     return 0 if all(w["correct"] and not w["failed"]
-                    for out in outs for w in out["workloads"].values()) else 1
+                    for out in outs
+                    for w in [*out["workloads"].values(), *out["layers"].values()]) else 1
 
 
 if __name__ == "__main__":
