@@ -29,8 +29,8 @@ from .denoiser import Denoiser, Schedule, phi_second_deriv_at_zero
 from .errors import NumericalError, ParameterError, SpectralDeficiencyError
 from .preprocess import CleanedPair
 from .rng import child
-from .spectral import (RoundMatrices, SpectralStep, build_xi, frame_width, initial_round,
-                       sample_beta)
+from .spectral import (XI_FACTOR, RoundMatrices, SpectralStep, build_xi, frame_width,
+                       initial_round, sample_beta)
 
 
 @dataclass(frozen=True)
@@ -175,7 +175,7 @@ def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser) 
 
 
 def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
-            min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = 12,
+            min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = XI_FACTOR,
             max_resamples: int = 64, spectral_mode: str = "record") -> AmpResult:
     """Iterate through round max(t_star, min_rounds).
 
@@ -183,11 +183,14 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     assignment stage.  A round whose frame cannot be built stops the loop
     gracefully with the stop recorded, and a round whose beta draws all fail
     keeps the best one with the violation recorded.  spectral_mode accepts
-    only "record", the one policy.  seeds must have the schedule's k0.  cp
+    only "record", the one policy, and xi_factor only XI_FACTOR, the frame
+    factor that spectral applies.  seeds must have the schedule's k0.  cp
     is read where it lies and left unchanged (see linear_step).
     """
     if spectral_mode != "record":
         raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
+    if xi_factor != XI_FACTOR:
+        raise ParameterError(f"xi_factor must be {XI_FACTOR}, got {xi_factor!r}")
     if seeds.k0 != sched.k0:
         raise ParameterError(f"the seed pair has k0={seeds.k0} but the schedule "
                              f"has k0={sched.k0}")
@@ -200,9 +203,9 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     for t in range(t_target + 1):
         t0 = time.perf_counter()
-        log = RoundLog(t=t, k_t=rm.k_t, d=frame_width(rm.k_t, xi_factor), eps_t=rm.eps_t)
+        log = RoundLog(t=t, k_t=rm.k_t, d=frame_width(rm.k_t), eps_t=rm.eps_t)
         try:
-            xi = build_xi(rm, xi_factor=xi_factor)
+            xi = build_xi(rm)
         except SpectralDeficiencyError:
             stopped = "spectral"
             break

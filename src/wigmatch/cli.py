@@ -40,7 +40,8 @@ def _cmd_run(args) -> int:
         if cfg.trials > 1:
             trial_cfg = dataclasses.replace(
                 cfg, master_seed=child(cfg.master_seed, trial), trials=1,
-                output=(f"{cfg.output}.{trial}" if cfg.output else None)).validate()
+                output=(f"{cfg.output}.{trial}" if cfg.output else None),
+                dump_dir=(f"{cfg.dump_dir}.{trial}" if cfg.dump_dir else None)).validate()
         record = run_pipeline(trial_cfg)
         line = {"trial": trial, "status": record["status"]}
         if record["status"] == "ok":
@@ -83,28 +84,27 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .denoiser import (build_schedule, growth_ratio_condition, lambda_bound,
-                           make_denoiser, reference_k0_bound, phi_map,
+    from .denoiser import (build_schedule, make_denoiser, reference_k0_bound,
                            phi_second_deriv_at_zero)
     from .refine import RefineParams
 
     cfg = _config_from_args(args)
     d = make_denoiser()
+    sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=d, min_rounds=cfg.min_rounds)
     rp = RefineParams.for_run(cfg.rho, cfg.n)
     out = {
         "denoiser_b": d.b,
         "a1": d.a1,
         "phi_second_deriv_at_zero": phi_second_deriv_at_zero(d),
-        "c2": phi_second_deriv_at_zero(d) / 2.0,
-        "lambda_cap": lambda_bound(d),
-        "eps0": phi_map(d, cfg.rho / 2.0),
+        "c2": sched.c2,
+        "lambda_cap": sched.lambda_cap,
+        "eps0": sched.eps0,
         "reference_k0_bound": reference_k0_bound(cfg.rho, d),
-        "eq25_ratio_at_k0": growth_ratio_condition(cfg.rho, d, cfg.k0),
+        "eq25_ratio_at_k0": sched.eq25_ratio,
         "alpha": rp.alpha,
         "psi_rho": rp.psi_rho,
         "delta": rp.delta,
-        "t_star": build_schedule(cfg.rho, cfg.n, cfg.k0, d=d,
-                                 min_rounds=cfg.min_rounds).t_star,
+        "t_star": sched.t_star,
     }
     print(json.dumps(out, indent=2))
     return 0

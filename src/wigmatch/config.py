@@ -4,9 +4,9 @@ The RunConfig field types are the only schema: the config-file parser and
 the CLI flags are both derived from them.  A field is a value a caller
 varies.  The algorithm's fixed values (the round growth, frame width,
 denoiser frequency, cleaning threshold, adversary weights and the resample
-and swap caps) are the defaults of the library parameters they stand for;
-RunConfig repeats them as plain class constants, not fields, only so that
-the benchmark's replay can read them from a config.
+and swap caps) are module constants or library defaults; RunConfig mirrors
+them as plain class constants, not fields, only so that the benchmark's
+replay can read them from a config.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ from dataclasses import dataclass, fields
 
 from .denoiser import build_schedule
 from .errors import ParameterError
-from .model import STRATEGIES
+from .model import CLIQUE_WEIGHT, STRATEGIES
+from .preprocess import THRESHOLD_MULT
+from .spectral import XI_FACTOR
 
 CHOICES = {"strategy": STRATEGIES}
 
@@ -40,15 +42,15 @@ class RunConfig:
     verbose: bool = False
 
     # constants, not fields, kept only because the benchmark's replay reads
-    # them; from gamma on, each is the default of the library parameter
+    # them; from gamma on, each mirrors a module constant or library default
     mode = "oracle-seed"
     spectral_mode = "record"
     selection_rule = "scan-order"
     gamma = None            # 4 / k0
-    xi_factor = 12
+    xi_factor = XI_FACTOR
     denoiser_b = 1.0
-    threshold_mult = 10.0
-    clique_weight = 5.0
+    threshold_mult = THRESHOLD_MULT
+    clique_weight = CLIQUE_WEIGHT
     spike_scale = None      # 20 sqrt(n)
     max_resamples = 64
     max_swaps = None        # 10 n

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import ParameterError, ScheduleError
 
 SUP_BOUND = 100.0  # cap on |varphi|, |varphi'|, |varphi''|
+TAYLOR_TERMS = 40  # the Taylor series of phi is truncated after c_40
 
 
 @dataclass(frozen=True)
@@ -85,24 +86,24 @@ def phi_second_deriv_at_zero(d: Denoiser) -> float:
     return d.a1 * d.a1 * math.exp(-b * b) * b ** 4
 
 
-def taylor_coefficients(d: Denoiser, m_max: int = 40) -> np.ndarray:
-    """Taylor coefficients c_0 .. c_{m_max} of phi around 0.
+def taylor_coefficients(d: Denoiser) -> np.ndarray:
+    """Taylor coefficients c_0 .. c_{TAYLOR_TERMS} of phi around 0.
 
     c_m = a1^2 exp(-b^2) b^(2m) / m! for even m >= 2; odd and low-order
     coefficients vanish.
     """
     b = d.b
     pref = d.a1 * d.a1 * math.exp(-b * b)
-    c = np.zeros(m_max + 1)
-    for m in range(2, m_max + 1, 2):
+    c = np.zeros(TAYLOR_TERMS + 1)
+    for m in range(2, TAYLOR_TERMS + 1, 2):
         c[m] = pref * b ** (2 * m) / math.factorial(m)
     return c
 
 
-def lambda_bound(d: Denoiser, m_max: int = 40) -> float:
+def lambda_bound(d: Denoiser) -> float:
     """Lambda = max_m |c_m| / 2^m over the truncated Taylor series."""
-    c = taylor_coefficients(d, m_max)
-    return float(max(abs(c[m]) / 2.0 ** m for m in range(2, m_max + 1)))
+    c = taylor_coefficients(d)
+    return float(max(abs(c[m]) / 2.0 ** m for m in range(2, TAYLOR_TERMS + 1)))
 
 
 def reference_k0_bound(rho: float, d: Denoiser) -> float:

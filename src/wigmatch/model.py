@@ -23,6 +23,7 @@ from .rng import generator
 
 STRATEGIES = ("planted-clique-weight", "rank1-spike", "zero-out", "adaptive-sign-flip")
 NOISE_ROWS = 64     # rows per block when a noise matrix is drawn or re-injected
+CLIQUE_WEIGHT = 5.0     # the weight that planted-clique-weight adds to each entry
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,12 @@ def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0)
 
 
 def _perturbation(m_sub: np.ndarray, n: int, strategy: str, rng: np.random.Generator,
-                  clique_weight: float, spike_scale: float | None) -> np.ndarray:
+                  spike_scale: float | None) -> np.ndarray:
     """The adversary's symmetric k x k block, zero on the diagonal, for the
     principal minor m_sub; corrupt validates the strategy."""
     k = m_sub.shape[0]
     if strategy == "planted-clique-weight":
-        return clique_weight * (np.ones((k, k)) - np.eye(k))
+        return CLIQUE_WEIGHT * (np.ones((k, k)) - np.eye(k))
     if strategy == "rank1-spike":
         lam = spike_scale if spike_scale is not None else 20.0 * math.sqrt(n)
         v = rng.standard_normal(k)
@@ -167,23 +168,24 @@ def _perturbation(m_sub: np.ndarray, n: int, strategy: str, rng: np.random.Gener
 
 
 def corrupt(inst: CorrelatedInstance, epsilon: float, strategy: str, seed: int,
-            clique_weight: float = 5.0,
+            clique_weight: float = CLIQUE_WEIGHT,
             spike_scale: float | None = None) -> tuple[ObservedPair, CorruptionPlan]:
     """Apply one of the four adversaries to both matrices independently.
 
     The support sets Q, R are drawn uniformly with |Q| = |R| = ceil(eps*n);
     the adversary may read A, B (zero-out and sign-flip do).  A's block is
     drawn before B's.  A and B are copied, so inst is left unchanged.
+    clique_weight accepts only CLIQUE_WEIGHT.
     """
+    if clique_weight != CLIQUE_WEIGHT:
+        raise ParameterError(f"clique_weight must be {CLIQUE_WEIGHT}, got {clique_weight!r}")
     a_prime, b_prime = inst.a.copy(), inst.b.copy()
-    plan = _corrupt_in_place(a_prime, b_prime, epsilon, strategy, seed,
-                             clique_weight, spike_scale)
+    plan = _corrupt_in_place(a_prime, b_prime, epsilon, strategy, seed, spike_scale)
     return ObservedPair(a_prime=a_prime, b_prime=b_prime), plan
 
 
 def _corrupt_in_place(a: np.ndarray, b: np.ndarray, epsilon: float, strategy: str,
-                      seed: int, clique_weight: float = 5.0,
-                      spike_scale: float | None = None) -> CorruptionPlan:
+                      seed: int, spike_scale: float | None = None) -> CorruptionPlan:
     """corrupt's draws, adding each adversary block to A and B themselves,
     which become A' and B'."""
     if not (0.0 <= epsilon < 1.0):
@@ -199,7 +201,7 @@ def _corrupt_in_place(a: np.ndarray, b: np.ndarray, epsilon: float, strategy: st
     r = np.sort(rng.choice(n, size=k, replace=False)).astype(np.intp)
     for m, idx in ((a, q), (b, r)):
         minor = np.ix_(idx, idx)
-        m[minor] += _perturbation(m[minor], n, strategy, rng, clique_weight, spike_scale)
+        m[minor] += _perturbation(m[minor], n, strategy, rng, spike_scale)
     return CorruptionPlan(q=q, r=r)
 
 

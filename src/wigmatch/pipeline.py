@@ -37,6 +37,7 @@ import json
 import math
 import numbers
 import os
+import sys
 import time
 import traceback
 from collections.abc import Mapping, Sequence
@@ -227,9 +228,16 @@ def _dump(dump_dir: str, label: str, prob, sigma) -> None:
             writer.writerow([int(prob.row_labels[i]), int(prob.col_labels[s])])
 
 
+def _record_failure(record: dict, stage: str, exc: Exception) -> None:
+    """Record exc, being handled, as the run's failure at stage."""
+    record.update(status=f"failed:{stage}", exit_code=exit_code_for(exc),
+                  error=f"{type(exc).__name__}: {exc}", traceback=traceback.format_exc())
+
+
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute one full run and return its RunRecord (never raises; failures
-    are recorded with the stage name and mapped exit code)."""
+    are recorded with the stage name and mapped exit code, and a record
+    that RUN_RECORD_SCHEMA refuses as failed:record)."""
     record: dict = {
         "schema_version": SCHEMA_VERSION,
         "config": _sanitize(cfg.as_dict()),
@@ -238,8 +246,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "exit_code": 0,
         "error": None,
         "stages_s": {},
-        "versions": {"package": _pkg_version, "numpy": np.__version__,
-                     "scipy": __import__("scipy").__version__},
+        "versions": {"package": _pkg_version, "numpy": np.__version__},
     }
     stage = _Stages(record["stages_s"])
     clean_trace: list | None = [] if cfg.trace_cleaning and cfg.output else None
@@ -261,7 +268,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
         with stage("clean"):
             cp, ind = _clean_owned(observed, streams["noise"], trace=clean_trace)
             record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist(),
-                                  "iters_a": cp.iters_a, "iters_b": cp.iters_b}
+                                  "iters_a": len(cp.s), "iters_b": len(cp.t)}
 
         # after cleaning, so that the record keeps its key order
         record["schedule"] = {
@@ -339,13 +346,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
         }
         record["assertions"] = _runtime_assertions(record["rounds"], sched)
     except Exception as exc:  # recorded, not raised: callers read status
-        record["status"] = f"failed:{stage.current}"
-        record["exit_code"] = exit_code_for(exc)
-        record["error"] = f"{type(exc).__name__}: {exc}"
-        record["traceback"] = traceback.format_exc()
+        _record_failure(record, stage.current, exc)
+    # read, not imported, at the end: only a dense LAP loads SciPy
+    record["versions"]["scipy"] = getattr(sys.modules.get("scipy"), "__version__", None)
     record = _sanitize(record)
     if record["status"] == "ok":
-        validate_record(record)
+        try:
+            validate_record(record)
+        except RecordError as exc:
+            _record_failure(record, "record", exc)
     if cfg.output:
         try:
             if clean_trace:
@@ -355,8 +364,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 json.dump(record, fh, indent=2)
         except OSError as exc:  # an earlier failure keeps its own status
             if record["status"] == "ok":
-                record.update(status="failed:output", exit_code=exit_code_for(exc),
-                              error=f"{type(exc).__name__}: {exc}")
+                _record_failure(record, "output", exc)
     return record
 
 
@@ -431,7 +439,8 @@ def _sweep_row(args):
     base, n, rho, eps, strategy, trial, row_idx = args
     cfg = dataclasses.replace(base, n=n, rho=rho, epsilon=eps, strategy=strategy,
                               master_seed=child(base.master_seed, row_idx),
-                              trials=1, output=None)
+                              trials=1, output=None,
+                              dump_dir=f"{base.dump_dir}.{row_idx}" if base.dump_dir else None)
     row = dict.fromkeys(SWEEP_FIELDS)
     row.update(n=n, rho=rho, epsilon=eps, strategy=strategy, trial=trial,
                master_seed=cfg.master_seed)

@@ -11,7 +11,7 @@ again.  G is never held whole: each block of its rows is drawn
 (model._noise_blocks) and applied to those rows of A' and to the mirrored
 columns, in the matrix's own buffer (_reinject_in_place).  Cleaning then
 repeatedly zeroes a row/column sampled from the leading singular vectors'
-mass until the operator norm drops below threshold_mult * sqrt(n).  Power
+mass until the operator norm drops below THRESHOLD_MULT * sqrt(n).  Power
 iteration finds the singular vectors at every n.
 
 Power iteration proves the last step only slowly when no spike is left:
@@ -38,6 +38,8 @@ from .errors import NumericalError, ParameterError
 from .model import ObservedPair, _noise_blocks, _row_blocks, _symmetric_standard_normal
 from .rng import child, generator
 
+THRESHOLD_MULT = 10.0   # cleaning stops below THRESHOLD_MULT * sqrt(n)
+POWER_TOL = 1e-10       # a power solve stops at this relative change of sigma
 # Power iterations after which a solve still below the threshold tries the
 # certificate.  On the perfbench workloads (benchmark seeds 1-3) every
 # spiked solve and every final solve with a residual spike converged within
@@ -56,8 +58,6 @@ class CleanedPair:
     b_clean: np.ndarray
     s: np.ndarray
     t: np.ndarray
-    iters_a: int
-    iters_b: int
 
     @property
     def n(self) -> int:
@@ -136,7 +136,7 @@ def certifies(bound: float, below: float) -> bool:
     return bound <= below * (1.0 - CERTIFY_MARGIN)
 
 
-def _singular_triple(m, tol=1e-10, max_iter=10000, seed=0, v0=None, below=None):
+def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
     """Leading singular value and unit left/right singular vectors, the
     iteration count and the certificate (norm, bound), or None if untried,
     by power iteration: M v / M^T u alternate until the singular-value
@@ -171,7 +171,7 @@ def _singular_triple(m, tol=1e-10, max_iter=10000, seed=0, v0=None, below=None):
         if sigma < 1e-300:
             return 0.0, u, v, it, cert
         v = z / sigma
-        if abs(sigma - sigma_prev) <= tol * max(sigma, 1.0):
+        if abs(sigma - sigma_prev) <= POWER_TOL * max(sigma, 1.0):
             return float(sigma), u, v, it, cert
         if below is not None and it == CERTIFY_AFTER and sigma < below:
             cert = certificate(m, below)
@@ -183,9 +183,8 @@ def _singular_triple(m, tol=1e-10, max_iter=10000, seed=0, v0=None, below=None):
         f"(last sigma={sigma_prev:.6g}, delta={abs(sigma - sigma_prev):.3g})")
 
 
-def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
-                   trace: list | None = None):
-    """Zero out rows/columns until the operator norm is below threshold_mult*sqrt(n).
+def spectral_clean(m: np.ndarray, seed: int = 0, trace: list | None = None):
+    """Zero out rows/columns until the operator norm is below THRESHOLD_MULT*sqrt(n).
 
     At each step the leading left/right unit singular vectors (v, u) are
     computed and index i is sampled with probability (v_i^2 + u_i^2) / 2;
@@ -197,17 +196,16 @@ def spectral_clean(m: np.ndarray, threshold_mult: float = 10.0, seed: int = 0,
     norm that certified ("S4" or "S8") and its bound.
     """
     cleaned = np.array(m, dtype=float, copy=True)
-    return cleaned, _clean_in_place(cleaned, threshold_mult, seed, trace)
+    return cleaned, _clean_in_place(cleaned, seed, trace)
 
 
-def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
-                    trace: list | None) -> np.ndarray:
+def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.ndarray:
     """spectral_clean's loop, zeroing the float matrix `cleaned` itself;
     returns the sorted zeroed indices."""
     n = cleaned.shape[0]
     if cleaned.shape[0] != cleaned.shape[1]:
         raise ParameterError("matrix must be square")
-    threshold = threshold_mult * math.sqrt(n)
+    threshold = THRESHOLD_MULT * math.sqrt(n)
     rng = generator(seed)
     zeroed: list[int] = []
     warm = None
@@ -237,19 +235,22 @@ def _clean_in_place(cleaned: np.ndarray, threshold_mult: float, seed: int,
     raise NumericalError("cleaning loop exceeded n iterations; solver is inconsistent")
 
 
-def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = 10.0) -> CleanedPair:
+def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = THRESHOLD_MULT) -> CleanedPair:
     """Re-inject noise, then clean both matrices independently.
 
     obs is copied, so it is left unchanged, and each copy becomes its
     cleaned matrix in its own buffer (see _clean_owned).  The noise stream
     is read G then H, as in reinject_noise, so the result equals
     spectral_clean on each output of reinject_noise(obs, child(seed, 0)).
+    threshold_mult accepts only THRESHOLD_MULT.
     """
+    if threshold_mult != THRESHOLD_MULT:
+        raise ParameterError(f"threshold_mult must be {THRESHOLD_MULT}, got {threshold_mult!r}")
     observed = [np.array(obs.a_prime, dtype=float), np.array(obs.b_prime, dtype=float)]
-    return _clean_owned(observed, seed, threshold_mult)[0]
+    return _clean_owned(observed, seed)[0]
 
 
-def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
+def _clean_owned(observed: list, seed: int,
                  trace: list | None = None) -> tuple[CleanedPair, ObservedPair]:
     """clean_pair on observed = [A', B'], float matrices which the list hands
     over: it is emptied, and one matrix at a time, its indicator x >= 1 is
@@ -266,11 +267,9 @@ def _clean_owned(observed: list, seed: int, threshold_mult: float = 10.0,
         indicators.append(m >= 1.0)
         _reinject_in_place(m, _noise_blocks(m.shape[0], rng))
         rows: list | None = [] if trace is not None else None
-        zeroed.append(_clean_in_place(m, threshold_mult, child(seed, side), rows))
+        zeroed.append(_clean_in_place(m, child(seed, side), rows))
         cleaned.append(m)
         if trace is not None:
             trace.extend({"matrix": name, **row} for row in rows)
-    s, t = zeroed
-    cp = CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=s, t=t,
-                     iters_a=len(s), iters_b=len(t))
+    cp = CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=zeroed[0], t=zeroed[1])
     return cp, ObservedPair(*indicators)

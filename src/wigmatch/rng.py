@@ -1,7 +1,7 @@
 """Seeded RNG streams.
 
 All randomness in a run is derived from one 64-bit master seed via
-``numpy.random.SeedSequence([master, STREAM_ID])``.  The four top-level
+``numpy.random.SeedSequence([master, stream id])``.  The four top-level
 streams keep instance generation, noise re-injection, sign-matrix sampling
 and corruption independent, so a corrupted run can replay the exact noise
 and sign draws of its clean twin.
@@ -11,23 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-STREAM_INSTANCE = 0
-STREAM_NOISE = 1
-STREAM_BETA = 2
-STREAM_CORRUPTION = 3
-
-_STREAM_NAMES = {
-    "instance": STREAM_INSTANCE,
-    "noise": STREAM_NOISE,
-    "beta": STREAM_BETA,
-    "corruption": STREAM_CORRUPTION,
-}
+_STREAM_NAMES = {"instance": 0, "noise": 1, "beta": 2, "corruption": 3}
 
 
-def stream_seed(master_seed: int, stream: int | str) -> int:
-    """Derive the 64-bit seed of one named stream from the master seed."""
-    if isinstance(stream, str):
-        stream = _STREAM_NAMES[stream]
+def stream_seed(master_seed: int, stream: int) -> int:
+    """Derive the 64-bit seed of the stream with id `stream` from the master seed."""
     ss = np.random.SeedSequence([int(master_seed), int(stream)])
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 

@@ -3,7 +3,7 @@
 Each round carries a pair of K_t x K_t symmetric matrices (Phi, Psi) that
 predict the Gram structure of the AMP iterates.  The subroutine:
 
-  1. builds Xi, a K_t x d frame (d = K_t // xi_factor) that is
+  1. builds Xi, a K_t x d frame (d = K_t // XI_FACTOR) that is
      Phi-orthonormal and Psi-diagonalising, from eigenvectors whose
      eigenvalues fall in the windows (0.9, 1.1) and (0.9 eps, 1.1 eps);
   2. samples a d x K_{t+1} sign matrix beta with unit columns;
@@ -31,6 +31,7 @@ from .rng import child, generator
 
 PHI_WINDOW = (0.9, 1.1)
 INTERSECT_TOL = 1e-8
+XI_FACTOR = 12      # a round's frame has K_t // XI_FACTOR columns
 
 
 @dataclass(frozen=True)
@@ -80,9 +81,9 @@ def _window_eigvecs(m: np.ndarray, lo: float, hi: float):
     return vals, vecs[:, (vals > lo) & (vals < hi)]
 
 
-def frame_width(k_t: int, xi_factor: int = 12) -> int:
-    """d, the number of columns of a round's frame Xi: K_t // xi_factor, at least 1."""
-    return max(1, k_t // xi_factor)
+def frame_width(k_t: int) -> int:
+    """d, the number of columns of a round's frame Xi: K_t // XI_FACTOR, at least 1."""
+    return max(1, k_t // XI_FACTOR)
 
 
 def generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -98,7 +99,7 @@ def generalized_eigh(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return mu, np.linalg.solve(low.T, y)
 
 
-def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
+def build_xi(rm: RoundMatrices) -> np.ndarray:
     """Frame Xi with Xi^T Phi Xi = I and Xi^T Psi Xi diagonal in the window.
 
     Construction: intersect the spans of the good eigenvectors of Phi and of
@@ -110,7 +111,7 @@ def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
     in-window Ritz set are too small.
     """
     k = rm.k_t
-    d = frame_width(k, xi_factor)
+    d = frame_width(k)
     need = math.ceil(0.75 * k)
     lo, hi = PHI_WINDOW
     ev_phi, u_good = _window_eigvecs(rm.phi, lo, hi)
@@ -147,8 +148,8 @@ def build_xi(rm: RoundMatrices, xi_factor: int = 12) -> np.ndarray:
 def sample_sign_matrix(d: int, k_next: int, seed: int) -> np.ndarray:
     """d x k_next matrix of i.i.d. signs scaled to give unit columns.
 
-    Entries are +-1/sqrt(d), which equals the nominal +-sqrt(12/K_t) whenever
-    xi_factor = 12 divides K_t.
+    Entries are +-1/sqrt(d), which equals the nominal +-sqrt(XI_FACTOR/K_t)
+    whenever XI_FACTOR divides K_t.
     """
     rng = generator(seed)
     return rng.choice(np.array([-1.0, 1.0]), size=(d, k_next)) / math.sqrt(d)
@@ -160,7 +161,7 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
 
         Phi'[i, j] = phi(beta_i . beta_j)
         Psi'[i, j] = phi(rho/2 * beta_i^T (Xi^T Psi Xi) beta_j)
-        eps'       = phi(rho/2 * (12/K_t) tr(Xi^T Psi Xi))
+        eps'       = phi(rho/2 * (XI_FACTOR/K_t) tr(Xi^T Psi Xi))
 
     Correlation-map arguments outside [-1, 1] are clamped and counted.
     Returns (next RoundMatrices, eps_next, clamp_count).
@@ -178,7 +179,8 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
     psi_next = phi_map(d, args_psi)
     phi_next = (phi_next + phi_next.T) / 2.0
     psi_next = (psi_next + psi_next.T) / 2.0
-    eps_next = float(phi_map(d, np.clip(rho / 2.0 * (12.0 / rm.k_t) * np.trace(proj), -1.0, 1.0)))
+    eps_next = float(phi_map(d, np.clip(rho / 2.0 * (XI_FACTOR / rm.k_t) * np.trace(proj),
+                                        -1.0, 1.0)))
     k_next = beta.shape[1]
     rm_next = RoundMatrices(phi=phi_next, psi=psi_next, eps_t=eps_next, k_t=k_next)
     return rm_next, eps_next, clamps

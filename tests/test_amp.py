@@ -14,7 +14,7 @@ from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.model import corrupt, generate
 from wigmatch.preprocess import clean_pair
 from wigmatch.rng import child
-from wigmatch.spectral import build_xi, initial_round, sample_beta
+from wigmatch.spectral import XI_FACTOR, build_xi, initial_round, sample_beta
 
 D = make_denoiser(1.0)
 
@@ -149,12 +149,15 @@ def test_run_amp_graceful_spectral_stop():
 
 
 def test_run_amp_strict_raises():
-    # spectral_mode accepts only "record"
+    # spectral_mode accepts only "record", and xi_factor only XI_FACTOR
     inst, cp, seeds = clean_setup(120, 0.9, 17)
     sched = build_schedule(0.9, 120, 24, min_rounds=2)
     with pytest.raises(ParameterError, match="spectral mode"):
         run_amp(cp, seeds, sched, D, min_rounds=2, beta_seed=3,
                 spectral_mode="strict", max_resamples=4)
+    for xi_factor in (6, 4):
+        with pytest.raises(ParameterError, match="xi_factor must be 12"):
+            run_amp(cp, seeds, sched, D, min_rounds=2, beta_seed=3, xi_factor=xi_factor)
 
 
 def test_run_amp_min_rounds_zero_stops_at_t_star():
@@ -168,8 +171,7 @@ def test_run_amp_min_rounds_zero_stops_at_t_star():
     assert res.rounds[0].resamples is None      # no beta needed at the last round
 
 
-def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor,
-                           max_resamples):
+def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, max_resamples):
     """run_amp's loop as it was with amp_round's body written out inline;
     returns (iterate, rounds, stopped_reason)."""
     t_target = max(sched.t_star, min_rounds)
@@ -179,9 +181,9 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
     pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     for t in range(t_target + 1):
-        log = RoundLog(t=t, k_t=rm.k_t, d=max(1, rm.k_t // xi_factor), eps_t=rm.eps_t)
+        log = RoundLog(t=t, k_t=rm.k_t, d=max(1, rm.k_t // XI_FACTOR), eps_t=rm.eps_t)
         try:
-            xi = build_xi(rm, xi_factor=xi_factor)
+            xi = build_xi(rm)
         except SpectralDeficiencyError:
             stopped = "spectral"
             break
@@ -211,7 +213,7 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, xi_factor
 def test_run_amp_matches_inline_rounds(min_rounds):
     inst, cp, seeds = clean_setup(120, 0.9, 16)
     sched = build_schedule(0.9, 120, 24, min_rounds=min_rounds)
-    kw = dict(min_rounds=min_rounds, beta_seed=3, xi_factor=12, max_resamples=4)
+    kw = dict(min_rounds=min_rounds, beta_seed=3, max_resamples=4)
 
     def untimed(rounds):
         return [{k: v for k, v in asdict(r).items() if k != "wall_s"} for r in rounds]
@@ -278,7 +280,7 @@ def test_run_amp_on_two_seed_pairs_in_turn_leaves_the_cleaned_pair_unchanged(k0)
     pairs = [oracle, bad_seed_pair(inst.pi_star, k0, seed=4)]
     assert not np.array_equal(pairs[0].u_seq, pairs[1].u_seq)
     assert not np.array_equal(np.sort(pairs[0].v_seq), np.sort(pairs[1].v_seq))
-    kw = dict(min_rounds=2, beta_seed=3, xi_factor=12, max_resamples=4)
+    kw = dict(min_rounds=2, beta_seed=3, max_resamples=4)
     sched = build_schedule(0.9, n, k0, min_rounds=2)
     a, b = cp.a_clean.tobytes(), cp.b_clean.tobytes()
     for seeds in pairs:

@@ -71,6 +71,25 @@ def test_constants_subcommand(capsys):
     assert out["t_star"] == 0
 
 
+@pytest.mark.parametrize("rho, n, k0", [(0.8, 1000, 24), (0.9, 400, 12), (0.5, 5000, 30)])
+def test_constants_reads_the_schedule_values_it_once_recomputed(rho, n, k0, capsys):
+    # the five values the schedule carries equal, to the bit, the functions
+    # that compute them
+    from wigmatch.denoiser import (build_schedule, growth_ratio_condition, lambda_bound,
+                                   make_denoiser, phi_map, phi_second_deriv_at_zero)
+    assert main(["constants", "--rho", str(rho), "--n", str(n), "--k0", str(k0)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    d = make_denoiser()
+    want = {"c2": phi_second_deriv_at_zero(d) / 2.0, "lambda_cap": lambda_bound(d),
+            "eps0": phi_map(d, rho / 2.0),
+            "eq25_ratio_at_k0": growth_ratio_condition(rho, d, k0),
+            "t_star": build_schedule(rho, n, k0, d=d, min_rounds=0).t_star}
+    assert {key: out[key] for key in want} == want
+    assert list(out) == ["denoiser_b", "a1", "phi_second_deriv_at_zero", "c2", "lambda_cap",
+                         "eps0", "reference_k0_bound", "eq25_ratio_at_k0", "alpha",
+                         "psi_rho", "delta", "t_star"]
+
+
 def test_sweep_subcommand(tmp_path, capsys):
     csv_path = tmp_path / "rows.csv"
     summary = tmp_path / "summary.json"
@@ -133,6 +152,23 @@ def test_cli_trials_repeats(capsys):
     lines = [json.loads(x) for x in capsys.readouterr().out.strip().split("\n")]
     assert len(lines) == 3
     assert [ln["trial"] for ln in lines] == [0, 1, 2]
+
+
+def test_run_trials_dump_each_to_its_own_directory(tmp_path, capsys):
+    # trial t dumps to <dump-dir>.<t>, as its manifest goes to <output>.<t>
+    flags = ["--n", "80", "--k0", "12", "--master-seed", "3", "--min-rounds", "0"]
+    dumps, out = tmp_path / "d", tmp_path / "m.json"
+    assert main(["run", *flags, "--trials", "2", "--dump-dir", str(dumps),
+                 "--output", str(out)]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.0", "d.1", "m.json.0", "m.json.1"]
+    for trial in (0, 1):
+        seed = json.loads((tmp_path / f"m.json.{trial}").read_text())["config"]["master_seed"]
+        own = tmp_path / "own"
+        assert main(["run", *flags, "--master-seed", str(seed), "--dump-dir", str(own)]) == 0
+        for name in ("score_oracle.npy", "assignment_oracle.csv"):
+            got = (tmp_path / f"d.{trial}" / name).read_bytes()
+            assert got == (own / name).read_bytes(), (trial, name)
+    capsys.readouterr()
 
 
 # ------------------------------------------------- flags from RunConfig

@@ -183,7 +183,7 @@ def test_taylor_matches_quadrature_fit():
 
 def test_taylor_sums_to_phi():
     d = make_denoiser(1.0)
-    c = taylor_coefficients(d, 40)
+    c = taylor_coefficients(d)
     for u in (0.3, 0.9, -0.7):
         series = sum(c[m] * u ** m for m in range(41))
         assert series == pytest.approx(phi_map(d, u), abs=1e-14)
@@ -192,7 +192,7 @@ def test_taylor_sums_to_phi():
 def test_lambda_dominates_coefficients():
     d = make_denoiser(1.0)
     lam = lambda_bound(d)
-    c = taylor_coefficients(d, 40)
+    c = taylor_coefficients(d)
     for m in range(2, 41):
         assert abs(c[m]) <= lam * 2.0 ** m + 1e-300
     assert lam == pytest.approx(c[2] / 4.0, rel=1e-12)  # max attained at m=2 for b=1

@@ -249,6 +249,14 @@ def test_unknown_strategy():
         corrupt(inst, 0.1, "clique", 4)
 
 
+def test_corrupt_accepts_only_the_clique_weight():
+    inst = generate(20, 0.9, "identity", 3)
+    with pytest.raises(ParameterError, match="clique_weight must be 5.0"):
+        corrupt(inst, 0.1, "planted-clique-weight", 4, clique_weight=4.0)
+    same = corrupt(inst, 0.1, "planted-clique-weight", 4, clique_weight=5.0)[0]
+    assert np.array_equal(same.a_prime, corrupt(inst, 0.1, "planted-clique-weight", 4)[0].a_prime)
+
+
 def test_corruption_determinism():
     inst = generate(80, 0.9, "identity", 3)
     o1, p1 = corrupt(inst, 0.1, "rank1-spike", 21)

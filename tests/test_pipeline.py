@@ -19,7 +19,7 @@ from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError, RecordError
 from wigmatch.pipeline import (RUN_RECORD_SCHEMA, compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
-from wigmatch.rng import child, derive_streams
+from wigmatch.rng import child, derive_streams, stream_seed
 
 
 def small_cfg(**kw):
@@ -62,31 +62,34 @@ def test_config_validation_errors():
 def test_replay_reads_the_defaults_the_run_uses():
     # the benchmark's replay rebuilds a run as RunConfig(**record["config"])
     # and passes RunConfig's class constants where run_pipeline relies on
-    # the library defaults; the two must stay equal
+    # the library defaults or module constants; the two must stay equal
     from wigmatch.amp import run_amp
     from wigmatch.denoiser import build_schedule, make_denoiser
-    from wigmatch.model import _corrupt_in_place, corrupt
-    from wigmatch.preprocess import _clean_owned, clean_pair
+    from wigmatch.model import CLIQUE_WEIGHT, _corrupt_in_place, corrupt
+    from wigmatch.preprocess import THRESHOLD_MULT, clean_pair
     from wigmatch.refine import RefineParams, seeded_refine
+    from wigmatch.spectral import XI_FACTOR
 
     def default(fn, name):
         return inspect.signature(fn).parameters[name].default
 
     pairs = {"gamma": (build_schedule, "gamma"),
-             "xi_factor": (run_amp, "xi_factor"),
              "max_resamples": (run_amp, "max_resamples"),
              "spectral_mode": (run_amp, "spectral_mode"),
              "denoiser_b": (make_denoiser, "b"),
-             "threshold_mult": (clean_pair, "threshold_mult"),
-             "clique_weight": (corrupt, "clique_weight"),
              "spike_scale": (corrupt, "spike_scale"),
              "selection_rule": (seeded_refine, "selection")}
     for constant, (fn, name) in pairs.items():
         assert getattr(RunConfig, constant) == default(fn, name), constant
-    # run_pipeline calls the in-place cores, whose defaults are the same
-    assert default(_clean_owned, "threshold_mult") == default(clean_pair, "threshold_mult")
-    for name in ("clique_weight", "spike_scale"):
-        assert default(_corrupt_in_place, name) == default(corrupt, name)
+    # the three replay-pinned parameters mirror the constants their modules
+    # apply, and default to them
+    mirrors = {"xi_factor": (XI_FACTOR, run_amp), "threshold_mult": (THRESHOLD_MULT, clean_pair),
+               "clique_weight": (CLIQUE_WEIGHT, corrupt)}
+    for constant, (value, fn) in mirrors.items():
+        assert getattr(RunConfig, constant) is value, constant
+        assert default(fn, constant) is value, constant
+    # run_pipeline calls the in-place core, whose default is the same
+    assert default(_corrupt_in_place, "spike_scale") == default(corrupt, "spike_scale")
     cfg = small_cfg(n=64, bad_seed_candidates=1)
     assert cfg.max_swaps_value == RefineParams.for_run(cfg.rho, cfg.n).max_swaps
     rec = run_pipeline(cfg)
@@ -126,6 +129,10 @@ def test_stream_seeds_documented_split():
     assert set(seeds) == {"instance", "noise", "beta", "corruption"}
     assert len(set(seeds.values())) == 4
     assert seeds == derive_streams(small_cfg().master_seed)
+    assert [seeds[name] for name in ("instance", "noise", "beta", "corruption")] == [
+        stream_seed(cfg.master_seed, sid) for sid in range(4)]
+    with pytest.raises(ValueError):      # a stream is named by its id only
+        stream_seed(cfg.master_seed, "noise")
 
 
 # ------------------------------------------------------------- pipeline
@@ -369,12 +376,27 @@ def test_run_record_output_failure_is_recorded(tmp_path):
     assert rec["status"] == "failed:output"
     assert rec["exit_code"] == 1
     assert rec["error"].startswith("FileNotFoundError")
+    assert "FileNotFoundError" in rec["traceback"]
     assert "final" in rec       # the run itself completed
     cfg = small_cfg(output=missing)
     cfg.strategy = "bogus"      # an earlier failure keeps its status
     rec = run_pipeline(cfg)
     assert rec["status"] == "failed:setup"
     assert rec["exit_code"] == 2
+
+
+def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):
+    # run_pipeline never raises: a record that the schema refuses becomes
+    # failed:record, and the manifest is still written
+    schema = copy.deepcopy(RUN_RECORD_SCHEMA)
+    schema["required"].append("nonexistent")
+    monkeypatch.setattr(pipeline, "RUN_RECORD_SCHEMA", schema)
+    out = tmp_path / "run.json"
+    rec = run_pipeline(small_cfg(output=str(out)))
+    assert (rec["status"], rec["exit_code"]) == ("failed:record", 1)
+    assert rec["error"] == "RecordError: $: 'nonexistent' is a required property"
+    assert "RecordError" in rec["traceback"] and "final" in rec
+    assert json.loads(out.read_text()) == rec
 
 
 _STAGES = ["schedule", "generate", "corrupt", "clean", "amp", "score", "lap", "dump",
@@ -512,6 +534,22 @@ def test_dump_dir_artifacts(tmp_path):
     assert "assignment_oracle.csv" in dumped
     score = np.load(tmp_path / "dumps" / "score_oracle.npy")
     assert score.shape == (96, 96)
+
+
+def test_sweep_dumps_each_row_to_its_own_directory(tmp_path):
+    # row r dumps to <dump_dir>.<r>, the score of that row's own run
+    base = small_cfg(n=80, k0=12, min_rounds=0, dump_dir=str(tmp_path / "d"))
+    rows = sweep(base, [80], [0.9], [0.0, 0.05], ["zero-out"], trials=1)
+    assert [r["status"] for r in rows] == ["ok", "ok"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.0", "d.1"]
+    for row_idx, eps in enumerate((0.0, 0.05)):
+        cfg = RunConfig(**{**base.as_dict(), "epsilon": eps, "strategy": "zero-out",
+                           "master_seed": child(base.master_seed, row_idx),
+                           "dump_dir": str(tmp_path / "own")})
+        assert run_pipeline(cfg)["status"] == "ok"
+        for name in ("score_oracle.npy", "assignment_oracle.csv"):
+            got = (tmp_path / f"d.{row_idx}" / name).read_bytes()
+            assert got == (tmp_path / "own" / name).read_bytes(), (row_idx, name)
 
 
 def test_compare_clean_corrupted_memory_and_result():

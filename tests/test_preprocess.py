@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from wigmatch import preprocess
-from wigmatch.errors import NumericalError
+from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.model import (STRATEGIES, ObservedPair, _noise_blocks, _symmetric_standard_normal,
                             corrupt, generate)
 from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _reinject_in_place,
@@ -226,8 +226,6 @@ def test_clean_pair_composition():
     n = 150
     assert np.linalg.norm(cp.a_clean, 2) < 10.0 * math.sqrt(n)
     assert np.linalg.norm(cp.b_clean, 2) < 10.0 * math.sqrt(n)
-    assert cp.iters_a == cp.s.size
-    assert cp.iters_b == cp.t.size
     for i in cp.s:
         assert np.all(cp.a_clean[i, :] == 0.0)
     assert len(rows) >= 2  # at least the final below-threshold check per matrix
@@ -257,6 +255,15 @@ def test_clean_pair_clean_input_no_removals():
     assert cp.t.size == 0
 
 
+def test_clean_pair_accepts_only_the_threshold():
+    inst = generate(40, 0.9, "identity", 12)
+    obs, _ = corrupt(inst, 0.0, "zero-out", 13)
+    with pytest.raises(ParameterError, match="threshold_mult must be 10.0"):
+        clean_pair(obs, seed=14, threshold_mult=9.0)
+    assert clean_pair(obs, seed=14, threshold_mult=10.0).a_clean.tobytes() == \
+        clean_pair(obs, seed=14).a_clean.tobytes()
+
+
 
 @pytest.mark.parametrize("n", [129, 150, 300, 600])
 def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
@@ -277,12 +284,11 @@ def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
     # the owning core run takes the matrices from its list, cleans them as
     # clean_pair does and returns the indicators that obs.indicators() gives
     observed = [again.a_prime, again.b_prime]
-    owned, ind = _clean_owned(observed, 43, 10.0)
+    owned, ind = _clean_owned(observed, 43)
     assert observed == []
     assert np.array_equal(owned.s, cp.s) and np.array_equal(owned.t, cp.t)
     assert owned.a_clean.tobytes() == cp.a_clean.tobytes()
     assert owned.b_clean.tobytes() == cp.b_clean.tobytes()
-    assert (owned.iters_a, owned.iters_b) == (cp.iters_a, cp.iters_b)
     ref = obs.indicators()
     for got, want in ((ind.a_prime, ref.a_prime), (ind.b_prime, ref.b_prime)):
         assert got.dtype == want.dtype == bool and np.array_equal(got, want)

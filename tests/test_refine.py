@@ -104,25 +104,35 @@ def test_import_leaves_out_scipy_stats_and_integrate(subprocess_env):
 
 
 def test_rank1_run_loads_no_scipy_submodule(subprocess_env):
-    # a frame of one column (k0 = 12) is solved by sorting; only a dense
-    # LAP (k0 = 24, two columns) needs SciPy, and it loads the LAP kernel alone
+    # a frame of one column (k0 = 12) is solved by sorting and loads no
+    # scipy* module at all, so its record's SciPy version is None; only a
+    # dense LAP (k0 = 24, two columns) needs SciPy, it loads the LAP kernel
+    # alone of the solver packages, and its record and later ones read the
+    # version that it loaded
     code = """if True:
         import sys
         from wigmatch import RunConfig, run_pipeline
 
-        def loaded():
-            return sorted(m for m in sys.modules if m.split('.')[:2] in (
-                ['scipy', 'optimize'], ['scipy', 'linalg'], ['scipy', 'special'],
-                ['scipy', 'sparse']))
+        def run(**kw):
+            rec = run_pipeline(RunConfig(**dict(cfg, **kw)))
+            loaded = [m for m in sys.modules if m.startswith('scipy')]
+            print(rec['status'], rec['versions']['scipy'], len(loaded) > 0,
+                  sorted(m for m in loaded if m.split('.')[:2] in (
+                      ['scipy', 'optimize'], ['scipy', 'linalg'], ['scipy', 'special'],
+                      ['scipy', 'sparse'])))
 
         cfg = dict(n=120, rho=0.9, epsilon=0.05, strategy='rank1-spike', k0=12,
                    bad_seed_candidates=1, random_candidates=1, master_seed=0)
-        print(run_pipeline(RunConfig(**cfg))['status'], loaded())
-        print(run_pipeline(RunConfig(**dict(cfg, k0=24)))['status'], loaded())
+        run()
+        run(k0=24)
+        run()
+        import scipy
+        print(scipy.__version__)
         """
     proc = subprocess.run([sys.executable, "-c", code], env=subprocess_env,
                           capture_output=True, text=True, timeout=120, check=True)
-    assert proc.stdout.splitlines() == ["ok []", "ok ['scipy.optimize._lsap']"]
+    *lines, version = proc.stdout.splitlines()
+    assert lines == ["ok None False []"] + [f"ok {version} True ['scipy.optimize._lsap']"] * 2
 
 
 def test_psi_monotone_and_bracketed():
