@@ -13,8 +13,9 @@ lies, neither moving nor copying it.  There is no Onsager correction; the
 frame construction makes the cross-round correlation negligible.  A round
 whose frame cannot be built ends the loop as a recorded spectral stop, and
 a round whose beta draws all fail the eigenvalue windows goes on with the
-best draw, recorded as not accepted; a run is never ended by the spectral
-subroutine.
+best draw, recorded as not accepted.  A round logs the window counts of the
+draw it kept, as sample_beta measured them.  A run is never ended by the
+spectral subroutine.
 """
 
 from __future__ import annotations
@@ -199,7 +200,8 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     it = init_iterate(cp, seeds, d)
     logs: list[RoundLog] = []
     history = [rm]
-    pp_rho = None
+    # Taylor lower bound on the signal recursion: eps_{t+1} >= pp_rho eps_t^2
+    pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
     for t in range(t_target + 1):
         t0 = time.perf_counter()
@@ -222,14 +224,11 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             break
         step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
                            max_resamples=max_resamples)
-        # Taylor lower bound on the signal recursion, recorded each round
-        if pp_rho is None:
-            pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
-        log.eps_lower_bound_ok = bool(step.eps_next >= pp_rho * rm.eps_t ** 2 - 1e-12)
+        log.eps_lower_bound_ok = bool(step.next_rm.eps_t >= pp_rho * rm.eps_t ** 2 - 1e-12)
         log.resamples = step.resamples
         log.accepted = step.accepted
         log.clamp_count = step.clamp_count
-        log.window_phi, log.window_psi = step.next_rm.window_counts()
+        log.window_phi, log.window_psi = step.window_counts
         it = amp_round(it, cp, step, d)
         rm = step.next_rm
         history.append(rm)

@@ -30,18 +30,15 @@ def _config_from_args(args) -> RunConfig:
 
 
 def _cmd_run(args) -> int:
-    from .pipeline import run_pipeline
-    from .rng import child
+    from .pipeline import run_pipeline, trial_config
 
     cfg = _config_from_args(args)
     worst = 0
     for trial in range(cfg.trials):
         trial_cfg = cfg
         if cfg.trials > 1:
-            trial_cfg = dataclasses.replace(
-                cfg, master_seed=child(cfg.master_seed, trial), trials=1,
-                output=(f"{cfg.output}.{trial}" if cfg.output else None),
-                dump_dir=(f"{cfg.dump_dir}.{trial}" if cfg.dump_dir else None)).validate()
+            trial_cfg = trial_config(
+                cfg, trial, output=f"{cfg.output}.{trial}" if cfg.output else None).validate()
         record = run_pipeline(trial_cfg)
         line = {"trial": trial, "status": record["status"]}
         if record["status"] == "ok":

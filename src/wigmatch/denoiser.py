@@ -143,11 +143,6 @@ class Schedule:
     signal_growth_factor: float  # K0 eps0^2 gamma (phi''(0) rho^2 / 16)^2
     eq25_ratio: float
 
-    @property
-    def rounds(self) -> int:
-        """Number of iteration rounds the schedule covers (len(ks) - 1)."""
-        return len(self.ks) - 1
-
 
 def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
                    d: Denoiser | None = None, gamma: float | None = None,
@@ -166,14 +161,16 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
     need K_0 >= reference_k0_bound, which no runnable k0 reaches; the
     `constants` command prints that bound.
     """
+    from .spectral import XI_FACTOR     # spectral imports this module
+
     if d is None:
         d = make_denoiser()
     if not (0.0 < rho <= 1.0):
         raise ParameterError(f"rho must lie in (0, 1], got {rho}")
     if mode != "practical":
         raise ParameterError(f"unknown schedule mode {mode!r}")
-    if k0 < 12:
-        raise ScheduleError(f"k0 must be >= 12 so K_t/12 >= 1, got {k0}")
+    if k0 < XI_FACTOR:
+        raise ScheduleError(f"k0 must be >= {XI_FACTOR} so K_t/{XI_FACTOR} >= 1, got {k0}")
     if gamma is None:
         gamma = 4.0 / k0
     eps0 = float(phi_map(d, rho / 2.0))

@@ -18,14 +18,8 @@ class NumericalError(RuntimeError):
 
 
 class SpectralDeficiencyError(RuntimeError):
-    """build_xi could not build a frame from the round matrices.
-
-    Carries diagnostics: the window counts and the eigenvalues.
-    """
-
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
+    """build_xi could not build a frame from the round matrices; the
+    message gives the counts that fell short."""
 
 
 EXIT_CONFIG = 2

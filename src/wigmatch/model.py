@@ -29,7 +29,6 @@ CLIQUE_WEIGHT = 5.0     # the weight that planted-clique-weight adds to each ent
 @dataclass(frozen=True)
 class CorrelatedInstance:
     n: int
-    rho: float
     a: np.ndarray
     b: np.ndarray
     pi_star: np.ndarray
@@ -145,7 +144,7 @@ def generate(n: int, rho: float, pi_mode: str = "uniform-random", seed: int = 0)
     b = c
     _permute_in_place(b, np.argsort(pi))
     np.fill_diagonal(b, 0.0)
-    return CorrelatedInstance(n=n, rho=float(rho), a=a, b=b, pi_star=pi)
+    return CorrelatedInstance(n=n, a=a, b=b, pi_star=pi)
 
 
 def _perturbation(m_sub: np.ndarray, n: int, strategy: str, rng: np.random.Generator,

@@ -54,6 +54,7 @@ from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
+from .spectral import PHI_WINDOW
 
 SCHEMA_VERSION = 1
 
@@ -379,9 +380,10 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
     }
     if rounds:
         # every logged round built its frame, so it has these three values
+        lo, hi = PHI_WINDOW
         out["xi_phi_orthonormal"] = max(r["xi_ortho_err"] for r in rounds) <= 1e-8
         out["psi_diag_in_window"] = all(
-            0.9 * r["eps_t"] < r["psi_diag_min"] and r["psi_diag_max"] < 1.1 * r["eps_t"]
+            lo * r["eps_t"] < r["psi_diag_min"] and r["psi_diag_max"] < hi * r["eps_t"]
             for r in rounds)
         accepted = [r["accepted"] for r in rounds if r.get("accepted") is not None]
         out["spectral_window_all_rounds"] = all(accepted) if accepted else None
@@ -435,12 +437,18 @@ SWEEP_FIELDS = ["n", "rho", "epsilon", "strategy", "trial", "master_seed",
                 "cleaning_iters", "resamples_mean", "wall_s", "error"]
 
 
+def trial_config(base: RunConfig, i: int, **changes) -> RunConfig:
+    """base's i-th single trial: master seed child(base.master_seed, i), and
+    its own dump directory <base.dump_dir>.i; changes replace further fields."""
+    return dataclasses.replace(base, master_seed=child(base.master_seed, i), trials=1,
+                               dump_dir=f"{base.dump_dir}.{i}" if base.dump_dir else None,
+                               **changes)
+
+
 def _sweep_row(args):
     base, n, rho, eps, strategy, trial, row_idx = args
-    cfg = dataclasses.replace(base, n=n, rho=rho, epsilon=eps, strategy=strategy,
-                              master_seed=child(base.master_seed, row_idx),
-                              trials=1, output=None,
-                              dump_dir=f"{base.dump_dir}.{row_idx}" if base.dump_dir else None)
+    cfg = trial_config(base, row_idx, n=n, rho=rho, epsilon=eps, strategy=strategy,
+                       output=None)
     row = dict.fromkeys(SWEEP_FIELDS)
     row.update(n=n, rho=rho, epsilon=eps, strategy=strategy, trial=trial,
                master_seed=cfg.master_seed)

@@ -210,7 +210,7 @@ def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.nd
     zeroed: list[int] = []
     warm = None
     for step in range(n + 1):
-        sigma, u, v, iters, cert = _singular_triple(
+        sigma, u, v, _, cert = _singular_triple(
             cleaned, seed=child(seed, step), v0=warm, below=threshold)
         if trace is not None:
             norm, bound = cert or (None, None)

@@ -67,7 +67,7 @@ class SpectralStep:
     accepted: bool           # candidate satisfied the eigenvalue windows
     clamp_count: int         # correlation-map arguments clamped to [-1, 1]
     next_rm: RoundMatrices
-    eps_next: float
+    window_counts: tuple[int, int]   # next_rm.window_counts(), measured once
 
 
 def initial_round(k0: int, eps0: float) -> RoundMatrices:
@@ -75,10 +75,10 @@ def initial_round(k0: int, eps0: float) -> RoundMatrices:
     return RoundMatrices(phi=np.eye(k0), psi=eps0 * np.eye(k0), eps_t=float(eps0), k_t=int(k0))
 
 
-def _window_eigvecs(m: np.ndarray, lo: float, hi: float):
-    """All eigenvalues of m, and the eigenvectors whose values lie in (lo, hi)."""
+def _window_eigvecs(m: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """The eigenvectors of m whose eigenvalues lie in (lo, hi)."""
     vals, vecs = np.linalg.eigh(m)
-    return vals, vecs[:, (vals > lo) & (vals < hi)]
+    return vecs[:, (vals > lo) & (vals < hi)]
 
 
 def frame_width(k_t: int) -> int:
@@ -112,34 +112,28 @@ def build_xi(rm: RoundMatrices) -> np.ndarray:
     """
     k = rm.k_t
     d = frame_width(k)
-    need = math.ceil(0.75 * k)
     lo, hi = PHI_WINDOW
-    ev_phi, u_good = _window_eigvecs(rm.phi, lo, hi)
-    ev_psi, v_good = _window_eigvecs(rm.psi, lo * rm.eps_t, hi * rm.eps_t)
-    diag = {"k_t": k, "d": d, "phi_good": u_good.shape[1], "psi_good": v_good.shape[1],
-            "phi_eigvals": ev_phi.tolist(), "psi_eigvals": ev_psi.tolist()}
-    if u_good.shape[1] < need or v_good.shape[1] < need:
+    u_good = _window_eigvecs(rm.phi, lo, hi)
+    v_good = _window_eigvecs(rm.psi, lo * rm.eps_t, hi * rm.eps_t)
+    counts = (u_good.shape[1], v_good.shape[1])
+    if not _windows_hold(counts, k):
         raise SpectralDeficiencyError(
-            f"window eigenvector counts ({u_good.shape[1]}, {v_good.shape[1]}) "
-            f"below ceil(3K/4) = {need} at K = {k}", diag)
+            f"window eigenvector counts {counts} below ceil(3K/4) at K = {k}")
     # principal angles: singular values ~ 1 mark common directions
     prod = u_good.T @ v_good
     uu, sv, _ = np.linalg.svd(prod)
     take = sv >= 1.0 - INTERSECT_TOL
     if int(take.sum()) < d:
-        diag["intersection_dim"] = int(take.sum())
         raise SpectralDeficiencyError(
-            f"span intersection has dimension {int(take.sum())} < d = {d}", diag)
+            f"span intersection has dimension {int(take.sum())} < d = {d}")
     w = u_good @ uu[:, take]          # orthonormal basis of the intersection
     a = w.T @ rm.psi @ w
     b = w.T @ rm.phi @ w
     mu, x = generalized_eigh((a + a.T) / 2.0, (b + b.T) / 2.0)   # x is b-orthonormal
     in_window = np.flatnonzero((mu > lo * rm.eps_t) & (mu < hi * rm.eps_t))
     if in_window.size < d:
-        diag["ritz_in_window"] = int(in_window.size)
-        diag["ritz_values"] = mu.tolist()
         raise SpectralDeficiencyError(
-            f"only {in_window.size} Ritz values inside (0.9 eps, 1.1 eps), need {d}", diag)
+            f"only {in_window.size} Ritz values inside (0.9 eps, 1.1 eps), need {d}")
     order = in_window[np.argsort(np.abs(mu[in_window] - rm.eps_t), kind="stable")]
     sel = np.sort(order[:d])
     return w @ x[:, sel]
@@ -164,7 +158,7 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
         eps'       = phi(rho/2 * (XI_FACTOR/K_t) tr(Xi^T Psi Xi))
 
     Correlation-map arguments outside [-1, 1] are clamped and counted.
-    Returns (next RoundMatrices, eps_next, clamp_count).
+    Returns (next RoundMatrices, clamp_count).
     """
     if xi.shape[0] != rm.k_t or beta.shape[0] != xi.shape[1]:
         raise ParameterError("xi and beta dimensions inconsistent with the round")
@@ -183,7 +177,7 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
                                         -1.0, 1.0)))
     k_next = beta.shape[1]
     rm_next = RoundMatrices(phi=phi_next, psi=psi_next, eps_t=eps_next, k_t=k_next)
-    return rm_next, eps_next, clamps
+    return rm_next, clamps
 
 
 def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
@@ -191,6 +185,7 @@ def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
                 mode: str = "record", validator=None) -> SpectralStep:
     """Sample beta, resampling until the updated pair meets the windows.
 
+    Each draw's window counts are measured once and kept on its step.
     When max_resamples + 1 draws all fail, the best candidate (largest
     in-window eigenvalue count) is returned flagged accepted=False.  mode
     accepts only "record", the one policy.  validator overrides the
@@ -200,18 +195,17 @@ def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
     if mode != "record":
         raise ParameterError(f"unknown sampling mode {mode!r}")
     dim = xi.shape[1]
-    best = best_counts = None
+    best = None
     for attempt in range(max_resamples + 1):
         beta = sample_sign_matrix(dim, k_next, child(seed, attempt))
-        rm_next, eps_next, clamps = update_round(rm, xi, beta, d, rho)
+        rm_next, clamps = update_round(rm, xi, beta, d, rho)
         counts = rm_next.window_counts()
         ok = validator(rm_next) if validator is not None else _windows_hold(counts, k_next)
         if ok:
             return SpectralStep(xi=xi, beta=beta, resamples=attempt, accepted=True,
-                                clamp_count=clamps, next_rm=rm_next, eps_next=eps_next)
-        if best is None or sum(counts) > sum(best_counts):
-            best_counts = counts
+                                clamp_count=clamps, next_rm=rm_next, window_counts=counts)
+        if best is None or sum(counts) > sum(best.window_counts):
             best = SpectralStep(xi=xi, beta=beta, resamples=max_resamples + 1,
                                 accepted=False, clamp_count=clamps,
-                                next_rm=rm_next, eps_next=eps_next)
+                                next_rm=rm_next, window_counts=counts)
     return best

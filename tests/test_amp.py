@@ -14,7 +14,8 @@ from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.model import corrupt, generate
 from wigmatch.preprocess import clean_pair
 from wigmatch.rng import child
-from wigmatch.spectral import XI_FACTOR, build_xi, initial_round, sample_beta
+from wigmatch.spectral import (XI_FACTOR, RoundMatrices, build_xi, initial_round,
+                               sample_beta)
 
 D = make_denoiser(1.0)
 
@@ -171,6 +172,25 @@ def test_run_amp_min_rounds_zero_stops_at_t_star():
     assert res.rounds[0].resamples is None      # no beta needed at the last round
 
 
+def test_run_amp_measures_window_counts_once_per_beta_draw(monkeypatch):
+    # round 0 draws 1 + max_resamples betas (24 -> 96 fails every draw) and
+    # logs the counts of the draw it kept without measuring them again
+    inst, cp, seeds = clean_setup(120, 0.9, 16)
+    sched = build_schedule(0.9, 120, 24, min_rounds=1)
+    real, calls = RoundMatrices.window_counts, []
+
+    def counted(rm):
+        calls.append(rm.k_t)
+        return real(rm)
+
+    monkeypatch.setattr(RoundMatrices, "window_counts", counted)
+    res = run_amp(cp, seeds, sched, D, min_rounds=1, beta_seed=3, max_resamples=4)
+    assert res.rounds[0].accepted is False and res.rounds[0].resamples == 5
+    assert calls == [96] * 5
+    kept = (res.rounds[0].window_phi, res.rounds[0].window_psi)
+    assert kept == real(res.round_history[1])
+
+
 def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, max_resamples):
     """run_amp's loop as it was with amp_round's body written out inline;
     returns (iterate, rounds, stopped_reason)."""
@@ -197,7 +217,7 @@ def _run_amp_inline_rounds(cp, seeds, sched, d, min_rounds, beta_seed, max_resam
             break
         step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
                            max_resamples=max_resamples)
-        log.eps_lower_bound_ok = bool(step.eps_next >= pp_rho * rm.eps_t ** 2 - 1e-12)
+        log.eps_lower_bound_ok = bool(step.next_rm.eps_t >= pp_rho * rm.eps_t ** 2 - 1e-12)
         log.resamples = step.resamples
         log.accepted = step.accepted
         log.clamp_count = step.clamp_count

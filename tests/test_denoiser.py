@@ -219,7 +219,7 @@ def test_schedule_t_star_at_desk_scale():
     sched = build_schedule(0.8, 1000, 24, min_rounds=2)
     assert math.log(1000) ** 1.1 == pytest.approx(8.3805, abs=1e-3)
     assert sched.t_star == 0
-    assert sched.rounds == 2  # min_rounds extends the sizing
+    assert len(sched.ks) == 3  # min_rounds extends the sizing to two rounds
 
 
 def test_schedule_t_star_above_zero_for_small_k0():
@@ -235,6 +235,18 @@ def test_schedule_rejects_bad_k0_and_gamma():
         build_schedule(0.8, 1000, 6)
     with pytest.raises(ScheduleError):
         build_schedule(0.8, 1000, 24, gamma=1.0 / 48.0)  # K1 = 12 < 24
+
+
+def test_schedule_k0_floor_is_the_frame_factor(monkeypatch):
+    # the floor keeps a round-0 frame at least one column wide: k0 >= XI_FACTOR
+    from wigmatch import spectral
+
+    monkeypatch.setattr(spectral, "XI_FACTOR", 16)
+    with pytest.raises(ScheduleError, match=r"k0 must be >= 16 so K_t/16 >= 1, got 12"):
+        build_schedule(0.8, 1000, 12)
+    assert build_schedule(0.8, 1000, 16).k0 == 16
+    monkeypatch.setattr(spectral, "XI_FACTOR", 8)
+    assert build_schedule(0.8, 1000, 10).k0 == 10
 
 
 def test_asymptotic_constants_mode_refuses_to_run():

@@ -27,3 +27,12 @@ def test_strip_leaves_out_only_timings_versions_and_tracebacks():
     assert ok["rounds"] and ok["candidates"][0]["swap_trace"]
     assert out == [want_ok, {k: v for k, v in failed.items()
                              if k not in ("stages_s", "versions", "traceback")}]
+
+
+def test_min_rounds_runs_reach_the_beta_rounds():
+    # the benchmark's runs stop at round 0; these sample beta and log a round
+    for cfg in records.ROUNDS:
+        rec = run_pipeline(RunConfig(**cfg, **records.ROUNDS_COMMON, min_rounds=1))
+        assert rec["status"] == "ok"
+        assert rec["rounds"][0]["resamples"] is not None
+        assert rec["rounds"][0]["window_phi"] is not None

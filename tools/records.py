@@ -6,14 +6,17 @@ Run from any directory; the checkout is the one this file lies in.  It
 makes the runs of every workload in perfbench/workloads.py at benchmark
 seeds 1-3 (a sweep workload with workers=1) and prints, per workload and
 seed, each run's record in call order, and for a sweep also its rows and
-summary.  Every `stages_s`, `versions`, `wall_s` and `traceback` is left
-out, so the output depends only on what the runs compute.  A change that
-must keep records byte-identical is checked by running this in both
-checkouts with the same OPENBLAS_NUM_THREADS and comparing the outputs:
+summary.  Every benchmark workload stops AMP at round 0, so under
+"min-rounds" it also prints the records of the ROUNDS runs at min_rounds
+1 and 2, which sample beta and log a round.  Every `stages_s`,
+`versions`, `wall_s` and `traceback` is left out, so the output depends
+only on what the runs compute.  A change that must keep records
+byte-identical is checked by running this in both checkouts with the
+same OPENBLAS_NUM_THREADS and comparing the outputs:
 
     cmp parent.json change.json
 
-It takes about 25 seconds on two cores.
+It takes about 20 seconds on two cores.
 """
 
 from __future__ import annotations
@@ -26,6 +29,13 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEEDS = (1, 2, 3)
 UNSTABLE = ("stages_s", "versions", "wall_s", "traceback")
+# run at min_rounds 1 and 2 with ROUNDS_COMMON: one config per kind of
+# adversary (weighted clique, zeroed minor, rank-1 spike)
+ROUNDS = [dict(n=600, k0=24, strategy="planted-clique-weight"),
+          dict(n=300, k0=12, strategy="zero-out"),
+          dict(n=400, k0=24, strategy="rank1-spike")]
+ROUNDS_COMMON = dict(rho=0.8, epsilon=0.01, bad_seed_candidates=1, random_candidates=1,
+                     master_seed=1)
 
 
 def strip(obj):
@@ -78,6 +88,10 @@ def main() -> int:
                 result = {"records": [pipeline.run_pipeline(RunConfig(**cfg))
                                       for cfg in s["runs"]]}
             out.setdefault(name, {})[str(seed)] = strip(result)
+    out["min-rounds"] = {
+        str(m): strip([pipeline.run_pipeline(RunConfig(**cfg, **ROUNDS_COMMON, min_rounds=m))
+                       for cfg in ROUNDS])
+        for m in (1, 2)}
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
