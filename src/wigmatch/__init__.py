@@ -9,8 +9,8 @@ candidate permutation by indicator overlap.
 
 __version__ = "0.1.0"
 
-from .amp import (AmpIterate, SeedPair, amp_round, bad_seed_pair, good_seed_pair,
-                  init_iterate, run_amp)
+from .amp import (AmpIterate, SeedPair, SpectralRounds, advance, amp_round, bad_seed_pair,
+                  good_seed_pair, init_iterate, run_amp, spectral_rounds)
 from .assign import AssignmentProblem, assemble_pi, build_scores, solve_lap
 from .config import RunConfig, make_config
 from .denoiser import (Denoiser, Schedule, build_schedule, lambda_bound,

@@ -10,12 +10,16 @@ with A_sub, B_sub the cleaned matrices restricted to the non-seed rows and
 columns.  A_sub x is the non-seed rows of A x~, where x~ is x with zero
 rows at the seeds, so every caller multiplies by the cleaned pair where it
 lies, neither moving nor copying it.  There is no Onsager correction; the
-frame construction makes the cross-round correlation negligible.  A round
-whose frame cannot be built ends the loop as a recorded spectral stop, and
-a round whose beta draws all fail the eigenvalue windows goes on with the
-best draw, recorded as not accepted.  A round logs the window counts of the
-draw it kept, as sample_beta measured them.  A run is never ended by the
-spectral subroutine.
+frame construction makes the cross-round correlation negligible.
+Each round's frame Xi and sign matrix beta are made from the predicted
+Gram pair (Phi, Psi) alone and read no matrix or seed pair, so
+spectral_rounds makes a run's rounds once and advance runs each seed pair
+through them; run_amp is the two in turn.  A round whose frame cannot be
+built ends the rounds as a recorded spectral stop, and a round whose beta
+draws all fail the eigenvalue windows goes on with the best draw, recorded
+as not accepted.  A round logs the window counts of the draw it kept, as
+sample_beta measured them.  A run is never ended by the spectral
+subroutine.
 """
 
 from __future__ import annotations
@@ -30,8 +34,8 @@ from .denoiser import Denoiser, Schedule, phi_second_deriv_at_zero
 from .errors import NumericalError, ParameterError, SpectralDeficiencyError
 from .preprocess import CleanedPair
 from .rng import child
-from .spectral import (XI_FACTOR, RoundMatrices, SpectralStep, build_xi, frame_width,
-                       initial_round, sample_beta)
+from .spectral import (MAX_RESAMPLES, XI_FACTOR, RoundMatrices, SpectralStep, build_xi,
+                       frame_width, initial_round, sample_beta)
 
 
 @dataclass(frozen=True)
@@ -175,31 +179,29 @@ def amp_round(it: AmpIterate, cp: CleanedPair, step: SpectralStep, d: Denoiser) 
                       rows_i=it.rows_i, rows_j=it.rows_j)
 
 
-def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
-            min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = XI_FACTOR,
-            max_resamples: int = 64, spectral_mode: str = "record") -> AmpResult:
-    """Iterate through round max(t_star, min_rounds).
+@dataclass
+class SpectralRounds:
+    """A run's AMP rounds, made from the schedule alone and shared by every
+    seed pair."""
+    logs: list[RoundLog]
+    stopped_reason: str             # "t_star", "min_rounds", "spectral"
+    history: list[RoundMatrices]    # round 0's matrices, then each full round's next
+    steps: list[SpectralStep]       # each full round's kept frame and beta
+    last_xi: np.ndarray | None      # the last round's frame; None after a spectral stop
 
-    The returned iterate carries the last computed (h, l); those drive the
-    assignment stage.  A round whose frame cannot be built stops the loop
-    gracefully with the stop recorded, and a round whose beta draws all fail
-    keeps the best one with the violation recorded.  spectral_mode accepts
-    only "record", the one policy, and xi_factor only XI_FACTOR, the frame
-    factor that spectral applies.  seeds must have the schedule's k0.  cp
-    is read where it lies and left unchanged (see linear_step).
+
+def spectral_rounds(sched: Schedule, d: Denoiser, min_rounds: int, beta_seed: int,
+                    max_resamples: int = MAX_RESAMPLES) -> SpectralRounds:
+    """The frames and beta draws of rounds 0 .. max(t_star, min_rounds).
+
+    Round t draws its beta from child(beta_seed, t).  A round's wall_s times
+    its frame and beta draws; the seed pairs' products are not in it.
     """
-    if spectral_mode != "record":
-        raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
-    if xi_factor != XI_FACTOR:
-        raise ParameterError(f"xi_factor must be {XI_FACTOR}, got {xi_factor!r}")
-    if seeds.k0 != sched.k0:
-        raise ParameterError(f"the seed pair has k0={seeds.k0} but the schedule "
-                             f"has k0={sched.k0}")
     t_target = max(sched.t_star, min_rounds)
     rm = initial_round(sched.k0, sched.eps0)
-    it = init_iterate(cp, seeds, d)
     logs: list[RoundLog] = []
     history = [rm]
+    steps: list[SpectralStep] = []
     # Taylor lower bound on the signal recursion: eps_{t+1} >= pp_rho eps_t^2
     pp_rho = sched.rho ** 2 * phi_second_deriv_at_zero(d) / 16.0
     stopped = "t_star" if t_target == sched.t_star else "min_rounds"
@@ -210,6 +212,7 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             xi = build_xi(rm)
         except SpectralDeficiencyError:
             stopped = "spectral"
+            xi = None
             break
         proj_phi = xi.T @ rm.phi @ xi
         proj_psi = xi.T @ rm.psi @ xi
@@ -217,22 +220,56 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
         pd = np.diag(proj_psi)
         log.psi_diag_min = float(pd.min())
         log.psi_diag_max = float(pd.max())
-        if t == t_target:
-            it.h, it.l = linear_step(it, cp, xi)
-            log.wall_s = time.perf_counter() - t0
-            logs.append(log)
-            break
-        step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho, seed=child(beta_seed, t),
-                           max_resamples=max_resamples)
-        log.eps_lower_bound_ok = bool(step.next_rm.eps_t >= pp_rho * rm.eps_t ** 2 - 1e-12)
-        log.resamples = step.resamples
-        log.accepted = step.accepted
-        log.clamp_count = step.clamp_count
-        log.window_phi, log.window_psi = step.window_counts
-        it = amp_round(it, cp, step, d)
-        rm = step.next_rm
-        history.append(rm)
+        if t < t_target:
+            step = sample_beta(rm, xi, sched.ks[t + 1], d, sched.rho,
+                               seed=child(beta_seed, t), max_resamples=max_resamples)
+            log.eps_lower_bound_ok = bool(step.next_rm.eps_t >= pp_rho * rm.eps_t ** 2 - 1e-12)
+            log.resamples = step.resamples
+            log.accepted = step.accepted
+            log.clamp_count = step.clamp_count
+            log.window_phi, log.window_psi = step.window_counts
+            steps.append(step)
+            rm = step.next_rm
+            history.append(rm)
         log.wall_s = time.perf_counter() - t0
         logs.append(log)
-    return AmpResult(iterate=it, rounds=logs, stopped_reason=stopped,
-                     round_history=history)
+    return SpectralRounds(logs=logs, stopped_reason=stopped, history=history, steps=steps,
+                          last_xi=xi)
+
+
+def advance(cp: CleanedPair, seeds: SeedPair, rounds: SpectralRounds,
+            d: Denoiser) -> AmpResult:
+    """Run one seed pair through rounds: amp_round through each kept step,
+    then the last round's linear step.  After a spectral stop the iterate
+    keeps the last full round's (h, l).  seeds must have round 0's k0.  cp
+    is read where it lies and left unchanged (see linear_step).
+    """
+    k0 = rounds.history[0].k_t
+    if seeds.k0 != k0:
+        raise ParameterError(f"the seed pair has k0={seeds.k0} but the schedule "
+                             f"has k0={k0}")
+    it = init_iterate(cp, seeds, d)
+    for step in rounds.steps:
+        it = amp_round(it, cp, step, d)
+    if rounds.last_xi is not None:
+        it.h, it.l = linear_step(it, cp, rounds.last_xi)
+    return AmpResult(iterate=it, rounds=rounds.logs, stopped_reason=rounds.stopped_reason,
+                     round_history=rounds.history)
+
+
+def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
+            min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = XI_FACTOR,
+            max_resamples: int = MAX_RESAMPLES, spectral_mode: str = "record") -> AmpResult:
+    """Iterate one seed pair through round max(t_star, min_rounds):
+    advance(cp, seeds, spectral_rounds(...), d).
+
+    The returned iterate carries the last computed (h, l); those drive the
+    assignment stage.  spectral_mode accepts only "record", the one policy,
+    and xi_factor only XI_FACTOR, the frame factor that spectral applies.
+    """
+    if spectral_mode != "record":
+        raise ParameterError(f"unknown spectral mode {spectral_mode!r}")
+    if xi_factor != XI_FACTOR:
+        raise ParameterError(f"xi_factor must be {XI_FACTOR}, got {xi_factor!r}")
+    rounds = spectral_rounds(sched, d, min_rounds, beta_seed, max_resamples)
+    return advance(cp, seeds, rounds, d)

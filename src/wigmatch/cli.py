@@ -145,7 +145,7 @@ def main(argv=None) -> int:
     except ParameterError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except Exception as exc:  # map numeric/spectral failures to exit codes
+    except Exception as exc:  # map numerical failures to exit codes
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return exit_code_for(exc)
 

@@ -19,7 +19,7 @@ from .denoiser import build_schedule
 from .errors import ParameterError
 from .model import CLIQUE_WEIGHT, STRATEGIES
 from .preprocess import THRESHOLD_MULT
-from .spectral import XI_FACTOR
+from .spectral import MAX_RESAMPLES, XI_FACTOR
 
 CHOICES = {"strategy": STRATEGIES}
 
@@ -52,7 +52,7 @@ class RunConfig:
     threshold_mult = THRESHOLD_MULT
     clique_weight = CLIQUE_WEIGHT
     spike_scale = None      # 20 sqrt(n)
-    max_resamples = 64
+    max_resamples = MAX_RESAMPLES
     max_swaps = None        # 10 n
 
     def validate(self) -> "RunConfig":

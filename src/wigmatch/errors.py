@@ -24,14 +24,11 @@ class SpectralDeficiencyError(RuntimeError):
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
-EXIT_SPECTRAL = 4
 
 
 def exit_code_for(exc: BaseException) -> int:
     if isinstance(exc, ParameterError):
         return EXIT_CONFIG
-    if isinstance(exc, SpectralDeficiencyError):
-        return EXIT_SPECTRAL
     if isinstance(exc, NumericalError):
         return EXIT_NUMERICAL
     return 1

@@ -2,8 +2,10 @@
 
 A run executes the stages schedule -> generate -> corrupt (A and B in
 place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
-for every seed pair -> per seed pair score -> LAP -> dump (with
---dump-dir) -> refine -> select, and emits a schema-versioned RunRecord.
+(the run's spectral rounds, made once, then every seed pair advanced
+through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
+refine -> select, and emits a schema-versioned RunRecord whose rounds are
+the run's, shared by every seed pair.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -45,7 +47,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .amp import bad_seed_pair, good_seed_pair, run_amp
+from .amp import advance, bad_seed_pair, good_seed_pair, spectral_rounds
 from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import build_schedule, make_denoiser
@@ -289,8 +291,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             for i in range(cfg.bad_seed_candidates):
                 pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
                                                        child(streams["corruption"], 100 + i))))
-            amp_results = [run_amp(cp, seeds, sched, dn, min_rounds=cfg.min_rounds,
-                                   beta_seed=streams["beta"]) for _, seeds in pairs]
+            rounds = spectral_rounds(sched, dn, cfg.min_rounds, streams["beta"])
+            amp_results = [advance(cp, seeds, rounds, dn) for _, seeds in pairs]
         del cp      # the cleaned pair dies once every seed pair has run AMP
 
         # one record entry per candidate; its permutation is kept for selection
@@ -317,7 +319,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 "overlap_refine": overlap(pi_ref, pi_star),
                 "swaps": info["swaps"],
                 "truncated": info["truncated"],
-                "stopped_reason": res.stopped_reason,
+                "stopped_reason": rounds.stopped_reason,
                 "select_score": info["select_score"],
             })
             if trace is not None:
@@ -338,7 +340,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             scores = [c["select_score"] for c in candidates]
             best = int(np.argmax(scores))   # argmax returns the first maximiser
 
-        record["rounds"] = [dataclasses.asdict(r) for r in amp_results[0].rounds]
+        record["rounds"] = [dataclasses.asdict(r) for r in rounds.logs]
         record["candidates"] = candidates
         record["final"] = {
             "selected_label": candidates[best]["label"],
@@ -396,9 +398,9 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
 
 
 def compare_clean_corrupted(cfg: RunConfig) -> dict:
-    """Shared-randomness comparison: identical instance, noise and beta seeds,
-    with and without corruption.  Returns the relative Frobenius gap of the
-    final h along with both iterates' metadata.  Each step reads its own
+    """Shared-randomness comparison: identical instance, noise and AMP
+    rounds, with and without corruption.  Returns the relative Frobenius gap
+    of the final h along with both iterates' metadata.  Each step reads its own
     stream, so each matrix can die at its last use: the corrupted copies and
     then A and B die in cleaning."""
     cfg.validate()
@@ -419,10 +421,10 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     exclude_v = set(plan.r.tolist()) | set(cp_c.t.tolist()) | set(cp_0.t.tolist())
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
-    kw = dict(min_rounds=cfg.min_rounds, beta_seed=streams["beta"])
-    res_c = run_amp(cp_c, seeds, sched, dn, **kw)
+    rounds = spectral_rounds(sched, dn, cfg.min_rounds, streams["beta"])
+    res_c = advance(cp_c, seeds, rounds, dn)
     del cp_c
-    res_0 = run_amp(cp_0, seeds, sched, dn, **kw)
+    res_0 = advance(cp_0, seeds, rounds, dn)
     del cp_0
     h_c, h_0 = res_c.iterate.h, res_0.iterate.h
     denom = float(np.linalg.norm(h_0))

@@ -21,7 +21,7 @@ violation recorded instead of failing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .rng import child, generator
 PHI_WINDOW = (0.9, 1.1)
 INTERSECT_TOL = 1e-8
 XI_FACTOR = 12      # a round's frame has K_t // XI_FACTOR columns
+MAX_RESAMPLES = 64  # a round draws beta at most MAX_RESAMPLES + 1 times
 
 
 @dataclass(frozen=True)
@@ -181,31 +182,32 @@ def update_round(rm: RoundMatrices, xi: np.ndarray, beta: np.ndarray,
 
 
 def sample_beta(rm: RoundMatrices, xi: np.ndarray, k_next: int, d: Denoiser,
-                rho: float, seed: int, max_resamples: int = 64,
+                rho: float, seed: int, max_resamples: int = MAX_RESAMPLES,
                 mode: str = "record", validator=None) -> SpectralStep:
     """Sample beta, resampling until the updated pair meets the windows.
 
     Each draw's window counts are measured once and kept on its step.
     When max_resamples + 1 draws all fail, the best candidate (largest
-    in-window eigenvalue count) is returned flagged accepted=False.  mode
-    accepts only "record", the one policy.  validator overrides the
-    acceptance predicate (testing hook); default is the eigenvalue-window
-    condition on the candidate round.
+    in-window eigenvalue count) is returned flagged accepted=False, with
+    resamples = max_resamples + 1.  mode accepts only "record", the one
+    policy.  validator overrides the acceptance predicate (testing hook);
+    default is the eigenvalue-window condition on the candidate round.
     """
     if mode != "record":
         raise ParameterError(f"unknown sampling mode {mode!r}")
+    if max_resamples < 0:
+        raise ParameterError(f"max_resamples must be >= 0, got {max_resamples}")
     dim = xi.shape[1]
     best = None
     for attempt in range(max_resamples + 1):
         beta = sample_sign_matrix(dim, k_next, child(seed, attempt))
         rm_next, clamps = update_round(rm, xi, beta, d, rho)
         counts = rm_next.window_counts()
-        ok = validator(rm_next) if validator is not None else _windows_hold(counts, k_next)
+        ok = bool(validator(rm_next)) if validator is not None else _windows_hold(counts, k_next)
+        step = SpectralStep(xi=xi, beta=beta, resamples=attempt, accepted=ok,
+                            clamp_count=clamps, next_rm=rm_next, window_counts=counts)
         if ok:
-            return SpectralStep(xi=xi, beta=beta, resamples=attempt, accepted=True,
-                                clamp_count=clamps, next_rm=rm_next, window_counts=counts)
+            return step
         if best is None or sum(counts) > sum(best.window_counts):
-            best = SpectralStep(xi=xi, beta=beta, resamples=max_resamples + 1,
-                                accepted=False, clamp_count=clamps,
-                                next_rm=rm_next, window_counts=counts)
-    return best
+            best = step
+    return replace(best, resamples=max_resamples + 1)

@@ -1,5 +1,6 @@
 """Vector-AMP iteration tests: initialization, rounds, concentration."""
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import asdict
@@ -7,8 +8,9 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from wigmatch.amp import (AmpIterate, RoundLog, SeedPair, amp_round, bad_seed_pair,
-                          good_seed_pair, init_iterate, linear_step, run_amp)
+from wigmatch.amp import (AmpIterate, RoundLog, SeedPair, advance, amp_round,
+                          bad_seed_pair, good_seed_pair, init_iterate, linear_step, run_amp,
+                          spectral_rounds)
 from wigmatch.denoiser import build_schedule, make_denoiser, phi_second_deriv_at_zero
 from wigmatch.errors import ParameterError, SpectralDeficiencyError
 from wigmatch.model import corrupt, generate
@@ -161,6 +163,14 @@ def test_run_amp_strict_raises():
             run_amp(cp, seeds, sched, D, min_rounds=2, beta_seed=3, xi_factor=xi_factor)
 
 
+def test_run_amp_refuses_a_negative_resample_cap():
+    # a config error (exit 2), not an error on the step that no draw made
+    inst, cp, seeds = clean_setup(120, 0.9, 17)
+    sched = build_schedule(0.9, 120, 24, min_rounds=1)
+    with pytest.raises(ParameterError, match="max_resamples must be >= 0"):
+        run_amp(cp, seeds, sched, D, min_rounds=1, beta_seed=3, max_resamples=-1)
+
+
 def test_run_amp_min_rounds_zero_stops_at_t_star():
     inst, cp, seeds = clean_setup(120, 0.9, 18)
     sched = build_schedule(0.9, 120, 24, min_rounds=0)
@@ -309,6 +319,29 @@ def test_run_amp_on_two_seed_pairs_in_turn_leaves_the_cleaned_pair_unchanged(k0)
         for name in ("f", "g", "h", "l", "rows_i", "rows_j"):
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
         assert cp.a_clean.tobytes() == a and cp.b_clean.tobytes() == b
+
+
+@pytest.mark.parametrize("min_rounds", [0, 1, 2])
+def test_seed_pairs_advanced_through_one_set_of_rounds_match_run_amp(min_rounds):
+    # the rounds read no cleaned pair and no seed pair: made once from the
+    # schedule, they carry each seed pair, on either cleaned pair, to the
+    # iterate, logs and stop that run_amp gives that pair
+    n = 150
+    inst, cp, _ = clean_setup(n, 0.9, 21)
+    cp_other = clean_setup(n, 0.9, 31)[1]
+    pairs = [good_seed_pair(inst.pi_star, 24), bad_seed_pair(inst.pi_star, 24, seed=4)]
+    sched = build_schedule(0.9, n, 24, min_rounds=min_rounds)
+    rounds = spectral_rounds(sched, D, min_rounds, beta_seed=3, max_resamples=4)
+    assert len(rounds.steps) == len(rounds.history) - 1 == min(min_rounds, 1)
+    for c, seeds in itertools.product((cp, cp_other), pairs):
+        got = advance(c, seeds, rounds, D)
+        want = run_amp(c, seeds, sched, D, min_rounds=min_rounds, beta_seed=3,
+                       max_resamples=4)
+        assert got.stopped_reason == want.stopped_reason
+        assert ([{**asdict(r), "wall_s": 0} for r in got.rounds]
+                == [{**asdict(r), "wall_s": 0} for r in want.rounds])
+        for name in ("f", "g", "h", "l", "rows_i", "rows_j"):
+            assert np.array_equal(getattr(got.iterate, name), getattr(want.iterate, name))
 
 
 @pytest.mark.parametrize("n,min_rounds,bound", [(600, 2, 1.0), (1500, 0, 0.25)])

@@ -63,7 +63,7 @@ def test_replay_reads_the_defaults_the_run_uses():
     # the benchmark's replay rebuilds a run as RunConfig(**record["config"])
     # and passes RunConfig's class constants where run_pipeline relies on
     # the library defaults or module constants; the two must stay equal
-    from wigmatch.amp import run_amp
+    from wigmatch.amp import run_amp, spectral_rounds
     from wigmatch.denoiser import build_schedule, make_denoiser
     from wigmatch.model import CLIQUE_WEIGHT, _corrupt_in_place, corrupt
     from wigmatch.preprocess import THRESHOLD_MULT, clean_pair
@@ -81,6 +81,8 @@ def test_replay_reads_the_defaults_the_run_uses():
              "selection_rule": (seeded_refine, "selection")}
     for constant, (fn, name) in pairs.items():
         assert getattr(RunConfig, constant) == default(fn, name), constant
+    # the run's rounds are made by spectral_rounds with its own default cap
+    assert RunConfig.max_resamples == default(spectral_rounds, "max_resamples")
     # the three replay-pinned parameters mirror the constants their modules
     # apply, and default to them
     mirrors = {"xi_factor": (XI_FACTOR, run_amp), "threshold_mult": (THRESHOLD_MULT, clean_pair),
@@ -405,9 +407,9 @@ _STAGES = ["schedule", "generate", "corrupt", "clean", "amp", "score", "lap", "d
 
 @pytest.mark.parametrize("name, stage", [
     ("generate", "generate"), ("_corrupt_in_place", "corrupt"), ("_clean_owned", "clean"),
-    ("build_schedule", "schedule"), ("run_amp", "amp"), ("build_scores", "score"),
-    ("solve_lap", "lap"), ("_dump", "dump"), ("seeded_refine", "refine"),
-    ("selection_score", "select")])
+    ("build_schedule", "schedule"), ("spectral_rounds", "amp"), ("advance", "amp"),
+    ("build_scores", "score"), ("solve_lap", "lap"), ("_dump", "dump"),
+    ("seeded_refine", "refine"), ("selection_score", "select")])
 def test_run_record_failure_names_its_stage(monkeypatch, tmp_path, name, stage):
     exc = OSError if stage == "dump" else NumericalError
 
@@ -573,6 +575,27 @@ def test_compare_clean_corrupted_memory_and_result():
     assert out == {"gap": pytest.approx(0.2621400220734512, rel=1e-12, abs=0),
                    "rounds_clean": 0, "rounds_corrupted": 0,
                    "zeroed_corrupted": [8], "zeroed_clean": []}
+
+
+def test_the_run_and_the_comparison_draw_each_rounds_beta_once(monkeypatch):
+    # the rounds read no seed pair, so the oracle and the bad-seed candidate
+    # (and the comparison's two cleaned pairs) share round 0's beta draws
+    import wigmatch.amp as amp
+    real, calls = amp.sample_beta, []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs["seed"])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(amp, "sample_beta", counted)
+    rec = run_pipeline(small_cfg(min_rounds=1, bad_seed_candidates=1))
+    assert rec["status"] == "ok" and len(rec["candidates"]) == 2
+    assert rec["rounds"][0]["resamples"] is not None
+    assert calls == [child(rec["stream_seeds"]["beta"], 0)]
+    calls.clear()
+    out = compare_clean_corrupted(small_cfg(min_rounds=1))
+    assert out["rounds_clean"] == out["rounds_corrupted"] == 1
+    assert len(calls) == 1
 
 
 def test_compare_clean_corrupted_small():

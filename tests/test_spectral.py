@@ -207,6 +207,15 @@ def test_sample_beta_refuses_the_strict_mode():
                     mode="strict", validator=lambda c: False)
 
 
+def test_sample_beta_refuses_a_negative_resample_cap():
+    # max_resamples + 1 draws: a cap below 0 would draw none and keep none
+    rm = initial_round(24, 0.3)
+    xi = build_xi(rm)
+    with pytest.raises(ParameterError, match="max_resamples must be >= 0, got -1"):
+        sample_beta(rm, xi, 96, D, rho=0.8, seed=0, max_resamples=-1)
+    assert sample_beta(rm, xi, 96, D, rho=0.8, seed=0, max_resamples=0).resamples == 1
+
+
 def test_sample_beta_record_mode_returns_best():
     rm = initial_round(24, 0.3)
     xi = build_xi(rm)

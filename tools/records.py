@@ -8,7 +8,9 @@ seeds 1-3 (a sweep workload with workers=1) and prints, per workload and
 seed, each run's record in call order, and for a sweep also its rows and
 summary.  Every benchmark workload stops AMP at round 0, so under
 "min-rounds" it also prints the records of the ROUNDS runs at min_rounds
-1 and 2, which sample beta and log a round.  Every `stages_s`,
+1 and 2, which sample beta and log a round, and under "compare" each
+ROUNDS config's compare_clean_corrupted result at min_rounds 2, whose two
+cleaned pairs advance through the same rounds.  Every `stages_s`,
 `versions`, `wall_s` and `traceback` is left out, so the output depends
 only on what the runs compute.  A change that must keep records
 byte-identical is checked by running this in both checkouts with the
@@ -92,6 +94,9 @@ def main() -> int:
         str(m): strip([pipeline.run_pipeline(RunConfig(**cfg, **ROUNDS_COMMON, min_rounds=m))
                        for cfg in ROUNDS])
         for m in (1, 2)}
+    out["compare"] = [pipeline.compare_clean_corrupted(RunConfig(**cfg, **ROUNDS_COMMON,
+                                                                 min_rounds=2))
+                      for cfg in ROUNDS]
     json.dump(out, sys.stdout, indent=1)
     sys.stdout.write("\n")
     return 0
