@@ -6,7 +6,8 @@ varies.  The algorithm's fixed values (the round growth, frame width,
 denoiser frequency, cleaning threshold, adversary weights and the resample
 and swap caps) are module constants or library defaults; RunConfig mirrors
 them as plain class constants, not fields, only so that the benchmark's
-replay can read them from a config.
+replay can read them from a config.  The library refuses any other round
+growth, frame width, denoiser frequency, cleaning threshold or clique weight.
 """
 
 from __future__ import annotations
@@ -15,10 +16,11 @@ import math
 import typing
 from dataclasses import dataclass, fields
 
-from .denoiser import build_schedule
+from .denoiser import DENOISER_B, build_schedule
 from .errors import ParameterError
 from .model import CLIQUE_WEIGHT, STRATEGIES
 from .preprocess import THRESHOLD_MULT
+from .refine import RefineParams
 from .spectral import MAX_RESAMPLES, XI_FACTOR
 
 CHOICES = {"strategy": STRATEGIES}
@@ -42,13 +44,14 @@ class RunConfig:
     verbose: bool = False
 
     # constants, not fields, kept only because the benchmark's replay reads
-    # them; from gamma on, each mirrors a module constant or library default
+    # them; from gamma on, each mirrors a module constant or library default,
+    # and gamma to clique_weight are the only values the library accepts
     mode = "oracle-seed"
     spectral_mode = "record"
     selection_rule = "scan-order"
     gamma = None            # 4 / k0
     xi_factor = XI_FACTOR
-    denoiser_b = 1.0
+    denoiser_b = DENOISER_B
     threshold_mult = THRESHOLD_MULT
     clique_weight = CLIQUE_WEIGHT
     spike_scale = None      # 20 sqrt(n)
@@ -85,7 +88,7 @@ class RunConfig:
 
     @property
     def max_swaps_value(self) -> int:
-        return self.max_swaps if self.max_swaps is not None else 10 * self.n
+        return RefineParams.for_run(self.rho, self.n, self.max_swaps).max_swaps
 
     def as_dict(self) -> dict:
         out = {}

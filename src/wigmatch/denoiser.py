@@ -1,6 +1,6 @@
 """Cosine denoiser, its correlation map, and the round-size schedule.
 
-The denoiser is a two-term cosine series
+The denoiser is the two-term cosine series at frequency b = DENOISER_B = 1
 
     varphi(x) = a1 * (cos(b x) - exp(-b^2 / 2))
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParameterError, ScheduleError
 
-SUP_BOUND = 100.0  # cap on |varphi|, |varphi'|, |varphi''|
+DENOISER_B = 1.0  # the denoiser frequency b
 TAYLOR_TERMS = 40  # the Taylor series of phi is truncated after c_40
 
 
@@ -44,23 +44,14 @@ class Denoiser:
         return abs(self.a0) + abs(self.a1) * max(1.0, self.b * self.b)
 
 
-def make_denoiser(b: float = 1.0) -> Denoiser:
-    """Two-term cosine denoiser with frequency b.
-
-    Raises if the normalisation pushes the sup-norm bound past 100.
-    """
-    if b <= 0:
-        raise ParameterError(f"b must be positive, got {b}")
+def make_denoiser(b: float = DENOISER_B) -> Denoiser:
+    """The normalised two-term cosine denoiser at frequency b = DENOISER_B;
+    any other b raises ParameterError."""
+    if b != DENOISER_B:
+        raise ParameterError(f"b must be {DENOISER_B}, got {b!r}")
     denom = (1.0 + math.exp(-2.0 * b * b)) / 2.0 - math.exp(-b * b)
-    if denom <= 0:
-        raise ParameterError(f"degenerate variance at b={b}")
     a1 = denom ** -0.5
-    a0 = -a1 * math.exp(-b * b / 2.0)
-    d = Denoiser(a0=a0, a1=a1, b=b)
-    if d.sup_bound() > SUP_BOUND:
-        raise ParameterError(
-            f"b={b} gives sup-norm bound {d.sup_bound():.3g} > {SUP_BOUND}")
-    return d
+    return Denoiser(a0=-a1 * math.exp(-b * b / 2.0), a1=a1, b=b)
 
 
 def phi_map(d: Denoiser, u) -> float | np.ndarray:
@@ -149,17 +140,18 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
                    min_rounds: int = 2) -> Schedule:
     """Round sizes K_t and a-priori signal levels eps_t.
 
-    K_{t+1} = gamma * K_t^2 with gamma defaulting to 4 / k0 (so K
-    quadruples on the first round) and the sizing proxy
+    K_{t+1} = gamma * K_t^2 with gamma = 4 / k0 (so K quadruples on the
+    first round) and the sizing proxy
     eps_{t+1} = phi(rho/2 * eps_t).  The realised eps sequence is
     recomputed during a run from the spectral subroutine's trace.
 
     t_star = min{t : K_t >= (log n)^1.1}; the list extends through
-    max(t_star, min_rounds) so a forced-rounds run is fully sized.
+    max(t_star, min_rounds) so a forced-rounds run is fully sized, and a
+    min_rounds whose K_t passes the float range raises ScheduleError.
 
-    mode accepts only "practical", the one schedule.  The paper's constants
-    need K_0 >= reference_k0_bound, which no runnable k0 reaches; the
-    `constants` command prints that bound.
+    mode accepts only "practical" and gamma only None (4 / k0): the one
+    schedule.  The paper's constants need K_0 >= reference_k0_bound, which
+    no runnable k0 reaches; the `constants` command prints that bound.
     """
     from .spectral import XI_FACTOR     # spectral imports this module
 
@@ -171,8 +163,9 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
         raise ParameterError(f"unknown schedule mode {mode!r}")
     if k0 < XI_FACTOR:
         raise ScheduleError(f"k0 must be >= {XI_FACTOR} so K_t/{XI_FACTOR} >= 1, got {k0}")
-    if gamma is None:
-        gamma = 4.0 / k0
+    if gamma is not None:
+        raise ParameterError(f"gamma is 4 / k0, pass None; got {gamma!r}")
+    gamma = 4.0 / k0
     eps0 = float(phi_map(d, rho / 2.0))
     threshold = math.log(n) ** 1.1
     ks = [int(k0)]
@@ -183,18 +176,17 @@ def build_schedule(rho: float, n: int, k0: int, mode: str = "practical",
     t = 0
     # extend until the stopping index is known and min_rounds is covered
     while (t_star is None) or (len(ks) - 1 < max(t_star, min_rounds)):
-        k_next = int(round(gamma * ks[-1] ** 2))
-        if k_next <= ks[-1]:
+        try:
+            k_next = int(round(gamma * ks[-1] ** 2))
+        except OverflowError:
             raise ScheduleError(
-                f"K_{t + 1} = {k_next} does not exceed K_{t} = {ks[-1]}; "
-                f"increase gamma (= {gamma:.4g}) or k0")
+                f"min_rounds={min_rounds} is more rounds than the schedule can size: "
+                f"K_{t + 1} passes the float range at k0={k0}, so at most {t}") from None
         ks.append(k_next)
         epss.append(float(phi_map(d, rho / 2.0 * epss[-1])))
         t += 1
         if t_star is None and k_next >= threshold:
             t_star = t
-        if t > 64:
-            raise ScheduleError("schedule did not reach the stopping index in 64 rounds")
     pp = phi_second_deriv_at_zero(d)
     growth = k0 * eps0 ** 2 * gamma * (pp * rho ** 2 / 16.0) ** 2
     return Schedule(rho=float(rho), k0=int(k0), eps0=eps0, ks=tuple(ks),

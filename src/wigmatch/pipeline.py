@@ -347,7 +347,7 @@ def run_pipeline(cfg: RunConfig) -> dict:
             "overlap_final": overlap(perms[best], pi_star),
             "select_scores": scores,
         }
-        record["assertions"] = _runtime_assertions(record["rounds"], sched)
+        record["assertions"] = _runtime_assertions(record["rounds"])
     except Exception as exc:  # recorded, not raised: callers read status
         _record_failure(record, stage.current, exc)
     # read, not imported, at the end: only a dense LAP loads SciPy
@@ -371,8 +371,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
     return record
 
 
-def _runtime_assertions(rounds: list[dict], sched) -> dict:
-    """Pass/fail of the per-round runtime checks, aggregated over the run."""
+def _runtime_assertions(rounds: list[dict]) -> dict:
+    """Pass/fail of the per-round runtime checks, aggregated over the run.
+    signal_growth_monotone stays null: it would need the schedule's
+    signal_growth_factor above 1, and that factor is at most 0.00293."""
     out = {
         "xi_phi_orthonormal": None,
         "psi_diag_in_window": None,
@@ -391,9 +393,6 @@ def _runtime_assertions(rounds: list[dict], sched) -> dict:
         out["spectral_window_all_rounds"] = all(accepted) if accepted else None
         lb = [r["eps_lower_bound_ok"] for r in rounds if r.get("eps_lower_bound_ok") is not None]
         out["eps_lower_bound"] = all(lb) if lb else None
-    if sched.signal_growth_factor > 1.0:
-        signal = [k * e * e for k, e in zip(sched.ks, sched.epss)]
-        out["signal_growth_monotone"] = all(b > a for a, b in zip(signal, signal[1:]))
     return out
 
 

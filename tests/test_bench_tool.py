@@ -32,17 +32,19 @@ def test_compare_reports_change_as_share_of_bound():
     b = _file([320.0, 321.0, 322.0], [26, 26, 13])
     header, peak, matched = bench.compare(SPEC, a, b)
     assert "of bound" in header
-    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, beyond both spreads
-    assert peak.split()[4:] == ["-16.0%", "-1.60", "yes"]
-    # the median of matched_lap does not move; the quartile spread is 6.5
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "no"]
+    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, beyond both spreads, and
+    # no pair worse, but 3 pairs cannot call it (p = 0.25)
+    assert peak.split()[4:] == ["-16.0%", "-1.60", "yes", "0/3", "0.25", "-"]
+    # the median of matched_lap does not move; the quartile spread is 6.5,
+    # and the one untied pair of three got worse
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "no", "1/3", "1", "-"]
 
 
 def test_compare_counts_a_fall_of_a_higher_is_better_metric_as_worse():
     a = _file([100.0, 100.0, 100.0], [20, 20, 20])
     b = _file([100.0, 100.0, 100.0], [18, 18, 18])
     matched = bench.compare(SPEC, a, b)[2]
-    assert matched.split()[4:] == ["-10.0%", "+0.50", "yes"]
+    assert matched.split()[4:] == ["-10.0%", "+0.50", "yes", "3/3", "0.25", "-"]
 
 
 def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_path):
@@ -90,7 +92,44 @@ def test_compare_reports_a_metric_without_finished_runs():
                                          "matched_lap": bench.summarize([20])}}}}
     peak, matched = bench.compare(SPEC, a, b)[1:]
     assert peak.split()[2:] == ["no", "finished", "run"]
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "no"]
+    # one value against three cannot be paired
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "no", "-", "-", "-"]
+
+
+def test_sign_test_p_is_two_sided_over_untied_pairs():
+    assert bench.sign_test_p(3, 0) == 0.25
+    assert bench.sign_test_p(0, 6) == 2 / 64
+    assert bench.sign_test_p(5, 1) == 2 * 7 / 64
+    assert bench.sign_test_p(2, 1) == 1.0
+    assert bench.sign_test_p(0, 0) == 1.0
+
+
+def _run_s_file(values, exit_codes=None):
+    spec = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    w = {"exit_codes": exit_codes or [0] * len(values),
+         "metrics": {"run_s": bench.summarize(values)}}
+    return spec, {"workloads": {"sweep-n500": w}}
+
+
+def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
+    # sweep-n500 run_s of the committed BENCH_9a69904 pair: all 3 pairs
+    # worse and beyond both spreads, yet p = 0.25, so no change is called
+    spec, a = _run_s_file([0.07545782949455315, 0.07237920600891812, 0.06606006749643711])
+    _, b = _run_s_file([0.0788463189965114, 0.0875532740028575, 0.09181200950115453])
+    assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "yes", "3/3",
+                                                          "0.25", "-"]
+    # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05: called
+    spec, a = _run_s_file([1.0, 1.2, 0.9, 1.1, 1.0, 1.3])
+    _, b = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05, 1.31])
+    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "worse"]
+    assert bench.compare(spec, b, a)[1].split()[7:] == ["0/6", "0.031", "better"]
+    # the values pair by repeat, not by rank: B's sorted values are all
+    # above A's, which would call 6 of 6, but the last pair got better
+    _, c = _run_s_file([1.3, 1.31, 1.0, 1.2, 1.05, 1.1])
+    assert bench.compare(spec, a, c)[1].split()[7:] == ["5/6", "0.22", "-"]
+    # a run that did not finish in either file leaves the values unpaired
+    _, d = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05], exit_codes=[0, 0, 1, 0, 0, 0])
+    assert bench.compare(spec, a, d)[1].split()[7:] == ["-", "-", "-"]
 
 
 def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):

@@ -13,6 +13,7 @@ from wigmatch.cli import _add_config_flags, build_parser, main
 from wigmatch.config import CHOICES, FIELD_TYPES, RunConfig, make_config, parse_config_file
 from wigmatch.errors import EXIT_CONFIG
 from wigmatch.model import STRATEGIES
+from wigmatch.pipeline import run_pipeline
 
 
 # RunConfig's class constants that stand for library parameter defaults
@@ -112,6 +113,18 @@ def test_sweep_lists_allow_spaces(tmp_path, capsys):
     rows = list(csv.DictReader(csv_path.open()))
     assert [r["strategy"] for r in rows] == ["zero-out", "rank1-spike"] * 2
     assert all(r["status"] == "ok" for r in rows)
+
+
+def test_min_rounds_the_schedule_cannot_size_is_a_config_error(capsys):
+    # K_9 at k0 = 24 passes the float range: the schedule refuses min_rounds
+    # = 9 as a config error rather than dying on an OverflowError
+    code = main(["run", "--n", "200", "--k0", "24", "--min-rounds", "9"])
+    err = capsys.readouterr().err
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error: min_rounds=9 ")
+    rec = run_pipeline(RunConfig(n=200, k0=24, min_rounds=9))
+    assert (rec["status"], rec["exit_code"]) == ("failed:setup", EXIT_CONFIG)
+    assert rec["error"].startswith("ScheduleError: min_rounds=9 ")
 
 
 @pytest.mark.parametrize("args", [["sweep", "--ns", "80,abc", "--k0", "24"],

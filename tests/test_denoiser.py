@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from wigmatch.denoiser import (build_schedule, growth_ratio_condition,
+from wigmatch.denoiser import (DENOISER_B, build_schedule, growth_ratio_condition,
                                lambda_bound, make_denoiser, reference_k0_bound,
                                phi_map, phi_second_deriv_at_zero,
                                taylor_coefficients)
@@ -53,13 +53,6 @@ def test_a1_closed_form():
     assert d.a1 == pytest.approx(2.2372529142129274, abs=1e-12)
 
 
-@pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
-def test_normalisation_across_b(b):
-    d = make_denoiser(b)
-    assert abs(gh_expect(d)) < 1e-10
-    assert abs(gh_expect(lambda x: d(x) ** 2) - 1.0) < 1e-10
-
-
 def test_sup_bounds_on_grid():
     d = make_denoiser(1.0)
     x = np.linspace(-50.0, 50.0, 20001)
@@ -80,7 +73,7 @@ def old_series(d, x):
     return out
 
 
-@pytest.mark.parametrize("b", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("b", [DENOISER_B])
 def test_denoiser_matches_the_cosine_series(b):
     d = make_denoiser(b)
     x = np.linspace(-50.0, 50.0, 20001)
@@ -88,13 +81,11 @@ def test_denoiser_matches_the_cosine_series(b):
 
 
 def test_extreme_b_rejected():
-    # small b blows up the normalisation, large b the second derivative
-    with pytest.raises(ParameterError):
-        make_denoiser(0.05)
-    with pytest.raises(ParameterError):
-        make_denoiser(12.0)
-    with pytest.raises(ParameterError):
-        make_denoiser(-1.0)
+    # b = 1 is the one frequency; every other value is refused
+    for b in (0.05, 0.5, 2.0, 12.0, -1.0, math.nan):
+        with pytest.raises(ParameterError, match="b must be 1.0"):
+            make_denoiser(b)
+    assert make_denoiser(1.0) == make_denoiser()
 
 
 # ------------------------------------------------------ correlation map
@@ -143,21 +134,12 @@ def test_phi_quadratic_bound_small_u():
 
 
 def test_phi_second_derivative_against_finite_differences():
-    for b in (0.8, 1.0, 1.3):
-        d = make_denoiser(b)
-        h = 1e-4
-        fd = (phi_map(d, h) - 2.0 * phi_map(d, 0.0) + phi_map(d, -h)) / (h * h)
-        analytic = phi_second_deriv_at_zero(d)
-        assert analytic == pytest.approx(fd, rel=1e-6)
-        assert analytic > 0
-
-
-def test_phi_second_derivative_scaling():
-    d1 = make_denoiser(1.0)
-    d2 = make_denoiser(2.0)
-    ratio = phi_second_deriv_at_zero(d2) / phi_second_deriv_at_zero(d1)
-    expected = 16.0 * math.exp(-3.0) * (d2.a1 / d1.a1) ** 2
-    assert ratio == pytest.approx(expected, rel=1e-12)
+    d = make_denoiser(1.0)
+    h = 1e-4
+    fd = (phi_map(d, h) - 2.0 * phi_map(d, 0.0) + phi_map(d, -h)) / (h * h)
+    analytic = phi_second_deriv_at_zero(d)
+    assert analytic == pytest.approx(fd, rel=1e-6)
+    assert analytic > 0
 
 
 # ------------------------------------------------------------- Taylor
@@ -208,7 +190,7 @@ def test_schedule_eps0_definition():
 
 
 def test_schedule_growth_arithmetic():
-    sched = build_schedule(0.8, 1000, 24, gamma=1.0 / 6.0, min_rounds=2)
+    sched = build_schedule(0.8, 1000, 24, min_rounds=2)
     assert sched.ks == (24, 96, 1536)
     assert all(b > a for a, b in zip(sched.ks, sched.ks[1:]))
     assert all(0.0 < e < 1.0 for e in sched.epss)
@@ -223,7 +205,7 @@ def test_schedule_t_star_at_desk_scale():
 
 
 def test_schedule_t_star_above_zero_for_small_k0():
-    sched = build_schedule(0.8, 10 ** 9, 24, gamma=1.0 / 6.0, min_rounds=0)
+    sched = build_schedule(0.8, 10 ** 9, 24, min_rounds=0)
     # (log 1e9)^1.1 ~ 28.5 > 24, so one round is needed
     assert sched.t_star == 1
     assert sched.ks[sched.t_star] >= math.log(10 ** 9) ** 1.1
@@ -233,8 +215,19 @@ def test_schedule_t_star_above_zero_for_small_k0():
 def test_schedule_rejects_bad_k0_and_gamma():
     with pytest.raises(ScheduleError):
         build_schedule(0.8, 1000, 6)
-    with pytest.raises(ScheduleError):
-        build_schedule(0.8, 1000, 24, gamma=1.0 / 48.0)  # K1 = 12 < 24
+    # gamma = 4 / k0 is the one round growth; any value passed is refused
+    for gamma in (1.0 / 48.0, 0.1, 1.0 / 6.0):
+        with pytest.raises(ParameterError, match="gamma is 4 / k0"):
+            build_schedule(0.8, 1000, 24, gamma=gamma)
+    assert build_schedule(0.8, 1000, 24, gamma=None).gamma == 4.0 / 24
+
+
+def test_schedule_refuses_min_rounds_past_the_float_range():
+    # at k0 = 24, K_9 = K_8^2 / 6 no longer fits a float: min_rounds = 8 is
+    # the most the schedule can size, and 9 is a config error naming it
+    assert len(build_schedule(0.8, 200, 24, min_rounds=8).ks) == 9
+    with pytest.raises(ScheduleError, match=r"min_rounds=9 .* K_9 .* at most 8"):
+        build_schedule(0.8, 200, 24, min_rounds=9)
 
 
 def test_schedule_k0_floor_is_the_frame_factor(monkeypatch):

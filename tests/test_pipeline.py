@@ -372,6 +372,16 @@ def test_run_record_failure_stage():
     assert list(rec)[:3] == ["schema_version", "config", "stream_seeds"]
 
 
+def test_a_run_without_enough_clean_seed_vertices_fails_in_amp():
+    # at eps = 0.7 zero-out corrupts or zeroes all but a few of the 100
+    # vertices, so the oracle pair cannot find k0 = 24 clean ones
+    rec = run_pipeline(RunConfig(n=100, k0=24, epsilon=0.7, strategy="zero-out",
+                                 master_seed=1).validate())
+    assert (rec["status"], rec["exit_code"]) == ("failed:amp", 2)
+    assert rec["error"] == "ParameterError: cannot find 24 clean seed vertices"
+    assert list(rec["stages_s"]) == ["generate", "corrupt", "clean", "amp"]
+
+
 def test_run_record_output_failure_is_recorded(tmp_path):
     missing = str(tmp_path / "missing" / "run.json")
     rec = run_pipeline(small_cfg(output=missing))

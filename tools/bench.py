@@ -43,8 +43,13 @@ workload and checkout on two cores (45 s for one checkout, 90 s with
 
 --compare prints, for each workload and metric, the change of the median
 from A to B as a share of the metric's BENCHMARK.json bound (positive is
-worse, 1.0 is the bound), and whether the change is larger than both
-files' quartile spreads; then, for each workload and layer, both files'
+worse, 1.0 is the bound) and whether the change is larger than both
+files' quartile spreads.  When every run of the workload finished in both
+files, their i-th values are paired (with --against, repeat i of both
+checkouts ran back to back): it prints how many pairs got worse and the
+two-sided sign-test p over the untied pairs, and calls the change "worse"
+or "better" only when p < 0.05, which takes at least 6 pairs; otherwise,
+and without pairs, "-".  Then, for each workload and layer, both files'
 values of the traced run ("-" where a file has none); then each file's
 tier-1 run, if either has one.
 """
@@ -53,6 +58,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import re
 import statistics
@@ -179,12 +185,34 @@ def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], layers: dict,
             "workloads": workloads, "layers": layers}
 
 
+def sign_test_p(worse: int, better: int) -> float:
+    """Two-sided sign-test p of worse against better pairs, ties left out."""
+    n = worse + better
+    tail = sum(math.comb(n, i) for i in range(min(worse, better) + 1)) / 2 ** n
+    return min(1.0, 2.0 * tail)
+
+
+def _paired(wa: dict, wb: dict, m: dict) -> str:
+    """Pairs worse of all pairs, sign-test p and the call, or "-" for each
+    unless every run of both files finished."""
+    va, vb = wa["metrics"][m["name"]]["values"], wb["metrics"][m["name"]]["values"]
+    if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
+        return f"{'-':>6} {'-':>7}  -"
+    sign = 1 if m["better"] == "lower" else -1
+    worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
+    better = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
+    p = sign_test_p(worse, better)
+    call = ("worse" if worse > better else "better") if p < 0.05 else "-"
+    return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
+
+
 def compare(spec: dict, a: dict, b: dict) -> list[str]:
     """One line per workload and metric: medians, change as a share of the
-    bound (positive is worse) and whether it exceeds both quartile spreads;
-    then one per workload and layer with both traced values."""
+    bound (positive is worse), whether it exceeds both quartile spreads,
+    pairs worse, sign-test p and the call; then one per workload and layer
+    with both traced values."""
     lines = [f"{'workload':<12} {'metric':<12} {'A median':>10} {'B median':>10} "
-             f"{'change':>8} {'of bound':>9}  beyond spread"]
+             f"{'change':>8} {'of bound':>9}  spread {'worse':>6} {'sign p':>7}  called"]
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name)
         if wb is None:
@@ -200,7 +228,7 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
             beyond = abs(mb["median"] - ma["median"]) > spread
             lines.append(f"{name:<12} {m['name']:<12} {ma['median']:>10.4g} "
                          f"{mb['median']:>10.4g} {change:>+8.1%} {worse / m['bound']:>+9.2f}  "
-                         f"{'yes' if beyond else 'no'}")
+                         f"{'yes' if beyond else 'no':<6} {_paired(wa, wb, m)}")
     la, lb = a.get("layers", {}), b.get("layers", {})
     if la or lb:
         lines.append(f"{'workload':<12} {'layer':<29} {'A':>10} {'B':>10}")
