@@ -39,10 +39,6 @@ class Denoiser:
     def __call__(self, x):
         return self.a0 + self.a1 * np.cos(self.b * np.asarray(x, dtype=float))
 
-    def sup_bound(self) -> float:
-        """Analytic bound |a0| + |a1| max(1, b^2) on varphi and its first two derivatives."""
-        return abs(self.a0) + abs(self.a1) * max(1.0, self.b * self.b)
-
 
 def make_denoiser(b: float = DENOISER_B) -> Denoiser:
     """The normalised two-term cosine denoiser at frequency b = DENOISER_B;

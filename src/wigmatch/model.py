@@ -43,18 +43,15 @@ class CorruptionPlan:
 
 @dataclass(frozen=True)
 class ObservedPair:
+    """A' and B', or their bool indicator pair (A' >= 1, B' >= 1): refinement
+    and selection read A' and B' only through x >= 1, so either pair gives
+    them the same result."""
     a_prime: np.ndarray
     b_prime: np.ndarray
 
     @property
     def n(self) -> int:
         return self.a_prime.shape[0]
-
-    def indicators(self) -> "ObservedPair":
-        """The pair (A' >= 1, B' >= 1) as bool matrices.  Refinement and
-        selection read A' and B' only through x >= 1, which a bool keeps, so
-        they give the same result on either pair; idempotent."""
-        return ObservedPair(self.a_prime >= 1.0, self.b_prime >= 1.0)
 
 
 def _row_blocks(n: int):

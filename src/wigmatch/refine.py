@@ -117,8 +117,8 @@ class CoNeighbourTable:
     vectors as row k of the float32 factors da and db and folds BATCH_SWAPS
     of them into the float32 table c with one product, c += da^T db; a read
     adds the pending rows.  Every value is an integer below 2^24, so all
-    float32 sums are exact.  The observed pair and its indicator pair
-    obs.indicators() give the same counts."""
+    float32 sums are exact.  The observed pair and its bool indicator pair
+    (A' >= 1, B' >= 1) give the same counts."""
 
     def __init__(self, obs: ObservedPair, pi: np.ndarray):
         self.ind_a = obs.a_prime >= 1.0
@@ -133,12 +133,6 @@ class CoNeighbourTable:
         self.da = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.db = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.k = 0      # swaps not yet folded into c
-
-    @property
-    def counts(self) -> np.ndarray:
-        """C as a new int32 table."""
-        self._fold()
-        return self.c.astype(np.int32)
 
     def rows(self, r: np.ndarray) -> np.ndarray:
         """Rows r of C, as float32."""
@@ -185,8 +179,8 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     info = {"swaps": int, "truncated": bool, "select_score": int}, where
     select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
     read off the table's diagonal (A', B' symmetric with a zero diagonal).
-    obs is read only through x >= 1, so the observed pair and its indicator
-    pair obs.indicators() give the same result.
+    obs is read only through x >= 1, so the observed pair and its bool
+    indicator pair (A' >= 1, B' >= 1) give the same result.
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -260,8 +254,8 @@ def _first_qualifying(table, rows, bad_v, hi_by_deg, da_code):
 def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
     """Number of unordered pairs u < v with A'[u,v] >= 1 and B'[pi(u),pi(v)] >= 1.
 
-    The observed pair and its indicator pair obs.indicators() give the same
-    count.
+    The observed pair and its bool indicator pair (A' >= 1, B' >= 1) give the
+    same count.
     """
     pi = np.asarray(pi, dtype=np.intp)
     n = pi.size

@@ -103,8 +103,9 @@ def test_init_out_of_range_seed():
 def test_entries_bounded_by_sup():
     inst, cp, seeds = clean_setup(80, 0.9, 13, k0=12)
     it = init_iterate(cp, seeds, D)
-    assert np.abs(it.f).max() <= D.sup_bound()
-    assert np.abs(it.g).max() <= D.sup_bound()
+    sup = abs(D.a0) + abs(D.a1)     # |varphi| <= |a0| + |a1|
+    assert np.abs(it.f).max() <= sup
+    assert np.abs(it.g).max() <= sup
 
 
 # ---------------------------------------------------------------- rounds

@@ -161,6 +161,37 @@ def test_run_record_ok_and_schema(tmp_path):
     assert rec["assertions"]["spectral_window_all_rounds"] is False
 
 
+def test_every_top_level_key_is_declared():
+    # the check reads only declared keys: an undeclared one goes unchecked
+    declared = set(RUN_RECORD_SCHEMA["properties"])
+    ok = run_pipeline(small_cfg(n=80, min_rounds=0, bad_seed_candidates=1,
+                                random_candidates=1))
+    setup = run_pipeline(RunConfig(n=64, master_seed=-1))
+    amp = run_pipeline(RunConfig(n=100, k0=24, epsilon=0.7, strategy="zero-out",
+                                 master_seed=1).validate())
+    assert [r["status"] for r in (ok, setup, amp)] == ["ok", "failed:setup", "failed:amp"]
+    for rec in (ok, setup, amp):
+        assert set(rec) <= declared, rec["status"]
+
+
+def test_record_states_each_fact_once():
+    rec = run_pipeline(small_cfg(n=80, min_rounds=0, bad_seed_candidates=1,
+                                 random_candidates=1))
+    assert rec["status"] == "ok"
+    assert rec["schema_version"] == 2
+    # no flag or count beside the value it restates
+    assert list(rec["cleaning"]) == ["zeroed_a", "zeroed_b"]
+    assert not {"signal_growth_condition_met", "eq25_satisfied"} & set(rec["schedule"])
+    assert {"signal_growth_factor", "eq25_ratio"} <= set(rec["schedule"])
+    assert "signal_growth_monotone" not in rec["assertions"]
+    # the rounds are the run's, so where they stopped is said once, after them
+    keys = list(rec)
+    assert keys[keys.index("rounds") + 1] == "stopped_reason"
+    assert rec["stopped_reason"] == "t_star"
+    assert [c["label"] for c in rec["candidates"]] == ["oracle", "bad0", "random0"]
+    assert not any("stopped_reason" in c for c in rec["candidates"])
+
+
 def test_validate_record_rejects_missing_status():
     rec = run_pipeline(small_cfg(n=80, min_rounds=0))
     del rec["status"]
@@ -208,7 +239,7 @@ def _record_cases():
                 edit(repr(value), path, value)
     for key in props["candidates"]["items"]["required"]:
         edit("deleted", ("candidates", 0, key), delete=True)
-    for value in (2, 1.0, True):
+    for value in (1, 2.0, True):
         edit(repr(value), ("schema_version",), value)
     edit("a string", ("stages_s", "amp"), "0.1")
     edit("a number", ("assertions", "psi_diag_in_window"), 1)
@@ -293,11 +324,10 @@ def test_default_run_stops_at_t_star_with_the_same_matching():
     assert default["status"] == forced["status"] == "ok"
     assert default["cleaning"] == forced["cleaning"]
     assert default["final"] == forced["final"]
-    assert len(default["candidates"]) == len(forced["candidates"]) == 2
-    for c_def, c_forced in zip(default["candidates"], forced["candidates"]):
-        assert c_def.pop("stopped_reason") == "t_star"
-        assert c_forced.pop("stopped_reason") != "t_star"
-        assert c_def == c_forced
+    assert default["stopped_reason"] == "t_star"
+    assert forced["stopped_reason"] != "t_star"
+    assert len(default["candidates"]) == 2
+    assert default["candidates"] == forced["candidates"]
     assert default["config"]["min_rounds"] == 0
     assert default["schedule"]["ks"] == [24]
     assert default["rounds"][0]["resamples"] is None

@@ -282,14 +282,14 @@ def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
     assert np.array_equal(obs.a_prime, again.a_prime)
     assert np.array_equal(obs.b_prime, again.b_prime)
     # the owning core run takes the matrices from its list, cleans them as
-    # clean_pair does and returns the indicators that obs.indicators() gives
+    # clean_pair does and returns the indicator pair (A' >= 1, B' >= 1)
     observed = [again.a_prime, again.b_prime]
     owned, ind = _clean_owned(observed, 43)
     assert observed == []
     assert np.array_equal(owned.s, cp.s) and np.array_equal(owned.t, cp.t)
     assert owned.a_clean.tobytes() == cp.a_clean.tobytes()
     assert owned.b_clean.tobytes() == cp.b_clean.tobytes()
-    ref = obs.indicators()
+    ref = ObservedPair(obs.a_prime >= 1.0, obs.b_prime >= 1.0)
     for got, want in ((ind.a_prime, ref.a_prime), (ind.b_prime, ref.b_prime)):
         assert got.dtype == want.dtype == bool and np.array_equal(got, want)
 
