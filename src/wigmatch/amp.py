@@ -14,12 +14,12 @@ frame construction makes the cross-round correlation negligible.
 Each round's frame Xi and sign matrix beta are made from the predicted
 Gram pair (Phi, Psi) alone and read no matrix or seed pair, so
 spectral_rounds makes a run's rounds once and advance runs each seed pair
-through them; run_amp is the two in turn.  A round whose frame cannot be
-built ends the rounds as a recorded spectral stop, and a round whose beta
-draws all fail the eigenvalue windows goes on with the best draw, recorded
-as not accepted.  A round logs the window counts of the draw it kept, as
-sample_beta measured them.  A run is never ended by the spectral
-subroutine.
+through them to its iterate; run_amp is the two in turn, and alone builds
+an AmpResult.  A round whose frame cannot be built ends the rounds as a
+recorded spectral stop, and a round whose beta draws all fail the
+eigenvalue windows goes on with the best draw, recorded as not accepted.
+A round logs the window counts of the draw it kept, as sample_beta
+measured them.  A run is never ended by the spectral subroutine.
 """
 
 from __future__ import annotations
@@ -238,11 +238,11 @@ def spectral_rounds(sched: Schedule, d: Denoiser, min_rounds: int, beta_seed: in
 
 
 def advance(cp: CleanedPair, seeds: SeedPair, rounds: SpectralRounds,
-            d: Denoiser) -> AmpResult:
-    """Run one seed pair through rounds: amp_round through each kept step,
-    then the last round's linear step.  After a spectral stop the iterate
-    keeps the last full round's (h, l).  seeds must have round 0's k0.  cp
-    is read where it lies and left unchanged (see linear_step).
+            d: Denoiser) -> AmpIterate:
+    """Run one seed pair through rounds to its iterate: amp_round through
+    each kept step, then the last round's linear step.  After a spectral stop
+    the iterate keeps the last full round's (h, l).  seeds must have round
+    0's k0.  cp is read where it lies and left unchanged (see linear_step).
     """
     k0 = rounds.history[0].k_t
     if seeds.k0 != k0:
@@ -253,15 +253,14 @@ def advance(cp: CleanedPair, seeds: SeedPair, rounds: SpectralRounds,
         it = amp_round(it, cp, step, d)
     if rounds.last_xi is not None:
         it.h, it.l = linear_step(it, cp, rounds.last_xi)
-    return AmpResult(iterate=it, rounds=rounds.logs, stopped_reason=rounds.stopped_reason,
-                     round_history=rounds.history)
+    return it
 
 
 def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
             min_rounds: int = 2, beta_seed: int = 0, xi_factor: int = XI_FACTOR,
             max_resamples: int = MAX_RESAMPLES, spectral_mode: str = "record") -> AmpResult:
-    """Iterate one seed pair through round max(t_star, min_rounds):
-    advance(cp, seeds, spectral_rounds(...), d).
+    """Iterate one seed pair through round max(t_star, min_rounds): advance's
+    iterate, with the logs, stop and history of spectral_rounds(...).
 
     The returned iterate carries the last computed (h, l); those drive the
     assignment stage.  spectral_mode accepts only "record", the one policy,
@@ -272,4 +271,5 @@ def run_amp(cp: CleanedPair, seeds: SeedPair, sched: Schedule, d: Denoiser,
     if xi_factor != XI_FACTOR:
         raise ParameterError(f"xi_factor must be {XI_FACTOR}, got {xi_factor!r}")
     rounds = spectral_rounds(sched, d, min_rounds, beta_seed, max_resamples)
-    return advance(cp, seeds, rounds, d)
+    return AmpResult(iterate=advance(cp, seeds, rounds, d), rounds=rounds.logs,
+                     stopped_reason=rounds.stopped_reason, round_history=rounds.history)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import typing
-from dataclasses import dataclass, fields
+from dataclasses import asdict, dataclass
 
 from .denoiser import DENOISER_B, build_schedule
 from .errors import ParameterError
@@ -91,10 +91,7 @@ class RunConfig:
         return RefineParams.for_run(self.rho, self.n, self.max_swaps).max_swaps
 
     def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            out[f.name] = getattr(self, f.name)
-        return out
+        return asdict(self)
 
 
 def _field_types() -> dict[str, tuple[type, bool]]:
@@ -129,7 +126,6 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE format; '#' starts a comment; unknown keys rejected."""
-    known = {f.name for f in fields(RunConfig)}
     out = {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -140,7 +136,7 @@ def parse_config_file(path) -> dict:
                 raise ParameterError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
             key, raw = line.split("=", 1)
             key = key.strip()
-            if key not in known:
+            if key not in FIELD_TYPES:
                 raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
             out[key] = _coerce(key, raw)
     return out

@@ -118,15 +118,16 @@ def growth_ratio_condition(rho: float, d: Denoiser, k0: int) -> float:
 
 @dataclass(frozen=True)
 class Schedule:
+    """In the key order of the run record's schedule, less rho and k0."""
     rho: float
     k0: int
-    eps0: float
     ks: tuple[int, ...]
     epss: tuple[float, ...]
     t_star: int
+    eps0: float
+    gamma: float
     c2: float
     lambda_cap: float
-    gamma: float
     signal_growth_factor: float  # K0 eps0^2 gamma (phi''(0) rho^2 / 16)^2
     eq25_ratio: float
 

@@ -4,8 +4,9 @@ A run executes the stages schedule -> generate -> corrupt (A and B in
 place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
 (the run's spectral rounds, made once, then every seed pair advanced
 through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
-refine -> select, and emits a schema-versioned RunRecord whose rounds are
-the run's, shared by every seed pair.
+refine -> select, and emits a schema-versioned RunRecord: the run's rounds,
+shared by every seed pair, its RunConfig and its Schedule but rho and k0,
+each whole, and every section but config, stream_seeds and versions typed.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -44,7 +45,6 @@ import os
 import sys
 import time
 import traceback
-from collections.abc import Mapping, Sequence
 
 import numpy as np
 
@@ -84,9 +84,33 @@ RUN_RECORD_SCHEMA = {
                 "zeroed_b": {"type": "array", "items": {"type": "integer"}},
             },
         },
-        "schedule": {"type": "object"},
-        "rounds": {"type": "array", "items": {"type": "object"}},
-        "stopped_reason": {"type": "string"},
+        "schedule": {
+            "type": "object",
+            "properties": {
+                "ks": {"type": "array", "items": {"type": "integer"}},
+                "epss": {"type": "array", "items": {"type": "number"}},
+                "t_star": {"type": "integer"},
+                **dict.fromkeys(["eps0", "gamma", "c2", "lambda_cap",
+                                 "signal_growth_factor", "eq25_ratio"], {"type": "number"}),
+            },
+        },
+        "rounds": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    **dict.fromkeys(["t", "k_t", "d"], {"type": "integer"}),
+                    **dict.fromkeys(["eps_t", "wall_s"], {"type": "number"}),
+                    **dict.fromkeys(["resamples", "clamp_count", "window_phi", "window_psi"],
+                                    {"type": ["integer", "null"]}),
+                    **dict.fromkeys(["accepted", "eps_lower_bound_ok"],
+                                    {"type": ["boolean", "null"]}),
+                    **dict.fromkeys(["xi_ortho_err", "psi_diag_min", "psi_diag_max"],
+                                    {"type": ["number", "null"]}),
+                },
+            },
+        },
+        "stopped_reason": {"type": "string", "enum": ["t_star", "min_rounds", "spectral"]},
         "candidates": {
             "type": "array",
             "items": {
@@ -103,7 +127,14 @@ RUN_RECORD_SCHEMA = {
                 },
             },
         },
-        "final": {"type": "object"},
+        "final": {
+            "type": "object",
+            "properties": {
+                "selected_label": {"type": "string"},
+                "overlap_final": {"type": "number"},
+                "select_scores": {"type": "array", "items": {"type": "integer"}},
+            },
+        },
         "assertions": {"type": "object",
                        "additionalProperties": {"type": ["boolean", "null"]}},
         "versions": {"type": "object"},
@@ -113,7 +144,7 @@ RUN_RECORD_SCHEMA = {
 
 # The keywords that RUN_RECORD_SCHEMA uses, the only ones _check implements;
 # "$schema" names the draft (2020-12) and checks nothing.
-_KEYWORDS = {"$schema", "type", "const", "required", "properties",
+_KEYWORDS = {"$schema", "type", "const", "enum", "required", "properties",
              "additionalProperties", "items"}
 _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
           "null": type(None)}
@@ -131,28 +162,20 @@ def _is_type(value, name: str) -> bool:
 
 
 def _equal(a, b) -> bool:
-    """JSON Schema's equality for const: 1 equals 1.0, True does not equal
-    1, and sequences and mappings compare item by item."""
-    if a is b:
-        return True
-    if isinstance(a, str) or isinstance(b, str):
-        return a == b
-    if isinstance(a, Sequence) and isinstance(b, Sequence):
-        return len(a) == len(b) and all(map(_equal, a, b))
-    if isinstance(a, Mapping) and isinstance(b, Mapping):
-        return len(a) == len(b) and all(k in b and _equal(v, b[k]) for k, v in a.items())
-    if isinstance(a, bool) or isinstance(b, bool):
-        return False
-    return a == b
+    """JSON Schema's equality of two scalars: 1 equals 1.0, and True does
+    not equal 1."""
+    return a is b or (not isinstance(a, bool) and not isinstance(b, bool) and a == b)
 
 
 def _check(value, schema: dict, path: str) -> None:
     """Raise RecordError at the first keyword of schema that value at path
     breaks, worded as the JSON Schema reference validator words it; refuse
-    a keyword outside _KEYWORDS."""
+    a keyword outside _KEYWORDS, and a list or dict in const or enum."""
     unknown = set(schema) - _KEYWORDS
     if unknown:
         raise ValueError(f"the record check implements no keyword {sorted(unknown)}")
+    if any(isinstance(c, (list, dict)) for c in [schema.get("const"), *schema.get("enum", ())]):
+        raise ValueError("the record check compares scalars only, in const and enum")
     if "type" in schema:
         types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
         if not any(_is_type(value, t) for t in types):
@@ -160,6 +183,8 @@ def _check(value, schema: dict, path: str) -> None:
                               + ", ".join(map(repr, types)))
     if "const" in schema and not _equal(value, schema["const"]):
         raise RecordError(f"{path}: {schema['const']!r} was expected")
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        raise RecordError(f"{path}: {value!r} is not one of {schema['enum']!r}")
     if isinstance(value, dict):
         for key in schema.get("required", ()):
             if key not in value:
@@ -273,14 +298,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
             cp, ind = _clean_owned(observed, streams["noise"], trace=clean_trace)
             record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist()}
 
-        # after cleaning, so that the record keeps its key order
-        record["schedule"] = {
-            "ks": list(sched.ks), "epss": list(sched.epss),
-            "t_star": sched.t_star, "eps0": sched.eps0,
-            "gamma": sched.gamma, "c2": sched.c2,
-            "lambda_cap": sched.lambda_cap,
-            "signal_growth_factor": sched.signal_growth_factor,
-            "eq25_ratio": sched.eq25_ratio}
+        # after cleaning, to keep the record's key order; rho and k0 are the config's
+        record["schedule"] = dataclasses.asdict(sched)
+        del record["schedule"]["rho"], record["schedule"]["k0"]
 
         with stage("amp"):
             exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
@@ -290,15 +310,15 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
                                                        child(streams["corruption"], 100 + i))))
             rounds = spectral_rounds(sched, dn, cfg.min_rounds, streams["beta"])
-            amp_results = [advance(cp, seeds, rounds, dn) for _, seeds in pairs]
+            iterates = [advance(cp, seeds, rounds, dn) for _, seeds in pairs]
         del cp      # the cleaned pair dies once every seed pair has run AMP
 
         # one record entry per candidate; its permutation is kept for selection
         candidates: list[dict] = []
         perms: list[np.ndarray] = []
-        for (label, seeds), res in zip(pairs, amp_results):
+        for (label, seeds), it in zip(pairs, iterates):
             with stage("score"):
-                prob = build_scores(res.iterate)
+                prob = build_scores(it)
             with stage("lap"):
                 sigma = solve_lap(prob)
                 pi_lap = assemble_pi(seeds, prob, sigma)
@@ -415,15 +435,13 @@ def compare_clean_corrupted(cfg: RunConfig) -> dict:
     seeds = good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v)
 
     rounds = spectral_rounds(sched, dn, cfg.min_rounds, streams["beta"])
-    res_c = advance(cp_c, seeds, rounds, dn)
+    it_c = advance(cp_c, seeds, rounds, dn)
     del cp_c
-    res_0 = advance(cp_0, seeds, rounds, dn)
+    it_0 = advance(cp_0, seeds, rounds, dn)
     del cp_0
-    h_c, h_0 = res_c.iterate.h, res_0.iterate.h
-    denom = float(np.linalg.norm(h_0))
-    gap = float(np.linalg.norm(h_c - h_0)) / denom if denom > 0 else math.inf
-    return {"gap": gap,
-            "rounds_clean": res_0.iterate.t, "rounds_corrupted": res_c.iterate.t,
+    denom = float(np.linalg.norm(it_0.h))
+    gap = float(np.linalg.norm(it_c.h - it_0.h)) / denom if denom > 0 else math.inf
+    return {"gap": gap, "rounds_clean": it_0.t, "rounds_corrupted": it_c.t,
             "zeroed_corrupted": zeroed_c, "zeroed_clean": zeroed_0}
 
 

@@ -167,6 +167,19 @@ class CoNeighbourTable:
             self.k = 0
 
 
+def _integer_cuts(params: RefineParams, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t_hi, t_lo): the integer count cuts of Delta and Delta / 10 at each
+    degree sum s = d_A(u) + d_B(v) in 0 .. 2n.
+
+    N(u, v) = C(u, v) - alpha s + n alpha^2, so for integer C,
+    N >= x  <=>  C >= ceil(x + alpha s - n alpha^2).
+    """
+    alpha = params.alpha
+    shift = alpha * np.arange(2 * n + 1) - n * alpha * alpha
+    return (np.ceil(params.delta + shift).astype(np.int32),
+            np.ceil(params.delta / 10.0 + shift).astype(np.int32))
+
+
 def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
                   params: RefineParams | None = None,
                   selection: str = "scan-order",
@@ -195,11 +208,7 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     pi, inv, cur = table.pi, table.inv, table.cur
     deg_a = np.count_nonzero(table.ind_a, axis=1)
     deg_b = np.count_nonzero(table.ind_b, axis=1)
-    # N(u, v) = C(u, v) - alpha s + n alpha^2 with s = d_A(u) + d_B(v), so for
-    # integer C:  N >= x  <=>  C >= ceil(x + alpha s - n alpha^2).
-    shift = alpha * np.arange(2 * n + 1) - n * alpha * alpha
-    t_hi = np.ceil(params.delta + shift).astype(np.int32)
-    t_lo = np.ceil(params.delta / 10.0 + shift).astype(np.int32)
+    t_hi, t_lo = _integer_cuts(params, n)
     # t_hi by (distinct d_A value, v), so a row block's thresholds are a row
     # gather; float32 like the table, and exact, as both hold small integers
     da_vals, da_code = np.unique(deg_a, return_inverse=True)

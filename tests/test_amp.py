@@ -338,11 +338,12 @@ def test_seed_pairs_advanced_through_one_set_of_rounds_match_run_amp(min_rounds)
         got = advance(c, seeds, rounds, D)
         want = run_amp(c, seeds, sched, D, min_rounds=min_rounds, beta_seed=3,
                        max_resamples=4)
-        assert got.stopped_reason == want.stopped_reason
-        assert ([{**asdict(r), "wall_s": 0} for r in got.rounds]
+        assert rounds.stopped_reason == want.stopped_reason
+        assert ([{**asdict(r), "wall_s": 0} for r in rounds.logs]
                 == [{**asdict(r), "wall_s": 0} for r in want.rounds])
+        assert got.t == want.iterate.t
         for name in ("f", "g", "h", "l", "rows_i", "rows_j"):
-            assert np.array_equal(getattr(got.iterate, name), getattr(want.iterate, name))
+            assert np.array_equal(getattr(got, name), getattr(want.iterate, name))
 
 
 @pytest.mark.parametrize("n,min_rounds,bound", [(600, 2, 1.0), (1500, 0, 0.25)])

@@ -71,19 +71,20 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
     assert bench.main([]) == 1
-    # three runs, then one traced run
-    assert len(runs) == bench.REPEATS + 1 == 4
-    assert [cmd[-1] for cmd in runs] == ["0", "0", "0", "1"]
+    # six runs, the fewest at which the sign test can call a change, then
+    # one traced run
+    assert len(runs) == bench.REPEATS + 1 == 7
+    assert [cmd[-1] for cmd in runs] == ["0"] * 6 + ["1"]
     out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
     w = out["workloads"]["w"]
-    assert (w["correct"], w["attempted"], w["failed"]) == (False, 8, 0)
-    assert w["exit_codes"] == [1, 0, 0]
-    # the statistics are over the two runs that finished
-    assert w["metrics"]["peak_rss_mb"]["values"] == [2.0, 3.0]
-    assert w["metrics"]["peak_rss_mb"]["median"] == 2.5
+    assert (w["correct"], w["attempted"], w["failed"]) == (False, 20, 0)
+    assert w["exit_codes"] == [1, 0, 0, 0, 0, 0]
+    # the statistics are over the five runs that finished
+    assert w["metrics"]["peak_rss_mb"]["values"] == [2.0, 3.0, 4.0, 5.0, 6.0]
+    assert w["metrics"]["peak_rss_mb"]["median"] == 4.0
     assert out["blas_threads"] == [2]
     assert out["layers"] == {"w": {"correct": True, "failed": 0, "exit_code": 0,
-                                   "values": {"peak_rss_mb": 4.0, "matched_lap": 4.0}}}
+                                   "values": {"peak_rss_mb": 7.0, "matched_lap": 7.0}}}
 
 
 def test_compare_reports_a_metric_without_finished_runs():
@@ -159,22 +160,23 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     monkeypatch.setattr(bench, "_run", fake_run)
     assert bench.main(["--against", str(other)]) == 0
     # each workload runs once in each checkout per repeat, the other
-    # checkout first on the first and third repeat
+    # checkout first on the first, third and fifth repeat
     t, o = str(this), str(other)
     assert calls == [(o, "w"), (t, "w"), (o, "v"), (t, "v"),
-                     (t, "w"), (o, "w"), (t, "v"), (o, "v"),
-                     (o, "w"), (t, "w"), (o, "v"), (t, "v")]
+                     (t, "w"), (o, "w"), (t, "v"), (o, "v")] * 3
     # then one traced run of each workload in each checkout
     assert traced == [(o, "w"), (t, "w"), (o, "v"), (t, "v")]
     mine = json.loads((this / "BENCH_fedcba9-dirty.json").read_text())
     theirs = json.loads((this / "BENCH_0123456.json").read_text())
     assert (mine["commit"], mine["dirty"]) == ("fedcba9876543210", True)
     assert (theirs["commit"], theirs["dirty"]) == ("0123456789abcdef", False)
-    assert mine["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [302.0, 305.0, 310.0]
-    assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [321.0, 326.0, 329.0]
-    assert theirs["workloads"]["v"]["exit_codes"] == [0, 0, 0]
-    assert mine["layers"]["w"]["values"] == {"peak_rss_mb": 312.0, "matched_lap": 26}
-    assert theirs["layers"]["v"]["values"] == {"peak_rss_mb": 332.0, "matched_lap": 26}
+    assert mine["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [
+        302.0, 305.0, 310.0, 313.0, 318.0, 321.0]
+    assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [
+        321.0, 326.0, 329.0, 334.0, 337.0, 342.0]
+    assert theirs["workloads"]["v"]["exit_codes"] == [0] * 6
+    assert mine["layers"]["w"]["values"] == {"peak_rss_mb": 324.0, "matched_lap": 26}
+    assert theirs["layers"]["v"]["values"] == {"peak_rss_mb": 344.0, "matched_lap": 26}
     assert not list(other.iterdir())
 
 

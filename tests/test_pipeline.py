@@ -142,13 +142,15 @@ def test_stream_seeds_documented_split():
 
 def test_run_record_ok_and_schema(tmp_path):
     out = tmp_path / "record.json"
-    cfg = small_cfg(output=str(out), bad_seed_candidates=1, random_candidates=1)
+    cfg = small_cfg(output=str(out), bad_seed_candidates=1, random_candidates=1,
+                    verbose=True)
     rec = run_pipeline(cfg)
     assert rec["status"] == "ok"
     validate_record(rec)
     assert list(rec["config"]) == [f.name for f in fields(RunConfig)]
-    on_disk = json.loads(out.read_text())
-    assert on_disk["schema_version"] == rec["schema_version"]
+    # the manifest is the record: every value JSON, tuples written as lists
+    assert json.loads(out.read_text()) == rec
+    assert "swap_trace" in rec["candidates"][0]
     labels = [c["label"] for c in rec["candidates"]]
     assert labels[0] == "oracle"
     assert "bad0" in labels and "random0" in labels
@@ -200,6 +202,20 @@ def test_validate_record_rejects_missing_status():
     assert "'status' is a required property" in str(exc.value)
 
 
+def _edited(rec, path, value=None, delete=False):
+    """A copy of rec with the value at path replaced, or deleted."""
+    rec = copy.deepcopy(rec)
+    *parents, last = path
+    target = rec
+    for key in parents:
+        target = target[key]
+    if delete:
+        del target[last]
+    else:
+        target[last] = value
+    return rec
+
+
 def _record_cases():
     """(label, record) pairs: run records as they come, and copies with one
     value deleted, replaced or added at a path."""
@@ -212,16 +228,7 @@ def _record_cases():
     cases = [("ok", ok), ("ok t*=0", ok0), ("failed", failed)]
 
     def edit(label, path, value=None, delete=False):
-        rec = copy.deepcopy(ok)
-        *parents, last = path
-        target = rec
-        for key in parents:
-            target = target[key]
-        if delete:
-            del target[last]
-        else:
-            target[last] = value
-        cases.append((f"{label} at {path}", rec))
+        cases.append((f"{label} at {path}", _edited(ok, path, value, delete)))
 
     for key in RUN_RECORD_SCHEMA["required"]:
         edit("deleted", (key,), delete=True)
@@ -231,6 +238,13 @@ def _record_cases():
     typed += [(("cleaning", "zeroed_a", 0), {"type": "integer"})]
     typed += [(("candidates", 0, key), sub)
               for key, sub in props["candidates"]["items"]["properties"].items()]
+    typed += [((section, key), sub) for section in ("final", "schedule")
+              for key, sub in props[section]["properties"].items()]
+    typed += [(("final", "select_scores", 0), {"type": "integer"}),
+              (("schedule", "ks", 0), {"type": "integer"}),
+              (("schedule", "epss", 0), {"type": "number"})]
+    typed += [(("rounds", 0, key), sub)
+              for key, sub in props["rounds"]["items"]["properties"].items()]
     # a wrong type for every typed property, and the edge cases of integer
     values = ["text", 2, 2.0, 2.5, True, None, [], {}]
     for path, sub in typed:
@@ -243,6 +257,8 @@ def _record_cases():
         edit(repr(value), ("schema_version",), value)
     edit("a string", ("stages_s", "amp"), "0.1")
     edit("a number", ("assertions", "psi_diag_in_window"), 1)
+    for value in ("anything", "n/a", "T_STAR"):
+        edit(repr(value), ("stopped_reason",), value)
     edit("an object", ("rounds", 0), [])
     edit("an extra key", ("extra",), {"any": "thing"})
     edit("an extra key", ("cleaning", "extra"), "x")
@@ -272,12 +288,34 @@ def test_record_check_agrees_with_jsonschema():
 
 
 @pytest.mark.parametrize("a, b", [(1, 1.0), (1, True), (0, False), (True, True), (None, 0),
-                                  ("1", 1), ([1, True], [1.0, True]), ([1], [True]),
-                                  ({"a": 1}, {"a": 1.0}), ({"a": 1}, {"b": 1}), ([], {})])
+                                  ("1", 1)])
 def test_const_equality_follows_jsonschema(a, b):
     from jsonschema._utils import equal
 
     assert pipeline._equal(a, b) is pipeline._equal(b, a) is equal(a, b)
+
+
+@pytest.mark.parametrize("schema", [{"const": [2]}, {"const": {"v": 2}},
+                                    {"enum": ["t_star", ["spectral"]]}])
+def test_record_check_refuses_a_list_or_dict_to_compare(schema):
+    # _equal compares scalars only, as the schema's const and enum hold
+    with pytest.raises(ValueError, match="scalars only"):
+        pipeline._check([2], schema, "$")
+
+
+def test_record_check_refuses_a_broken_figure_in_every_section():
+    ok = run_pipeline(small_cfg(n=80, min_rounds=0))
+    assert ok["status"] == "ok"
+    validate_record(ok)
+    for path, value, message in [
+            (("final", "overlap_final"), "x", "$.final.overlap_final: 'x' is not of type 'number'"),
+            (("schedule", "t_star"), "x", "$.schedule.t_star: 'x' is not of type 'integer'"),
+            (("rounds", 0, "eps_t"), "x", "$.rounds[0].eps_t: 'x' is not of type 'number'"),
+            (("stopped_reason",), "anything", "$.stopped_reason: 'anything' is not one of "
+                                              "['t_star', 'min_rounds', 'spectral']")]:
+        with pytest.raises(RecordError) as exc:
+            validate_record(_edited(ok, path, value))
+        assert str(exc.value) == message
 
 
 def test_record_check_refuses_a_keyword_it_does_not_implement(monkeypatch):

@@ -9,6 +9,7 @@ import math
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -154,6 +155,19 @@ def test_refine_params():
     assert p.delta == pytest.approx(compute_psi(0.8) * 100.0, rel=1e-12)
     assert p.max_swaps == 10 * 1000
     assert p.alpha ** 2 <= p.psi_rho <= p.alpha
+
+
+@pytest.mark.parametrize("n", [100, 500, 1000, 2000, 3000])
+def test_integer_cuts_are_the_exact_ceilings(n):
+    # the float cuts equal the ceilings of the exact values, in rational
+    # arithmetic of the same float delta and alpha, at every degree sum
+    for rho in (0.5, 0.8, 0.9, 0.95):
+        params = RefineParams.for_run(rho, n)
+        t_hi, t_lo = refine._integer_cuts(params, n)
+        alpha, delta = Fraction(params.alpha), Fraction(params.delta)
+        for got, x in ((t_hi, delta), (t_lo, delta / 10)):
+            base = x - n * alpha * alpha
+            assert got.tolist() == [math.ceil(base + alpha * s) for s in range(2 * n + 1)]
 
 
 # ----------------------------------------------------- neighborhood stat
