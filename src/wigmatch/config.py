@@ -13,6 +13,7 @@ growth, frame width, denoiser frequency, cleaning threshold or clique weight.
 from __future__ import annotations
 
 import math
+import types
 import typing
 from dataclasses import asdict, dataclass
 
@@ -94,17 +95,19 @@ class RunConfig:
         return asdict(self)
 
 
-def _field_types() -> dict[str, tuple[type, bool]]:
-    """Each RunConfig field's base type and whether it may be None."""
+def field_types(cls) -> dict[str, tuple[type, bool]]:
+    """Each field of the dataclass cls: its annotated type, X for X | None,
+    and whether it may be None."""
     out = {}
-    for name, hint in typing.get_type_hints(RunConfig).items():
+    for name, hint in typing.get_type_hints(cls).items():
         args = typing.get_args(hint)
-        base = next((a for a in args if a is not type(None)), hint)
-        out[name] = (base, type(None) in args)
+        optional = isinstance(hint, types.UnionType) and type(None) in args
+        base = next(a for a in args if a is not type(None)) if optional else hint
+        out[name] = (base, optional)
     return out
 
 
-FIELD_TYPES = _field_types()
+FIELD_TYPES = field_types(RunConfig)
 
 
 def _coerce(key: str, raw: str):

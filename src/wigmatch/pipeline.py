@@ -6,7 +6,8 @@ place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
 through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
 refine -> select, and emits a schema-versioned RunRecord: the run's rounds,
 shared by every seed pair, its RunConfig and its Schedule but rho and k0,
-each whole, and every section but config, stream_seeds and versions typed.
+each whole, and every section but config, stream_seeds and versions typed,
+the rounds and the schedule from the annotations of RoundLog and Schedule.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -45,22 +46,42 @@ import os
 import sys
 import time
 import traceback
+import typing
 
 import numpy as np
 
 from . import __version__ as _pkg_version
-from .amp import advance, bad_seed_pair, good_seed_pair, spectral_rounds
+from .amp import RoundLog, advance, bad_seed_pair, good_seed_pair, spectral_rounds
 from .assign import assemble_pi, build_scores, solve_lap
-from .config import RunConfig
-from .denoiser import build_schedule, make_denoiser
+from .config import RunConfig, field_types
+from .denoiser import Schedule, build_schedule, make_denoiser
 from .errors import ParameterError, RecordError, exit_code_for
 from .model import _corrupt_in_place, generate, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
-from .spectral import PHI_WINDOW
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
+
+_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
+
+
+def _json_type(base, optional: bool = False) -> dict:
+    """The JSON Schema of a field annotated base, or base | None if optional;
+    a tuple[X, ...] is an array of X."""
+    array = typing.get_origin(base) is tuple
+    name = "array" if array else _JSON_TYPES[base]
+    out = {"type": [name, "null"] if optional else name}
+    if array:
+        out["items"] = _json_type(typing.get_args(base)[0])
+    return out
+
+
+def _properties(cls, leave_out=()) -> dict:
+    """The JSON Schema properties of the dataclass cls's fields but leave_out."""
+    return {name: _json_type(*hint) for name, hint in field_types(cls).items()
+            if name not in leave_out}
+
 
 RUN_RECORD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -84,32 +105,11 @@ RUN_RECORD_SCHEMA = {
                 "zeroed_b": {"type": "array", "items": {"type": "integer"}},
             },
         },
-        "schedule": {
-            "type": "object",
-            "properties": {
-                "ks": {"type": "array", "items": {"type": "integer"}},
-                "epss": {"type": "array", "items": {"type": "number"}},
-                "t_star": {"type": "integer"},
-                **dict.fromkeys(["eps0", "gamma", "c2", "lambda_cap",
-                                 "signal_growth_factor", "eq25_ratio"], {"type": "number"}),
-            },
-        },
-        "rounds": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    **dict.fromkeys(["t", "k_t", "d"], {"type": "integer"}),
-                    **dict.fromkeys(["eps_t", "wall_s"], {"type": "number"}),
-                    **dict.fromkeys(["resamples", "clamp_count", "window_phi", "window_psi"],
-                                    {"type": ["integer", "null"]}),
-                    **dict.fromkeys(["accepted", "eps_lower_bound_ok"],
-                                    {"type": ["boolean", "null"]}),
-                    **dict.fromkeys(["xi_ortho_err", "psi_diag_min", "psi_diag_max"],
-                                    {"type": ["number", "null"]}),
-                },
-            },
-        },
+        # rho and k0 are the config's
+        "schedule": {"type": "object",
+                     "properties": _properties(Schedule, leave_out=("rho", "k0"))},
+        "rounds": {"type": "array",
+                   "items": {"type": "object", "properties": _properties(RoundLog)}},
         "stopped_reason": {"type": "string", "enum": ["t_star", "min_rounds", "spectral"]},
         "candidates": {
             "type": "array",
@@ -135,8 +135,6 @@ RUN_RECORD_SCHEMA = {
                 "select_scores": {"type": "array", "items": {"type": "integer"}},
             },
         },
-        "assertions": {"type": "object",
-                       "additionalProperties": {"type": ["boolean", "null"]}},
         "versions": {"type": "object"},
     },
 }
@@ -313,9 +311,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             iterates = [advance(cp, seeds, rounds, dn) for _, seeds in pairs]
         del cp      # the cleaned pair dies once every seed pair has run AMP
 
-        # one record entry per candidate; its permutation is kept for selection
+        # one record entry per candidate
         candidates: list[dict] = []
-        perms: list[np.ndarray] = []
         for (label, seeds), it in zip(pairs, iterates):
             with stage("score"):
                 prob = build_scores(it)
@@ -341,7 +338,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             })
             if trace is not None:
                 candidates[-1]["swap_trace"] = trace
-            perms.append(pi_ref)
         with stage("select"):
             rng_rand = np.random.default_rng(child(streams["corruption"], 999))
             for i in range(cfg.random_candidates):
@@ -351,7 +347,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
                                    "overlap_refine": overlap(pi_rand, pi_star),
                                    "swaps": 0, "truncated": False,
                                    "select_score": selection_score(ind, pi_rand)})
-                perms.append(pi_rand)
             # the rule of final_select, on the scores already computed
             scores = [c["select_score"] for c in candidates]
             best = int(np.argmax(scores))   # argmax returns the first maximiser
@@ -361,10 +356,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         record["candidates"] = candidates
         record["final"] = {
             "selected_label": candidates[best]["label"],
-            "overlap_final": overlap(perms[best], pi_star),
+            "overlap_final": candidates[best]["overlap_refine"],
             "select_scores": scores,
         }
-        record["assertions"] = _runtime_assertions(record["rounds"])
     except Exception as exc:  # recorded, not raised: callers read status
         _record_failure(record, stage.current, exc)
     # read, not imported, at the end: only a dense LAP loads SciPy
@@ -386,28 +380,6 @@ def run_pipeline(cfg: RunConfig) -> dict:
             if record["status"] == "ok":
                 _record_failure(record, "output", exc)
     return record
-
-
-def _runtime_assertions(rounds: list[dict]) -> dict:
-    """Pass/fail of the per-round runtime checks, aggregated over the run."""
-    out = {
-        "xi_phi_orthonormal": None,
-        "psi_diag_in_window": None,
-        "spectral_window_all_rounds": None,
-        "eps_lower_bound": None,
-    }
-    if rounds:
-        # every logged round built its frame, so it has these three values
-        lo, hi = PHI_WINDOW
-        out["xi_phi_orthonormal"] = max(r["xi_ortho_err"] for r in rounds) <= 1e-8
-        out["psi_diag_in_window"] = all(
-            lo * r["eps_t"] < r["psi_diag_min"] and r["psi_diag_max"] < hi * r["eps_t"]
-            for r in rounds)
-        accepted = [r["accepted"] for r in rounds if r.get("accepted") is not None]
-        out["spectral_window_all_rounds"] = all(accepted) if accepted else None
-        lb = [r["eps_lower_bound_ok"] for r in rounds if r.get("eps_lower_bound_ok") is not None]
-        out["eps_lower_bound"] = all(lb) if lb else None
-    return out
 
 
 def compare_clean_corrupted(cfg: RunConfig) -> dict:

@@ -119,9 +119,10 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     _, b = _run_s_file([0.0788463189965114, 0.0875532740028575, 0.09181200950115453])
     assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "yes", "3/3",
                                                           "0.25", "-"]
-    # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05: called
+    # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05, and the median
+    # moves by 0.3, beyond either file's quartile spread of 0.175: called
     spec, a = _run_s_file([1.0, 1.2, 0.9, 1.1, 1.0, 1.3])
-    _, b = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05, 1.31])
+    _, b = _run_s_file([1.3, 1.5, 1.2, 1.4, 1.3, 1.6])
     assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "worse"]
     assert bench.compare(spec, b, a)[1].split()[7:] == ["0/6", "0.031", "better"]
     # the values pair by repeat, not by rank: B's sorted values are all
@@ -131,6 +132,14 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     # a run that did not finish in either file leaves the values unpaired
     _, d = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05], exit_codes=[0, 0, 1, 0, 0, 0])
     assert bench.compare(spec, a, d)[1].split()[7:] == ["-", "-", "-"]
+    # scale-n3000 peak_rss_mb of the committed BENCH_bc2a18d pair: 6 of 6
+    # pairs worse (p = 0.031), but the median moves +0.039 MB, inside A's
+    # quartile spread of 0.047 MB: not called
+    _, a = _run_s_file([215.58203125, 215.56640625, 215.578125, 215.515625, 215.4921875,
+                        215.56640625])
+    _, b = _run_s_file([215.59765625, 215.61328125, 215.59765625, 215.53515625,
+                        215.62890625, 215.63671875])
+    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "-"]
 
 
 def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):

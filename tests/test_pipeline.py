@@ -8,18 +8,21 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import pytest
 
 import wigmatch
-from wigmatch.config import RunConfig, make_config, parse_config_file
+from wigmatch.amp import RoundLog
+from wigmatch.config import RunConfig, field_types, make_config, parse_config_file
+from wigmatch.denoiser import Schedule
 from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError, RecordError
-from wigmatch.pipeline import (RUN_RECORD_SCHEMA, compare_clean_corrupted,
+from wigmatch.pipeline import (RUN_RECORD_SCHEMA, SCHEMA_VERSION, compare_clean_corrupted,
                                run_pipeline, sweep, validate_record)
 from wigmatch.rng import child, derive_streams, stream_seed
+from wigmatch.spectral import PHI_WINDOW
 
 
 def small_cfg(**kw):
@@ -157,10 +160,13 @@ def test_run_record_ok_and_schema(tmp_path):
     assert rec["final"]["selected_label"] in labels
     assert 0.0 <= rec["final"]["overlap_final"] <= 1.0
     assert rec["schedule"]["t_star"] == 0
-    assert rec["assertions"]["xi_phi_orthonormal"] is True
-    assert rec["assertions"]["psi_diag_in_window"] is True
+    # every round's frame is Phi-orthonormal, with its Psi diagonal in the window
+    lo, hi = PHI_WINDOW
+    for r in rec["rounds"]:
+        assert r["xi_ortho_err"] <= 1e-8
+        assert lo * r["eps_t"] < r["psi_diag_min"] <= r["psi_diag_max"] < hi * r["eps_t"]
     # desk-scale rounds cannot satisfy the eigenvalue windows
-    assert rec["assertions"]["spectral_window_all_rounds"] is False
+    assert any(r["accepted"] is False for r in rec["rounds"])
 
 
 def test_every_top_level_key_is_declared():
@@ -180,18 +186,56 @@ def test_record_states_each_fact_once():
     rec = run_pipeline(small_cfg(n=80, min_rounds=0, bad_seed_candidates=1,
                                  random_candidates=1))
     assert rec["status"] == "ok"
-    assert rec["schema_version"] == 2
+    assert rec["schema_version"] == SCHEMA_VERSION == 3
+    # the rounds log each round's checks; no section restates them
+    assert "assertions" not in rec and "assertions" not in RUN_RECORD_SCHEMA["properties"]
     # no flag or count beside the value it restates
     assert list(rec["cleaning"]) == ["zeroed_a", "zeroed_b"]
     assert not {"signal_growth_condition_met", "eq25_satisfied"} & set(rec["schedule"])
     assert {"signal_growth_factor", "eq25_ratio"} <= set(rec["schedule"])
-    assert "signal_growth_monotone" not in rec["assertions"]
     # the rounds are the run's, so where they stopped is said once, after them
     keys = list(rec)
     assert keys[keys.index("rounds") + 1] == "stopped_reason"
     assert rec["stopped_reason"] == "t_star"
     assert [c["label"] for c in rec["candidates"]] == ["oracle", "bad0", "random0"]
     assert not any("stopped_reason" in c for c in rec["candidates"])
+
+
+_JSON = {"int": "integer", "float": "number", "bool": "boolean"}
+
+
+def _json_of(annotation: str) -> dict:
+    """The JSON Schema of a field annotation as its module writes it."""
+    if annotation.endswith(" | None"):
+        inner = _json_of(annotation.removesuffix(" | None"))
+        return {**inner, "type": [inner["type"], "null"]}
+    if annotation.startswith("tuple["):
+        return {"type": "array", "items": _json_of(annotation[len("tuple["):-len(", ...]")])}
+    return {"type": _JSON[annotation]}
+
+
+def test_round_and_schedule_types_come_from_their_dataclasses():
+    props = RUN_RECORD_SCHEMA["properties"]
+    rounds = props["rounds"]["items"]["properties"]
+    schedule = props["schedule"]["properties"]
+    assert rounds == {f.name: _json_of(f.type) for f in fields(RoundLog)}
+    # rho and k0 are the config's
+    assert schedule == {f.name: _json_of(f.type) for f in fields(Schedule)
+                        if f.name not in ("rho", "k0")}
+    assert rounds["resamples"] == {"type": ["integer", "null"]}
+    assert schedule["ks"] == {"type": "array", "items": {"type": "integer"}}
+
+    @dataclass
+    class Made:
+        label: str | None
+        xs: tuple[float, ...]
+        flag: bool = False
+
+    assert field_types(Made) == {"label": (str, True), "xs": (tuple[float, ...], False),
+                                 "flag": (bool, False)}
+    assert pipeline._properties(Made, leave_out=("flag",)) == {
+        "label": {"type": ["string", "null"]},
+        "xs": {"type": "array", "items": {"type": "number"}}}
 
 
 def test_validate_record_rejects_missing_status():
@@ -253,10 +297,9 @@ def _record_cases():
                 edit(repr(value), path, value)
     for key in props["candidates"]["items"]["required"]:
         edit("deleted", ("candidates", 0, key), delete=True)
-    for value in (1, 2.0, True):
+    for value in (2, 3.0, True):
         edit(repr(value), ("schema_version",), value)
     edit("a string", ("stages_s", "amp"), "0.1")
-    edit("a number", ("assertions", "psi_diag_in_window"), 1)
     for value in ("anything", "n/a", "T_STAR"):
         edit(repr(value), ("stopped_reason",), value)
     edit("an object", ("rounds", 0), [])
@@ -370,7 +413,8 @@ def test_default_run_stops_at_t_star_with_the_same_matching():
     assert default["schedule"]["ks"] == [24]
     assert default["rounds"][0]["resamples"] is None
     assert forced["rounds"][0]["resamples"] is not None
-    assert default["assertions"]["spectral_window_all_rounds"] is None
+    # round 0 draws no beta, so no window accepted or refused one
+    assert all(r["accepted"] is None for r in default["rounds"])
 
 
 def test_run_record_stage_times_and_selection():

@@ -48,8 +48,9 @@ files' quartile spreads.  When every run of the workload finished in both
 files, their i-th values are paired (with --against, repeat i of both
 checkouts ran back to back): it prints how many pairs got worse and the
 two-sided sign-test p over the untied pairs, and calls the change "worse"
-or "better" only when p < 0.05, which takes at least 6 pairs; otherwise,
-and without pairs, "-".  Then, for each workload and layer, both files'
+or "better" only when p < 0.05, which takes at least 6 pairs, and the
+median moved by more than A's quartile spread (q3 - q1); otherwise, and
+without pairs, "-".  Then, for each workload and layer, both files'
 values of the traced run ("-" where a file has none); then each file's
 tier-1 run, if either has one.
 """
@@ -194,15 +195,18 @@ def sign_test_p(worse: int, better: int) -> float:
 
 def _paired(wa: dict, wb: dict, m: dict) -> str:
     """Pairs worse of all pairs, sign-test p and the call, or "-" for each
-    unless every run of both files finished."""
-    va, vb = wa["metrics"][m["name"]]["values"], wb["metrics"][m["name"]]["values"]
+    unless every run of both files finished.  A change is called only when
+    p < 0.05 and the median moved by more than A's quartile spread."""
+    ma, mb = wa["metrics"][m["name"]], wb["metrics"][m["name"]]
+    va, vb = ma["values"], mb["values"]
     if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
         return f"{'-':>6} {'-':>7}  -"
     sign = 1 if m["better"] == "lower" else -1
     worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
     better = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
     p = sign_test_p(worse, better)
-    call = ("worse" if worse > better else "better") if p < 0.05 else "-"
+    clears = abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
+    call = ("worse" if worse > better else "better") if p < 0.05 and clears else "-"
     return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
 
 
