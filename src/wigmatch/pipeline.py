@@ -6,8 +6,9 @@ place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
 through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
 refine -> select, and emits a schema-versioned RunRecord: the run's rounds,
 shared by every seed pair, its RunConfig and its Schedule but rho and k0,
-each whole, and every section but config, stream_seeds and versions typed,
-the rounds and the schedule from the annotations of RoundLog and Schedule.
+each whole, and every section but stream_seeds and versions typed, the
+config, the rounds and the schedule from the annotations of RunConfig,
+RoundLog and Schedule.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -94,7 +95,7 @@ RUN_RECORD_SCHEMA = {
         "exit_code": {"type": "integer"},
         "error": {"type": ["string", "null"]},
         "traceback": {"type": "string"},
-        "config": {"type": "object"},
+        "config": {"type": "object", "properties": _properties(RunConfig)},
         "stream_seeds": {"type": "object"},
         "stages_s": {"type": "object",
                      "additionalProperties": {"type": "number"}},
@@ -207,6 +208,8 @@ def validate_record(record: dict) -> None:
 
 
 def _sanitize(obj):
+    if isinstance(obj, os.PathLike):
+        return os.fspath(obj)
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -374,8 +377,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
             if clean_trace:
                 with open(str(cfg.output) + ".cleaning.jsonl", "w") as fh:
                     fh.writelines(json.dumps(row) + "\n" for row in clean_trace)
+            manifest = json.dumps(record, indent=2)   # a failure here leaves no partial file
             with open(cfg.output, "w") as fh:
-                json.dump(record, fh, indent=2)
+                fh.write(manifest)
         except OSError as exc:  # an earlier failure keeps its own status
             if record["status"] == "ok":
                 _record_failure(record, "output", exc)

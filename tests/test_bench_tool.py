@@ -32,19 +32,75 @@ def test_compare_reports_change_as_share_of_bound():
     b = _file([320.0, 321.0, 322.0], [26, 26, 13])
     header, peak, matched = bench.compare(SPEC, a, b)
     assert "of bound" in header
-    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, beyond both spreads, and
-    # no pair worse, but 3 pairs cannot call it (p = 0.25)
-    assert peak.split()[4:] == ["-16.0%", "-1.60", "yes", "0/3", "0.25", "-"]
-    # the median of matched_lap does not move; the quartile spread is 6.5,
-    # and the one untied pair of three got worse
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "no", "1/3", "1", "-"]
+    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, and no pair worse, but 3
+    # pairs cannot call it (p = 0.25)
+    assert peak.split()[4:] == ["-16.0%", "-1.60", "0/3", "0.25", "-"]
+    # the median of matched_lap does not move, and the one untied pair of
+    # three got worse
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "1/3", "1", "-"]
 
 
 def test_compare_counts_a_fall_of_a_higher_is_better_metric_as_worse():
     a = _file([100.0, 100.0, 100.0], [20, 20, 20])
     b = _file([100.0, 100.0, 100.0], [18, 18, 18])
     matched = bench.compare(SPEC, a, b)[2]
-    assert matched.split()[4:] == ["-10.0%", "+0.50", "yes", "3/3", "0.25", "-"]
+    assert matched.split()[4:] == ["-10.0%", "+0.50", "3/3", "0.25", "-"]
+
+
+def _write_timed(root, workload, rounds):
+    """A timed file of perfbench/run.py in the checkout root: each round a
+    list of its calls' record["stages_s"]."""
+    out = root / "perfbench" / "out"
+    out.mkdir(parents=True, exist_ok=True)
+    calls = [{"wall_s": 0.0, "record": {"stages_s": stages}} for r in rounds for stages in r]
+    timed = {"calls": calls, "rounds_s": [1.0] * len(rounds), "peak_rss_mb": 50.0}
+    (out / f"timed-{workload}-seed{bench.SEED}.json").write_text(json.dumps(timed))
+
+
+def test_stages_are_each_rounds_sums_and_their_median_over_rounds(tmp_path):
+    # three rounds of two calls each; a stage a call did not enter counts 0
+    _write_timed(tmp_path, "sweep-n500", [
+        [{"clean": 0.1, "lap": 0.5}, {"clean": 0.2, "lap": 0.25}],
+        [{"clean": 0.5, "lap": 0.5}, {"clean": 0.5}],
+        [{"clean": 0.25, "lap": 1.0}, {"clean": 0.5, "lap": 1.0}]])
+    stages = bench._stages(str(tmp_path), "sweep-n500")
+    # clean: 0.3, 1.0, 0.75 -> 0.75; lap: 0.75, 0.5, 2.0 -> 0.75
+    assert stages == {"clean": 0.75, "lap": 0.75}
+
+
+def test_compare_pairs_stages_under_the_metrics_rule():
+    a, b = _file([1.0] * 6, [20] * 6), _file([1.0] * 6, [20] * 6)
+    a["workloads"]["w"]["stages"] = {
+        "lap": bench.summarize([1.0, 1.2, 0.9, 1.1, 1.0, 1.3]),
+        "refine": bench.summarize([1.0, 1.2, 0.9, 1.1, 1.0, 1.3]),
+        "select": bench.summarize([0.001] * 6)}
+    b["workloads"]["w"]["stages"] = {
+        "lap": bench.summarize([1.3, 1.5, 1.2, 1.4, 1.3, 1.6]),
+        # 6 of 6 pairs worse, but inside A's quartile spread of 0.175
+        "refine": bench.summarize([1.01, 1.21, 0.91, 1.11, 1.01, 1.31]),
+        "amp": bench.summarize([0.01] * 6)}
+    header, _, _, lap, refine, select, amp = bench.compare(SPEC, a, b)
+    assert "of bound" in header and "spread" not in header
+    # a stage has no bound; it is better lower, paired and called as a metric
+    assert lap.split() == ["w", "lap", "1.05", "1.35", "+28.6%", "-", "6/6", "0.031",
+                           "worse"]
+    assert refine.split()[2:] == ["1.05", "1.06", "+1.0%", "-", "6/6", "0.031", "-"]
+    # a stage that only one file has
+    assert select.split() == ["w", "select", "0.001", "-", "-", "-", "-", "-", "-"]
+    assert amp.split() == ["w", "amp", "-", "0.01", "-", "-", "-", "-", "-"]
+
+
+def test_compare_reads_committed_files_without_stages():
+    with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
+        spec = json.load(fh)
+    files = []
+    for name in ("BENCH_1d1cea0.json", "BENCH_1d1cea0-dirty.json"):
+        with open(os.path.join(ROOT, name)) as fh:
+            files.append(json.load(fh))
+    header, *lines = bench.compare(spec, *files)
+    assert [line.split()[:2] for line in lines] == [
+        [w, m["name"]] for w in files[0]["workloads"] for m in spec["end_to_end"]]
+    assert all(len(line.split()) == 9 for line in lines)
 
 
 def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_path):
@@ -62,6 +118,7 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
         result = {"correct": True, "attempted": 4, "failed": 0,
                   "metrics": {m["name"]: {"value": float(len(runs))}
                               for m in SPEC["end_to_end"]}}
+        _write_timed(tmp_path, "w", [[{"lap": float(len(runs))}]])
         out = f"perfbench: {json.dumps({'blas_threads': 2})}\n{json.dumps(result)}\n"
         return subprocess.CompletedProcess(cmd, 0, out, "")
 
@@ -71,10 +128,9 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
     (tmp_path / "BENCHMARK.json").write_text(
         json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
     assert bench.main([]) == 1
-    # six runs, the fewest at which the sign test can call a change, then
-    # one traced run
-    assert len(runs) == bench.REPEATS + 1 == 7
-    assert [cmd[-1] for cmd in runs] == ["0"] * 6 + ["1"]
+    # six untraced runs, the fewest at which the sign test can call a change
+    assert len(runs) == bench.REPEATS == 6
+    assert [cmd[-2:] for cmd in runs] == [["--trace", "0"]] * 6
     out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
     w = out["workloads"]["w"]
     assert (w["correct"], w["attempted"], w["failed"]) == (False, 20, 0)
@@ -83,8 +139,9 @@ def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_pa
     assert w["metrics"]["peak_rss_mb"]["values"] == [2.0, 3.0, 4.0, 5.0, 6.0]
     assert w["metrics"]["peak_rss_mb"]["median"] == 4.0
     assert out["blas_threads"] == [2]
-    assert out["layers"] == {"w": {"correct": True, "failed": 0, "exit_code": 0,
-                                   "values": {"peak_rss_mb": 7.0, "matched_lap": 7.0}}}
+    # the run that did not finish gives no stage value
+    assert w["stages"] == {"lap": bench.summarize([2.0, 3.0, 4.0, 5.0, 6.0])}
+    assert "layers" not in out
 
 
 def test_compare_reports_a_metric_without_finished_runs():
@@ -94,7 +151,7 @@ def test_compare_reports_a_metric_without_finished_runs():
     peak, matched = bench.compare(SPEC, a, b)[1:]
     assert peak.split()[2:] == ["no", "finished", "run"]
     # one value against three cannot be paired
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "no", "-", "-", "-"]
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "-", "-", "-"]
 
 
 def test_sign_test_p_is_two_sided_over_untied_pairs():
@@ -114,24 +171,24 @@ def _run_s_file(values, exit_codes=None):
 
 def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     # sweep-n500 run_s of the committed BENCH_9a69904 pair: all 3 pairs
-    # worse and beyond both spreads, yet p = 0.25, so no change is called
+    # worse and the median beyond A's spread, yet p = 0.25: not called
     spec, a = _run_s_file([0.07545782949455315, 0.07237920600891812, 0.06606006749643711])
     _, b = _run_s_file([0.0788463189965114, 0.0875532740028575, 0.09181200950115453])
-    assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "yes", "3/3",
-                                                          "0.25", "-"]
+    assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "3/3", "0.25",
+                                                          "-"]
     # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05, and the median
-    # moves by 0.3, beyond either file's quartile spread of 0.175: called
+    # moves by 0.3, beyond A's quartile spread of 0.175: called
     spec, a = _run_s_file([1.0, 1.2, 0.9, 1.1, 1.0, 1.3])
     _, b = _run_s_file([1.3, 1.5, 1.2, 1.4, 1.3, 1.6])
-    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "worse"]
-    assert bench.compare(spec, b, a)[1].split()[7:] == ["0/6", "0.031", "better"]
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "worse"]
+    assert bench.compare(spec, b, a)[1].split()[6:] == ["0/6", "0.031", "better"]
     # the values pair by repeat, not by rank: B's sorted values are all
     # above A's, which would call 6 of 6, but the last pair got better
     _, c = _run_s_file([1.3, 1.31, 1.0, 1.2, 1.05, 1.1])
-    assert bench.compare(spec, a, c)[1].split()[7:] == ["5/6", "0.22", "-"]
+    assert bench.compare(spec, a, c)[1].split()[6:] == ["5/6", "0.22", "-"]
     # a run that did not finish in either file leaves the values unpaired
     _, d = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05], exit_codes=[0, 0, 1, 0, 0, 0])
-    assert bench.compare(spec, a, d)[1].split()[7:] == ["-", "-", "-"]
+    assert bench.compare(spec, a, d)[1].split()[6:] == ["-", "-", "-"]
     # scale-n3000 peak_rss_mb of the committed BENCH_bc2a18d pair: 6 of 6
     # pairs worse (p = 0.031), but the median moves +0.039 MB, inside A's
     # quartile spread of 0.047 MB: not called
@@ -139,7 +196,7 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
                         215.56640625])
     _, b = _run_s_file([215.59765625, 215.61328125, 215.59765625, 215.53515625,
                         215.62890625, 215.63671875])
-    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "-"]
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "-"]
 
 
 def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):
@@ -150,18 +207,19 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
         json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}]}))
     commits = {str(this): ("fedcba9876543210", " M src/x.py"),
                str(other): ("0123456789abcdef", "")}
-    calls, traced = [], []
+    calls = []
 
     def fake_git(root, *args):
         commit, status = commits[root]
         return status if args[0] == "status" else commit
 
-    def fake_run(root, workload, seconds, trace=0):
-        (traced if trace else calls).append((root, workload))
+    def fake_run(root, workload, seconds):
+        calls.append((root, workload))
         peak = 300.0 if root == str(this) else 320.0
         result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
                   "metrics": {"peak_rss_mb": {"value": peak + len(calls)},
-                              "matched_lap": {"value": 26}}}
+                              "matched_lap": {"value": 26}},
+                  "stages": {"clean": len(calls) / 100}}
         return {"blas_threads": 2}, result
 
     monkeypatch.setattr(bench, "ROOT", str(this))
@@ -173,8 +231,6 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     t, o = str(this), str(other)
     assert calls == [(o, "w"), (t, "w"), (o, "v"), (t, "v"),
                      (t, "w"), (o, "w"), (t, "v"), (o, "v")] * 3
-    # then one traced run of each workload in each checkout
-    assert traced == [(o, "w"), (t, "w"), (o, "v"), (t, "v")]
     mine = json.loads((this / "BENCH_fedcba9-dirty.json").read_text())
     theirs = json.loads((this / "BENCH_0123456.json").read_text())
     assert (mine["commit"], mine["dirty"]) == ("fedcba9876543210", True)
@@ -184,8 +240,9 @@ def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp
     assert theirs["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"] == [
         321.0, 326.0, 329.0, 334.0, 337.0, 342.0]
     assert theirs["workloads"]["v"]["exit_codes"] == [0] * 6
-    assert mine["layers"]["w"]["values"] == {"peak_rss_mb": 324.0, "matched_lap": 26}
-    assert theirs["layers"]["v"]["values"] == {"peak_rss_mb": 344.0, "matched_lap": 26}
+    assert mine["workloads"]["w"]["stages"]["clean"]["values"] == [
+        0.02, 0.05, 0.10, 0.13, 0.18, 0.21]
+    assert "layers" not in mine and "layers" not in theirs
     assert not list(other.iterdir())
 
 
@@ -221,10 +278,11 @@ def test_tier1_times_one_test_run_per_checkout_after_the_benchmark(monkeypatch, 
                str(other): ("0123456789abcdef", "")}
     events = []
 
-    def fake_run(root, workload, seconds, trace=0):
+    def fake_run(root, workload, seconds):
         events.append(("bench", root))
         result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
-                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}}}
+                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}},
+                  "stages": {}}
         return {"blas_threads": 2}, result
 
     def fake_pytest(cmd, cwd, env, **kwargs):
@@ -263,37 +321,3 @@ def test_tier1_times_one_test_run_per_checkout_after_the_benchmark(monkeypatch, 
         "348 passed, 4 failed, exit code 1")
     assert tail[1].endswith("348 passed, 5 failed, exit code 1")
 
-
-def test_compare_prints_both_files_traced_layers():
-    a = _file([100.0, 100.0, 100.0], [20, 20, 20])
-    b = _file([90.0, 90.0, 90.0], [20, 20, 20])
-    a["layers"] = {"w": {"values": {"pipeline.validate_s": 0.0125, "refine.swaps": 4360}}}
-    b["layers"] = {"w": {"values": {"pipeline.validate_s": 0.0031, "amp.rounds": 1}},
-                   "v": {"values": {}}}
-    lines = bench.compare(SPEC, a, b)
-    assert lines[3].split() == ["workload", "layer", "A", "B"]
-    assert [line.split() for line in lines[4:]] == [
-        ["w", "pipeline.validate_s", "0.0125", "0.0031"],
-        ["w", "refine.swaps", "4360", "-"],
-        ["w", "amp.rounds", "-", "1"]]
-    # files without a traced pass print no layer lines
-    assert len(bench.compare(SPEC, _file([1.0], [1]), _file([1.0], [1]))) == 3
-
-
-def test_an_incorrect_traced_run_makes_the_exit_code_1(monkeypatch, tmp_path):
-    (tmp_path / "BENCHMARK.json").write_text(
-        json.dumps({**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}]}))
-
-    def fake_run(root, workload, seconds, trace=0):
-        result = {"correct": not trace, "attempted": 1, "failed": 0, "exit_code": 0,
-                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}}}
-        return {"blas_threads": 2}, result
-
-    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
-    monkeypatch.setattr(bench, "_git", lambda root, *args:
-                        "" if args[0] == "status" else "0123456789abcdef")
-    monkeypatch.setattr(bench, "_run", fake_run)
-    assert bench.main([]) == 1
-    out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
-    assert out["workloads"]["w"]["correct"] is True
-    assert out["layers"]["w"]["correct"] is False

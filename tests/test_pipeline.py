@@ -289,6 +289,7 @@ def _record_cases():
               (("schedule", "epss", 0), {"type": "number"})]
     typed += [(("rounds", 0, key), sub)
               for key, sub in props["rounds"]["items"]["properties"].items()]
+    typed += [(("config", key), sub) for key, sub in props["config"]["properties"].items()]
     # a wrong type for every typed property, and the edge cases of integer
     values = ["text", 2, 2.0, 2.5, True, None, [], {}]
     for path, sub in typed:
@@ -507,6 +508,15 @@ def test_run_record_output_failure_is_recorded(tmp_path):
     rec = run_pipeline(cfg)
     assert rec["status"] == "failed:setup"
     assert rec["exit_code"] == 2
+
+
+def test_a_path_output_is_recorded_as_its_string(tmp_path):
+    out, dumps = tmp_path / "run.json", tmp_path / "dumps"
+    rec = run_pipeline(small_cfg(n=80, k0=12, min_rounds=0, output=out, dump_dir=dumps))
+    assert rec["status"] == "ok"
+    assert (rec["config"]["output"], rec["config"]["dump_dir"]) == (str(out), str(dumps))
+    assert json.loads(out.read_text()) == rec
+    assert (dumps / "score_oracle.npy").exists()
 
 
 def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):

@@ -12,12 +12,16 @@ another in turn, so that drift of the machine spreads over all of them.
 It writes BENCH_<short-sha>.json at the repository root, with "-dirty"
 after the commit when tracked files differ from it: for each workload and
 end-to-end metric the raw values, their median and quartiles, and whether
-every run was correct and how many runs failed.  A run of perfbench/run.py
-that exits non-zero (a stage died or hit its time limit) counts as not
-correct and keeps its exit code; the statistics are over the runs that
-finished (null if none), and the file is still written.  It also records
-the commit, the BLAS thread count, the CPU count and the 1-minute load
-average at the start.  The exit code is 1 unless every run was correct.
+every run was correct and how many runs failed; under "stages", the same
+for each stage's seconds in the run's own records (perfbench/out/timed-
+<workload>-seed1.json): record["stages_s"] summed over each round's calls,
+median over the rounds.  A run of perfbench/run.py that exits non-zero (a
+stage died or hit its time limit) counts as not correct and keeps its exit
+code; the statistics are over the runs that finished (null if none), and
+the file is still written.  It also records the commit, the BLAS thread
+count, the CPU count and the 1-minute load average at the start.  The exit
+code is 1 unless every run was correct.  The replay's per-layer values are
+`python3 perfbench/run.py --workload W --seed 1 --seconds 10 --trace 1`.
 
 --against DIR does the same in this checkout and in the checkout DIR (for
 example a clone of the parent commit), alternating the two run by run: for
@@ -33,26 +37,16 @@ after all benchmark runs, and adds its wall time, passed and failed counts
 and exit code to that checkout's BENCH file as "tier1".  Its exit code does
 not change the script's.
 
-After the --trace 0 runs, each workload runs once more with --trace 1 in
-each checkout, the checkouts in the order of the first repeat, and the
-per-layer values go into that checkout's BENCH file under "layers", with
-the run's correctness, failed count and exit code; a traced run that is
-not correct also makes the exit code 1.  This pass adds about 15 s per
-workload and checkout on two cores (45 s for one checkout, 90 s with
---against), since each traced run also runs its workload's timed phase.
-
---compare prints, for each workload and metric, the change of the median
-from A to B as a share of the metric's BENCHMARK.json bound (positive is
-worse, 1.0 is the bound) and whether the change is larger than both
-files' quartile spreads.  When every run of the workload finished in both
-files, their i-th values are paired (with --against, repeat i of both
-checkouts ran back to back): it prints how many pairs got worse and the
-two-sided sign-test p over the untied pairs, and calls the change "worse"
-or "better" only when p < 0.05, which takes at least 6 pairs, and the
-median moved by more than A's quartile spread (q3 - q1); otherwise, and
-without pairs, "-".  Then, for each workload and layer, both files'
-values of the traced run ("-" where a file has none); then each file's
-tier-1 run, if either has one.
+--compare prints, for each workload, each metric and then each stage (lower
+is better), the change of the median from A to B, for a metric also as a
+share of its BENCHMARK.json bound (positive is worse, 1.0 is the bound).
+When every run of the workload finished in both files, their i-th values
+are paired (with --against, repeat i of both checkouts ran back to back):
+it prints how many pairs got worse and the two-sided sign-test p over the
+untied pairs, and calls the change "worse" or "better" only when p < 0.05
+(at least 6 pairs) and the median moved by more than A's quartile spread
+(q3 - q1); otherwise, and for a stage only one file has, "-".  Then each
+file's tier-1 run, if either has one.
 """
 
 from __future__ import annotations
@@ -77,13 +71,11 @@ def _git(root: str, *args: str) -> str:
                           check=True).stdout.strip()
 
 
-def _run(root: str, workload: str, seconds: float,
-         trace: int = 0) -> tuple[dict | None, dict]:
+def _run(root: str, workload: str, seconds: float) -> tuple[dict | None, dict]:
     """One benchmark run in the checkout root: its settings line (None if it
-    did not finish) and its result line, with the run's exit code added."""
+    did not finish) and its result line, with its exit code and stages added."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(SEED), "--seconds", str(seconds),
-                           "--trace", str(trace)],
+                           "--seed", str(SEED), "--seconds", str(seconds), "--trace", "0"],
                           cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         sys.stderr.write(proc.stderr)
@@ -91,7 +83,22 @@ def _run(root: str, workload: str, seconds: float,
                       "exit_code": proc.returncode}
     lines = proc.stdout.strip().splitlines()
     return (json.loads(lines[-2].removeprefix("perfbench: ")),
-            {**json.loads(lines[-1]), "exit_code": 0})
+            {**json.loads(lines[-1]), "exit_code": 0, "stages": _stages(root, workload)})
+
+
+def _stages(root: str, workload: str) -> dict[str, float]:
+    """Each stage's seconds in the checkout root's last run of workload:
+    record["stages_s"] summed over each round's calls, median over rounds."""
+    path = os.path.join(root, "perfbench", "out", f"timed-{workload}-seed{SEED}.json")
+    with open(path) as fh:
+        timed = json.load(fh)
+    rounds = len(timed["rounds_s"])
+    per_round = len(timed["calls"]) // rounds
+    sums: dict[str, list[float]] = {}
+    for i, call in enumerate(timed["calls"]):
+        for stage, seconds in call["record"]["stages_s"].items():
+            sums.setdefault(stage, [0.0] * rounds)[i // per_round] += seconds
+    return {stage: statistics.median(s) for stage, s in sums.items()}
 
 
 def _tier1(root: str) -> dict:
@@ -135,9 +142,8 @@ def _path(head: dict) -> str:
 def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
     """Run every workload REPEATS times in each checkout of roots,
     interleaved: the workloads in turn and, for each, the checkouts one
-    after the other, the first of them alternating from repeat to repeat;
-    then each workload once traced in each checkout.  Returns one summary
-    per checkout, headed by its entry of heads."""
+    after the other, the first of them alternating from repeat to repeat.
+    Returns one summary per checkout, headed by its entry of heads."""
     load_1min = os.getloadavg()[0]
     names = [w["name"] for w in spec["workloads"]]
     runs = {root: {name: [] for name in names} for root in roots}
@@ -152,22 +158,11 @@ def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
                 print(f"bench: {root} {name} run {rep + 1}/{REPEATS}: "
                       f"correct={result['correct']} failed={result['failed']} "
                       f"exit_code={result['exit_code']}", file=sys.stderr)
-    layers: dict[str, dict] = {root: {} for root in roots}
-    for name in names:
-        for root in roots:
-            _, result = _run(root, name, spec["run_seconds"], trace=1)
-            layers[root][name] = {
-                "correct": result["correct"], "failed": result["failed"],
-                "exit_code": result["exit_code"],
-                "values": {k: v["value"] for k, v in result.get("metrics", {}).items()}}
-            print(f"bench: {root} {name} traced: correct={result['correct']} "
-                  f"failed={result['failed']} exit_code={result['exit_code']}",
-                  file=sys.stderr)
-    return [_summary(spec, head, runs[root], layers[root], blas_threads[root], load_1min)
+    return [_summary(spec, head, runs[root], blas_threads[root], load_1min)
             for root, head in zip(roots, heads)]
 
 
-def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], layers: dict,
+def _summary(spec: dict, head: dict, runs: dict[str, list[dict]],
              blas_threads: set, load_1min: float) -> dict:
     """The BENCH file of one checkout's runs."""
     workloads = {}
@@ -176,14 +171,19 @@ def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], layers: dict,
         metrics = {m["name"]: dict(unit=m["unit"], **summarize(
                        [r["metrics"][m["name"]]["value"] for r in finished]))
                    for m in spec["end_to_end"]}
+        stages: dict[str, list[float]] = {}
+        for r in finished:
+            for stage, seconds in r["stages"].items():
+                stages.setdefault(stage, []).append(seconds)
         workloads[name] = {"correct": all(r["correct"] for r in results),
                            "attempted": sum(r["attempted"] for r in results),
                            "failed": sum(r["failed"] for r in results),
                            "exit_codes": [r["exit_code"] for r in results],
-                           "metrics": metrics}
+                           "metrics": metrics,
+                           "stages": {s: summarize(v) for s, v in stages.items()}}
     return {**head, "seed": SEED, "repeats": REPEATS, "blas_threads": sorted(blas_threads),
             "cpu_count": os.cpu_count(), "load_1min_at_start": load_1min,
-            "workloads": workloads, "layers": layers}
+            "workloads": workloads}
 
 
 def sign_test_p(worse: int, better: int) -> float:
@@ -193,55 +193,54 @@ def sign_test_p(worse: int, better: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
-def _paired(wa: dict, wb: dict, m: dict) -> str:
+def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str) -> str:
     """Pairs worse of all pairs, sign-test p and the call, or "-" for each
-    unless every run of both files finished.  A change is called only when
+    unless every run of wa and wb finished.  A change is called only when
     p < 0.05 and the median moved by more than A's quartile spread."""
-    ma, mb = wa["metrics"][m["name"]], wb["metrics"][m["name"]]
     va, vb = ma["values"], mb["values"]
     if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
         return f"{'-':>6} {'-':>7}  -"
-    sign = 1 if m["better"] == "lower" else -1
+    sign = 1 if better == "lower" else -1
     worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
-    better = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
-    p = sign_test_p(worse, better)
+    improved = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
+    p = sign_test_p(worse, improved)
     clears = abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
-    call = ("worse" if worse > better else "better") if p < 0.05 and clears else "-"
+    call = ("worse" if worse > improved else "better") if p < 0.05 and clears else "-"
     return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
 
 
+def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict | None,
+          better: str, bound: float | None) -> str:
+    """One line of compare; a stage has no bound."""
+    head = f"{name:<12} {label:<12} "
+    if ma is None or mb is None:    # a stage that only one file has
+        cells = [f"{f['median']:>10.4g}" if f else f"{'-':>10}" for f in (ma, mb)]
+        return head + f"{cells[0]} {cells[1]} {'-':>8} {'-':>9} {'-':>6} {'-':>7}  -"
+    if ma["median"] is None or mb["median"] is None:
+        return head + "no finished run"
+    change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
+    worse = change if better == "lower" else 0.0 - change   # no -0.0
+    share = f"{worse / bound:>+9.2f}" if bound else f"{'-':>9}"
+    return (head + f"{ma['median']:>10.4g} {mb['median']:>10.4g} {change:>+8.1%} {share} "
+            + _paired(wa, wb, ma, mb, better))
+
+
 def compare(spec: dict, a: dict, b: dict) -> list[str]:
-    """One line per workload and metric: medians, change as a share of the
-    bound (positive is worse), whether it exceeds both quartile spreads,
-    pairs worse, sign-test p and the call; then one per workload and layer
-    with both traced values."""
-    lines = [f"{'workload':<12} {'metric':<12} {'A median':>10} {'B median':>10} "
-             f"{'change':>8} {'of bound':>9}  spread {'worse':>6} {'sign p':>7}  called"]
+    """For each workload, one line per metric, then one per stage, and each
+    file's tier-1 run."""
+    lines = [f"{'workload':<12} {'metric/stage':<12} {'A median':>10} {'B median':>10} "
+             f"{'change':>8} {'of bound':>9} {'worse':>6} {'sign p':>7}  called"]
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name)
         if wb is None:
             continue
         for m in spec["end_to_end"]:
-            ma, mb = wa["metrics"][m["name"]], wb["metrics"][m["name"]]
-            if ma["median"] is None or mb["median"] is None:
-                lines.append(f"{name:<12} {m['name']:<12} no finished run")
-                continue
-            change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
-            worse = change if m["better"] == "lower" else 0.0 - change   # no -0.0
-            spread = max(ma["q3"] - ma["q1"], mb["q3"] - mb["q1"])
-            beyond = abs(mb["median"] - ma["median"]) > spread
-            lines.append(f"{name:<12} {m['name']:<12} {ma['median']:>10.4g} "
-                         f"{mb['median']:>10.4g} {change:>+8.1%} {worse / m['bound']:>+9.2f}  "
-                         f"{'yes' if beyond else 'no':<6} {_paired(wa, wb, m)}")
-    la, lb = a.get("layers", {}), b.get("layers", {})
-    if la or lb:
-        lines.append(f"{'workload':<12} {'layer':<29} {'A':>10} {'B':>10}")
-    for name in dict.fromkeys([*la, *lb]):
-        va = la.get(name, {}).get("values", {})
-        vb = lb.get(name, {}).get("values", {})
-        for layer in dict.fromkeys([*va, *vb]):
-            cells = [f"{f[layer]:>10.4g}" if layer in f else f"{'-':>10}" for f in (va, vb)]
-            lines.append(f"{name:<12} {layer:<29} {cells[0]} {cells[1]}")
+            lines.append(_line(name, m["name"], wa, wb, wa["metrics"][m["name"]],
+                               wb["metrics"][m["name"]], m["better"], m["bound"]))
+        sa, sb = wa.get("stages", {}), wb.get("stages", {})
+        for stage in dict.fromkeys([*sa, *sb]):
+            lines.append(_line(name, stage, wa, wb, sa.get(stage), sb.get(stage),
+                               "lower", None))
     if "tier1" in a or "tier1" in b:
         for tag, f in (("A", a), ("B", b)):
             t = f.get("tier1")
@@ -285,8 +284,7 @@ def main(argv=None) -> int:
             fh.write("\n")
         print(path)
     return 0 if all(w["correct"] and not w["failed"]
-                    for out in outs
-                    for w in [*out["workloads"].values(), *out["layers"].values()]) else 1
+                    for out in outs for w in out["workloads"].values()) else 1
 
 
 if __name__ == "__main__":
