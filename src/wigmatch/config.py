@@ -1,7 +1,8 @@
 """Run configuration: flat key=value files with CLI-flag overrides.
 
 The RunConfig field types are the only schema: the config-file parser and
-the CLI flags are both derived from them.  A field is a value a caller
+the CLI flags are both derived from them, and validate checks each field's
+value against them.  A field is a value a caller
 varies.  The algorithm's fixed values (the round growth, frame width,
 denoiser frequency, cleaning threshold, adversary weights and the resample
 and swap caps) are module constants or library defaults; RunConfig mirrors
@@ -13,6 +14,8 @@ growth, frame width, denoiser frequency, cleaning threshold or clique weight.
 from __future__ import annotations
 
 import math
+import numbers
+import os
 import types
 import typing
 from dataclasses import asdict, dataclass
@@ -60,9 +63,16 @@ class RunConfig:
     max_swaps = None        # 10 n
 
     def validate(self) -> "RunConfig":
-        for name, (base, _) in FIELD_TYPES.items():
+        for name, (base, optional) in FIELD_TYPES.items():
             value = getattr(self, name)
-            if base is float and value is not None and not math.isfinite(value):
+            if value is None and optional:
+                continue
+            # bool is an int, but no count, seed or number is a bool
+            if not isinstance(value, ACCEPTED[base]) or (
+                    base is not bool and isinstance(value, bool)):
+                raise ParameterError(f"{name} must be of type {base.__name__}"
+                                     f"{' or None' if optional else ''}, got {value!r}")
+            if base is float and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         if self.n < 2:
             raise ParameterError(f"n must be >= 2, got {self.n}")
@@ -108,6 +118,9 @@ def field_types(cls) -> dict[str, tuple[type, bool]]:
 
 
 FIELD_TYPES = field_types(RunConfig)
+# the values validate accepts for each annotated type: an int may be a NumPy
+# integer, a float any real, and a str field also takes a path-like
+ACCEPTED = {int: numbers.Integral, float: numbers.Real, bool: bool, str: (str, os.PathLike)}
 
 
 def _coerce(key: str, raw: str):

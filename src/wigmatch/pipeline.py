@@ -209,7 +209,7 @@ def validate_record(record: dict) -> None:
 
 def _sanitize(obj):
     if isinstance(obj, os.PathLike):
-        return os.fspath(obj)
+        return _sanitize(os.fspath(obj))
     if isinstance(obj, dict):
         return {k: _sanitize(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -222,7 +222,9 @@ def _sanitize(obj):
         return float(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    return obj
+    if obj is None or isinstance(obj, (str, int, float)):
+        return obj
+    return repr(obj)    # a config value of a refused type, so the record encodes
 
 
 class _Stages:

@@ -21,9 +21,15 @@ of two factors and folds BATCH_SWAPS swaps in with one float32 product, the
 blocked update of the WY form (Schreiber and Van Loan, SIAM J. Sci. Stat.
 Comput. 1989), while the diagonal C(u, pi(u)) is kept current at every
 swap.  Every value is an integer below 2^24, so every sum is exact.  Both
-thresholds become integer lookups on d_A(u) + d_B(v), and each scan compares
-only the rows and columns whose current images are bad, a block of rows at
-a time, each row read as its table row plus its pending swaps.
+thresholds become integer lookups on d_A(u) + d_B(v); the cut of Delta / 10
+for each row u and its image pi(u) is kept in a vector that a swap changes
+at its two rows.  Each scan compares only the rows and columns whose current
+images are bad: the first bad row alone, where most scans hit, then
+SCAN_ROWS rows at a time, each row read as its table row plus its pending
+swaps.  The hit carries C(u, v), so a swap sets the new diagonal at u from
+it and reads the table once, at pi^-1(v); A' and B' are symmetric, so a
+swap's two vectors are indicator rows.  A swap thus costs a few O(n) vector
+updates and nothing over all n that it leaves unchanged.
 
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
 with T Owen's T function (Owen, "Tables for computing bivariate normal
@@ -113,12 +119,14 @@ class CoNeighbourTable:
     """Exact counts C(u, v) = sum_w 1{A'[u,w] >= 1} 1{B'[v,pi(w)] >= 1}
     under an evolving permutation pi, with the diagonal cur[u] = C(u, pi(u)).
 
-    A swap changes C by a +-1 outer product.  The table keeps its two
-    vectors as row k of the float32 factors da and db and folds BATCH_SWAPS
-    of them into the float32 table c with one product, c += da^T db; a read
-    adds the pending rows.  Every value is an integer below 2^24, so all
-    float32 sums are exact.  The observed pair and its bool indicator pair
-    (A' >= 1, B' >= 1) give the same counts."""
+    A' and B' are symmetric, so C = A B[pi] over the indicators, and a
+    swap's two vectors are rows of them.  A swap changes C by a +-1 outer
+    product.  The table keeps its two vectors as row k of the float32
+    factors da and db and folds BATCH_SWAPS of them into the float32 table
+    c with one product, c += da^T db; a read adds the pending rows.  Every
+    value is an integer below 2^24, so all float32 sums are exact.  The
+    observed pair and its bool indicator pair (A' >= 1, B' >= 1) give the
+    same counts."""
 
     def __init__(self, obs: ObservedPair, pi: np.ndarray):
         self.ind_a = obs.a_prime >= 1.0
@@ -128,11 +136,19 @@ class CoNeighbourTable:
         self.inv = np.empty_like(self.pi)
         self.inv[self.pi] = np.arange(n)
         # 0/1 products summed in float32, exact for counts below 2^24
-        self.c = self.ind_a.astype(np.float32) @ self.ind_b[:, self.pi].astype(np.float32).T
+        self.c = self.ind_a.astype(np.float32) @ self.ind_b[self.pi].astype(np.float32)
         self.cur = self.c[np.arange(n), self.pi]
         self.da = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.db = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.k = 0      # swaps not yet folded into c
+        self._buf = np.empty(n, dtype=np.float32)
+
+    def row(self, u: int) -> np.ndarray:
+        """Row u of C, as float32; a view of the table while no swap is
+        pending, so not to be written."""
+        if self.k:
+            return self.c[u] + self.da[:self.k, u] @ self.db[:self.k]
+        return self.c[u]
 
     def rows(self, r: np.ndarray) -> np.ndarray:
         """Rows r of C, as float32."""
@@ -145,19 +161,21 @@ class CoNeighbourTable:
         """C(u, v)."""
         return int(self.c[u, v] + self.da[:self.k, u] @ self.db[:self.k, v])
 
-    def swap(self, u: int, v: int) -> None:
-        """Map u to v and pi^-1(v) to the old pi(u)."""
+    def swap(self, u: int, v: int, c_uv: int) -> None:
+        """Map u to v and pi^-1(v) to the old pi(u), given c_uv = C(u, v)."""
         p_v, w_u = int(self.inv[v]), int(self.pi[u])
         # Column u of the permuted B indicator becomes B[:, v] and column p_v
-        # becomes B[:, w_u], so C += (A[:, u] - A[:, p_v]) (B[:, v] - B[:, w_u])^T.
+        # becomes B[:, w_u], so C += (A[u] - A[p_v]) (B[v] - B[w_u])^T.
         da, db = self.da[self.k], self.db[self.k]
-        np.subtract(self.ind_a[:, u], self.ind_a[:, p_v], out=da, dtype=np.float32)
-        np.subtract(self.ind_b[:, v], self.ind_b[:, w_u], out=db, dtype=np.float32)
-        self.cur += da * db[self.pi]
+        np.subtract(self.ind_a[u], self.ind_a[p_v], out=da, dtype=np.float32)
+        np.subtract(self.ind_b[v], self.ind_b[w_u], out=db, dtype=np.float32)
+        np.take(db, self.pi, out=self._buf)
+        self._buf *= da
+        self.cur += self._buf
         self.k += 1
         self.pi[u], self.pi[p_v] = v, w_u
         self.inv[v], self.inv[w_u] = u, p_v
-        self.cur[u], self.cur[p_v] = self.at(u, v), self.at(p_v, w_u)
+        self.cur[u], self.cur[p_v] = c_uv + da[u] * db[v], self.at(p_v, w_u)
         if self.k == len(self.da):
             self._fold()
 
@@ -218,45 +236,57 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
         # an int count: a float32 one would keep the difference in float32
         return float(int(c) - alpha * s + n * alpha * alpha)
 
+    # lo[u]: the count cut of Delta / 10 for u and pi(u); a swap changes it
+    # at its two rows
+    lo = t_lo[deg_a + deg_b[pi]]
     swaps = 0
     truncated = False
     while True:
         if swaps >= params.max_swaps:
             truncated = True
             break
-        s_u = deg_a + deg_b[pi]
-        bad = cur < t_lo[s_u]
+        bad = cur < lo
         # N(pi^-1(v), v) is row pi^-1(v)'s own statistic, so bad columns are bad[inv]
         hit = _first_qualifying(table, np.flatnonzero(bad), bad[inv], hi_by_deg, da_code)
         if hit is None:
             break
-        u, v = hit
+        u, v, c_uv = hit
+        p_v, w_u = int(inv[v]), int(pi[u])
         if trace is not None:
-            p_v = inv[v]
             trace.append({"u": u, "v": v,
-                          "n_uv": stat(table.at(u, v), deg_a[u] + deg_b[v]),
-                          "n_u_cur": stat(cur[u], s_u[u]),
-                          "n_v_cur": stat(cur[p_v], s_u[p_v])})
-        table.swap(u, v)
+                          "n_uv": stat(c_uv, deg_a[u] + deg_b[v]),
+                          "n_u_cur": stat(cur[u], deg_a[u] + deg_b[w_u]),
+                          "n_v_cur": stat(cur[p_v], deg_a[p_v] + deg_b[v])})
+        table.swap(u, v, c_uv)
+        lo[u], lo[p_v] = t_lo[deg_a[u] + deg_b[v]], t_lo[deg_a[p_v] + deg_b[w_u]]
         swaps += 1
     select_score = int(cur.sum(dtype=np.float64)) // 2
     return pi, {"swaps": swaps, "truncated": truncated, "select_score": select_score}
 
 
 def _first_qualifying(table, rows, bad_v, hi_by_deg, da_code):
-    """First qualifying pair in row-major order, or None; the scan reads
-    SCAN_ROWS bad rows at a time and stops at the first block that has one.
+    """First qualifying pair (u, v, C(u, v)) in row-major order, or None.
+    The scan reads the first bad row alone, then the others SCAN_ROWS at a
+    time, and stops at the first read that has one.
 
     A pair (u, v) qualifies when v is a bad column and
     C(u, v) >= hi_by_deg[da_code[u], v].
     """
-    for start in range(0, rows.size, SCAN_ROWS):
+    if rows.size:
+        u = int(rows[0])
+        row = table.row(u)
+        qual = (row >= hi_by_deg[da_code[u]]) & bad_v
+        v = int(np.argmax(qual))
+        if qual[v]:
+            return u, v, int(row[v])
+    for start in range(1, rows.size, SCAN_ROWS):
         r = rows[start:start + SCAN_ROWS]
-        qual = (table.rows(r) >= hi_by_deg[da_code[r]]) & bad_v
+        block = table.rows(r)
+        qual = (block >= hi_by_deg[da_code[r]]) & bad_v
         k = int(np.argmax(qual))
         if qual.flat[k]:
             i, v = divmod(k, qual.shape[1])
-            return int(r[i]), v
+            return int(r[i]), v, int(block[i, v])
     return None
 
 

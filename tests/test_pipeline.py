@@ -5,6 +5,7 @@ import csv
 import inspect
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tracemalloc
@@ -60,6 +61,12 @@ def test_config_validation_errors():
         for value in (float("nan"), float("inf"), float("-inf")):
             with pytest.raises(ParameterError, match="finite"):
                 RunConfig(**{name: value}).validate()
+    # each field's type, from FIELD_TYPES; a bool is no count
+    for name, value in (("n", 400.0), ("n", True), ("epsilon", 0.01j), ("rho", "0.9"),
+                        ("strategy", b"zero-out"), ("verbose", 1), ("output", 3)):
+        with pytest.raises(ParameterError, match=f"^{name} must be of type"):
+            RunConfig(**{name: value}).validate()
+    RunConfig(n=np.int64(400), rho=1, output=pathlib.Path("run.json")).validate()
 
 
 def test_replay_reads_the_defaults_the_run_uses():
@@ -517,6 +524,19 @@ def test_a_path_output_is_recorded_as_its_string(tmp_path):
     assert (rec["config"]["output"], rec["config"]["dump_dir"]) == (str(out), str(dumps))
     assert json.loads(out.read_text()) == rec
     assert (dumps / "score_oracle.npy").exists()
+
+
+def test_a_wrongly_typed_config_value_is_a_config_error_and_still_written(tmp_path):
+    # the config is recorded as given: a value that JSON cannot encode is
+    # recorded as its repr, so the manifest is still written
+    out = tmp_path / "run.json"
+    for kw, recorded in ((dict(strategy=b"zero-out"), ("strategy", "b'zero-out'")),
+                         (dict(epsilon=0.01j), ("epsilon", "0.01j"))):
+        rec = run_pipeline(RunConfig(n=80, k0=12, min_rounds=0, output=out, **kw))
+        assert (rec["status"], rec["exit_code"]) == ("failed:setup", 2)
+        assert rec["error"].startswith(f"ParameterError: {recorded[0]} must be of type")
+        assert rec["config"][recorded[0]] == recorded[1]
+        assert json.loads(out.read_text()) == rec
 
 
 def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):

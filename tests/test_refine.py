@@ -332,7 +332,7 @@ def test_count_table_exact_after_many_swaps():
     while swaps < 300:
         u, v = (int(x) for x in rng.integers(n, size=2))
         if table.pi[u] != v:
-            table.swap(u, v)
+            table.swap(u, v, table.at(u, v))
             swaps += 1
     assert sorted(table.pi.tolist()) == list(range(n))
     assert np.array_equal(table.inv[table.pi], np.arange(n))
@@ -348,7 +348,8 @@ def dense_refine(obs, pi0, params):
     filtering ahead of the threshold test and no row blocks; the first
     qualifying pair in row-major order swaps.
 
-    Also returns, per swap, N at the chosen pair and the number of bad rows
+    Also returns, per swap, N at the chosen pair and at both current pairs
+    it replaces, (u, pi(u)) and (pi^-1(v), v), and the number of bad rows
     above its row, and the number of swaps at which some pair passed the
     Delta threshold in a good row or column.
     """
@@ -372,7 +373,7 @@ def dense_refine(obs, pi0, params):
         filtered += bool(np.any(above & ~qual))
         u, v = divmod(int(np.argmax(qual)), n)
         swaps.append((u, v))
-        stats.append(stat[u, v])
+        stats.append((stat[u, v], stat[u, pi[u]], stat[inv[v], v]))
         ranks.append(int(np.count_nonzero(bad_u[:u])))
         p, wu = inv[v], pi[u]
         pi[u], pi[p] = v, wu
@@ -390,7 +391,8 @@ def check_against_dense(obs, pi0, params, min_swaps):
     assert np.array_equal(out, expected)
     assert info == {"swaps": len(swaps), "truncated": len(swaps) == params.max_swaps,
                     "select_score": selection_score(obs, expected)}
-    assert [t["n_uv"] for t in trace] == pytest.approx(stats, abs=1e-9)
+    got = [(t["n_uv"], t["n_u_cur"], t["n_v_cur"]) for t in trace]
+    assert np.allclose(got, stats, rtol=0, atol=1e-9)
     return ranks, filtered
 
 
@@ -409,9 +411,11 @@ def test_refine_matches_dense_recompute(monkeypatch, block_rows):
     monkeypatch.setattr(refine, "SCAN_ROWS", block_rows)
     ranks, filtered = check_against_dense(obs, shuffled_identity(n, 3),
                                           RefineParams.for_run(rho, n), 20)
-    # the case exercises the filter and, below the default block size, a
-    # first qualifying pair past the first block of bad rows
+    # the case exercises the filter, a first qualifying pair at the first
+    # bad row, read alone, and one past it, read in a block, and, below the
+    # default block size, one past the first block
     assert filtered == len(ranks)
+    assert 0 in ranks and max(ranks) > 0
     if block_rows < refine.SCAN_ROWS:
         assert max(ranks) >= block_rows
 
@@ -545,7 +549,7 @@ def test_refine_select_score_equals_selection_score(n):
     for _ in range(50):
         u, v = (int(x) for x in rng.integers(n, size=2))
         if table.pi[u] != v:
-            table.swap(u, v)
+            table.swap(u, v, table.at(u, v))
     diag = int(table.rows(np.arange(n))[np.arange(n), table.pi].sum())
     assert diag % 2 == 0
     assert diag // 2 == selection_score(obs, table.pi)
