@@ -374,10 +374,12 @@ def run_pipeline(cfg: RunConfig) -> dict:
             validate_record(record)
         except RecordError as exc:
             _record_failure(record, "record", exc)
-    if cfg.output:
+    # only a path: open() would take an int output, refused above, as a
+    # file descriptor
+    if cfg.output and isinstance(cfg.output, (str, os.PathLike)):
         try:
             if clean_trace:
-                with open(str(cfg.output) + ".cleaning.jsonl", "w") as fh:
+                with open(os.fspath(cfg.output) + ".cleaning.jsonl", "w") as fh:
                     fh.writelines(json.dumps(row) + "\n" for row in clean_trace)
             manifest = json.dumps(record, indent=2)   # a failure here leaves no partial file
             with open(cfg.output, "w") as fh:

@@ -24,11 +24,11 @@ swap.  Every value is an integer below 2^24, so every sum is exact.  Both
 thresholds become integer lookups on d_A(u) + d_B(v); the cut of Delta / 10
 for each row u and its image pi(u) is kept in a vector that a swap changes
 at its two rows.  Each scan compares only the rows and columns whose current
-images are bad: the first bad row alone, where most scans hit, then
-SCAN_ROWS rows at a time, each row read as its table row plus its pending
-swaps.  The hit carries C(u, v), so a swap sets the new diagonal at u from
-it and reads the table once, at pi^-1(v); A' and B' are symmetric, so a
-swap's two vectors are indicator rows.  A swap thus costs a few O(n) vector
+images are bad: the first bad row as a block of its own, where most scans
+hit, then SCAN_ROWS rows at a time, each row read as its table row plus
+its pending swaps.  The hit carries C(u, v), so a swap sets the new
+diagonal at u from it and reads the table once, at pi^-1(v); A' and B' are
+symmetric, so a swap's two vectors are indicator rows.  A swap thus costs a few O(n) vector
 updates and nothing over all n that it leaves unchanged.
 
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
@@ -143,18 +143,11 @@ class CoNeighbourTable:
         self.k = 0      # swaps not yet folded into c
         self._buf = np.empty(n, dtype=np.float32)
 
-    def row(self, u: int) -> np.ndarray:
-        """Row u of C, as float32; a view of the table while no swap is
-        pending, so not to be written."""
-        if self.k:
-            return self.c[u] + self.da[:self.k, u] @ self.db[:self.k]
-        return self.c[u]
-
     def rows(self, r: np.ndarray) -> np.ndarray:
         """Rows r of C, as float32."""
-        block = self.c[r]
+        block = self.c.take(r, axis=0)
         if self.k:
-            block += self.da[:self.k, r].T @ self.db[:self.k]
+            block += self.da[:self.k].take(r, axis=1).T @ self.db[:self.k]
         return block
 
     def at(self, u: int, v: int) -> int:
@@ -266,23 +259,18 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
 
 def _first_qualifying(table, rows, bad_v, hi_by_deg, da_code):
     """First qualifying pair (u, v, C(u, v)) in row-major order, or None.
-    The scan reads the first bad row alone, then the others SCAN_ROWS at a
-    time, and stops at the first read that has one.
+    The scan reads the first bad row as a block of its own, then the others
+    SCAN_ROWS at a time, and stops at the first block that has one.
 
     A pair (u, v) qualifies when v is a bad column and
     C(u, v) >= hi_by_deg[da_code[u], v].
     """
-    if rows.size:
-        u = int(rows[0])
-        row = table.row(u)
-        qual = (row >= hi_by_deg[da_code[u]]) & bad_v
-        v = int(np.argmax(qual))
-        if qual[v]:
-            return u, v, int(row[v])
-    for start in range(1, rows.size, SCAN_ROWS):
-        r = rows[start:start + SCAN_ROWS]
+    start, stop = 0, 1
+    while start < rows.size:
+        r = rows[start:stop]
+        start, stop = stop, stop + SCAN_ROWS
         block = table.rows(r)
-        qual = (block >= hi_by_deg[da_code[r]]) & bad_v
+        qual = (block >= hi_by_deg.take(da_code[r], axis=0)) & bad_v
         k = int(np.argmax(qual))
         if qual.flat[k]:
             i, v = divmod(k, qual.shape[1])

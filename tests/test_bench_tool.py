@@ -32,20 +32,19 @@ def test_compare_reports_change_as_share_of_bound():
     b = _file([320.0, 321.0, 322.0], [26, 26, 13])
     header, peak, matched = bench.compare(SPEC, a, b)
     assert "of bound" in header
-    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, the paired ratios are
-    # 0.842, 0.840 and 0.839, and no pair worse, but 3 pairs cannot call it
-    # (p = 0.25)
-    assert peak.split()[4:] == ["-16.0%", "-1.60", "0.840", "0/3", "0.25", "-"]
-    # the median of matched_lap does not move, nor does the median ratio
-    # (1, 1, 0.5), and the one untied pair of three got worse
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "1.000", "1/3", "1", "-"]
+    # 382 -> 321 MB is 16.0% lower: -1.60 bounds, and no pair worse, but 3
+    # pairs cannot call it (p = 0.25)
+    assert peak.split()[4:] == ["-16.0%", "-1.60", "0/3", "0.25", "-"]
+    # the median of matched_lap does not move, and the one untied pair of
+    # three got worse
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "1/3", "1", "-"]
 
 
 def test_compare_counts_a_fall_of_a_higher_is_better_metric_as_worse():
     a = _file([100.0, 100.0, 100.0], [20, 20, 20])
     b = _file([100.0, 100.0, 100.0], [18, 18, 18])
     matched = bench.compare(SPEC, a, b)[2]
-    assert matched.split()[4:] == ["-10.0%", "+0.50", "0.900", "3/3", "0.25", "-"]
+    assert matched.split()[4:] == ["-10.0%", "+0.50", "3/3", "0.25", "-"]
 
 
 def _write_timed(root, workload, rounds):
@@ -83,13 +82,12 @@ def test_compare_pairs_stages_under_the_metrics_rule():
     header, _, _, lap, refine, select, amp = bench.compare(SPEC, a, b)
     assert "of bound" in header and "spread" not in header
     # a stage has no bound; it is better lower, paired and called as a metric
-    assert lap.split() == ["w", "lap", "1.05", "1.35", "+28.6%", "-", "1.286", "6/6",
-                           "0.031", "worse"]
-    assert refine.split()[2:] == ["1.05", "1.06", "+1.0%", "-", "1.010", "6/6", "0.031",
-                                  "-"]
+    assert lap.split() == ["w", "lap", "1.05", "1.35", "+28.6%", "-", "6/6", "0.031",
+                           "worse"]
+    assert refine.split()[2:] == ["1.05", "1.06", "+1.0%", "-", "6/6", "0.031", "-"]
     # a stage that only one file has
-    assert select.split() == ["w", "select", "0.001", "-", "-", "-", "-", "-", "-", "-"]
-    assert amp.split() == ["w", "amp", "-", "0.01", "-", "-", "-", "-", "-", "-"]
+    assert select.split() == ["w", "select", "0.001", "-", "-", "-", "-", "-", "-"]
+    assert amp.split() == ["w", "amp", "-", "0.01", "-", "-", "-", "-", "-"]
 
 
 def test_compare_reads_committed_files_without_stages():
@@ -102,7 +100,7 @@ def test_compare_reads_committed_files_without_stages():
     header, *lines = bench.compare(spec, *files)
     assert [line.split()[:2] for line in lines] == [
         [w, m["name"]] for w in files[0]["workloads"] for m in spec["end_to_end"]]
-    assert all(len(line.split()) == 10 for line in lines)
+    assert all(len(line.split()) == 9 for line in lines)
 
 
 def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_path):
@@ -153,7 +151,7 @@ def test_compare_reports_a_metric_without_finished_runs():
     peak, matched = bench.compare(SPEC, a, b)[1:]
     assert peak.split()[2:] == ["no", "finished", "run"]
     # one value against three cannot be paired
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "-", "-", "-", "-"]
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "-", "-", "-"]
 
 
 def test_sign_test_p_is_two_sided_over_untied_pairs():
@@ -176,21 +174,21 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     # worse and the median beyond A's spread, yet p = 0.25: not called
     spec, a = _run_s_file([0.07545782949455315, 0.07237920600891812, 0.06606006749643711])
     _, b = _run_s_file([0.0788463189965114, 0.0875532740028575, 0.09181200950115453])
-    assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "1.210", "3/3",
-                                                          "0.25", "-"]
+    assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "3/3", "0.25",
+                                                          "-"]
     # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05, and the median
     # moves by 0.3, beyond A's quartile spread of 0.175: called
     spec, a = _run_s_file([1.0, 1.2, 0.9, 1.1, 1.0, 1.3])
     _, b = _run_s_file([1.3, 1.5, 1.2, 1.4, 1.3, 1.6])
-    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "worse"]
-    assert bench.compare(spec, b, a)[1].split()[7:] == ["0/6", "0.031", "better"]
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "worse"]
+    assert bench.compare(spec, b, a)[1].split()[6:] == ["0/6", "0.031", "better"]
     # the values pair by repeat, not by rank: B's sorted values are all
     # above A's, which would call 6 of 6, but the last pair got better
     _, c = _run_s_file([1.3, 1.31, 1.0, 1.2, 1.05, 1.1])
-    assert bench.compare(spec, a, c)[1].split()[7:] == ["5/6", "0.22", "-"]
+    assert bench.compare(spec, a, c)[1].split()[6:] == ["5/6", "0.22", "-"]
     # a run that did not finish in either file leaves the values unpaired
     _, d = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05], exit_codes=[0, 0, 1, 0, 0, 0])
-    assert bench.compare(spec, a, d)[1].split()[7:] == ["-", "-", "-"]
+    assert bench.compare(spec, a, d)[1].split()[6:] == ["-", "-", "-"]
     # scale-n3000 peak_rss_mb of the committed BENCH_bc2a18d pair: 6 of 6
     # pairs worse (p = 0.031), but the median moves +0.039 MB, inside A's
     # quartile spread of 0.047 MB: not called
@@ -198,58 +196,7 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
                         215.56640625])
     _, b = _run_s_file([215.59765625, 215.61328125, 215.59765625, 215.53515625,
                         215.62890625, 215.63671875])
-    assert bench.compare(spec, a, b)[1].split()[7:] == ["6/6", "0.031", "-"]
-
-
-def test_compare_prints_the_median_of_the_paired_ratios():
-    spec, a = _run_s_file([1.0, 2.0, 4.0, 0.0])
-    # by repeat, not by rank (which would give 3/1, 4/2 and 5/4): 3/1, 1/2
-    # and 4/4, and the pair whose A is 0 has no ratio
-    _, b = _run_s_file([3.0, 1.0, 4.0, 5.0])
-    assert bench.compare(spec, a, b)[1].split()[6] == "1.000"
-    _, b = _run_s_file([0.5, 1.0, 1.0, 5.0])
-    assert bench.compare(spec, a, b)[1].split()[6] == "0.500"
-    spec, a = _run_s_file([0.0, 0.0])
-    _, b = _run_s_file([1.0, 2.0])
-    assert bench.compare(spec, a, b)[1].split()[6] == "-"
-
-
-def test_workload_and_repeats_choose_the_runs(monkeypatch, tmp_path, capsys):
-    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
-        {**SPEC, "run_seconds": 1, "workloads": [{"name": "w"}, {"name": "v"}, {"name": "u"}]}))
-    calls = []
-
-    def fake_run(root, workload, seconds):
-        calls.append(workload)
-        result = {"correct": True, "attempted": 1, "failed": 0, "exit_code": 0,
-                  "metrics": {"peak_rss_mb": {"value": 300.0}, "matched_lap": {"value": 26}},
-                  "stages": {}}
-        return {"blas_threads": 2}, result
-
-    monkeypatch.setattr(bench, "ROOT", str(tmp_path))
-    monkeypatch.setattr(bench, "_git", lambda root, *args:
-                        "" if args[0] == "status" else "0123456789abcdef")
-    monkeypatch.setattr(bench, "_run", fake_run)
-    assert bench.main(["--workload", "v", "--repeats", "3"]) == 0
-    assert calls == ["v"] * 3
-    out = json.loads((tmp_path / "BENCH_0123456.json").read_text())
-    assert out["repeats"] == 3 and list(out["workloads"]) == ["v"]
-    assert out["workloads"]["v"]["metrics"]["matched_lap"]["values"] == [26] * 3
-    # repeatable, in BENCHMARK.json's order
-    calls.clear()
-    assert bench.main(["--workload", "u", "--workload", "w", "--repeats", "2"]) == 0
-    assert calls == ["w", "u", "w", "u"]
-    # by default every workload, REPEATS times
-    calls.clear()
-    assert bench.main([]) == 0
-    assert calls == ["w", "v", "u"] * bench.REPEATS
-    # a workload BENCHMARK.json does not have, or no repeat, runs nothing
-    calls.clear()
-    capsys.readouterr()
-    assert bench.main(["--workload", "v", "--workload", "x"]) == 2
-    assert "no workload x" in capsys.readouterr().err
-    assert bench.main(["--repeats", "0"]) == 2
-    assert calls == []
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "-"]
 
 
 def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):

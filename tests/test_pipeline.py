@@ -537,6 +537,17 @@ def test_a_wrongly_typed_config_value_is_a_config_error_and_still_written(tmp_pa
         assert rec["error"].startswith(f"ParameterError: {recorded[0]} must be of type")
         assert rec["config"][recorded[0]] == recorded[1]
         assert json.loads(out.read_text()) == rec
+    # an output that is not a path is refused and written nowhere, not to
+    # the file descriptor it names
+    r, w = os.pipe()
+    try:
+        rec = run_pipeline(RunConfig(n=80, k0=12, min_rounds=0, output=w))
+        assert (rec["status"], rec["exit_code"]) == ("failed:setup", 2)
+        assert rec["error"].startswith("ParameterError: output must be of type str or None")
+        os.close(w)     # raises if the run closed it
+        assert os.read(r, 1) == b""
+    finally:
+        os.close(r)
 
 
 def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):

@@ -412,12 +412,13 @@ def test_refine_matches_dense_recompute(monkeypatch, block_rows):
     ranks, filtered = check_against_dense(obs, shuffled_identity(n, 3),
                                           RefineParams.for_run(rho, n), 20)
     # the case exercises the filter, a first qualifying pair at the first
-    # bad row, read alone, and one past it, read in a block, and, below the
-    # default block size, one past the first block
+    # bad row, read as a block of its own, and one past it, and, below the
+    # default block size, one past the first block of block_rows rows,
+    # which covers ranks 1 .. block_rows
     assert filtered == len(ranks)
     assert 0 in ranks and max(ranks) > 0
     if block_rows < refine.SCAN_ROWS:
-        assert max(ranks) >= block_rows
+        assert max(ranks) > block_rows
 
 
 @pytest.mark.parametrize("batch", [1, 3, refine.BATCH_SWAPS])

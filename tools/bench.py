@@ -3,15 +3,12 @@
     python3 tools/bench.py                 # writes BENCH_<short-sha>.json
     python3 tools/bench.py --against DIR   # and DIR's BENCH file, run by run
     python3 tools/bench.py --tier1         # and one timed tier-1 test run
-    python3 tools/bench.py --workload W --repeats N   # W only, N times
     python3 tools/bench.py --compare BENCH_A.json BENCH_B.json
 
 Run from any directory; the checkout is the one this file lies in.  The
 first form calls `python3 perfbench/run.py --trace 0` at benchmark seed 1
 for every workload in BENCHMARK.json, REPEATS times, one workload after
 another in turn, so that drift of the machine spreads over all of them.
---workload W (repeatable) runs only the workloads named, and --repeats N
-runs each N times instead of REPEATS.
 It writes BENCH_<short-sha>.json at the repository root, with "-dirty"
 after the commit when tracked files differ from it: for each workload and
 end-to-end metric the raw values, their median and quartiles, and whether
@@ -45,12 +42,11 @@ is better), the change of the median from A to B, for a metric also as a
 share of its BENCHMARK.json bound (positive is worse, 1.0 is the bound).
 When every run of the workload finished in both files, their i-th values
 are paired (with --against, repeat i of both checkouts ran back to back):
-it prints the median of the paired ratios B/A (over the pairs whose A
-value is not 0), how many pairs got worse and the two-sided sign-test p
-over the untied pairs, and calls the change "worse" or "better" only when
-p < 0.05 (at least 6 pairs) and the median moved by more than A's
-quartile spread (q3 - q1); otherwise, and for a stage only one file has,
-"-".  Then each file's tier-1 run, if either has one.
+it prints how many pairs got worse and the two-sided sign-test p over the
+untied pairs, and calls the change "worse" or "better" only when p < 0.05
+(at least 6 pairs) and the median moved by more than A's quartile spread
+(q3 - q1); otherwise, and for a stage only one file has, "-".  Then each
+file's tier-1 run, if either has one.
 """
 
 from __future__ import annotations
@@ -143,30 +139,30 @@ def _path(head: dict) -> str:
     return os.path.join(ROOT, f"BENCH_{head['commit'][:7]}{suffix}.json")
 
 
-def bench(spec: dict, roots: list[str], heads: list[dict], names: list[str],
-          repeats: int) -> list[dict]:
-    """Run each workload of names repeats times in each checkout of roots,
+def bench(spec: dict, roots: list[str], heads: list[dict]) -> list[dict]:
+    """Run every workload REPEATS times in each checkout of roots,
     interleaved: the workloads in turn and, for each, the checkouts one
     after the other, the first of them alternating from repeat to repeat.
     Returns one summary per checkout, headed by its entry of heads."""
     load_1min = os.getloadavg()[0]
+    names = [w["name"] for w in spec["workloads"]]
     runs = {root: {name: [] for name in names} for root in roots}
     blas_threads: dict[str, set] = {root: set() for root in roots}
-    for rep in range(repeats):
+    for rep in range(REPEATS):
         for name in names:
             for root in (roots if rep % 2 == 0 else roots[::-1]):
                 settings, result = _run(root, name, spec["run_seconds"])
                 if settings is not None:
                     blas_threads[root].add(settings["blas_threads"])
                 runs[root][name].append(result)
-                print(f"bench: {root} {name} run {rep + 1}/{repeats}: "
+                print(f"bench: {root} {name} run {rep + 1}/{REPEATS}: "
                       f"correct={result['correct']} failed={result['failed']} "
                       f"exit_code={result['exit_code']}", file=sys.stderr)
-    return [_summary(spec, head, runs[root], repeats, blas_threads[root], load_1min)
+    return [_summary(spec, head, runs[root], blas_threads[root], load_1min)
             for root, head in zip(roots, heads)]
 
 
-def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], repeats: int,
+def _summary(spec: dict, head: dict, runs: dict[str, list[dict]],
              blas_threads: set, load_1min: float) -> dict:
     """The BENCH file of one checkout's runs."""
     workloads = {}
@@ -185,7 +181,7 @@ def _summary(spec: dict, head: dict, runs: dict[str, list[dict]], repeats: int,
                            "exit_codes": [r["exit_code"] for r in results],
                            "metrics": metrics,
                            "stages": {s: summarize(v) for s, v in stages.items()}}
-    return {**head, "seed": SEED, "repeats": repeats, "blas_threads": sorted(blas_threads),
+    return {**head, "seed": SEED, "repeats": REPEATS, "blas_threads": sorted(blas_threads),
             "cpu_count": os.cpu_count(), "load_1min_at_start": load_1min,
             "workloads": workloads}
 
@@ -198,22 +194,19 @@ def sign_test_p(worse: int, better: int) -> float:
 
 
 def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str) -> str:
-    """The median of the paired ratios B/A, pairs worse of all pairs,
-    sign-test p and the call, or "-" for each unless every run of wa and wb
-    finished.  A change is called only when p < 0.05 and the median moved
-    by more than A's quartile spread."""
+    """Pairs worse of all pairs, sign-test p and the call, or "-" for each
+    unless every run of wa and wb finished.  A change is called only when
+    p < 0.05 and the median moved by more than A's quartile spread."""
     va, vb = ma["values"], mb["values"]
     if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
-        return f"{'-':>6} {'-':>6} {'-':>7}  -"
-    ratios = [y / x for x, y in zip(va, vb) if x]
-    ratio = f"{statistics.median(ratios):>6.3f}" if ratios else f"{'-':>6}"
+        return f"{'-':>6} {'-':>7}  -"
     sign = 1 if better == "lower" else -1
     worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
     improved = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
     p = sign_test_p(worse, improved)
     clears = abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
     call = ("worse" if worse > improved else "better") if p < 0.05 and clears else "-"
-    return f"{ratio} {f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
+    return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
 
 
 def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict | None,
@@ -222,7 +215,7 @@ def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict |
     head = f"{name:<12} {label:<12} "
     if ma is None or mb is None:    # a stage that only one file has
         cells = [f"{f['median']:>10.4g}" if f else f"{'-':>10}" for f in (ma, mb)]
-        return head + f"{cells[0]} {cells[1]} {'-':>8} {'-':>9} {'-':>6} {'-':>6} {'-':>7}  -"
+        return head + f"{cells[0]} {cells[1]} {'-':>8} {'-':>9} {'-':>6} {'-':>7}  -"
     if ma["median"] is None or mb["median"] is None:
         return head + "no finished run"
     change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
@@ -236,7 +229,7 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
     """For each workload, one line per metric, then one per stage, and each
     file's tier-1 run."""
     lines = [f"{'workload':<12} {'metric/stage':<12} {'A median':>10} {'B median':>10} "
-             f"{'change':>8} {'of bound':>9} {'B/A':>6} {'worse':>6} {'sign p':>7}  called"]
+             f"{'change':>8} {'of bound':>9} {'worse':>6} {'sign p':>7}  called"]
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name)
         if wb is None:
@@ -264,21 +257,9 @@ def main(argv=None) -> int:
                     help="another checkout to run alternately with this one")
     ap.add_argument("--tier1", action="store_true",
                     help="then time one tier-1 test run in each checkout")
-    ap.add_argument("--workload", action="append", metavar="W",
-                    help="run only this workload (repeatable)")
-    ap.add_argument("--repeats", type=int, default=REPEATS, metavar="N",
-                    help=f"runs of each workload in each checkout (default {REPEATS})")
     args = ap.parse_args(argv)
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    names = [w["name"] for w in spec["workloads"]]
-    unknown = [w for w in args.workload or [] if w not in names]
-    if unknown:
-        print(f"bench: no workload {', '.join(unknown)} in BENCHMARK.json", file=sys.stderr)
-        return 2
-    if args.repeats < 1:
-        print(f"bench: --repeats must be at least 1, got {args.repeats}", file=sys.stderr)
-        return 2
     if args.compare:
         files = []
         for path in args.compare:
@@ -292,8 +273,7 @@ def main(argv=None) -> int:
     if len(set(paths)) < len(paths):
         print(f"bench: both checkouts would write {paths[0]}", file=sys.stderr)
         return 2
-    outs = bench(spec, roots, heads, [n for n in names if n in (args.workload or names)],
-                 args.repeats)
+    outs = bench(spec, roots, heads)
     if args.tier1:
         for out, root in zip(outs, roots):
             out["tier1"] = _tier1(root)
