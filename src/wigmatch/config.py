@@ -18,7 +18,7 @@ import numbers
 import os
 import types
 import typing
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from .denoiser import DENOISER_B, build_schedule
 from .errors import ParameterError
@@ -101,9 +101,6 @@ class RunConfig:
     def max_swaps_value(self) -> int:
         return RefineParams.for_run(self.rho, self.n, self.max_swaps).max_swaps
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def field_types(cls) -> dict[str, tuple[type, bool]]:
     """Each field of the dataclass cls: its annotated type, X for X | None,
@@ -141,20 +138,25 @@ def _coerce(key: str, raw: str):
 
 
 def parse_config_file(path) -> dict:
-    """Flat KEY=VALUE format; '#' starts a comment; unknown keys rejected."""
+    """Flat KEY=VALUE format; '#' starts a comment; unknown keys rejected.
+    A file that cannot be read is a ParameterError too."""
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
     out = {}
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ParameterError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
-            key, raw = line.split("=", 1)
-            key = key.strip()
-            if key not in FIELD_TYPES:
-                raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
-            out[key] = _coerce(key, raw)
+    for lineno, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ParameterError(f"{path}:{lineno}: expected KEY=VALUE, got {line!r}")
+        key, raw = line.split("=", 1)
+        key = key.strip()
+        if key not in FIELD_TYPES:
+            raise ParameterError(f"{path}:{lineno}: unknown config key {key!r}")
+        out[key] = _coerce(key, raw)
     return out
 
 

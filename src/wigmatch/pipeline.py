@@ -6,9 +6,10 @@ place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
 through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
 refine -> select, and emits a schema-versioned RunRecord: the run's rounds,
 shared by every seed pair, its RunConfig and its Schedule but rho and k0,
-each whole, and every section but stream_seeds and versions typed, the
-config, the rounds and the schedule from the annotations of RunConfig,
-RoundLog and Schedule.
+each whole, and every section but stream_seeds and versions typed: config,
+cleaning, schedule, rounds, candidates and final each from the annotations
+of one dataclass, RunConfig, Cleaning, Schedule, RoundLog, Candidate and
+Final, whose fields are the section's keys in order.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -84,6 +85,33 @@ def _properties(cls, leave_out=()) -> dict:
             if name not in leave_out}
 
 
+@dataclasses.dataclass
+class Cleaning:
+    """The rows that cleaning zeroed in A' and in B'."""
+    zeroed_a: tuple[int, ...]
+    zeroed_b: tuple[int, ...]
+
+
+@dataclasses.dataclass
+class Candidate:
+    """A seed pair's refined LAP matching, or a random permutation."""
+    label: str
+    goodness: bool | None
+    overlap_lap: float | None
+    overlap_refine: float | None
+    swaps: int
+    truncated: bool
+    select_score: int
+
+
+@dataclasses.dataclass
+class Final:
+    """The selected candidate, and every candidate's selection score."""
+    selected_label: str
+    overlap_final: float
+    select_scores: tuple[int, ...]
+
+
 RUN_RECORD_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
     "type": "object",
@@ -99,43 +127,17 @@ RUN_RECORD_SCHEMA = {
         "stream_seeds": {"type": "object"},
         "stages_s": {"type": "object",
                      "additionalProperties": {"type": "number"}},
-        "cleaning": {
-            "type": "object",
-            "properties": {
-                "zeroed_a": {"type": "array", "items": {"type": "integer"}},
-                "zeroed_b": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
+        "cleaning": {"type": "object", "properties": _properties(Cleaning)},
         # rho and k0 are the config's
         "schedule": {"type": "object",
                      "properties": _properties(Schedule, leave_out=("rho", "k0"))},
         "rounds": {"type": "array",
                    "items": {"type": "object", "properties": _properties(RoundLog)}},
         "stopped_reason": {"type": "string", "enum": ["t_star", "min_rounds", "spectral"]},
-        "candidates": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["label", "select_score"],
-                "properties": {
-                    "label": {"type": "string"},
-                    "goodness": {"type": ["boolean", "null"]},
-                    "overlap_lap": {"type": ["number", "null"]},
-                    "overlap_refine": {"type": ["number", "null"]},
-                    "swaps": {"type": "integer"},
-                    "truncated": {"type": "boolean"},
-                    "select_score": {"type": "integer"},
-                },
-            },
-        },
-        "final": {
-            "type": "object",
-            "properties": {
-                "selected_label": {"type": "string"},
-                "overlap_final": {"type": "number"},
-                "select_scores": {"type": "array", "items": {"type": "integer"}},
-            },
-        },
+        "candidates": {"type": "array",
+                       "items": {"type": "object", "required": ["label", "select_score"],
+                                 "properties": _properties(Candidate)}},
+        "final": {"type": "object", "properties": _properties(Final)},
         "versions": {"type": "object"},
     },
 }
@@ -272,7 +274,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     that RUN_RECORD_SCHEMA refuses as failed:record)."""
     record: dict = {
         "schema_version": SCHEMA_VERSION,
-        "config": _sanitize(cfg.as_dict()),
+        # each field as given, not copied: a value that cannot be copied or
+        # encoded is recorded as its repr
+        "config": _sanitize({f.name: getattr(cfg, f.name) for f in dataclasses.fields(cfg)}),
         "stream_seeds": {},
         "status": "ok",
         "exit_code": 0,
@@ -281,9 +285,10 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "versions": {"package": _pkg_version, "numpy": np.__version__},
     }
     stage = _Stages(record["stages_s"])
-    clean_trace: list | None = [] if cfg.trace_cleaning and cfg.output else None
+    clean_trace: list | None = None     # read from cfg once it is valid
     try:
         cfg.validate()
+        clean_trace = [] if cfg.trace_cleaning and cfg.output else None
         with stage("schedule", timed=False):
             dn = make_denoiser()
             sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
@@ -299,15 +304,16 @@ def run_pipeline(cfg: RunConfig) -> dict:
 
         with stage("clean"):
             cp, ind = _clean_owned(observed, streams["noise"], trace=clean_trace)
-            record["cleaning"] = {"zeroed_a": cp.s.tolist(), "zeroed_b": cp.t.tolist()}
+            cleaning = Cleaning(tuple(cp.s.tolist()), tuple(cp.t.tolist()))
+            record["cleaning"] = dataclasses.asdict(cleaning)
 
         # after cleaning, to keep the record's key order; rho and k0 are the config's
         record["schedule"] = dataclasses.asdict(sched)
         del record["schedule"]["rho"], record["schedule"]["k0"]
 
         with stage("amp"):
-            exclude_u = set(plan.q.tolist()) | set(cp.s.tolist())
-            exclude_v = set(plan.r.tolist()) | set(cp.t.tolist())
+            exclude_u = set(plan.q.tolist()) | set(cleaning.zeroed_a)
+            exclude_v = set(plan.r.tolist()) | set(cleaning.zeroed_b)
             pairs = [("oracle", good_seed_pair(pi_star, cfg.k0, exclude_u, exclude_v))]
             for i in range(cfg.bad_seed_candidates):
                 pairs.append((f"bad{i}", bad_seed_pair(pi_star, cfg.k0,
@@ -332,38 +338,27 @@ def run_pipeline(cfg: RunConfig) -> dict:
                 params = RefineParams.for_run(cfg.rho, cfg.n)
                 trace: list | None = [] if cfg.verbose else None
                 pi_ref, info = seeded_refine(ind, pi_lap, cfg.rho, params, trace=trace)
-            candidates.append({
-                "label": label,
-                "goodness": seeds.goodness,
-                "overlap_lap": overlap(pi_lap, pi_star),
-                "overlap_refine": overlap(pi_ref, pi_star),
-                "swaps": info["swaps"],
-                "truncated": info["truncated"],
-                "select_score": info["select_score"],
-            })
+            candidates.append(dataclasses.asdict(Candidate(
+                label, seeds.goodness, overlap(pi_lap, pi_star), overlap(pi_ref, pi_star),
+                **info)))
             if trace is not None:
                 candidates[-1]["swap_trace"] = trace
         with stage("select"):
             rng_rand = np.random.default_rng(child(streams["corruption"], 999))
             for i in range(cfg.random_candidates):
                 pi_rand = rng_rand.permutation(cfg.n).astype(np.intp)
-                candidates.append({"label": f"random{i}", "goodness": None,
-                                   "overlap_lap": None,
-                                   "overlap_refine": overlap(pi_rand, pi_star),
-                                   "swaps": 0, "truncated": False,
-                                   "select_score": selection_score(ind, pi_rand)})
+                candidates.append(dataclasses.asdict(Candidate(
+                    f"random{i}", None, None, overlap(pi_rand, pi_star), 0, False,
+                    selection_score(ind, pi_rand))))
             # the rule of final_select, on the scores already computed
-            scores = [c["select_score"] for c in candidates]
+            scores = tuple(c["select_score"] for c in candidates)
             best = int(np.argmax(scores))   # argmax returns the first maximiser
 
         record["rounds"] = [dataclasses.asdict(r) for r in rounds.logs]
         record["stopped_reason"] = rounds.stopped_reason
         record["candidates"] = candidates
-        record["final"] = {
-            "selected_label": candidates[best]["label"],
-            "overlap_final": candidates[best]["overlap_refine"],
-            "select_scores": scores,
-        }
+        record["final"] = dataclasses.asdict(Final(
+            candidates[best]["label"], candidates[best]["overlap_refine"], scores))
     except Exception as exc:  # recorded, not raised: callers read status
         _record_failure(record, stage.current, exc)
     # read, not imported, at the end: only a dense LAP loads SciPy
@@ -375,8 +370,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
         except RecordError as exc:
             _record_failure(record, "record", exc)
     # only a path: open() would take an int output, refused above, as a
-    # file descriptor
-    if cfg.output and isinstance(cfg.output, (str, os.PathLike)):
+    # file descriptor, and an array has no truth value
+    if isinstance(cfg.output, (str, os.PathLike)) and cfg.output:
         try:
             if clean_trace:
                 with open(os.fspath(cfg.output) + ".cleaning.jsonl", "w") as fh:

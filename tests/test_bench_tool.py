@@ -34,17 +34,17 @@ def test_compare_reports_change_as_share_of_bound():
     assert "of bound" in header
     # 382 -> 321 MB is 16.0% lower: -1.60 bounds, and no pair worse, but 3
     # pairs cannot call it (p = 0.25)
-    assert peak.split()[4:] == ["-16.0%", "-1.60", "0/3", "0.25", "-"]
+    assert peak.split()[4:] == ["-16.0%", "-1.60", "0/3", "0.25", "-", "0.840"]
     # the median of matched_lap does not move, and the one untied pair of
     # three got worse
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "1/3", "1", "-"]
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "1/3", "1", "-", "1.000"]
 
 
 def test_compare_counts_a_fall_of_a_higher_is_better_metric_as_worse():
     a = _file([100.0, 100.0, 100.0], [20, 20, 20])
     b = _file([100.0, 100.0, 100.0], [18, 18, 18])
     matched = bench.compare(SPEC, a, b)[2]
-    assert matched.split()[4:] == ["-10.0%", "+0.50", "3/3", "0.25", "-"]
+    assert matched.split()[4:] == ["-10.0%", "+0.50", "3/3", "0.25", "-", "0.900"]
 
 
 def _write_timed(root, workload, rounds):
@@ -83,11 +83,11 @@ def test_compare_pairs_stages_under_the_metrics_rule():
     assert "of bound" in header and "spread" not in header
     # a stage has no bound; it is better lower, paired and called as a metric
     assert lap.split() == ["w", "lap", "1.05", "1.35", "+28.6%", "-", "6/6", "0.031",
-                           "worse"]
-    assert refine.split()[2:] == ["1.05", "1.06", "+1.0%", "-", "6/6", "0.031", "-"]
+                           "worse", "1.286"]
+    assert refine.split()[2:] == ["1.05", "1.06", "+1.0%", "-", "6/6", "0.031", "-", "1.010"]
     # a stage that only one file has
-    assert select.split() == ["w", "select", "0.001", "-", "-", "-", "-", "-", "-"]
-    assert amp.split() == ["w", "amp", "-", "0.01", "-", "-", "-", "-", "-"]
+    assert select.split() == ["w", "select", "0.001", "-", "-", "-", "-", "-", "-", "-"]
+    assert amp.split() == ["w", "amp", "-", "0.01", "-", "-", "-", "-", "-", "-"]
 
 
 def test_compare_reads_committed_files_without_stages():
@@ -100,7 +100,7 @@ def test_compare_reads_committed_files_without_stages():
     header, *lines = bench.compare(spec, *files)
     assert [line.split()[:2] for line in lines] == [
         [w, m["name"]] for w in files[0]["workloads"] for m in spec["end_to_end"]]
-    assert all(len(line.split()) == 9 for line in lines)
+    assert all(len(line.split()) == 10 for line in lines)
 
 
 def test_a_failed_run_is_recorded_and_the_file_still_written(monkeypatch, tmp_path):
@@ -151,7 +151,7 @@ def test_compare_reports_a_metric_without_finished_runs():
     peak, matched = bench.compare(SPEC, a, b)[1:]
     assert peak.split()[2:] == ["no", "finished", "run"]
     # one value against three cannot be paired
-    assert matched.split()[4:] == ["+0.0%", "+0.00", "-", "-", "-"]
+    assert matched.split()[4:] == ["+0.0%", "+0.00", "-", "-", "-", "-"]
 
 
 def test_sign_test_p_is_two_sided_over_untied_pairs():
@@ -175,20 +175,20 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     spec, a = _run_s_file([0.07545782949455315, 0.07237920600891812, 0.06606006749643711])
     _, b = _run_s_file([0.0788463189965114, 0.0875532740028575, 0.09181200950115453])
     assert bench.compare(spec, a, b)[1].split()[4:] == ["+21.0%", "+0.84", "3/3", "0.25",
-                                                          "-"]
+                                                          "-", "1.210"]
     # 6 of 6 pairs worse gives p = 2/64 = 0.031 < 0.05, and the median
     # moves by 0.3, beyond A's quartile spread of 0.175: called
     spec, a = _run_s_file([1.0, 1.2, 0.9, 1.1, 1.0, 1.3])
     _, b = _run_s_file([1.3, 1.5, 1.2, 1.4, 1.3, 1.6])
-    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "worse"]
-    assert bench.compare(spec, b, a)[1].split()[6:] == ["0/6", "0.031", "better"]
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "worse", "1.286"]
+    assert bench.compare(spec, b, a)[1].split()[6:] == ["0/6", "0.031", "better", "0.777"]
     # the values pair by repeat, not by rank: B's sorted values are all
     # above A's, which would call 6 of 6, but the last pair got better
     _, c = _run_s_file([1.3, 1.31, 1.0, 1.2, 1.05, 1.1])
-    assert bench.compare(spec, a, c)[1].split()[6:] == ["5/6", "0.22", "-"]
+    assert bench.compare(spec, a, c)[1].split()[6:] == ["5/6", "0.22", "-", "1.091"]
     # a run that did not finish in either file leaves the values unpaired
     _, d = _run_s_file([1.1, 1.3, 1.0, 1.2, 1.05], exit_codes=[0, 0, 1, 0, 0, 0])
-    assert bench.compare(spec, a, d)[1].split()[6:] == ["-", "-", "-"]
+    assert bench.compare(spec, a, d)[1].split()[6:] == ["-", "-", "-", "-"]
     # scale-n3000 peak_rss_mb of the committed BENCH_bc2a18d pair: 6 of 6
     # pairs worse (p = 0.031), but the median moves +0.039 MB, inside A's
     # quartile spread of 0.047 MB: not called
@@ -196,7 +196,20 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
                         215.56640625])
     _, b = _run_s_file([215.59765625, 215.61328125, 215.59765625, 215.53515625,
                         215.62890625, 215.63671875])
-    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "-"]
+    assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "-", "1.000"]
+
+
+def test_compare_prints_the_median_of_the_paired_ratios():
+    # the pairs' ratios are 1.5, 1.5 and 0.5: their median is 1.5, though
+    # both medians are 2.0
+    spec, a = _run_s_file([1.0, 2.0, 4.0])
+    _, b = _run_s_file([1.5, 3.0, 2.0])
+    header, line = bench.compare(spec, a, b)
+    assert header.split()[-2:] == ["called", "B/A"]
+    assert line.split()[2:] == ["2", "2", "+0.0%", "+0.00", "2/3", "1", "-", "1.500"]
+    # no ratio to a value of 0 in A
+    spec, a = _run_s_file([0.0, 2.0, 4.0])
+    assert bench.compare(spec, a, b)[1].split()[-2:] == ["-", "-"]
 
 
 def test_against_alternates_the_checkouts_and_writes_both_files(monkeypatch, tmp_path):

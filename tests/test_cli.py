@@ -61,6 +61,15 @@ def test_config_error_exit_code(capsys):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("name, reason", [("missing.cfg", "No such file or directory"),
+                                          (".", "Is a directory")])
+def test_an_unreadable_config_file_is_a_config_error(name, reason, tmp_path, capsys):
+    path = tmp_path / name
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: cannot read config file {path}: {reason}\n"
+
+
 def test_constants_subcommand(capsys):
     code = main(["constants", "--rho", "0.8", "--n", "1000", "--k0", "24"])
     assert code == 0

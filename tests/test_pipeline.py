@@ -8,8 +8,9 @@ import os
 import pathlib
 import subprocess
 import sys
+import threading
 import tracemalloc
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from wigmatch.config import RunConfig, field_types, make_config, parse_config_fi
 from wigmatch.denoiser import Schedule
 from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError, RecordError
-from wigmatch.pipeline import (RUN_RECORD_SCHEMA, SCHEMA_VERSION, compare_clean_corrupted,
-                               run_pipeline, sweep, validate_record)
+from wigmatch.pipeline import (RUN_RECORD_SCHEMA, SCHEMA_VERSION, Candidate, Cleaning, Final,
+                               compare_clean_corrupted, run_pipeline, sweep, validate_record)
 from wigmatch.rng import child, derive_streams, stream_seed
 from wigmatch.spectral import PHI_WINDOW
 
@@ -208,7 +209,7 @@ def test_record_states_each_fact_once():
     assert not any("stopped_reason" in c for c in rec["candidates"])
 
 
-_JSON = {"int": "integer", "float": "number", "bool": "boolean"}
+_JSON = {"int": "integer", "float": "number", "bool": "boolean", "str": "string"}
 
 
 def _json_of(annotation: str) -> dict:
@@ -223,14 +224,24 @@ def _json_of(annotation: str) -> dict:
 
 def test_round_and_schedule_types_come_from_their_dataclasses():
     props = RUN_RECORD_SCHEMA["properties"]
+    sections = [(props["config"], RunConfig, ()), (props["cleaning"], Cleaning, ()),
+                # rho and k0 are the config's
+                (props["schedule"], Schedule, ("rho", "k0")),
+                (props["rounds"]["items"], RoundLog, ()),
+                (props["candidates"]["items"], Candidate, ()), (props["final"], Final, ())]
+    for section, cls, leave_out in sections:
+        assert section["properties"] == pipeline._properties(cls, leave_out) == {
+            f.name: _json_of(f.type) for f in fields(cls) if f.name not in leave_out}, cls
     rounds = props["rounds"]["items"]["properties"]
     schedule = props["schedule"]["properties"]
-    assert rounds == {f.name: _json_of(f.type) for f in fields(RoundLog)}
-    # rho and k0 are the config's
-    assert schedule == {f.name: _json_of(f.type) for f in fields(Schedule)
-                        if f.name not in ("rho", "k0")}
     assert rounds["resamples"] == {"type": ["integer", "null"]}
     assert schedule["ks"] == {"type": "array", "items": {"type": "integer"}}
+    assert list(props["cleaning"]["properties"]) == ["zeroed_a", "zeroed_b"]
+    assert props["candidates"]["items"]["properties"]["goodness"] == {
+        "type": ["boolean", "null"]}
+    assert props["candidates"]["items"]["required"] == ["label", "select_score"]
+    assert props["final"]["properties"]["select_scores"] == {
+        "type": "array", "items": {"type": "integer"}}
 
     @dataclass
     class Made:
@@ -267,6 +278,22 @@ def _edited(rec, path, value=None, delete=False):
     return rec
 
 
+def _typed(schema, value, path=()):
+    """(path, schema) of each property of schema, present in value or not,
+    and of the first item of each list in value that schema types, at every
+    depth that value reaches."""
+    children = []
+    if isinstance(value, dict):
+        children = [((*path, key), sub, value.get(key))
+                    for key, sub in schema.get("properties", {}).items()]
+    if isinstance(value, list) and value and "items" in schema:
+        children.append(((*path, 0), schema["items"], value[0]))
+    out = []
+    for child_path, sub, child in children:
+        out += [(child_path, sub), *_typed(sub, child, child_path)]
+    return out
+
+
 def _record_cases():
     """(label, record) pairs: run records as they come, and copies with one
     value deleted, replaced or added at a path."""
@@ -284,22 +311,10 @@ def _record_cases():
     for key in RUN_RECORD_SCHEMA["required"]:
         edit("deleted", (key,), delete=True)
     props = RUN_RECORD_SCHEMA["properties"]
-    typed = [((key,), sub) for key, sub in props.items()]
-    typed += [(("cleaning", key), sub) for key, sub in props["cleaning"]["properties"].items()]
-    typed += [(("cleaning", "zeroed_a", 0), {"type": "integer"})]
-    typed += [(("candidates", 0, key), sub)
-              for key, sub in props["candidates"]["items"]["properties"].items()]
-    typed += [((section, key), sub) for section in ("final", "schedule")
-              for key, sub in props[section]["properties"].items()]
-    typed += [(("final", "select_scores", 0), {"type": "integer"}),
-              (("schedule", "ks", 0), {"type": "integer"}),
-              (("schedule", "epss", 0), {"type": "number"})]
-    typed += [(("rounds", 0, key), sub)
-              for key, sub in props["rounds"]["items"]["properties"].items()]
-    typed += [(("config", key), sub) for key, sub in props["config"]["properties"].items()]
-    # a wrong type for every typed property, and the edge cases of integer
+    # a wrong type for every typed property and list item, and the edge
+    # cases of integer
     values = ["text", 2, 2.0, 2.5, True, None, [], {}]
-    for path, sub in typed:
+    for path, sub in _typed(RUN_RECORD_SCHEMA, ok):
         if "type" in sub:
             for value in values:
                 edit(repr(value), path, value)
@@ -550,6 +565,21 @@ def test_a_wrongly_typed_config_value_is_a_config_error_and_still_written(tmp_pa
         os.close(r)
 
 
+@pytest.mark.parametrize("kw", [dict(output=threading.Lock()), dict(output=(c for c in "ab")),
+                                dict(output=np.array([1, 2])), dict(strategy=threading.Lock()),
+                                dict(trace_cleaning=np.array([1, 2]), output="run.json")],
+                         ids=["lock output", "generator output", "array output", "lock strategy",
+                              "array trace_cleaning"])
+def test_no_config_value_makes_run_pipeline_raise(kw, tmp_path, monkeypatch):
+    # the config is read, not copied or tested for truth, before it is valid
+    monkeypatch.chdir(tmp_path)
+    rec = run_pipeline(RunConfig(n=80, k0=12, **kw))
+    assert (rec["status"], rec["exit_code"]) == ("failed:setup", 2)
+    assert rec["error"].startswith("ParameterError: ")
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == (["run.json"] if "trace_cleaning" in kw else [])
+
+
 def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):
     # run_pipeline never raises: a record that the schema refuses becomes
     # failed:record, and the manifest is still written
@@ -708,9 +738,9 @@ def test_sweep_dumps_each_row_to_its_own_directory(tmp_path):
     assert [r["status"] for r in rows] == ["ok", "ok"]
     assert sorted(p.name for p in tmp_path.iterdir()) == ["d.0", "d.1"]
     for row_idx, eps in enumerate((0.0, 0.05)):
-        cfg = RunConfig(**{**base.as_dict(), "epsilon": eps, "strategy": "zero-out",
-                           "master_seed": child(base.master_seed, row_idx),
-                           "dump_dir": str(tmp_path / "own")})
+        cfg = replace(base, epsilon=eps, strategy="zero-out",
+                      master_seed=child(base.master_seed, row_idx),
+                      dump_dir=str(tmp_path / "own"))
         assert run_pipeline(cfg)["status"] == "ok"
         for name in ("score_oracle.npy", "assignment_oracle.csv"):
             got = (tmp_path / f"d.{row_idx}" / name).read_bytes()
@@ -820,8 +850,7 @@ def test_sweep_single_cell_matches_run_pipeline():
     base = small_cfg(n=80, min_rounds=0)
     rows = sweep(base, [80], [0.9], [0.02], ["planted-clique-weight"], trials=1)
     assert len(rows) == 1
-    cfg = RunConfig(**{**base.as_dict(),
-                       "master_seed": child(base.master_seed, 0), "output": None})
+    cfg = replace(base, master_seed=child(base.master_seed, 0), output=None)
     rec = run_pipeline(cfg)
     assert rows[0]["overlap_final"] == rec["final"]["overlap_final"]
 

@@ -43,10 +43,11 @@ share of its BENCHMARK.json bound (positive is worse, 1.0 is the bound).
 When every run of the workload finished in both files, their i-th values
 are paired (with --against, repeat i of both checkouts ran back to back):
 it prints how many pairs got worse and the two-sided sign-test p over the
-untied pairs, and calls the change "worse" or "better" only when p < 0.05
-(at least 6 pairs) and the median moved by more than A's quartile spread
-(q3 - q1); otherwise, and for a stage only one file has, "-".  Then each
-file's tier-1 run, if either has one.
+untied pairs, calls the change "worse" or "better" only when p < 0.05 (at
+least 6 pairs) and the median moved by more than A's quartile spread
+(q3 - q1), and prints the median over the pairs of B's value over A's
+(B/A, unless a value of A is 0); otherwise, and for a stage only one file
+has, "-".  Then each file's tier-1 run, if either has one.
 """
 
 from __future__ import annotations
@@ -193,20 +194,26 @@ def sign_test_p(worse: int, better: int) -> float:
     return min(1.0, 2.0 * tail)
 
 
+_UNPAIRED = f"{'-':>6} {'-':>7}  {'-':<6} {'-':>6}"
+
+
 def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str) -> str:
-    """Pairs worse of all pairs, sign-test p and the call, or "-" for each
-    unless every run of wa and wb finished.  A change is called only when
-    p < 0.05 and the median moved by more than A's quartile spread."""
+    """Pairs worse of all pairs, sign-test p, the call and the median paired
+    ratio B/A, or "-" for each unless every run of wa and wb finished.  A
+    change is called only when p < 0.05 and the median moved by more than
+    A's quartile spread."""
     va, vb = ma["values"], mb["values"]
     if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
-        return f"{'-':>6} {'-':>7}  -"
+        return _UNPAIRED
     sign = 1 if better == "lower" else -1
     worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
     improved = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
     p = sign_test_p(worse, improved)
     clears = abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
     call = ("worse" if worse > improved else "better") if p < 0.05 and clears else "-"
-    return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call}"
+    ratio = (f"{statistics.median(y / x for x, y in zip(va, vb)):>6.3f}" if all(va)
+             else f"{'-':>6}")
+    return f"{f'{worse}/{len(va)}':>6} {p:>7.2g}  {call:<6} {ratio}"
 
 
 def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict | None,
@@ -215,7 +222,7 @@ def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict |
     head = f"{name:<12} {label:<12} "
     if ma is None or mb is None:    # a stage that only one file has
         cells = [f"{f['median']:>10.4g}" if f else f"{'-':>10}" for f in (ma, mb)]
-        return head + f"{cells[0]} {cells[1]} {'-':>8} {'-':>9} {'-':>6} {'-':>7}  -"
+        return head + f"{cells[0]} {cells[1]} {'-':>8} {'-':>9} " + _UNPAIRED
     if ma["median"] is None or mb["median"] is None:
         return head + "no finished run"
     change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
@@ -229,7 +236,7 @@ def compare(spec: dict, a: dict, b: dict) -> list[str]:
     """For each workload, one line per metric, then one per stage, and each
     file's tier-1 run."""
     lines = [f"{'workload':<12} {'metric/stage':<12} {'A median':>10} {'B median':>10} "
-             f"{'change':>8} {'of bound':>9} {'worse':>6} {'sign p':>7}  called"]
+             f"{'change':>8} {'of bound':>9} {'worse':>6} {'sign p':>7}  called {'B/A':>6}"]
     for name, wa in a["workloads"].items():
         wb = b["workloads"].get(name)
         if wb is None:
