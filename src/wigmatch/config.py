@@ -139,12 +139,15 @@ def _coerce(key: str, raw: str):
 
 def parse_config_file(path) -> dict:
     """Flat KEY=VALUE format; '#' starts a comment; unknown keys rejected.
-    A file that cannot be read is a ParameterError too."""
+    A file that cannot be read, or is not UTF-8 text, is a ParameterError
+    too."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             lines = fh.readlines()
     except OSError as exc:
         raise ParameterError(f"cannot read config file {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read config file {path}: {exc}") from None
     out = {}
     for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()

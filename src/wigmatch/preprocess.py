@@ -15,16 +15,21 @@ mass until the operator norm drops below THRESHOLD_MULT * sqrt(n).  Power
 iteration finds the singular vectors at every n.
 
 Power iteration proves the last step only slowly when no spike is left:
-the top of the spectrum has no gap.  Such a solve tries, once, a ladder of
-two Schatten-norm bounds on sigma_1.  The Schatten-4 norm
-S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M, is summed over the
-blocks of P on and above its diagonal, so P is never held whole; only when
-it does not certify is P formed, for the Schatten-8 norm
-S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the blocks
-of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.  When the
-bound lies below the threshold the loop stops there.  Power iteration's
-estimate never exceeds sigma_1, so the uncertified loop would have stopped
-at the same step and the zeroed sets are unchanged.
+the top of the spectrum has no gap.  A solve whose estimate is below the
+threshold tries, once, a ladder of two Schatten-norm bounds on sigma_1, as
+soon as its own iterates say that converging would cost more: from the
+third iteration on, the ratio r of the last two changes of sigma predicts
+the iterations left, log(POWER_TOL * sigma / |change|) / log r (infinite
+for r >= 1), and the bounds are tried once that exceeds S4's cost in power
+iterations (_certificate_cost), or at CERTIFY_AFTER at the latest.  The
+Schatten-4 norm S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M,
+is summed over the blocks of P on and above its diagonal, so P is never
+held whole; only when it does not certify is P formed, for the Schatten-8
+norm S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the
+blocks of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.
+When the bound lies below the threshold the loop stops there.  Power
+iteration's estimate never exceeds sigma_1, so the uncertified loop would
+have stopped at the same step and the zeroed sets are unchanged.
 """
 
 from __future__ import annotations
@@ -40,10 +45,11 @@ from .rng import child, generator
 
 THRESHOLD_MULT = 10.0   # cleaning stops below THRESHOLD_MULT * sqrt(n)
 POWER_TOL = 1e-10       # a power solve stops at this relative change of sigma
-# Power iterations after which a solve still below the threshold tries the
-# certificate.  On the perfbench workloads (benchmark seeds 1-3) every
-# spiked solve and every final solve with a residual spike converged within
-# 28 iterations, and spike-free final solves took 55 to 3466.
+# The latest power iteration at which a solve still below the threshold
+# tries the certificate, if its rate has not called for it earlier.  On the
+# perfbench workloads (benchmark seeds 1-3) every spiked solve and every
+# final solve with a residual spike converged within 28 iterations, and
+# spike-free final solves took 55 to 3466.
 CERTIFY_AFTER = 40
 # The bound certifies only below threshold * (1 - CERTIFY_MARGIN), far
 # outside its rounding error.
@@ -131,6 +137,24 @@ def _schatten4(m: np.ndarray) -> float:
     return math.sqrt(math.sqrt(total))
 
 
+def _certificate_cost(n: int) -> float:
+    """What an S4 of an n x n matrix costs in power iterations (two
+    matrix-vector products each): measured at 26, 43 and 96 at n = 500,
+    1000 and 3000."""
+    return n / 20
+
+
+def _iterations_left(delta: float, delta_prev: float, sigma: float) -> float:
+    """The power iterations until the change of sigma falls to POWER_TOL *
+    max(sigma, 1), if it keeps contracting by the ratio of its last two
+    values, delta and delta_prev (both > 0); infinite if it does not
+    contract."""
+    r = delta / delta_prev
+    if r >= 1.0:
+        return math.inf
+    return math.log(POWER_TOL * max(sigma, 1.0) / delta) / math.log(r)
+
+
 def certifies(bound: float, below: float) -> bool:
     """Whether an upper bound on sigma_1 proves sigma_1 < below, with margin."""
     return bound <= below * (1.0 - CERTIFY_MARGIN)
@@ -142,11 +166,13 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
     by power iteration: M v / M^T u alternate until the singular-value
     estimate stagnates.
 
-    With `below` given, a solve still unconverged after CERTIFY_AFTER
-    iterations whose estimate is under `below` computes the certificate
-    once, and stops there if its bound certifies sigma_1 < below.  The
-    returned sigma is always power iteration's estimate, a lower bound on
-    sigma_1.
+    With `below` given, an unconverged solve whose estimate is under
+    `below` computes the certificate once, at the first iteration from the
+    third on where _iterations_left exceeds _certificate_cost(n), or at
+    CERTIFY_AFTER at the latest, and stops there if its bound certifies
+    sigma_1 < below.  The try moves only the iteration at which the loop
+    may stop, never its arithmetic.  The returned sigma is always power
+    iteration's estimate, a lower bound on sigma_1.
     """
     n = m.shape[0]
     if v0 is not None:
@@ -158,6 +184,7 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
         raise NumericalError("zero start vector")
     v /= nv
     sigma_prev = -1.0
+    delta_prev = math.inf
     u = np.zeros(n)
     cert = None
     for it in range(1, max_iter + 1):
@@ -171,16 +198,19 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
         if sigma < 1e-300:
             return 0.0, u, v, it, cert
         v = z / sigma
-        if abs(sigma - sigma_prev) <= POWER_TOL * max(sigma, 1.0):
+        delta = abs(sigma - sigma_prev)
+        if delta <= POWER_TOL * max(sigma, 1.0):
             return float(sigma), u, v, it, cert
-        if below is not None and it == CERTIFY_AFTER and sigma < below:
+        if below is not None and cert is None and sigma < below and (
+                it == CERTIFY_AFTER or (3 <= it < CERTIFY_AFTER and _iterations_left(
+                    delta, delta_prev, sigma) > _certificate_cost(n))):
             cert = certificate(m, below)
             if certifies(cert[1], below):
                 return float(sigma), u, v, it, cert
-        sigma_prev = sigma
+        sigma_prev, delta_prev = sigma, delta
     raise NumericalError(
         f"power iteration did not converge in {max_iter} iterations "
-        f"(last sigma={sigma_prev:.6g}, delta={abs(sigma - sigma_prev):.3g})")
+        f"(last sigma={sigma_prev:.6g}, delta={delta_prev:.3g})")
 
 
 def spectral_clean(m: np.ndarray, seed: int = 0, trace: list | None = None):
@@ -192,8 +222,10 @@ def spectral_clean(m: np.ndarray, seed: int = 0, trace: list | None = None):
     Zeroing is in-place on a copy, so m is left unchanged; the matrix keeps
     its original shape so all downstream indices stay in the input
     coordinates.  A step whose power solve the certificate proved below
-    the threshold ends the loop; its trace row has "certified": true, the
-    norm that certified ("S4" or "S8") and its bound.
+    the threshold ends the loop (see _singular_triple for when a solve
+    tries it); its trace row has "certified": true, the norm that certified
+    ("S4" or "S8") and its bound.  Every trace row also has the solve's
+    "power_iterations".
     """
     cleaned = np.array(m, dtype=float, copy=True)
     return cleaned, _clean_in_place(cleaned, seed, trace)
@@ -210,12 +242,12 @@ def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.nd
     zeroed: list[int] = []
     warm = None
     for step in range(n + 1):
-        sigma, u, v, _, cert = _singular_triple(
+        sigma, u, v, iters, cert = _singular_triple(
             cleaned, seed=child(seed, step), v0=warm, below=threshold)
         if trace is not None:
             norm, bound = cert or (None, None)
             trace.append({"iteration": step, "top_singular_value": float(sigma),
-                          "removed_index": None,
+                          "power_iterations": iters, "removed_index": None,
                           "certified": bound is not None and certifies(bound, threshold),
                           "norm": norm, "bound": bound})
         if sigma < threshold:   # a certified solve stops with its estimate below

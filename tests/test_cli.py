@@ -70,6 +70,14 @@ def test_an_unreadable_config_file_is_a_config_error(name, reason, tmp_path, cap
     assert err == f"config error: cannot read config file {path}: {reason}\n"
 
 
+def test_a_config_file_that_is_not_utf8_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfen=100\n")
+    assert main(["run", "--config", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {path}: 'utf-8' codec ")
+
+
 def test_constants_subcommand(capsys):
     code = main(["constants", "--rho", "0.8", "--n", "1000", "--k0", "24"])
     assert code == 0

@@ -698,6 +698,8 @@ def test_run_cleaning_trace_is_written_with_output(tmp_path, monkeypatch):
         removed = [r["removed_index"] for r in mine if r["removed_index"] is not None]
         assert sorted(removed) == rec["cleaning"][f"zeroed_{name}"]
         assert mine[-1]["top_singular_value"] < 10 * np.sqrt(n)
+        assert all(type(r["power_iterations"]) is int and r["power_iterations"] >= 1
+                   for r in mine)
     # the trace file is named after the record's, so without one none is written
     bare = tmp_path / "bare"
     bare.mkdir()

@@ -244,7 +244,10 @@ def test_clean_pair_composition():
             assert sigma < last["bound"] <= threshold * (1 - 1e-9)
         else:
             assert last["top_singular_value"] < threshold
-    assert [r["matrix"] for r in rows if r["certified"]] == ["b"]
+    # both final solves contract too slowly to converge before an S4 pays;
+    # a's residual spike leaves S4 above the threshold and S8 proves it
+    assert [(r["matrix"], r["norm"]) for r in rows if r["certified"]] == [("a", "S8"),
+                                                                          ("b", "S4")]
 
 
 def test_clean_pair_clean_input_no_removals():
@@ -483,6 +486,19 @@ def test_certificate_ladder(below, expected):
     assert preprocess.certifies(bound, below) is (bound < below)
 
 
+def power_steps(m, seed, steps):
+    """Power iteration's (sigma, u, v) after `steps` steps from seed's start."""
+    v = generator(seed).standard_normal(m.shape[0])
+    v /= np.linalg.norm(v)
+    for _ in range(steps):
+        u = m @ v
+        u /= np.linalg.norm(u)
+        z = m.T @ u
+        sigma = np.linalg.norm(z)
+        v = z / sigma
+    return sigma, u, v
+
+
 def test_slow_spike_free_solve_is_certified_before_convergence():
     n = 300
     m = goe(n, 4)
@@ -490,22 +506,67 @@ def test_slow_spike_free_solve_is_certified_before_convergence():
     _, _, _, full_iters = _singular_triple(m, seed=3)[:4]
     assert full_iters > 2 * CERTIFY_AFTER
     sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
-    assert iters == CERTIFY_AFTER
+    # no gap: the changes of sigma barely contract, so the rate calls for
+    # the certificate within a few iterations
+    assert 3 <= iters < CERTIFY_AFTER
     # a spike-free matrix at n = 300 has S4 / threshold near 0.49
     assert norm == "S4" and bound == certificate(m, threshold)[1]
     assert preprocess.certifies(bound, threshold)
-    # the returned triple is power iteration's after CERTIFY_AFTER steps
-    ref_v = generator(3).standard_normal(n)
-    ref_v /= np.linalg.norm(ref_v)
-    for _ in range(CERTIFY_AFTER):
-        ref_u = m @ ref_v
-        ref_u /= np.linalg.norm(ref_u)
-        z = m.T @ ref_u
-        ref_sigma = np.linalg.norm(z)
-        ref_v = z / ref_sigma
+    # the returned triple is power iteration's after iters steps
+    ref_sigma, ref_u, ref_v = power_steps(m, 3, iters)
     assert sigma == ref_sigma
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
     # spectral_clean stops at that step with nothing zeroed
     trace = []
     cleaned, zeroed = spectral_clean(m, seed=3, trace=trace)
     assert zeroed.size == 0 and trace[0]["certified"] is True
+    assert trace[0]["power_iterations"] == iters
+
+
+def test_spiked_solve_below_the_threshold_converges_untried(monkeypatch):
+    # a rank-one spike well above the bulk but below the threshold: the
+    # changes of sigma contract fast, so converging is cheaper than an S4
+    n = 300
+    threshold = 10.0 * math.sqrt(n)
+    x = np.random.default_rng(7).standard_normal(n)
+    m = goe(n, 5) + 6.0 * math.sqrt(n) * np.outer(x, x) / float(x @ x)
+    tried = []
+    monkeypatch.setattr(preprocess, "certificate",
+                        lambda *a: tried.append(a) or certificate(*a))
+    full = _singular_triple(m, seed=2)
+    sigma, u, v, iters, cert = _singular_triple(m, seed=2, below=threshold)
+    assert sigma < threshold and cert is None and not tried
+    assert iters == full[3] < CERTIFY_AFTER
+    assert sigma == full[0] and np.array_equal(u, full[1]) and np.array_equal(v, full[2])
+
+
+def test_solve_tries_at_certify_after_at_the_latest(monkeypatch):
+    # with an S4 dearer than any prediction, the slow solve tries once, at
+    # CERTIFY_AFTER, as it did before the rate decided
+    monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: math.inf)
+    tried = []
+    monkeypatch.setattr(preprocess, "certificate",
+                        lambda m, below: tried.append(below) or certificate(m, below))
+    n = 300
+    m = goe(n, 4)
+    threshold = 10.0 * math.sqrt(n)
+    sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
+    assert iters == CERTIFY_AFTER and tried == [threshold]
+    assert norm == "S4" and preprocess.certifies(bound, threshold)
+    ref_sigma, ref_u, ref_v = power_steps(m, 3, CERTIFY_AFTER)
+    assert sigma == ref_sigma
+    assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
+
+
+def test_a_failed_try_is_not_repeated(monkeypatch):
+    # below sits just above sigma_1, so the rate calls for a try that no
+    # rung can certify; the solve then runs on to convergence untried
+    tried = []
+    monkeypatch.setattr(preprocess, "certificate",
+                        lambda m, below: tried.append(below) or certificate(m, below))
+    m = goe(300, 4)
+    top = float(np.linalg.norm(m, 2))
+    full = _singular_triple(m, seed=3)
+    sigma, _, _, iters, (norm, bound) = _singular_triple(m, seed=3, below=top * 1.01)
+    assert tried == [top * 1.01] and norm == "S8" and bound > top * 1.01
+    assert (sigma, iters) == (full[0], full[3])
