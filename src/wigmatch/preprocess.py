@@ -20,12 +20,12 @@ threshold tries, once, a ladder of two Schatten-norm bounds on sigma_1, as
 soon as its own iterates say that converging would cost more: from the
 third iteration on, the ratio r of the last two changes of sigma predicts
 the iterations left, log(POWER_TOL * sigma / |change|) / log r (infinite
-for r >= 1), and the bounds are tried once that exceeds S4's cost in power
-iterations (_certificate_cost), or at CERTIFY_AFTER at the latest.  The
-Schatten-4 norm S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M,
-is summed over the blocks of P on and above its diagonal, so P is never
-held whole; only when it does not certify is P formed, for the Schatten-8
-norm S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the
+for r >= 1), and the bounds are tried once that exceeds S4's measured cost
+in power iterations (_certificate_cost).  The Schatten-4 norm
+S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M, is summed over the
+blocks of P on and above its diagonal, so P is never held whole; only
+when it does not certify is P formed, for the Schatten-8 norm
+S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the
 blocks of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.
 When the bound lies below the threshold the loop stops there.  Power
 iteration's estimate never exceeds sigma_1, so the uncertified loop would
@@ -45,12 +45,6 @@ from .rng import child, generator
 
 THRESHOLD_MULT = 10.0   # cleaning stops below THRESHOLD_MULT * sqrt(n)
 POWER_TOL = 1e-10       # a power solve stops at this relative change of sigma
-# The latest power iteration at which a solve still below the threshold
-# tries the certificate, if its rate has not called for it earlier.  On the
-# perfbench workloads (benchmark seeds 1-3) every spiked solve and every
-# final solve with a residual spike converged within 28 iterations, and
-# spike-free final solves took 55 to 3466.
-CERTIFY_AFTER = 40
 # The bound certifies only below threshold * (1 - CERTIFY_MARGIN), far
 # outside its rounding error.
 CERTIFY_MARGIN = 1e-9
@@ -139,9 +133,11 @@ def _schatten4(m: np.ndarray) -> float:
 
 def _certificate_cost(n: int) -> float:
     """What an S4 of an n x n matrix costs in power iterations (two
-    matrix-vector products each): measured at 26, 43 and 96 at n = 500,
-    1000 and 3000."""
-    return n / 20
+    matrix-vector products each): 18-22, 38, 63-67, 82-90, 99 and 128 at
+    n = 500, 1000, 2000, 3000, 5000 and 10 000, each the best of 5-7
+    timings of a random n x n after a warm-up call, under two OpenBLAS
+    threads on two cores; this fit gives 21, 34, 55, 73, 105 and 170."""
+    return 0.27 * n ** 0.7
 
 
 def _iterations_left(delta: float, delta_prev: float, sigma: float) -> float:
@@ -168,10 +164,9 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
 
     With `below` given, an unconverged solve whose estimate is under
     `below` computes the certificate once, at the first iteration from the
-    third on where _iterations_left exceeds _certificate_cost(n), or at
-    CERTIFY_AFTER at the latest, and stops there if its bound certifies
-    sigma_1 < below.  The try moves only the iteration at which the loop
-    may stop, never its arithmetic.  The returned sigma is always power
+    third on where _iterations_left exceeds _certificate_cost(n), and
+    stops there if its bound certifies sigma_1 < below.  The try moves
+    only the iteration at which the loop may stop, never its arithmetic.  The returned sigma is always power
     iteration's estimate, a lower bound on sigma_1.
     """
     n = m.shape[0]
@@ -201,9 +196,8 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
         delta = abs(sigma - sigma_prev)
         if delta <= POWER_TOL * max(sigma, 1.0):
             return float(sigma), u, v, it, cert
-        if below is not None and cert is None and sigma < below and (
-                it == CERTIFY_AFTER or (3 <= it < CERTIFY_AFTER and _iterations_left(
-                    delta, delta_prev, sigma) > _certificate_cost(n))):
+        if (below is not None and cert is None and sigma < below and it >= 3
+                and _iterations_left(delta, delta_prev, sigma) > _certificate_cost(n)):
             cert = certificate(m, below)
             if certifies(cert[1], below):
                 return float(sigma), u, v, it, cert
@@ -240,10 +234,10 @@ def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.nd
     threshold = THRESHOLD_MULT * math.sqrt(n)
     rng = generator(seed)
     zeroed: list[int] = []
-    warm = None
+    start, warm = child(seed, 0), None   # every later solve starts from the last v
     for step in range(n + 1):
         sigma, u, v, iters, cert = _singular_triple(
-            cleaned, seed=child(seed, step), v0=warm, below=threshold)
+            cleaned, seed=start, v0=warm, below=threshold)
         if trace is not None:
             norm, bound = cert or (None, None)
             trace.append({"iteration": step, "top_singular_value": float(sigma),
@@ -253,7 +247,6 @@ def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.nd
         if sigma < threshold:   # a certified solve stops with its estimate below
             return np.array(sorted(zeroed), dtype=np.intp)
         p = 0.5 * (v * v + u * u)
-        p = np.maximum(p, 0.0)
         total = p.sum()
         if not np.isfinite(total) or total <= 0:
             raise NumericalError("degenerate singular-vector mass")

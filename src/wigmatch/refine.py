@@ -42,6 +42,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -184,11 +185,24 @@ def _integer_cuts(params: RefineParams, n: int) -> tuple[np.ndarray, np.ndarray]
 
     N(u, v) = C(u, v) - alpha s + n alpha^2, so for integer C,
     N >= x  <=>  C >= ceil(x + alpha s - n alpha^2).
+
+    The cuts are computed in floats, with an error below
+    4 eps (Delta + 2 n alpha + n alpha^2); a cut within that bound of an
+    integer takes its ceiling in rational arithmetic of the float inputs
+    (Delta / 10 taken exactly).
     """
     alpha = params.alpha
     shift = alpha * np.arange(2 * n + 1) - n * alpha * alpha
-    return (np.ceil(params.delta + shift).astype(np.int32),
-            np.ceil(params.delta / 10.0 + shift).astype(np.int32))
+    bound = 4 * np.finfo(float).eps * (params.delta + 2 * n * alpha + n * alpha * alpha)
+    a, delta = Fraction(alpha), Fraction(params.delta)
+    cuts = []
+    for x, exact in ((params.delta, delta), (params.delta / 10.0, delta / 10)):
+        f = x + shift
+        cut = np.ceil(f)
+        for s in np.flatnonzero(np.abs(f - np.round(f)) <= bound):
+            cut[s] = math.ceil(exact + a * int(s) - n * a * a)
+        cuts.append(cut.astype(np.int32))
+    return cuts[0], cuts[1]
 
 
 def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,

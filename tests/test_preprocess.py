@@ -9,9 +9,8 @@ from wigmatch import preprocess
 from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.model import (STRATEGIES, ObservedPair, _noise_blocks, _symmetric_standard_normal,
                             corrupt, generate)
-from wigmatch.preprocess import (CERTIFY_AFTER, _clean_owned, _reinject_in_place,
-                                 _singular_triple, certificate, clean_pair, reinject_noise,
-                                 spectral_clean)
+from wigmatch.preprocess import (_clean_owned, _reinject_in_place, _singular_triple,
+                                 certificate, clean_pair, reinject_noise, spectral_clean)
 from wigmatch.rng import child, generator
 
 
@@ -504,11 +503,10 @@ def test_slow_spike_free_solve_is_certified_before_convergence():
     m = goe(n, 4)
     threshold = 10.0 * math.sqrt(n)
     _, _, _, full_iters = _singular_triple(m, seed=3)[:4]
-    assert full_iters > 2 * CERTIFY_AFTER
     sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
     # no gap: the changes of sigma barely contract, so the rate calls for
     # the certificate within a few iterations
-    assert 3 <= iters < CERTIFY_AFTER
+    assert 3 <= iters < full_iters / 10
     # a spike-free matrix at n = 300 has S4 / threshold near 0.49
     assert norm == "S4" and bound == certificate(m, threshold)[1]
     assert preprocess.certifies(bound, threshold)
@@ -536,24 +534,51 @@ def test_spiked_solve_below_the_threshold_converges_untried(monkeypatch):
     full = _singular_triple(m, seed=2)
     sigma, u, v, iters, cert = _singular_triple(m, seed=2, below=threshold)
     assert sigma < threshold and cert is None and not tried
-    assert iters == full[3] < CERTIFY_AFTER
+    assert iters == full[3] < preprocess._certificate_cost(n)
     assert sigma == full[0] and np.array_equal(u, full[1]) and np.array_equal(v, full[2])
 
 
-def test_solve_tries_at_certify_after_at_the_latest(monkeypatch):
-    # with an S4 dearer than any prediction, the slow solve tries once, at
-    # CERTIFY_AFTER, as it did before the rate decided
+def test_solve_never_tries_an_s4_dearer_than_every_prediction(monkeypatch):
+    # the rate is the one rule: priced above every prediction, the slow
+    # solve never tries and converges as power iteration alone does
     monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: math.inf)
     tried = []
     monkeypatch.setattr(preprocess, "certificate",
                         lambda m, below: tried.append(below) or certificate(m, below))
     n = 300
     m = goe(n, 4)
+    full = _singular_triple(m, seed=3)
+    sigma, u, v, iters, cert = _singular_triple(m, seed=3, below=10.0 * math.sqrt(n))
+    assert cert is None and not tried
+    assert (sigma, iters) == (full[0], full[3])
+    assert np.array_equal(u, full[1]) and np.array_equal(v, full[2])
+
+
+def test_solve_tries_where_the_prediction_first_exceeds_the_price(monkeypatch):
+    # price an S4 at the largest prediction of iterations 3-40: the solve
+    # tries at the first later iteration whose prediction exceeds it,
+    # however late that is
+    n = 300
+    m = goe(n, 8)
     threshold = 10.0 * math.sqrt(n)
+    predictions = []
+    left = preprocess._iterations_left
+    monkeypatch.setattr(preprocess, "_iterations_left",
+                        lambda *a: predictions.append(left(*a)) or predictions[-1])
+    monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: math.inf)
+    _singular_triple(m, seed=3, below=threshold)
+    # one prediction per iteration from the third on
+    price = max(predictions[:38])
+    first = next(it for it, p in enumerate(predictions, start=3) if p > price)
+    assert first > 40
+    monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: price)
+    tried = []
+    monkeypatch.setattr(preprocess, "certificate",
+                        lambda m, below: tried.append(below) or certificate(m, below))
     sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
-    assert iters == CERTIFY_AFTER and tried == [threshold]
+    assert iters == first and tried == [threshold]
     assert norm == "S4" and preprocess.certifies(bound, threshold)
-    ref_sigma, ref_u, ref_v = power_steps(m, 3, CERTIFY_AFTER)
+    ref_sigma, ref_u, ref_v = power_steps(m, 3, first)
     assert sigma == ref_sigma
     assert np.array_equal(u, ref_u) and np.array_equal(v, ref_v)
 

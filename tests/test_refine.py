@@ -170,6 +170,23 @@ def test_integer_cuts_are_the_exact_ceilings(n):
             assert got.tolist() == [math.ceil(base + alpha * s) for s in range(2 * n + 1)]
 
 
+def test_a_cut_within_float_error_of_an_integer_is_decided_exactly():
+    # Delta puts the cut at degree sum 0 a few 1e-15 above the integer 20,
+    # where the float sum rounds to 20 exactly: only the rational ceiling
+    # gives 21
+    n, alpha = 100, compute_alpha()
+    a = Fraction(alpha)
+    delta = float(20 + n * a * a)
+    exact = Fraction(delta) - n * a * a
+    assert 0 < exact - 20 < Fraction(1, 10 ** 12)
+    assert math.ceil(delta + (alpha * 0 - n * alpha * alpha)) == 20
+    params = RefineParams(alpha=alpha, psi_rho=alpha, delta=delta, max_swaps=1)
+    t_hi, t_lo = refine._integer_cuts(params, n)
+    assert t_hi[0] == 21
+    base = Fraction(delta) / 10 - n * a * a
+    assert t_lo.tolist() == [math.ceil(base + a * s) for s in range(2 * n + 1)]
+
+
 # ----------------------------------------------------- neighborhood stat
 
 
