@@ -10,7 +10,7 @@ class ScheduleError(ParameterError):
 
 
 class RecordError(ValueError):
-    """A run record that RUN_RECORD_SCHEMA refuses."""
+    """A run record that pipeline.validate_record refuses."""
 
 
 class NumericalError(RuntimeError):

@@ -6,10 +6,9 @@ place) -> clean (re-inject noise and spectrally clean each matrix) -> AMP
 through them) -> per seed pair score -> LAP -> dump (with --dump-dir) ->
 refine -> select, and emits a schema-versioned RunRecord: the run's rounds,
 shared by every seed pair, its RunConfig and its Schedule but rho and k0,
-each whole, and every section but stream_seeds and versions typed: config,
-cleaning, schedule, rounds, candidates and final each from the annotations
-of one dataclass, RunConfig, Cleaning, Schedule, RoundLog, Candidate and
-Final, whose fields are the section's keys in order.
+each whole.  validate_record checks it by RECORD_TYPES and by the
+annotations of RunConfig, Cleaning, Schedule, RoundLog, Candidate and
+Final, whose fields are their sections' keys in order.
 One stage context names the stage that a failure records as
 failed:<stage> and adds each stage's wall time to stages_s; schedule and
 dump are not timed.
@@ -40,6 +39,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -48,6 +48,7 @@ import os
 import sys
 import time
 import traceback
+import types
 import typing
 
 import numpy as np
@@ -55,7 +56,7 @@ import numpy as np
 from . import __version__ as _pkg_version
 from .amp import RoundLog, advance, bad_seed_pair, good_seed_pair, spectral_rounds
 from .assign import assemble_pi, build_scores, solve_lap
-from .config import RunConfig, field_types
+from .config import RunConfig
 from .denoiser import Schedule, build_schedule, make_denoiser
 from .errors import ParameterError, RecordError, exit_code_for
 from .model import _corrupt_in_place, generate, overlap
@@ -64,25 +65,6 @@ from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
 
 SCHEMA_VERSION = 3
-
-_JSON_TYPES = {int: "integer", float: "number", bool: "boolean", str: "string"}
-
-
-def _json_type(base, optional: bool = False) -> dict:
-    """The JSON Schema of a field annotated base, or base | None if optional;
-    a tuple[X, ...] is an array of X."""
-    array = typing.get_origin(base) is tuple
-    name = "array" if array else _JSON_TYPES[base]
-    out = {"type": [name, "null"] if optional else name}
-    if array:
-        out["items"] = _json_type(typing.get_args(base)[0])
-    return out
-
-
-def _properties(cls, leave_out=()) -> dict:
-    """The JSON Schema properties of the dataclass cls's fields but leave_out."""
-    return {name: _json_type(*hint) for name, hint in field_types(cls).items()
-            if name not in leave_out}
 
 
 @dataclasses.dataclass
@@ -112,101 +94,108 @@ class Final:
     select_scores: tuple[int, ...]
 
 
-RUN_RECORD_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "required": ["schema_version", "config", "status", "stream_seeds",
-                 "stages_s", "versions"],
-    "properties": {
-        "schema_version": {"const": SCHEMA_VERSION},
-        "status": {"type": "string"},
-        "exit_code": {"type": "integer"},
-        "error": {"type": ["string", "null"]},
-        "traceback": {"type": "string"},
-        "config": {"type": "object", "properties": _properties(RunConfig)},
-        "stream_seeds": {"type": "object"},
-        "stages_s": {"type": "object",
-                     "additionalProperties": {"type": "number"}},
-        "cleaning": {"type": "object", "properties": _properties(Cleaning)},
-        # rho and k0 are the config's
-        "schedule": {"type": "object",
-                     "properties": _properties(Schedule, leave_out=("rho", "k0"))},
-        "rounds": {"type": "array",
-                   "items": {"type": "object", "properties": _properties(RoundLog)}},
-        "stopped_reason": {"type": "string", "enum": ["t_star", "min_rounds", "spectral"]},
-        "candidates": {"type": "array",
-                       "items": {"type": "object", "required": ["label", "select_score"],
-                                 "properties": _properties(Candidate)}},
-        "final": {"type": "object", "properties": _properties(Final)},
-        "versions": {"type": "object"},
-    },
+# The type of each top-level key of a run record, in the record's order;
+# validate_record tests the rest: the schema version, stopped_reason's value
+# and each candidate's label and select_score
+RECORD_TYPES = {
+    "schema_version": int,
+    "status": str,
+    "exit_code": int,
+    "error": str | None,
+    "traceback": str,
+    "config": RunConfig,
+    "stream_seeds": dict,
+    "stages_s": dict[str, float],
+    "cleaning": Cleaning,
+    "schedule": Schedule,
+    "rounds": tuple[RoundLog, ...],
+    "stopped_reason": str,
+    "candidates": tuple[Candidate, ...],
+    "final": Final,
+    "versions": dict,
+}
+REQUIRED_KEYS = ("schema_version", "config", "status", "stream_seeds", "stages_s", "versions")
+STOPPED_REASONS = ("t_star", "min_rounds", "spectral")
+_LEFT_OUT = {Schedule: ("rho", "k0")}     # the config's, not the section's
+
+# Each annotated type as JSON writes it: Draft 2020-12's name for it, and
+# its test, in which an integral float is an integer, a bool is neither an
+# integer nor a number, and a tuple is an array
+_JSON = {
+    int: ("integer", lambda v: (isinstance(v, int) and not isinstance(v, bool))
+          or (isinstance(v, float) and v.is_integer())),
+    float: ("number", lambda v: isinstance(v, numbers.Number) and not isinstance(v, bool)),
+    bool: ("boolean", lambda v: isinstance(v, bool)),
+    str: ("string", lambda v: isinstance(v, str)),
+    tuple: ("array", lambda v: isinstance(v, list)),
+    dict: ("object", lambda v: isinstance(v, dict)),
+    type(None): ("null", lambda v: v is None),
 }
 
 
-# The keywords that RUN_RECORD_SCHEMA uses, the only ones _check implements;
-# "$schema" names the draft (2020-12) and checks nothing.
-_KEYWORDS = {"$schema", "type", "const", "enum", "required", "properties",
-             "additionalProperties", "items"}
-_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
-          "null": type(None)}
+@functools.cache
+def _plan(hint) -> tuple[tuple, object]:
+    """The (name, test) of each JSON type that a value annotated hint may
+    take, and what to check inside it: a dataclass's {field: hint} but
+    those _LEFT_OUT, the X of each item of a tuple[X, ...] or of each value
+    of a dict[str, X], or None."""
+    if dataclasses.is_dataclass(hint):
+        return (_JSON[dict],), {name: h for name, h in typing.get_type_hints(hint).items()
+                                if name not in _LEFT_OUT.get(hint, ())}
+    args = typing.get_args(hint)
+    if isinstance(hint, types.UnionType):     # X | None
+        kinds, inner = _plan(next(a for a in args if a is not type(None)))
+        return (*kinds, _JSON[type(None)]), inner
+    origin = typing.get_origin(hint) or hint
+    if origin is tuple:     # tuple[X, ...]
+        return (_JSON[tuple],), args[0]
+    return (_JSON[origin],), args[1] if args else None     # dict[str, X], or a bare type
 
 
-def _is_type(value, name: str) -> bool:
-    """Draft 2020-12's type test: an integral float is an integer, and a
-    bool is neither an integer nor a number."""
-    if name == "integer":
-        return ((isinstance(value, int) and not isinstance(value, bool))
-                or (isinstance(value, float) and value.is_integer()))
-    if name == "number":
-        return isinstance(value, numbers.Number) and not isinstance(value, bool)
-    return isinstance(value, _TYPES[name])
+def _check_fields(value: dict, fields: dict, path: str) -> None:
+    for key, hint in fields.items():
+        if key in value:
+            _check(value[key], hint, f"{path}.{key}")
 
 
-def _equal(a, b) -> bool:
-    """JSON Schema's equality of two scalars: 1 equals 1.0, and True does
-    not equal 1."""
-    return a is b or (not isinstance(a, bool) and not isinstance(b, bool) and a == b)
-
-
-def _check(value, schema: dict, path: str) -> None:
-    """Raise RecordError at the first keyword of schema that value at path
-    breaks, worded as the JSON Schema reference validator words it; refuse
-    a keyword outside _KEYWORDS, and a list or dict in const or enum."""
-    unknown = set(schema) - _KEYWORDS
-    if unknown:
-        raise ValueError(f"the record check implements no keyword {sorted(unknown)}")
-    if any(isinstance(c, (list, dict)) for c in [schema.get("const"), *schema.get("enum", ())]):
-        raise ValueError("the record check compares scalars only, in const and enum")
-    if "type" in schema:
-        types = schema["type"] if isinstance(schema["type"], list) else [schema["type"]]
-        if not any(_is_type(value, t) for t in types):
-            raise RecordError(f"{path}: {value!r} is not of type "
-                              + ", ".join(map(repr, types)))
-    if "const" in schema and not _equal(value, schema["const"]):
-        raise RecordError(f"{path}: {schema['const']!r} was expected")
-    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
-        raise RecordError(f"{path}: {value!r} is not one of {schema['enum']!r}")
-    if isinstance(value, dict):
-        for key in schema.get("required", ()):
-            if key not in value:
-                raise RecordError(f"{path}: {key!r} is a required property")
-        properties = schema.get("properties", {})
-        for key, sub in properties.items():
-            if key in value:
-                _check(value[key], sub, f"{path}.{key}")
-        if "additionalProperties" in schema:
-            for key, item in value.items():
-                if key not in properties:
-                    _check(item, schema["additionalProperties"], f"{path}.{key}")
-    if isinstance(value, list) and "items" in schema:
+def _check(value, hint, path: str) -> None:
+    """Raise RecordError where value at path is not of the type hint, worded
+    as the JSON Schema reference validator words it."""
+    kinds, inner = _plan(hint)
+    if not any(test(value) for _, test in kinds):
+        raise RecordError(f"{path}: {value!r} is not of type "
+                          + ", ".join(repr(name) for name, _ in kinds))
+    if value is None or inner is None:
+        return
+    if isinstance(inner, dict):
+        _check_fields(value, inner, path)
+    elif isinstance(value, list):
         for i, item in enumerate(value):
-            _check(item, schema["items"], f"{path}[{i}]")
+            _check(item, inner, f"{path}[{i}]")
+    else:
+        for key, item in value.items():
+            _check(item, inner, f"{path}.{key}")
 
 
 def validate_record(record: dict) -> None:
-    """Raise RecordError where record breaks RUN_RECORD_SCHEMA, as a
-    Draft 2020-12 validator would refuse it, naming the value's path."""
-    _check(record, RUN_RECORD_SCHEMA, "$")
+    """Raise RecordError where record breaks RECORD_TYPES or the tests
+    beside it, as a Draft 2020-12 validator would refuse the same record,
+    naming the value's path."""
+    _check(record, dict, "$")
+    for key in REQUIRED_KEYS:
+        if key not in record:
+            raise RecordError(f"$: {key!r} is a required property")
+    # by equality only: 3.0 is the version, and True is not
+    if record["schema_version"] != SCHEMA_VERSION:
+        raise RecordError(f"$.schema_version: {SCHEMA_VERSION!r} was expected")
+    _check_fields(record, RECORD_TYPES, "$")
+    if "stopped_reason" in record and record["stopped_reason"] not in STOPPED_REASONS:
+        raise RecordError(f"$.stopped_reason: {record['stopped_reason']!r} is not one of "
+                          f"{list(STOPPED_REASONS)!r}")
+    for i, candidate in enumerate(record.get("candidates", ())):
+        for key in ("label", "select_score"):
+            if key not in candidate:
+                raise RecordError(f"$.candidates[{i}]: {key!r} is a required property")
 
 
 def _sanitize(obj):
@@ -271,7 +260,7 @@ def _record_failure(record: dict, stage: str, exc: Exception) -> None:
 def run_pipeline(cfg: RunConfig) -> dict:
     """Execute one full run and return its RunRecord (never raises; failures
     are recorded with the stage name and mapped exit code, and a record
-    that RUN_RECORD_SCHEMA refuses as failed:record)."""
+    that validate_record refuses as failed:record)."""
     record: dict = {
         "schema_version": SCHEMA_VERSION,
         # each field as given, not copied: a value that cannot be copied or
@@ -443,12 +432,14 @@ def _sweep_row(args):
     t0 = time.perf_counter()
     try:
         rec = run_pipeline(cfg)
-        # each cleaning iteration zeroes one row: cleaning_iters is |S| + |T|
-        zeroed = rec.get("cleaning", {})
+        # each cleaning iteration zeroes one row: cleaning_iters is |S| + |T|,
+        # and None for a run that never reached cleaning
+        zeroed = rec.get("cleaning")
         resamples = [r["resamples"] for r in rec.get("rounds", [])
                      if r["resamples"] is not None]
         row.update(status=rec["status"], error=rec["error"],
-                   cleaning_iters=len(zeroed.get("zeroed_a", [])) + len(zeroed.get("zeroed_b", [])),
+                   cleaning_iters=None if zeroed is None
+                   else len(zeroed["zeroed_a"]) + len(zeroed["zeroed_b"]),
                    resamples_mean=float(np.mean(resamples)) if resamples else None)
         if rec["status"] == "ok":
             row.update(overlap_lap=rec["candidates"][0]["overlap_lap"],
@@ -462,9 +453,13 @@ def _sweep_row(args):
 
 def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
           csv_path=None, summary_path=None, workers: int = 1) -> list[dict]:
-    """Cartesian-product experiment with independent derived seeds per row."""
+    """Cartesian-product experiment with independent derived seeds per row;
+    a list that repeats a value, which would run a cell twice, is refused."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
+    for name, values in dict(ns=ns, rhos=rhos, epsilons=epsilons, strategies=strategies).items():
+        if len(set(values)) < len(values):
+            raise ParameterError(f"{name} repeats a value: {list(values)}")
     cells = list(itertools.product(ns, rhos, epsilons, strategies))
     jobs = []
     row_idx = 0

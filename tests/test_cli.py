@@ -168,6 +168,16 @@ def test_invalid_sweep_list_value_exits_2(lists, tmp_path):
     assert "rows" not in out and not csv_path.exists()
 
 
+def test_a_repeated_sweep_value_exits_2(tmp_path):
+    # one cell run twice would write two trial-0 rows and count 2 trials
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(["sweep", "--n", "80", "--k0", "24", "--trials", "1",
+                              "--epsilons", "0.01,0.01", "--csv", str(csv_path)])
+    assert code == EXIT_CONFIG, err
+    assert err.startswith("config error: epsilons repeats a value")
+    assert "rows" not in out and not csv_path.exists()
+
+
 def test_cli_subprocess_smoke():
     code, out, err = run_cli(["run", "--n", "64", "--rho", "0.9", "--k0", "24",
                               "--master-seed", "3", "--min-rounds", "0"])

@@ -10,7 +10,9 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import dataclass, fields, replace
+import types
+from dataclasses import dataclass, fields, is_dataclass, replace
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from wigmatch.config import RunConfig, field_types, make_config, parse_config_fi
 from wigmatch.denoiser import Schedule
 from wigmatch import pipeline
 from wigmatch.errors import NumericalError, ParameterError, RecordError
-from wigmatch.pipeline import (RUN_RECORD_SCHEMA, SCHEMA_VERSION, Candidate, Cleaning, Final,
+from wigmatch.pipeline import (RECORD_TYPES, SCHEMA_VERSION, Candidate, Cleaning, Final,
                                compare_clean_corrupted, run_pipeline, sweep, validate_record)
 from wigmatch.rng import child, derive_streams, stream_seed
 from wigmatch.spectral import PHI_WINDOW
@@ -179,7 +181,7 @@ def test_run_record_ok_and_schema(tmp_path):
 
 def test_every_top_level_key_is_declared():
     # the check reads only declared keys: an undeclared one goes unchecked
-    declared = set(RUN_RECORD_SCHEMA["properties"])
+    declared = set(RECORD_TYPES)
     ok = run_pipeline(small_cfg(n=80, min_rounds=0, bad_seed_candidates=1,
                                 random_candidates=1))
     setup = run_pipeline(RunConfig(n=64, master_seed=-1))
@@ -196,7 +198,7 @@ def test_record_states_each_fact_once():
     assert rec["status"] == "ok"
     assert rec["schema_version"] == SCHEMA_VERSION == 3
     # the rounds log each round's checks; no section restates them
-    assert "assertions" not in rec and "assertions" not in RUN_RECORD_SCHEMA["properties"]
+    assert "assertions" not in rec and "assertions" not in RECORD_TYPES
     # no flag or count beside the value it restates
     assert list(rec["cleaning"]) == ["zeroed_a", "zeroed_b"]
     assert not {"signal_growth_condition_met", "eq25_satisfied"} & set(rec["schedule"])
@@ -209,40 +211,60 @@ def test_record_states_each_fact_once():
     assert not any("stopped_reason" in c for c in rec["candidates"])
 
 
-_JSON = {"int": "integer", "float": "number", "bool": "boolean", "str": "string"}
+_JSON = {int: "integer", float: "number", bool: "boolean", str: "string", dict: "object"}
 
 
-def _json_of(annotation: str) -> dict:
-    """The JSON Schema of a field annotation as its module writes it."""
-    if annotation.endswith(" | None"):
-        inner = _json_of(annotation.removesuffix(" | None"))
+def _json_of(hint) -> dict:
+    """The Draft 2020-12 schema of a value annotated hint: a dataclass is an
+    object of its fields (the schedule's but rho and k0, the config's), a
+    tuple[X, ...] an array of X and a dict[str, X] an object of X."""
+    if is_dataclass(hint):
+        left_out = ("rho", "k0") if hint is Schedule else ()
+        return {"type": "object", "properties": {
+            name: _json_of(h) for name, h in get_type_hints(hint).items() if name not in left_out}}
+    if isinstance(hint, types.UnionType):      # X | None
+        base, = set(get_args(hint)) - {type(None)}
+        inner = _json_of(base)
         return {**inner, "type": [inner["type"], "null"]}
-    if annotation.startswith("tuple["):
-        return {"type": "array", "items": _json_of(annotation[len("tuple["):-len(", ...]")])}
-    return {"type": _JSON[annotation]}
+    if get_origin(hint) is tuple:
+        return {"type": "array", "items": _json_of(get_args(hint)[0])}
+    if get_origin(hint) is dict:
+        return {"type": "object", "additionalProperties": _json_of(get_args(hint)[1])}
+    return {"type": _JSON[hint]}
+
+
+def _reference_schema() -> dict:
+    """RECORD_TYPES as a Draft 2020-12 schema, with the tests that
+    validate_record makes beside them written as const, enum and required."""
+    props = {key: _json_of(hint) for key, hint in RECORD_TYPES.items()}
+    props["schema_version"] = {"const": SCHEMA_VERSION}
+    props["stopped_reason"]["enum"] = ["t_star", "min_rounds", "spectral"]
+    props["candidates"]["items"]["required"] = ["label", "select_score"]
+    return {"$schema": "https://json-schema.org/draft/2020-12/schema", "type": "object",
+            "required": ["schema_version", "config", "status", "stream_seeds", "stages_s",
+                         "versions"],
+            "properties": props}
 
 
 def test_round_and_schedule_types_come_from_their_dataclasses():
-    props = RUN_RECORD_SCHEMA["properties"]
-    sections = [(props["config"], RunConfig, ()), (props["cleaning"], Cleaning, ()),
-                # rho and k0 are the config's
-                (props["schedule"], Schedule, ("rho", "k0")),
-                (props["rounds"]["items"], RoundLog, ()),
-                (props["candidates"]["items"], Candidate, ()), (props["final"], Final, ())]
-    for section, cls, leave_out in sections:
-        assert section["properties"] == pipeline._properties(cls, leave_out) == {
-            f.name: _json_of(f.type) for f in fields(cls) if f.name not in leave_out}, cls
-    rounds = props["rounds"]["items"]["properties"]
-    schedule = props["schedule"]["properties"]
-    assert rounds["resamples"] == {"type": ["integer", "null"]}
-    assert schedule["ks"] == {"type": "array", "items": {"type": "integer"}}
-    assert list(props["cleaning"]["properties"]) == ["zeroed_a", "zeroed_b"]
+    sections = {"config": RunConfig, "cleaning": Cleaning, "schedule": Schedule,
+                "rounds": tuple[RoundLog, ...], "candidates": tuple[Candidate, ...],
+                "final": Final}
+    assert {key: RECORD_TYPES[key] for key in sections} == sections
+    # the check reads each section's keys from its dataclass's fields, in
+    # order; rho and k0 are the config's
+    for cls in (RunConfig, Cleaning, Schedule, RoundLog, Candidate, Final):
+        left_out = ("rho", "k0") if cls is Schedule else ()
+        assert list(pipeline._plan(cls)[1]) == [
+            f.name for f in fields(cls) if f.name not in left_out], cls
+    props = _reference_schema()["properties"]
+    assert props["rounds"]["items"]["properties"]["resamples"] == {"type": ["integer", "null"]}
+    assert props["schedule"]["properties"]["ks"] == {"type": "array", "items": {"type": "integer"}}
     assert props["candidates"]["items"]["properties"]["goodness"] == {
         "type": ["boolean", "null"]}
-    assert props["candidates"]["items"]["required"] == ["label", "select_score"]
-    assert props["final"]["properties"]["select_scores"] == {
-        "type": "array", "items": {"type": "integer"}}
+    assert props["stages_s"] == {"type": "object", "additionalProperties": {"type": "number"}}
 
+    # a field that a new dataclass annotates is checked with no other edit
     @dataclass
     class Made:
         label: str | None
@@ -251,9 +273,14 @@ def test_round_and_schedule_types_come_from_their_dataclasses():
 
     assert field_types(Made) == {"label": (str, True), "xs": (tuple[float, ...], False),
                                  "flag": (bool, False)}
-    assert pipeline._properties(Made, leave_out=("flag",)) == {
-        "label": {"type": ["string", "null"]},
-        "xs": {"type": "array", "items": {"type": "number"}}}
+    pipeline._check({"label": None, "xs": [0.5, 2], "flag": True}, Made, "$")
+    for value, message in [({"label": 3}, "$.label: 3 is not of type 'string', 'null'"),
+                           ({"xs": [0.5, "x"]}, "$.xs[1]: 'x' is not of type 'number'"),
+                           ({"xs": (0.5,)}, "$.xs: (0.5,) is not of type 'array'"),
+                           ({"label": "a", "flag": 1}, "$.flag: 1 is not of type 'boolean'")]:
+        with pytest.raises(RecordError) as exc:
+            pipeline._check(value, Made, "$")
+        assert str(exc.value) == message
 
 
 def test_validate_record_rejects_missing_status():
@@ -301,20 +328,25 @@ def _record_cases():
                                 bad_seed_candidates=1, random_candidates=1, verbose=True))
     ok0 = run_pipeline(small_cfg(n=80, min_rounds=0))
     failed = run_pipeline(RunConfig(n=64, master_seed=-1))
+    # cleaning and schedule, but no rounds, candidates or final
+    amp = run_pipeline(RunConfig(n=100, k0=24, epsilon=0.7, strategy="zero-out",
+                                 master_seed=1).validate())
     assert ok["status"] == ok0["status"] == "ok" and failed["status"] != "ok"
+    assert amp["status"] == "failed:amp" and "schedule" in amp and "rounds" not in amp
     assert ok["cleaning"]["zeroed_a"] == [57]
-    cases = [("ok", ok), ("ok t*=0", ok0), ("failed", failed)]
+    cases = [("ok", ok), ("ok t*=0", ok0), ("failed", failed), ("failed:amp", amp)]
+    schema = _reference_schema()
 
     def edit(label, path, value=None, delete=False):
         cases.append((f"{label} at {path}", _edited(ok, path, value, delete)))
 
-    for key in RUN_RECORD_SCHEMA["required"]:
+    for key in schema["required"]:
         edit("deleted", (key,), delete=True)
-    props = RUN_RECORD_SCHEMA["properties"]
+    props = schema["properties"]
     # a wrong type for every typed property and list item, and the edge
     # cases of integer
     values = ["text", 2, 2.0, 2.5, True, None, [], {}]
-    for path, sub in _typed(RUN_RECORD_SCHEMA, ok):
+    for path, sub in _typed(schema, ok):
         if "type" in sub:
             for value in values:
                 edit(repr(value), path, value)
@@ -335,8 +367,9 @@ def _record_cases():
 def test_record_check_agrees_with_jsonschema():
     import jsonschema
 
-    jsonschema.Draft202012Validator.check_schema(RUN_RECORD_SCHEMA)
-    reference = jsonschema.Draft202012Validator(RUN_RECORD_SCHEMA)
+    schema = _reference_schema()
+    jsonschema.Draft202012Validator.check_schema(schema)
+    reference = jsonschema.Draft202012Validator(schema)
     outcomes = set()
     for label, rec in _record_cases():
         errors = list(reference.iter_errors(rec))
@@ -353,22 +386,6 @@ def test_record_check_agrees_with_jsonschema():
     assert outcomes == {True, False}
 
 
-@pytest.mark.parametrize("a, b", [(1, 1.0), (1, True), (0, False), (True, True), (None, 0),
-                                  ("1", 1)])
-def test_const_equality_follows_jsonschema(a, b):
-    from jsonschema._utils import equal
-
-    assert pipeline._equal(a, b) is pipeline._equal(b, a) is equal(a, b)
-
-
-@pytest.mark.parametrize("schema", [{"const": [2]}, {"const": {"v": 2}},
-                                    {"enum": ["t_star", ["spectral"]]}])
-def test_record_check_refuses_a_list_or_dict_to_compare(schema):
-    # _equal compares scalars only, as the schema's const and enum hold
-    with pytest.raises(ValueError, match="scalars only"):
-        pipeline._check([2], schema, "$")
-
-
 def test_record_check_refuses_a_broken_figure_in_every_section():
     ok = run_pipeline(small_cfg(n=80, min_rounds=0))
     assert ok["status"] == "ok"
@@ -382,13 +399,6 @@ def test_record_check_refuses_a_broken_figure_in_every_section():
         with pytest.raises(RecordError) as exc:
             validate_record(_edited(ok, path, value))
         assert str(exc.value) == message
-
-
-def test_record_check_refuses_a_keyword_it_does_not_implement(monkeypatch):
-    rec = run_pipeline(small_cfg(n=80, min_rounds=0))
-    monkeypatch.setitem(RUN_RECORD_SCHEMA["properties"]["final"], "minProperties", 1)
-    with pytest.raises(ValueError, match="minProperties"):
-        validate_record(rec)
 
 
 def test_run_validates_its_record_without_jsonschema(subprocess_env):
@@ -581,11 +591,9 @@ def test_no_config_value_makes_run_pipeline_raise(kw, tmp_path, monkeypatch):
 
 
 def test_refused_record_is_recorded_and_its_manifest_written(tmp_path, monkeypatch):
-    # run_pipeline never raises: a record that the schema refuses becomes
+    # run_pipeline never raises: a record that the check refuses becomes
     # failed:record, and the manifest is still written
-    schema = copy.deepcopy(RUN_RECORD_SCHEMA)
-    schema["required"].append("nonexistent")
-    monkeypatch.setattr(pipeline, "RUN_RECORD_SCHEMA", schema)
+    monkeypatch.setattr(pipeline, "REQUIRED_KEYS", (*pipeline.REQUIRED_KEYS, "nonexistent"))
     out = tmp_path / "run.json"
     rec = run_pipeline(small_cfg(output=str(out)))
     assert (rec["status"], rec["exit_code"]) == ("failed:record", 1)
@@ -881,10 +889,24 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
                   "overlap_lap": 0.3125, "overlap_refine": 0.275, "overlap_final": 0.275,
                   "cleaning_iters": 2, "resamples_mean": 65.0, "error": None}
     assert setup.pop("error").startswith("ParameterError")
+    # the run never reached cleaning: no count of zeroed rows, not 0
     assert setup == {"n": 10, **cell, "master_seed": child(7, 1), "status": "failed:setup",
                      "overlap_lap": None, "overlap_refine": None, "overlap_final": None,
-                     "cleaning_iters": 0, "resamples_mean": None}
+                     "cleaning_iters": None, "resamples_mean": None}
     assert raised == {"n": 80, **cell, "master_seed": child(7, 0), "status": "failed:sweep",
                       "overlap_lap": None, "overlap_refine": None, "overlap_final": None,
                       "cleaning_iters": None, "resamples_mean": None,
                       "error": "run_pipeline raised"}
+
+
+@pytest.mark.parametrize("lists", [dict(ns=[80, 80]), dict(rhos=[0.9, 0.9]),
+                                   dict(epsilons=[0.01, 0.0, 0.01]),
+                                   dict(strategies=["zero-out", "zero-out"])])
+def test_sweep_refuses_a_repeated_value_before_the_first_row(lists, tmp_path, monkeypatch):
+    # a repeated value would run one cell twice, both times as trial 0
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: pytest.fail("a row ran"))
+    grid = {**dict(ns=[80], rhos=[0.9], epsilons=[0.0], strategies=["zero-out"]), **lists}
+    name = next(iter(lists))
+    with pytest.raises(ParameterError, match=f"^{name} repeats a value"):
+        sweep(small_cfg(n=80), **grid, trials=1, csv_path=tmp_path / "rows.csv")
+    assert not (tmp_path / "rows.csv").exists()
