@@ -44,14 +44,43 @@ class CorruptionPlan:
 @dataclass(frozen=True)
 class ObservedPair:
     """A' and B', or their bool indicator pair (A' >= 1, B' >= 1): refinement
-    and selection read A' and B' only through x >= 1, so either pair gives
-    them the same result."""
+    and selection read A' and B' only through x >= 1, so either pair, or
+    its IndicatorBits, gives them the same result."""
     a_prime: np.ndarray
     b_prime: np.ndarray
 
     @property
     def n(self) -> int:
         return self.a_prime.shape[0]
+
+
+@dataclass(frozen=True)
+class IndicatorBits:
+    """The indicator pair (A' >= 1, B' >= 1) with each row packed into bits
+    as np.packbits packs it, first column in the high bit and zero pad
+    bits: two n x ceil(n / 8) uint8 matrices, a sixty-fourth of A' and B'."""
+    a: np.ndarray
+    b: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.a.shape[0]
+
+
+def _pack_indicator(m: np.ndarray) -> np.ndarray:
+    """m >= 1 with each row packed into bits, NOISE_ROWS rows at a time, so
+    no n x n bool matrix is held."""
+    bits = np.empty((m.shape[0], (m.shape[1] + 7) // 8), dtype=np.uint8)
+    for start in range(0, m.shape[0], NOISE_ROWS):
+        bits[start:start + NOISE_ROWS] = np.packbits(m[start:start + NOISE_ROWS] >= 1.0, axis=1)
+    return bits
+
+
+def indicator_bits(obs: ObservedPair | IndicatorBits) -> IndicatorBits:
+    """The IndicatorBits of an observed pair, float or bool; bits as they are."""
+    if isinstance(obs, IndicatorBits):
+        return obs
+    return IndicatorBits(_pack_indicator(obs.a_prime), _pack_indicator(obs.b_prime))
 
 
 def _row_blocks(n: int):

@@ -15,18 +15,19 @@ dump are not timed.
 Each stage owns the matrices it replaces, no stage before the LAP copies
 an n x n matrix, and each dies at its last use.  generate builds the
 correlated matrix in Z's buffer and permutes it into B in place; corrupt
-turns A and B into A' and B' in place; cleaning builds the bool
-indicators (refine and selection read only those), then re-injects noise
-over A' and B', each block of noise rows as it is drawn, and cleans them
-in their own buffers; AMP multiplies by the cleaned pair where it lies,
-for every seed pair; the cleaned pair dies after AMP and each score after
-its assignment.
-generate, corrupt and AMP hold 2 n x n float64 and cleaning about 2.25.
-By ru_maxrss at n = 3000 the run peaks at about 207 MB, 2.54 to 2.56 n x n
-above a freshly imported process (2.42 to 2.45 after a small run): a
-spiked run in AMP, whose first n x n by n x d product with d >= 2 touches
-OpenBLAS's threaded GEMM buffer (+0.12 to +0.15 n x n with two threads),
-and an un-spiked one within 0.02 of that in cleaning (S4's blocks of P).
+turns A and B into A' and B' in place; cleaning packs the indicators
+A' >= 1 and B' >= 1 into bits (refine and selection read only those),
+then re-injects noise over A' and B', each block of noise rows as it is
+drawn, and cleans them in their own buffers; AMP multiplies by the
+cleaned pair where it lies, for every seed pair; the cleaned pair dies
+after AMP and each score after its assignment.
+generate, corrupt and AMP hold 2 n x n float64, and cleaning and AMP the
+bits beside them, 1/32 n x n.  By ru_maxrss at n = 3000 the run peaks at
+about 192 MB, 2.32 to 2.34 n x n above a freshly imported process (2.20
+to 2.22 after a small run): a spiked run in AMP, whose first n x n by
+n x d product with d >= 2 touches OpenBLAS's threaded GEMM buffer (+0.12
+to +0.15 n x n with two threads), and an un-spiked one within 0.02 of
+that in cleaning (S4's blocks of P).
 Score, LAP and refine add nothing above it.  run_pipeline is the one
 writer of the --trace-cleaning rows, to <output>.cleaning.jsonl just
 before the record.

@@ -16,17 +16,18 @@ iteration finds the singular vectors at every n.
 
 Power iteration proves the last step only slowly when no spike is left:
 the top of the spectrum has no gap.  A solve whose estimate is below the
-threshold tries, once, a ladder of two Schatten-norm bounds on sigma_1, as
-soon as its own iterates say that converging would cost more: from the
-third iteration on, the ratio r of the last two changes of sigma predicts
-the iterations left, log(POWER_TOL * sigma / |change|) / log r (infinite
-for r >= 1), and the bounds are tried once that exceeds S4's measured cost
-in power iterations (_certificate_cost).  The Schatten-4 norm
-S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2), P = M^T M, is summed over the
-blocks of P on and above its diagonal, so P is never held whole; only
-when it does not certify is P formed, for the Schatten-8 norm
-S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over the
-blocks of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.
+threshold tries a ladder of two Schatten-norm bounds on sigma_1, each rung
+at most once and S4 before S8, as soon as its own iterates say that
+converging would cost more than the rung: from the third iteration on,
+the ratio r of the last two changes of sigma predicts the iterations
+left, log(POWER_TOL * sigma / |change|) / log r (infinite for r >= 1),
+and a rung is tried once that exceeds its measured cost in power
+iterations (_certificate_cost for S4, RUNG_COST["S8"] times that for S8).
+The Schatten-4 norm S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2),
+P = M^T M, is summed over the blocks of P on and above its diagonal, so P
+is never held whole; only for the Schatten-8 norm, after S4 failed, is P
+formed: S8 = ||P P||_F^(1/4) = S4(P)^(1/2) (P is symmetric), summed over
+the blocks of P P on and above its diagonal alike, and S4 >= S8 >= sigma_1.
 When the bound lies below the threshold the loop stops there.  Power
 iteration's estimate never exceeds sigma_1, so the uncertified loop would
 have stopped at the same step and the zeroed sets are unchanged.
@@ -40,7 +41,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import ObservedPair, _noise_blocks, _row_blocks, _symmetric_standard_normal
+from .model import (IndicatorBits, ObservedPair, _noise_blocks, _pack_indicator, _row_blocks,
+                    _symmetric_standard_normal)
 from .rng import child, generator
 
 THRESHOLD_MULT = 10.0   # cleaning stops below THRESHOLD_MULT * sqrt(n)
@@ -50,6 +52,10 @@ POWER_TOL = 1e-10       # a power solve stops at this relative change of sigma
 CERTIFY_MARGIN = 1e-9
 # Rows of M^T M per block of its sum of squares (of P P, for S8, with P = M^T M).
 BOUND_ROWS = 256
+# What each rung costs in S4s.  Forming P and its S4, once S4 has failed,
+# took 1.7-2.7 S4s at n = 500, 1000, 2000, 3000 and 5000, timed as
+# _certificate_cost was.
+RUNG_COST = {"S4": 1.0, "S8": 2.0}
 
 
 @dataclass(frozen=True)
@@ -107,15 +113,16 @@ def _reinject_in_place(m: np.ndarray, blocks) -> None:
     np.fill_diagonal(m, 0.0)
 
 
-def certificate(m: np.ndarray, below: float) -> tuple[str, float]:
-    """The first rung of the ladder S4 >= S8 >= sigma_1 that certifies
-    sigma_1 < below, as ("S4", S4) or ("S8", S8); ("S8", S8) also when
-    neither does.  P = M^T M is formed only when S4 fails."""
-    s4 = _schatten4(m)
-    if certifies(s4, below):
-        return "S4", s4
-    # P is symmetric, so ||P P||_F = ||P^T P||_F = S4(P)^2
-    return "S8", math.sqrt(_schatten4(m.T @ m))
+def certificate(m: np.ndarray, below: float, rungs=tuple(RUNG_COST)) -> tuple[str, float]:
+    """The first of rungs, of the ladder S4 >= S8 >= sigma_1, that certifies
+    sigma_1 < below, as (norm, bound); the last one's when none does.
+    P = M^T M is formed only for S8."""
+    for norm in rungs:
+        # P is symmetric, so ||P P||_F = ||P^T P||_F = S4(P)^2
+        bound = _schatten4(m) if norm == "S4" else math.sqrt(_schatten4(m.T @ m))
+        if certifies(bound, below):
+            break
+    return norm, bound
 
 
 def _schatten4(m: np.ndarray) -> float:
@@ -158,16 +165,17 @@ def certifies(bound: float, below: float) -> bool:
 
 def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
     """Leading singular value and unit left/right singular vectors, the
-    iteration count and the certificate (norm, bound), or None if untried,
+    iteration count and the last certificate tried (norm, bound), or None,
     by power iteration: M v / M^T u alternate until the singular-value
     estimate stagnates.
 
     With `below` given, an unconverged solve whose estimate is under
-    `below` computes the certificate once, at the first iteration from the
-    third on where _iterations_left exceeds _certificate_cost(n), and
-    stops there if its bound certifies sigma_1 < below.  The try moves
-    only the iteration at which the loop may stop, never its arithmetic.  The returned sigma is always power
-    iteration's estimate, a lower bound on sigma_1.
+    `below` tries each rung of the certificate once, S4 before S8, at the
+    first iteration from the third on where _iterations_left exceeds the
+    rung's cost, RUNG_COST times _certificate_cost(n), and stops there if
+    its bound certifies sigma_1 < below.  The tries move only the iteration
+    at which the loop may stop, never its arithmetic.  The returned sigma
+    is always power iteration's estimate, a lower bound on sigma_1.
     """
     n = m.shape[0]
     if v0 is not None:
@@ -182,6 +190,7 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
     delta_prev = math.inf
     u = np.zeros(n)
     cert = None
+    untried = list(RUNG_COST) if below is not None else []
     for it in range(1, max_iter + 1):
         w = m @ v
         sw = np.linalg.norm(w)
@@ -196,11 +205,14 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
         delta = abs(sigma - sigma_prev)
         if delta <= POWER_TOL * max(sigma, 1.0):
             return float(sigma), u, v, it, cert
-        if (below is not None and cert is None and sigma < below and it >= 3
-                and _iterations_left(delta, delta_prev, sigma) > _certificate_cost(n)):
-            cert = certificate(m, below)
-            if certifies(cert[1], below):
-                return float(sigma), u, v, it, cert
+        if untried and sigma < below and it >= 3:
+            left = _iterations_left(delta, delta_prev, sigma)
+            rungs = [r for r in untried if left > RUNG_COST[r] * _certificate_cost(n)]
+            if rungs:
+                cert = certificate(m, below, rungs)
+                if certifies(cert[1], below):
+                    return float(sigma), u, v, it, cert
+                del untried[:len(rungs)]
         sigma_prev, delta_prev = sigma, delta
     raise NumericalError(
         f"power iteration did not converge in {max_iter} iterations "
@@ -276,20 +288,21 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = THRESHOLD_M
 
 
 def _clean_owned(observed: list, seed: int,
-                 trace: list | None = None) -> tuple[CleanedPair, ObservedPair]:
+                 trace: list | None = None) -> tuple[CleanedPair, IndicatorBits]:
     """clean_pair on observed = [A', B'], float matrices which the list hands
     over: it is emptied, and one matrix at a time, its indicator x >= 1 is
-    built, the noise is re-injected over it in place (G for A', then H for
-    B') and it is cleaned in place, so cleaning holds no n x n matrix beyond
-    the pair.  Returns the cleaned pair and the bool pair (A' >= 1, B' >= 1),
-    which is all that refinement and selection read of A' and B'.  With
-    `trace` a list, every solve's trace row is appended to it, with
-    "matrix" "a" or "b"."""
+    packed into bits, a block of rows at a time, the noise is re-injected
+    over it in place (G for A', then H for B') and it is cleaned in place,
+    so cleaning holds no n x n matrix beyond the pair, not even a bool one.
+    Returns the cleaned pair and the IndicatorBits of (A', B'), which is
+    all that refinement and selection read of A' and B'.  With `trace` a
+    list, every solve's trace row is appended to it, with "matrix" "a" or
+    "b"."""
     rng = _noise_stream(observed[0], observed[1], child(seed, 0))
     cleaned, zeroed, indicators = [], [], []
     for side, name in ((1, "a"), (2, "b")):
         m = observed.pop(0)
-        indicators.append(m >= 1.0)
+        indicators.append(_pack_indicator(m))
         _reinject_in_place(m, _noise_blocks(m.shape[0], rng))
         rows: list | None = [] if trace is not None else None
         zeroed.append(_clean_in_place(m, child(seed, side), rows))
@@ -297,4 +310,4 @@ def _clean_owned(observed: list, seed: int,
         if trace is not None:
             trace.extend({"matrix": name, **row} for row in rows)
     cp = CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=zeroed[0], t=zeroed[1])
-    return cp, ObservedPair(*indicators)
+    return cp, IndicatorBits(*indicators)

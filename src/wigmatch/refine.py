@@ -31,6 +31,12 @@ diagonal at u from it and reads the table once, at pi^-1(v); A' and B' are
 symmetric, so a swap's two vectors are indicator rows.  A swap thus costs a few O(n) vector
 updates and nothing over all n that it leaves unchanged.
 
+Refinement and selection read the indicators as IndicatorBits, each row
+packed into bits, which cleaning hands over; an observed pair, float or
+bool, is packed on entry (model.indicator_bits).  Rows are unpacked where
+they are read: UNPACK_ROWS at a time into the float32 operands of the
+table build and into the selection count, and one at a time for a swap.
+
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
 with T Owen's T function (Owen, "Tables for computing bivariate normal
 probabilities", Ann. Math. Statist. 1956), computed from its defining
@@ -47,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import ObservedPair
+from .model import IndicatorBits, ObservedPair, indicator_bits
 
 
 def compute_alpha() -> float:
@@ -100,13 +106,14 @@ class RefineParams:
                    max_swaps=int(max_swaps) if max_swaps is not None else 10 * n)
 
 
-def neighborhood_stat(obs: ObservedPair, pi: np.ndarray, u: int, v: int,
+def neighborhood_stat(obs: ObservedPair | IndicatorBits, pi: np.ndarray, u: int, v: int,
                       alpha: float | None = None) -> float:
     """N(u, v) summed over all w in [n], exactly as defined."""
     if alpha is None:
         alpha = compute_alpha()
-    a_row = (obs.a_prime[u, :] >= 1.0).astype(float) - alpha
-    b_row = (obs.b_prime[v, np.asarray(pi, dtype=np.intp)] >= 1.0).astype(float) - alpha
+    bits = indicator_bits(obs)
+    a_row = _unpacked(bits.a[u], bits.n).astype(float) - alpha
+    b_row = _unpacked(bits.b[v], bits.n)[np.asarray(pi, dtype=np.intp)].astype(float) - alpha
     return float(a_row @ b_row)
 
 
@@ -114,6 +121,21 @@ def neighborhood_stat(obs: ObservedPair, pi: np.ndarray, u: int, v: int,
 BATCH_SWAPS = 32
 # Bad rows compared per block of the qualification scan.
 SCAN_ROWS = 32
+# Packed rows unpacked per block of the table build and the selection count.
+UNPACK_ROWS = 512
+
+
+def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
+    """The 0/1 uint8 entries of packed rows of n columns (one row or many)."""
+    return np.unpackbits(bits, axis=-1, count=n)
+
+
+def _unpacked_f32(bits: np.ndarray, n: int) -> np.ndarray:
+    """Packed rows as 0/1 float32, unpacked UNPACK_ROWS rows at a time."""
+    out = np.empty((bits.shape[0], n), dtype=np.float32)
+    for start in range(0, bits.shape[0], UNPACK_ROWS):
+        out[start:start + UNPACK_ROWS] = _unpacked(bits[start:start + UNPACK_ROWS], n)
+    return out
 
 
 class CoNeighbourTable:
@@ -126,18 +148,20 @@ class CoNeighbourTable:
     factors da and db and folds BATCH_SWAPS of them into the float32 table
     c with one product, c += da^T db; a read adds the pending rows.  Every
     value is an integer below 2^24, so all float32 sums are exact.  The
-    observed pair and its bool indicator pair (A' >= 1, B' >= 1) give the
-    same counts."""
+    table keeps the pair as IndicatorBits (bits_a, bits_b), unpacks both
+    into the float32 operands of its build, which die with it, and a swap
+    unpacks its four rows.  The observed pair, its bool indicator pair
+    (A' >= 1, B' >= 1) and their IndicatorBits give the same counts."""
 
-    def __init__(self, obs: ObservedPair, pi: np.ndarray):
-        self.ind_a = obs.a_prime >= 1.0
-        self.ind_b = obs.b_prime >= 1.0
+    def __init__(self, obs: ObservedPair | IndicatorBits, pi: np.ndarray):
+        bits = indicator_bits(obs)
+        self.bits_a, self.bits_b = bits.a, bits.b
         self.pi = np.array(pi, dtype=np.intp, copy=True)
-        n = self.pi.size
+        n = self.n = self.pi.size
         self.inv = np.empty_like(self.pi)
         self.inv[self.pi] = np.arange(n)
         # 0/1 products summed in float32, exact for counts below 2^24
-        self.c = self.ind_a.astype(np.float32) @ self.ind_b[self.pi].astype(np.float32)
+        self.c = _unpacked_f32(self.bits_a, n) @ _unpacked_f32(self.bits_b[self.pi], n)
         self.cur = self.c[np.arange(n), self.pi]
         self.da = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.db = np.empty((BATCH_SWAPS, n), dtype=np.float32)
@@ -161,8 +185,9 @@ class CoNeighbourTable:
         # Column u of the permuted B indicator becomes B[:, v] and column p_v
         # becomes B[:, w_u], so C += (A[u] - A[p_v]) (B[v] - B[w_u])^T.
         da, db = self.da[self.k], self.db[self.k]
-        np.subtract(self.ind_a[u], self.ind_a[p_v], out=da, dtype=np.float32)
-        np.subtract(self.ind_b[v], self.ind_b[w_u], out=db, dtype=np.float32)
+        a, b, n = self.bits_a, self.bits_b, self.n
+        np.subtract(_unpacked(a[u], n), _unpacked(a[p_v], n), out=da, dtype=np.float32)
+        np.subtract(_unpacked(b[v], n), _unpacked(b[w_u], n), out=db, dtype=np.float32)
         np.take(db, self.pi, out=self._buf)
         self._buf *= da
         self.cur += self._buf
@@ -205,7 +230,7 @@ def _integer_cuts(params: RefineParams, n: int) -> tuple[np.ndarray, np.ndarray]
     return cuts[0], cuts[1]
 
 
-def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
+def seeded_refine(obs: ObservedPair | IndicatorBits, pi_tilde: np.ndarray, rho: float,
                   params: RefineParams | None = None,
                   selection: str = "scan-order",
                   trace: list | None = None):
@@ -217,8 +242,9 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     info = {"swaps": int, "truncated": bool, "select_score": int}, where
     select_score = 1/2 sum_u C(u, pi_hat(u)) is selection_score(obs, pi_hat)
     read off the table's diagonal (A', B' symmetric with a zero diagonal).
-    obs is read only through x >= 1, so the observed pair and its bool
-    indicator pair (A' >= 1, B' >= 1) give the same result.
+    obs is read only through x >= 1, so the observed pair, its bool
+    indicator pair (A' >= 1, B' >= 1) and their IndicatorBits give the same
+    result.
     """
     n = obs.n
     pi = np.array(pi_tilde, dtype=np.intp, copy=True)
@@ -231,8 +257,8 @@ def seeded_refine(obs: ObservedPair, pi_tilde: np.ndarray, rho: float,
     alpha = params.alpha
     table = CoNeighbourTable(obs, pi)
     pi, inv, cur = table.pi, table.inv, table.cur
-    deg_a = np.count_nonzero(table.ind_a, axis=1)
-    deg_b = np.count_nonzero(table.ind_b, axis=1)
+    deg_a = np.bitwise_count(table.bits_a).sum(axis=1, dtype=np.intp)
+    deg_b = np.bitwise_count(table.bits_b).sum(axis=1, dtype=np.intp)
     t_hi, t_lo = _integer_cuts(params, n)
     # t_hi by (distinct d_A value, v), so a row block's thresholds are a row
     # gather; float32 like the table, and exact, as both hold small integers
@@ -292,26 +318,34 @@ def _first_qualifying(table, rows, bad_v, hi_by_deg, da_code):
     return None
 
 
-def selection_score(obs: ObservedPair, pi: np.ndarray) -> int:
+def selection_score(obs: ObservedPair | IndicatorBits, pi: np.ndarray) -> int:
     """Number of unordered pairs u < v with A'[u,v] >= 1 and B'[pi(u),pi(v)] >= 1.
 
-    The observed pair and its bool indicator pair (A' >= 1, B' >= 1) give the
-    same count.
+    The observed pair, its bool indicator pair (A' >= 1, B' >= 1) and their
+    IndicatorBits give the same count.
     """
+    bits = indicator_bits(obs)
     pi = np.asarray(pi, dtype=np.intp)
     n = pi.size
-    # B' is read only at the pairs above the diagonal where A' >= 1
-    upper = obs.a_prime >= 1.0
-    upper &= ~np.tri(n, dtype=bool)
-    u, v = np.divmod(np.flatnonzero(upper), n)
-    return int(np.count_nonzero(obs.b_prime.ravel()[pi[u] * n + pi[v]] >= 1.0))
+    cols = np.arange(n)
+    count = 0
+    for start in range(0, n, UNPACK_ROWS):
+        rows = slice(start, start + UNPACK_ROWS)
+        # rows u of A' >= 1 above the diagonal, against rows pi(u) of
+        # B' >= 1 in the columns pi(v)
+        both = _unpacked(bits.a[rows], n).view(bool)
+        both &= cols[rows, None] < cols
+        both &= _unpacked(bits.b[pi[rows]], n).view(bool)[:, pi]
+        count += int(np.count_nonzero(both))
+    return count
 
 
-def final_select(obs: ObservedPair, candidates) -> tuple[np.ndarray, list[int]]:
+def final_select(obs: ObservedPair | IndicatorBits, candidates) -> tuple[np.ndarray, list[int]]:
     """Candidate with the largest selection score; first occurrence wins ties."""
     candidates = list(candidates)
     if not candidates:
         raise ParameterError("final_select needs at least one candidate")
-    scores = [selection_score(obs, pi) for pi in candidates]
+    bits = indicator_bits(obs)
+    scores = [selection_score(bits, pi) for pi in candidates]
     best = int(np.argmax(scores))   # argmax returns the first maximiser
     return np.asarray(candidates[best], dtype=np.intp), scores

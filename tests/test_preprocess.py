@@ -8,7 +8,7 @@ import pytest
 from wigmatch import preprocess
 from wigmatch.errors import NumericalError, ParameterError
 from wigmatch.model import (STRATEGIES, ObservedPair, _noise_blocks, _symmetric_standard_normal,
-                            corrupt, generate)
+                            corrupt, generate, indicator_bits)
 from wigmatch.preprocess import (_clean_owned, _reinject_in_place, _singular_triple,
                                  certificate, clean_pair, reinject_noise, spectral_clean)
 from wigmatch.rng import child, generator
@@ -244,9 +244,10 @@ def test_clean_pair_composition():
         else:
             assert last["top_singular_value"] < threshold
     # both final solves contract too slowly to converge before an S4 pays;
-    # a's residual spike leaves S4 above the threshold and S8 proves it
-    assert [(r["matrix"], r["norm"]) for r in rows if r["certified"]] == [("a", "S8"),
-                                                                          ("b", "S4")]
+    # a's residual spike leaves S4 above the threshold, and its tail is then
+    # shorter than an S8 costs, so it converges
+    assert [(r["matrix"], r["norm"]) for r in rows if r["certified"]] == [("b", "S4")]
+    assert [(r["norm"], r["certified"]) for r in rows if r["matrix"] == "a"][-1] == ("S4", False)
 
 
 def test_clean_pair_clean_input_no_removals():
@@ -284,16 +285,37 @@ def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
     assert np.array_equal(obs.a_prime, again.a_prime)
     assert np.array_equal(obs.b_prime, again.b_prime)
     # the owning core run takes the matrices from its list, cleans them as
-    # clean_pair does and returns the indicator pair (A' >= 1, B' >= 1)
+    # clean_pair does and returns the indicator pair (A' >= 1, B' >= 1) in bits
     observed = [again.a_prime, again.b_prime]
-    owned, ind = _clean_owned(observed, 43)
+    owned, bits = _clean_owned(observed, 43)
     assert observed == []
     assert np.array_equal(owned.s, cp.s) and np.array_equal(owned.t, cp.t)
     assert owned.a_clean.tobytes() == cp.a_clean.tobytes()
     assert owned.b_clean.tobytes() == cp.b_clean.tobytes()
-    ref = ObservedPair(obs.a_prime >= 1.0, obs.b_prime >= 1.0)
-    for got, want in ((ind.a_prime, ref.a_prime), (ind.b_prime, ref.b_prime)):
-        assert got.dtype == want.dtype == bool and np.array_equal(got, want)
+    assert_packed_indicators(bits, obs)
+
+
+def assert_packed_indicators(bits, obs):
+    """bits holds np.packbits(x >= 1, axis=1) of each observed matrix, with
+    zero pad bits."""
+    n = obs.n
+    for got, m in ((bits.a, obs.a_prime), (bits.b, obs.b_prime)):
+        assert got.dtype == np.uint8 and got.shape == (n, (n + 7) // 8)
+        assert np.array_equal(got, np.packbits(m >= 1.0, axis=1))
+        assert not np.any(np.unpackbits(got, axis=1)[:, n:])
+    assert bits.n == n
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 150])
+def test_clean_owned_packs_the_indicators(n):
+    # n below 8 and not a multiple of 8 leave pad bits in each row's last
+    # byte; n = 65 and 150 pass a block of NOISE_ROWS rows
+    inst = generate(n, 0.9, "uniform-random", 60 + n)
+    obs, _ = corrupt(inst, 0.05, "planted-clique-weight", 61)
+    _, bits = _clean_owned([obs.a_prime.copy(), obs.b_prime.copy()], 62)
+    assert_packed_indicators(bits, obs)
+    assert_packed_indicators(indicator_bits(obs), obs)
+    assert indicator_bits(bits) is bits
 
 
 def test_spectral_clean_leaves_input_unchanged():
@@ -544,7 +566,7 @@ def test_solve_never_tries_an_s4_dearer_than_every_prediction(monkeypatch):
     monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: math.inf)
     tried = []
     monkeypatch.setattr(preprocess, "certificate",
-                        lambda m, below: tried.append(below) or certificate(m, below))
+                        lambda m, below, *rungs: tried.append(below) or certificate(m, below, *rungs))
     n = 300
     m = goe(n, 4)
     full = _singular_triple(m, seed=3)
@@ -574,7 +596,7 @@ def test_solve_tries_where_the_prediction_first_exceeds_the_price(monkeypatch):
     monkeypatch.setattr(preprocess, "_certificate_cost", lambda n: price)
     tried = []
     monkeypatch.setattr(preprocess, "certificate",
-                        lambda m, below: tried.append(below) or certificate(m, below))
+                        lambda m, below, *rungs: tried.append(below) or certificate(m, below, *rungs))
     sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=3, below=threshold)
     assert iters == first and tried == [threshold]
     assert norm == "S4" and preprocess.certifies(bound, threshold)
@@ -584,14 +606,36 @@ def test_solve_tries_where_the_prediction_first_exceeds_the_price(monkeypatch):
 
 
 def test_a_failed_try_is_not_repeated(monkeypatch):
-    # below sits just above sigma_1, so the rate calls for a try that no
-    # rung can certify; the solve then runs on to convergence untried
+    # below sits just above sigma_1, so the rate calls for tries that no
+    # rung can certify; each rung is tried once, S4 before S8, and the
+    # solve then runs on to convergence untried
     tried = []
     monkeypatch.setattr(preprocess, "certificate",
-                        lambda m, below: tried.append(below) or certificate(m, below))
+                        lambda m, below, rungs: tried.extend(rungs) or certificate(m, below, rungs))
     m = goe(300, 4)
     top = float(np.linalg.norm(m, 2))
     full = _singular_triple(m, seed=3)
     sigma, _, _, iters, (norm, bound) = _singular_triple(m, seed=3, below=top * 1.01)
-    assert tried == [top * 1.01] and norm == "S8" and bound > top * 1.01
+    assert tried == ["S4", "S8"] and norm == "S8" and bound > top * 1.01
     assert (sigma, iters) == (full[0], full[3])
+
+
+def test_a_failed_s4_with_a_short_tail_converges_without_forming_p(monkeypatch):
+    # two spikes below the threshold, at 0.99 and 0.7 of it: S4 sums both
+    # and fails, and the changes of sigma contract by about (0.7 / 0.99)^2
+    # a step, so at the S4 try the predicted tail is shorter than an S8
+    # costs; the solve converges and never forms P = M^T M
+    n = 300
+    threshold = 10.0 * math.sqrt(n)
+    q, _ = np.linalg.qr(np.random.default_rng(7).standard_normal((n, 2)))
+    m = goe(n, 5) + threshold * (0.99 * np.outer(q[:, 0], q[:, 0])
+                                 + 0.7 * np.outer(q[:, 1], q[:, 1]))
+    of_m = []
+    schatten4 = preprocess._schatten4
+    monkeypatch.setattr(preprocess, "_schatten4", lambda x: of_m.append(x is m) or schatten4(x))
+    full = _singular_triple(m, seed=2)
+    sigma, u, v, iters, (norm, bound) = _singular_triple(m, seed=2, below=threshold)
+    assert norm == "S4" and not preprocess.certifies(bound, threshold)
+    assert of_m == [True]   # the S4 of M itself, and no S4 of P
+    assert (sigma, iters) == (full[0], full[3]) and sigma < threshold
+    assert np.array_equal(u, full[1]) and np.array_equal(v, full[2])

@@ -16,7 +16,8 @@ import pytest
 
 from wigmatch import refine
 from wigmatch.errors import ParameterError
-from wigmatch.model import ObservedPair, corrupt, generate, overlap
+from wigmatch.model import IndicatorBits, ObservedPair, corrupt, generate, overlap
+from wigmatch.preprocess import _clean_owned
 from wigmatch.refine import (CoNeighbourTable, RefineParams, compute_alpha,
                              compute_psi, final_select, neighborhood_stat,
                              seeded_refine, selection_score)
@@ -458,10 +459,11 @@ def test_refine_truncated_within_a_batch_matches_dense_recompute():
 
 def test_refine_memory_stays_at_the_table_build():
     # The peak is the float32 product that builds C: both float32 operands
-    # and the result next to the bool indicators, 14.07 bytes per table
-    # entry.  The scan then holds the indicators and C (6 bytes an entry)
-    # plus 256 bytes of swap factors per vertex; float32 copies of both
-    # indicators and a dense threshold table kept beside C would reach 18.
+    # and the result next to the packed indicators, 12.33 bytes per table
+    # entry (14.07 with bool indicators copied from the pair).  The scan
+    # then holds the packed indicators and C (4.25 bytes an entry) plus
+    # 256 bytes of swap factors per vertex; float32 copies of both
+    # indicators and a dense threshold table kept beside C would reach 16.
     n = 400
     inst = generate(n, 0.9, "uniform-random", 101)
     obs, _ = corrupt(inst, 0.01, "rank1-spike", 102)
@@ -480,7 +482,7 @@ def test_refine_memory_stays_at_the_table_build():
     finally:
         tracemalloc.stop()
     assert info["swaps"] > refine.BATCH_SWAPS
-    assert peak <= 14.08 * n * n, f"peak {peak / (n * n):.3f} bytes per entry"
+    assert peak <= 12.4 * n * n, f"peak {peak / (n * n):.3f} bytes per entry"
 
 
 # ---------------------------------------------------------- final select
@@ -597,3 +599,36 @@ def test_refine_and_selection_same_on_indicator_pair():
         assert selection_score(obs, p) == selection_score(ind, p)
         assert np.array_equal(CoNeighbourTable(obs, p).rows(np.arange(n)),
                               CoNeighbourTable(ind, p).rows(np.arange(n)))
+
+
+@pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 150])
+def test_refine_and_selection_same_on_indicator_bits(n):
+    # the bits that cleaning hands over and the float observed pair give the
+    # same refinement, swap trace and scores; n below 8 and n not a
+    # multiple of 8 leave pad bits in each row's last byte
+    inst = generate(n, 0.9, "uniform-random", 36 + n)
+    obs, _ = corrupt(inst, 0.05, "rank1-spike", 37)
+    _, bits = _clean_owned([obs.a_prime.copy(), obs.b_prime.copy()], 38)
+    assert isinstance(bits, IndicatorBits)
+    rng = np.random.default_rng(n)
+    pi = inst.pi_star.copy()
+    for _ in range(n // 3):
+        u, v = rng.integers(n, size=2)
+        pi[u], pi[v] = pi[v], pi[u]
+    got = []
+    for pair in (obs, bits):
+        trace = []
+        out, info = seeded_refine(pair, pi, 0.9, trace=trace)
+        got.append((out.tolist(), info, trace))
+    assert got[0] == got[1]
+    if n >= 63:
+        assert got[0][1]["swaps"] > 0
+    cands = [pi, np.array(got[0][0]), rng.permutation(n), inst.pi_star]
+    for p in cands:
+        assert selection_score(bits, p) == selection_score(obs, p)
+        assert selection_score(bits, p) == reference_selection_score(obs, p)
+    pi_obs, scores_obs = final_select(obs, cands)
+    pi_bits, scores_bits = final_select(bits, cands)
+    assert np.array_equal(pi_obs, pi_bits) and scores_obs == scores_bits
+    for u, v in rng.integers(n, size=(5, 2)):
+        assert neighborhood_stat(bits, pi, int(u), int(v)) == neighborhood_stat(obs, pi, int(u), int(v))
