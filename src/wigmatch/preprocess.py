@@ -20,9 +20,11 @@ threshold tries a ladder of two Schatten-norm bounds on sigma_1, each rung
 at most once and S4 before S8, as soon as its own iterates say that
 converging would cost more than the rung: from the third iteration on,
 the ratio r of the last two changes of sigma predicts the iterations
-left, log(POWER_TOL * sigma / |change|) / log r (infinite for r >= 1),
-and a rung is tried once that exceeds its measured cost in power
-iterations (_certificate_cost for S4, RUNG_COST["S8"] times that for S8).
+left, log(POWER_TOL * sigma / |change|) / log r, and a rung is tried once
+that exceeds its measured cost in power iterations (_certificate_cost for
+S4, RUNG_COST["S8"] times that for S8).  A change that does not contract
+(r >= 1) predicts no tail: the estimate may still be climbing through the
+threshold, so only S4 is tried on it.
 The Schatten-4 norm S4 = (sum_i sigma_i^4)^(1/4) = ||P||_F^(1/2),
 P = M^T M, is summed over the blocks of P on and above its diagonal, so P
 is never held whole; only for the Schatten-8 norm, after S4 failed, is P
@@ -172,10 +174,11 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
     With `below` given, an unconverged solve whose estimate is under
     `below` tries each rung of the certificate once, S4 before S8, at the
     first iteration from the third on where _iterations_left exceeds the
-    rung's cost, RUNG_COST times _certificate_cost(n), and stops there if
-    its bound certifies sigma_1 < below.  The tries move only the iteration
-    at which the loop may stop, never its arithmetic.  The returned sigma
-    is always power iteration's estimate, a lower bound on sigma_1.
+    rung's cost, RUNG_COST times _certificate_cost(n), S8 only where that
+    prediction is finite, and stops there if its bound certifies
+    sigma_1 < below.  The tries move only the iteration at which the loop
+    may stop, never its arithmetic.  The returned sigma is always power
+    iteration's estimate, a lower bound on sigma_1.
     """
     n = m.shape[0]
     if v0 is not None:
@@ -207,7 +210,10 @@ def _singular_triple(m, max_iter=10000, seed=0, v0=None, below=None):
             return float(sigma), u, v, it, cert
         if untried and sigma < below and it >= 3:
             left = _iterations_left(delta, delta_prev, sigma)
-            rungs = [r for r in untried if left > RUNG_COST[r] * _certificate_cost(n)]
+            # left is infinite when the change does not contract: sigma may
+            # still be rising through `below`, so P is not formed for S8
+            rungs = [r for r in untried if left > RUNG_COST[r] * _certificate_cost(n)
+                     and (r == "S4" or left < math.inf)]
             if rungs:
                 cert = certificate(m, below, rungs)
                 if certifies(cert[1], below):

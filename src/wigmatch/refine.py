@@ -53,7 +53,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import IndicatorBits, ObservedPair, indicator_bits
+from .model import IndicatorBits, ObservedPair, _pack_indicator, indicator_bits
 
 
 def compute_alpha() -> float:
@@ -111,9 +111,14 @@ def neighborhood_stat(obs: ObservedPair | IndicatorBits, pi: np.ndarray, u: int,
     """N(u, v) summed over all w in [n], exactly as defined."""
     if alpha is None:
         alpha = compute_alpha()
-    bits = indicator_bits(obs)
-    a_row = _unpacked(bits.a[u], bits.n).astype(float) - alpha
-    b_row = _unpacked(bits.b[v], bits.n)[np.asarray(pi, dtype=np.intp)].astype(float) - alpha
+    pi = np.asarray(pi, dtype=np.intp)
+    if isinstance(obs, IndicatorBits):
+        a_bits, b_bits = obs.a[u], obs.b[v]
+    else:   # pack only the two rows read
+        a_bits = _pack_indicator(obs.a_prime[u:u + 1])[0]
+        b_bits = _pack_indicator(obs.b_prime[v:v + 1])[0]
+    a_row = _unpacked(a_bits, pi.size).astype(float) - alpha
+    b_row = _unpacked(b_bits, pi.size)[pi].astype(float) - alpha
     return float(a_row @ b_row)
 
 
@@ -128,6 +133,16 @@ UNPACK_ROWS = 512
 def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     """The 0/1 uint8 entries of packed rows of n columns (one row or many)."""
     return np.unpackbits(bits, axis=-1, count=n)
+
+
+# The number of set bits of each byte value, as a table: np.bitwise_count
+# counts them only from NumPy 2.0 on.
+_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+
+
+def _degrees(bits: np.ndarray) -> np.ndarray:
+    """The set bits of each packed row (pad bits are zero)."""
+    return _BYTE_ONES.take(bits).sum(axis=1, dtype=np.intp)
 
 
 def _unpacked_f32(bits: np.ndarray, n: int) -> np.ndarray:
@@ -257,8 +272,7 @@ def seeded_refine(obs: ObservedPair | IndicatorBits, pi_tilde: np.ndarray, rho: 
     alpha = params.alpha
     table = CoNeighbourTable(obs, pi)
     pi, inv, cur = table.pi, table.inv, table.cur
-    deg_a = np.bitwise_count(table.bits_a).sum(axis=1, dtype=np.intp)
-    deg_b = np.bitwise_count(table.bits_b).sum(axis=1, dtype=np.intp)
+    deg_a, deg_b = _degrees(table.bits_a), _degrees(table.bits_b)
     t_hi, t_lo = _integer_cuts(params, n)
     # t_hi by (distinct d_A value, v), so a row block's thresholds are a row
     # gather; float32 like the table, and exact, as both hold small integers

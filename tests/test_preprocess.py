@@ -639,3 +639,30 @@ def test_a_failed_s4_with_a_short_tail_converges_without_forming_p(monkeypatch):
     assert of_m == [True]   # the S4 of M itself, and no S4 of P
     assert (sigma, iters) == (full[0], full[3]) and sigma < threshold
     assert np.array_equal(u, full[1]) and np.array_equal(v, full[2])
+
+
+def test_a_rising_estimate_tries_s4_but_never_forms_p(monkeypatch):
+    # a spike just above `below` and a start vector nearly orthogonal to it:
+    # the changes of sigma grow while the estimate climbs through `below`,
+    # so the solve predicts no tail; it tries S4, which fails, and never
+    # forms P = M^T M for S8
+    n = 300
+    q = np.random.default_rng(7).standard_normal(n)
+    q /= np.linalg.norm(q)
+    m = goe(n, 5) + 55.0 * np.outer(q, q)
+    below = 0.99 * float(np.linalg.norm(m, 2))
+    v0 = np.random.default_rng(8).standard_normal(n)
+    v0 -= (v0 @ q) * q
+    v0 = v0 / np.linalg.norm(v0) + 0.01 * q
+    of_m, left = [], []
+    schatten4, iterations_left = preprocess._schatten4, preprocess._iterations_left
+    monkeypatch.setattr(preprocess, "_schatten4", lambda x: of_m.append(x is m) or schatten4(x))
+    monkeypatch.setattr(preprocess, "_iterations_left",
+                        lambda *a: left.append(iterations_left(*a)) or left[-1])
+    full = _singular_triple(m, v0=v0)
+    sigma, u, v, iters, (norm, bound) = _singular_triple(m, v0=v0, below=below)
+    assert left[0] == math.inf     # the try, at the third iteration
+    assert norm == "S4" and not preprocess.certifies(bound, below)
+    assert of_m == [True]   # the S4 of M itself, and no S4 of P
+    assert (sigma, iters) == (full[0], full[3]) and sigma > below
+    assert np.array_equal(u, full[1]) and np.array_equal(v, full[2])

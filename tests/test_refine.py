@@ -16,7 +16,8 @@ import pytest
 
 from wigmatch import refine
 from wigmatch.errors import ParameterError
-from wigmatch.model import IndicatorBits, ObservedPair, corrupt, generate, overlap
+from wigmatch.model import (IndicatorBits, ObservedPair, corrupt, generate, indicator_bits,
+                            overlap)
 from wigmatch.preprocess import _clean_owned
 from wigmatch.refine import (CoNeighbourTable, RefineParams, compute_alpha,
                              compute_psi, final_select, neighborhood_stat,
@@ -216,6 +217,19 @@ def test_neighborhood_stat_matches_direct_loop(rng):
             ((obs.a_prime[u, w] >= 1.0) - alpha) * ((obs.b_prime[v, pi[w]] >= 1.0) - alpha)
             for w in range(25))
         assert neighborhood_stat(obs, pi, int(u), int(v)) == pytest.approx(direct, abs=1e-10)
+
+
+def test_neighborhood_stat_packs_only_the_two_rows_it_reads(monkeypatch):
+    # a stat of the observed pair costs O(n), not a packing of both matrices
+    inst, obs = clean_obs(40, 0.8, 3)
+    pi = np.random.default_rng(2).permutation(40)
+    packed = []
+    pack = refine._pack_indicator
+    monkeypatch.setattr(refine, "_pack_indicator", lambda m: packed.append(m.shape) or pack(m))
+    got = neighborhood_stat(obs, pi, 5, 9)
+    assert packed == [(1, 40), (1, 40)]
+    monkeypatch.undo()
+    assert got == neighborhood_stat(indicator_bits(obs), pi, 5, 9)
 
 
 # ---------------------------------------------------------------- refine
@@ -632,3 +646,20 @@ def test_refine_and_selection_same_on_indicator_bits(n):
     assert np.array_equal(pi_obs, pi_bits) and scores_obs == scores_bits
     for u, v in rng.integers(n, size=(5, 2)):
         assert neighborhood_stat(bits, pi, int(u), int(v)) == neighborhood_stat(obs, pi, int(u), int(v))
+
+
+def test_refine_runs_without_bitwise_count(monkeypatch):
+    # numpy.bitwise_count exists only from NumPy 2.0 on; the degrees come
+    # from a byte table, so refinement runs on any supported NumPy
+    n = 70
+    inst, obs = clean_obs(n, 0.9, 12)
+    pi0 = shuffled_identity(n, 13)
+    want = seeded_refine(obs, pi0, 0.9)
+    monkeypatch.delattr(np, "bitwise_count", raising=False)
+    bits = indicator_bits(obs)
+    for m, packed in ((obs.a_prime, bits.a), (obs.b_prime, bits.b)):
+        assert np.array_equal(refine._degrees(packed), (m >= 1.0).sum(axis=1))
+    for pair in (obs, bits):
+        got = seeded_refine(pair, pi0, 0.9)
+        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    assert want[1]["swaps"] > 0
