@@ -15,12 +15,12 @@ dump are not timed.
 Each stage owns the matrices it replaces, no stage before the LAP copies
 an n x n matrix, and each dies at its last use.  generate builds the
 correlated matrix in Z's buffer and permutes it into B in place; corrupt
-turns A and B into A' and B' in place; cleaning packs the indicators
-A' >= 1 and B' >= 1 into bits (refine and selection read only those),
-then re-injects noise over A' and B', each block of noise rows as it is
-drawn, and cleans them in their own buffers; AMP multiplies by the
-cleaned pair where it lies, for every seed pair; the cleaned pair dies
-after AMP and each score after its assignment.
+turns A and B into A' and B' in place; the run packs the indicators
+A' >= 1 and B' >= 1 into bits (refine and selection read only those), and
+cleaning then re-injects noise over A' and B', each block of noise rows
+as it is drawn, and cleans them in their own buffers; AMP multiplies by
+the cleaned pair where it lies, for every seed pair; the cleaned pair
+dies after AMP and each score after its assignment.
 generate, corrupt and AMP hold 2 n x n float64, and cleaning and AMP the
 bits beside them, 1/32 n x n.  By ru_maxrss at n = 3000 the run peaks at
 about 192 MB, 2.32 to 2.34 n x n above a freshly imported process (2.20
@@ -29,8 +29,8 @@ n x d product with d >= 2 touches OpenBLAS's threaded GEMM buffer (+0.12
 to +0.15 n x n with two threads), and an un-spiked one within 0.02 of
 that in cleaning (S4's blocks of P).
 Score, LAP and refine add nothing above it.  run_pipeline is the one
-writer of the --trace-cleaning rows, to <output>.cleaning.jsonl just
-before the record.
+writer of the --trace-cleaning rows, cleaning's log of its solves, to
+<output>.cleaning.jsonl just before the record.
 Sweeps run the cartesian product of small parameter grids with independent
 derived seeds and write one CSV row per (cell, trial) plus a JSON summary.
 """
@@ -60,7 +60,7 @@ from .assign import assemble_pi, build_scores, solve_lap
 from .config import RunConfig
 from .denoiser import Schedule, build_schedule, make_denoiser
 from .errors import ParameterError, RecordError, exit_code_for
-from .model import _corrupt_in_place, generate, overlap
+from .model import ObservedPair, _corrupt_in_place, generate, indicator_bits, overlap
 from .preprocess import _clean_owned
 from .refine import RefineParams, seeded_refine, selection_score
 from .rng import child, derive_streams
@@ -275,10 +275,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
         "versions": {"package": _pkg_version, "numpy": np.__version__},
     }
     stage = _Stages(record["stages_s"])
-    clean_trace: list | None = None     # read from cfg once it is valid
+    clean_log: list = []
     try:
         cfg.validate()
-        clean_trace = [] if cfg.trace_cleaning and cfg.output else None
         with stage("schedule", timed=False):
             dn = make_denoiser()
             sched = build_schedule(cfg.rho, cfg.n, cfg.k0, d=dn, min_rounds=cfg.min_rounds)
@@ -293,7 +292,8 @@ def run_pipeline(cfg: RunConfig) -> dict:
             del inst    # A' and B' are now held by observed alone
 
         with stage("clean"):
-            cp, ind = _clean_owned(observed, streams["noise"], trace=clean_trace)
+            ind = indicator_bits(ObservedPair(*observed))
+            cp, clean_log = _clean_owned(observed, streams["noise"])
             cleaning = Cleaning(tuple(cp.s.tolist()), tuple(cp.t.tolist()))
             record["cleaning"] = dataclasses.asdict(cleaning)
 
@@ -363,9 +363,9 @@ def run_pipeline(cfg: RunConfig) -> dict:
     # file descriptor, and an array has no truth value
     if isinstance(cfg.output, (str, os.PathLike)) and cfg.output:
         try:
-            if clean_trace:
+            if clean_log and cfg.trace_cleaning:    # a log only once cfg is valid
                 with open(os.fspath(cfg.output) + ".cleaning.jsonl", "w") as fh:
-                    fh.writelines(json.dumps(row) + "\n" for row in clean_trace)
+                    fh.writelines(json.dumps(row) + "\n" for row in clean_log)
             manifest = json.dumps(record, indent=2)   # a failure here leaves no partial file
             with open(cfg.output, "w") as fh:
                 fh.write(manifest)
@@ -455,10 +455,13 @@ def _sweep_row(args):
 def sweep(base: RunConfig, ns, rhos, epsilons, strategies, trials: int,
           csv_path=None, summary_path=None, workers: int = 1) -> list[dict]:
     """Cartesian-product experiment with independent derived seeds per row;
-    a list that repeats a value, which would run a cell twice, is refused."""
+    an empty list, which would run no row, and a list that repeats a value,
+    which would run a cell twice, are refused."""
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     for name, values in dict(ns=ns, rhos=rhos, epsilons=epsilons, strategies=strategies).items():
+        if not len(values):
+            raise ParameterError(f"{name} is empty")
         if len(set(values)) < len(values):
             raise ParameterError(f"{name} repeats a value: {list(values)}")
     cells = list(itertools.product(ns, rhos, epsilons, strategies))

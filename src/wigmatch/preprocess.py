@@ -43,8 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ParameterError
-from .model import (IndicatorBits, ObservedPair, _noise_blocks, _pack_indicator, _row_blocks,
-                    _symmetric_standard_normal)
+from .model import ObservedPair, _noise_blocks, _row_blocks, _symmetric_standard_normal
 from .rng import child, generator
 
 THRESHOLD_MULT = 10.0   # cleaning stops below THRESHOLD_MULT * sqrt(n)
@@ -233,37 +232,41 @@ def spectral_clean(m: np.ndarray, seed: int = 0, trace: list | None = None):
     row and column i are then zeroed.  Returns (cleaned, zeroed_indices).
     Zeroing is in-place on a copy, so m is left unchanged; the matrix keeps
     its original shape so all downstream indices stay in the input
-    coordinates.  A step whose power solve the certificate proved below
-    the threshold ends the loop (see _singular_triple for when a solve
-    tries it); its trace row has "certified": true, the norm that certified
-    ("S4" or "S8") and its bound.  Every trace row also has the solve's
+    coordinates.  With `trace` a list, every solve's row is appended to it.
+    A step whose power solve the certificate proved below the threshold
+    ends the loop (see _singular_triple for when a solve tries it); its
+    trace row has "certified": true, the norm that certified ("S4" or
+    "S8") and its bound.  Every trace row also has the solve's
     "power_iterations".
     """
     cleaned = np.array(m, dtype=float, copy=True)
-    return cleaned, _clean_in_place(cleaned, seed, trace)
+    zeroed, rows = _clean_in_place(cleaned, seed)
+    if trace is not None:
+        trace.extend(rows)
+    return cleaned, zeroed
 
 
-def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.ndarray:
+def _clean_in_place(cleaned: np.ndarray, seed: int) -> tuple[np.ndarray, list[dict]]:
     """spectral_clean's loop, zeroing the float matrix `cleaned` itself;
-    returns the sorted zeroed indices."""
+    returns the sorted zeroed indices and every solve's trace row."""
     n = cleaned.shape[0]
     if cleaned.shape[0] != cleaned.shape[1]:
         raise ParameterError("matrix must be square")
     threshold = THRESHOLD_MULT * math.sqrt(n)
     rng = generator(seed)
     zeroed: list[int] = []
+    rows: list[dict] = []
     start, warm = child(seed, 0), None   # every later solve starts from the last v
     for step in range(n + 1):
         sigma, u, v, iters, cert = _singular_triple(
             cleaned, seed=start, v0=warm, below=threshold)
-        if trace is not None:
-            norm, bound = cert or (None, None)
-            trace.append({"iteration": step, "top_singular_value": float(sigma),
-                          "power_iterations": iters, "removed_index": None,
-                          "certified": bound is not None and certifies(bound, threshold),
-                          "norm": norm, "bound": bound})
+        norm, bound = cert or (None, None)
+        rows.append({"iteration": step, "top_singular_value": float(sigma),
+                     "power_iterations": iters, "removed_index": None,
+                     "certified": bound is not None and certifies(bound, threshold),
+                     "norm": norm, "bound": bound})
         if sigma < threshold:   # a certified solve stops with its estimate below
-            return np.array(sorted(zeroed), dtype=np.intp)
+            return np.array(sorted(zeroed), dtype=np.intp), rows
         p = 0.5 * (v * v + u * u)
         total = p.sum()
         if not np.isfinite(total) or total <= 0:
@@ -273,8 +276,7 @@ def _clean_in_place(cleaned: np.ndarray, seed: int, trace: list | None) -> np.nd
         cleaned[:, i] = 0.0
         zeroed.append(i)
         warm = v
-        if trace is not None:
-            trace[-1]["removed_index"] = i
+        rows[-1]["removed_index"] = i
     raise NumericalError("cleaning loop exceeded n iterations; solver is inconsistent")
 
 
@@ -293,27 +295,21 @@ def clean_pair(obs: ObservedPair, seed: int, threshold_mult: float = THRESHOLD_M
     return _clean_owned(observed, seed)[0]
 
 
-def _clean_owned(observed: list, seed: int,
-                 trace: list | None = None) -> tuple[CleanedPair, IndicatorBits]:
+def _clean_owned(observed: list, seed: int) -> tuple[CleanedPair, list[dict]]:
     """clean_pair on observed = [A', B'], float matrices which the list hands
-    over: it is emptied, and one matrix at a time, its indicator x >= 1 is
-    packed into bits, a block of rows at a time, the noise is re-injected
+    over: it is emptied, and one matrix at a time, the noise is re-injected
     over it in place (G for A', then H for B') and it is cleaned in place,
-    so cleaning holds no n x n matrix beyond the pair, not even a bool one.
-    Returns the cleaned pair and the IndicatorBits of (A', B'), which is
-    all that refinement and selection read of A' and B'.  With `trace` a
-    list, every solve's trace row is appended to it, with "matrix" "a" or
-    "b"."""
+    so cleaning holds no n x n matrix beyond the pair.  Returns the cleaned
+    pair and every solve's trace row, A's then B's, each with "matrix" "a"
+    or "b" first.  The run packs the indicators that refinement and
+    selection read (model.indicator_bits) before it hands A' and B' over."""
     rng = _noise_stream(observed[0], observed[1], child(seed, 0))
-    cleaned, zeroed, indicators = [], [], []
+    cleaned, zeroed, log = [], [], []
     for side, name in ((1, "a"), (2, "b")):
         m = observed.pop(0)
-        indicators.append(_pack_indicator(m))
         _reinject_in_place(m, _noise_blocks(m.shape[0], rng))
-        rows: list | None = [] if trace is not None else None
-        zeroed.append(_clean_in_place(m, child(seed, side), rows))
+        z, rows = _clean_in_place(m, child(seed, side))
+        zeroed.append(z)
         cleaned.append(m)
-        if trace is not None:
-            trace.extend({"matrix": name, **row} for row in rows)
-    cp = CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=zeroed[0], t=zeroed[1])
-    return cp, IndicatorBits(*indicators)
+        log.extend({"matrix": name, **row} for row in rows)
+    return CleanedPair(a_clean=cleaned[0], b_clean=cleaned[1], s=zeroed[0], t=zeroed[1]), log

@@ -32,10 +32,11 @@ symmetric, so a swap's two vectors are indicator rows.  A swap thus costs a few 
 updates and nothing over all n that it leaves unchanged.
 
 Refinement and selection read the indicators as IndicatorBits, each row
-packed into bits, which cleaning hands over; an observed pair, float or
-bool, is packed on entry (model.indicator_bits).  Rows are unpacked where
-they are read: UNPACK_ROWS at a time into the float32 operands of the
-table build and into the selection count, and one at a time for a swap.
+packed into bits, which the run packs before cleaning; an observed pair,
+float or bool, is packed on entry (model.indicator_bits).  Rows are
+unpacked where they are read: UNPACK_ROWS at a time into the float32
+operands of the table build, whose products with a ones vector are the
+row degrees, and into the selection count, and one at a time for a swap.
 
 psi has Owen's closed form psi(rho) = alpha - 2 T(1, sqrt((1 - rho)/(1 + rho))),
 with T Owen's T function (Owen, "Tables for computing bivariate normal
@@ -135,16 +136,6 @@ def _unpacked(bits: np.ndarray, n: int) -> np.ndarray:
     return np.unpackbits(bits, axis=-1, count=n)
 
 
-# The number of set bits of each byte value, as a table: np.bitwise_count
-# counts them only from NumPy 2.0 on.
-_BYTE_ONES = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
-
-
-def _degrees(bits: np.ndarray) -> np.ndarray:
-    """The set bits of each packed row (pad bits are zero)."""
-    return _BYTE_ONES.take(bits).sum(axis=1, dtype=np.intp)
-
-
 def _unpacked_f32(bits: np.ndarray, n: int) -> np.ndarray:
     """Packed rows as 0/1 float32, unpacked UNPACK_ROWS rows at a time."""
     out = np.empty((bits.shape[0], n), dtype=np.float32)
@@ -155,7 +146,8 @@ def _unpacked_f32(bits: np.ndarray, n: int) -> np.ndarray:
 
 class CoNeighbourTable:
     """Exact counts C(u, v) = sum_w 1{A'[u,w] >= 1} 1{B'[v,pi(w)] >= 1}
-    under an evolving permutation pi, with the diagonal cur[u] = C(u, pi(u)).
+    under an evolving permutation pi, with the diagonal cur[u] = C(u, pi(u))
+    and the row degrees deg_a, deg_b of the two indicators.
 
     A' and B' are symmetric, so C = A B[pi] over the indicators, and a
     swap's two vectors are rows of them.  A swap changes C by a +-1 outer
@@ -164,8 +156,9 @@ class CoNeighbourTable:
     c with one product, c += da^T db; a read adds the pending rows.  Every
     value is an integer below 2^24, so all float32 sums are exact.  The
     table keeps the pair as IndicatorBits (bits_a, bits_b), unpacks both
-    into the float32 operands of its build, which die with it, and a swap
-    unpacks its four rows.  The observed pair, its bool indicator pair
+    into the float32 operands of its build, whose products with a ones
+    vector give the degrees and which die with it, and a swap unpacks its
+    four rows.  The observed pair, its bool indicator pair
     (A' >= 1, B' >= 1) and their IndicatorBits give the same counts."""
 
     def __init__(self, obs: ObservedPair | IndicatorBits, pi: np.ndarray):
@@ -175,8 +168,14 @@ class CoNeighbourTable:
         n = self.n = self.pi.size
         self.inv = np.empty_like(self.pi)
         self.inv[self.pi] = np.arange(n)
-        # 0/1 products summed in float32, exact for counts below 2^24
-        self.c = _unpacked_f32(self.bits_a, n) @ _unpacked_f32(self.bits_b[self.pi], n)
+        # 0/1 products summed in float32, exact for counts below 2^24; b's
+        # column sums are B's row sums, as B is symmetric
+        a, b = _unpacked_f32(self.bits_a, n), _unpacked_f32(self.bits_b[self.pi], n)
+        ones = np.ones(n, dtype=np.float32)
+        deg_a, deg_b = a @ ones, ones @ b
+        self.c = a @ b
+        del a, b    # the operands die before the swap factors are allocated
+        self.deg_a, self.deg_b = deg_a.astype(np.intp), deg_b.astype(np.intp)
         self.cur = self.c[np.arange(n), self.pi]
         self.da = np.empty((BATCH_SWAPS, n), dtype=np.float32)
         self.db = np.empty((BATCH_SWAPS, n), dtype=np.float32)
@@ -272,7 +271,7 @@ def seeded_refine(obs: ObservedPair | IndicatorBits, pi_tilde: np.ndarray, rho: 
     alpha = params.alpha
     table = CoNeighbourTable(obs, pi)
     pi, inv, cur = table.pi, table.inv, table.cur
-    deg_a, deg_b = _degrees(table.bits_a), _degrees(table.bits_b)
+    deg_a, deg_b = table.deg_a, table.deg_b
     t_hi, t_lo = _integer_cuts(params, n)
     # t_hi by (distinct d_A value, v), so a row block's thresholds are a row
     # gather; float32 like the table, and exact, as both hold small integers

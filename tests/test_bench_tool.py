@@ -199,6 +199,24 @@ def test_compare_pairs_the_ith_runs_and_calls_only_a_significant_change():
     assert bench.compare(spec, a, b)[1].split()[6:] == ["6/6", "0.031", "-", "1.000"]
 
 
+def test_compare_calls_a_metric_only_past_a_tenth_of_its_bound():
+    # desk-n1000 peak_rss_mb of the committed BENCH_fe28fe0 pair: 6 of 6
+    # pairs worse (p = 0.031) and the median moves +0.22 MB, beyond A's
+    # quartile spread of 0.10 MB, but that is 0.3%, 0.03 of the 0.1 bound
+    a = _file([64.51953125, 64.4453125, 64.40625, 64.58984375, 64.49609375, 64.57421875],
+              [26] * 6)
+    b = _file([64.80859375, 64.71484375, 64.703125, 64.7890625, 64.69921875, 64.7421875],
+              [26] * 6)
+    assert bench.compare(SPEC, a, b)[1].split()[4:] == ["+0.3%", "+0.03", "6/6", "0.031",
+                                                         "-", "1.004"]
+    # the same pairs 1.5% higher move by 0.15 of the bound: called
+    c = _file([x * 1.015 for x in a["workloads"]["w"]["metrics"]["peak_rss_mb"]["values"]],
+              [26] * 6)
+    assert bench.compare(SPEC, a, c)[1].split()[4:] == ["+1.5%", "+0.15", "6/6", "0.031",
+                                                         "worse", "1.015"]
+    assert bench.compare(SPEC, c, a)[1].split()[8] == "better"
+
+
 def test_compare_prints_the_median_of_the_paired_ratios():
     # the pairs' ratios are 1.5, 1.5 and 0.5: their median is 1.5, though
     # both medians are 2.0

@@ -178,6 +178,17 @@ def test_a_repeated_sweep_value_exits_2(tmp_path):
     assert "rows" not in out and not csv_path.exists()
 
 
+@pytest.mark.parametrize("lists", [["--ns", ","], ["--strategies", " ,"]])
+def test_an_empty_sweep_list_exits_2(lists, tmp_path):
+    # a list of separators alone parses to no value, which would run 0 rows
+    csv_path = tmp_path / "rows.csv"
+    code, out, err = run_cli(["sweep", "--n", "80", "--k0", "12", *lists,
+                              "--csv", str(csv_path)])
+    assert code == EXIT_CONFIG, err
+    assert err.startswith(f"config error: {lists[0][2:]} is empty")
+    assert "rows" not in out and not csv_path.exists()
+
+
 def test_cli_subprocess_smoke():
     code, out, err = run_cli(["run", "--n", "64", "--rho", "0.9", "--k0", "24",
                               "--master-seed", "3", "--min-rounds", "0"])

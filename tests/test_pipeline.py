@@ -633,14 +633,13 @@ def test_run_peak_memory_is_bounded():
     # Desk settings at n = 400.  Each stage owns the matrices it replaces and
     # each n x n float64 matrix dies at its last use.  generate holds A and
     # the correlated matrix in Z's buffer, which B is permuted in (2.0);
-    # corrupt perturbs A and B in place (2.0).  Cleaning packs A' >= 1
-    # (B' >= 1) into bits, a sixty-fourth of a matrix, then re-injects and
-    # cleans A' (B') in its own buffer, and AMP reads the pair arranged in
-    # place.  The LAP's score and cost make about 2.25.  rank1-spike measures
-    # 2.41 and zero-out 2.82 (2.63 and 3.04 with bool indicators): at this
-    # size a noise row block is a sixth of the matrix, and zero-out ends
-    # cleaning with the certificate, whose 256 x n block of M^T M is two
-    # thirds of it.
+    # corrupt perturbs A and B in place (2.0).  The run packs A' >= 1 and
+    # B' >= 1 into bits, a sixty-fourth of a matrix each, then cleaning
+    # re-injects and cleans A' (B') in its own buffer, and AMP reads the
+    # pair arranged in place.  The LAP's score and cost make about 2.25.
+    # rank1-spike measures 2.41 and zero-out 2.82: at this size a noise row
+    # block is a sixth of the matrix, and zero-out ends cleaning with the
+    # certificate, whose 256 x n block of M^T M is two thirds of it.
     n = 400
     for strategy in ("rank1-spike", "zero-out"):
         cfg = RunConfig(n=n, rho=0.9, epsilon=0.01, strategy=strategy, k0=24,
@@ -899,6 +898,16 @@ def test_sweep_records_partial_failures(tmp_path, monkeypatch):
                       "overlap_lap": None, "overlap_refine": None, "overlap_final": None,
                       "cleaning_iters": None, "resamples_mean": None,
                       "error": "run_pipeline raised"}
+
+
+@pytest.mark.parametrize("name", ["ns", "rhos", "epsilons", "strategies"])
+def test_sweep_refuses_an_empty_list_before_the_first_row(name, tmp_path, monkeypatch):
+    # an empty list would run no row and still succeed
+    monkeypatch.setattr(pipeline, "run_pipeline", lambda cfg: pytest.fail("a row ran"))
+    grid = {**dict(ns=[80], rhos=[0.9], epsilons=[0.0], strategies=["zero-out"]), name: []}
+    with pytest.raises(ParameterError, match=f"^{name} is empty"):
+        sweep(small_cfg(n=80), **grid, trials=1, csv_path=tmp_path / "rows.csv")
+    assert not (tmp_path / "rows.csv").exists()
 
 
 @pytest.mark.parametrize("lists", [dict(ns=[80, 80]), dict(rhos=[0.9, 0.9]),

@@ -220,8 +220,7 @@ def test_clean_pair_composition():
     inst = generate(150, 0.9, "identity", 9)
     obs, plan = corrupt(inst, 0.04, "rank1-spike", 10,
                         spike_scale=40.0 * math.sqrt(150))
-    rows = []
-    cp = _clean_owned([obs.a_prime, obs.b_prime], seed=11, trace=rows)[0]
+    cp, rows = _clean_owned([obs.a_prime, obs.b_prime], seed=11)
     n = 150
     assert np.linalg.norm(cp.a_clean, 2) < 10.0 * math.sqrt(n)
     assert np.linalg.norm(cp.b_clean, 2) < 10.0 * math.sqrt(n)
@@ -284,15 +283,32 @@ def test_clean_pair_equals_spectral_clean_of_reinjected_pair(n):
     again, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
     assert np.array_equal(obs.a_prime, again.a_prime)
     assert np.array_equal(obs.b_prime, again.b_prime)
-    # the owning core run takes the matrices from its list, cleans them as
-    # clean_pair does and returns the indicator pair (A' >= 1, B' >= 1) in bits
+    # the owning core run takes the matrices from its list and cleans them
+    # as clean_pair does
     observed = [again.a_prime, again.b_prime]
-    owned, bits = _clean_owned(observed, 43)
+    owned, _ = _clean_owned(observed, 43)
     assert observed == []
     assert np.array_equal(owned.s, cp.s) and np.array_equal(owned.t, cp.t)
     assert owned.a_clean.tobytes() == cp.a_clean.tobytes()
     assert owned.b_clean.tobytes() == cp.b_clean.tobytes()
-    assert_packed_indicators(bits, obs)
+
+
+def test_clean_owned_log_is_spectral_clean_trace_of_each_matrix():
+    # the log, split by matrix, is each matrix's spectral_clean trace on the
+    # outputs of reinject_noise, every row tagged with its matrix first
+    n = 150
+    inst = generate(n, 0.9, "uniform-random", 41)
+    obs, _ = corrupt(inst, 0.04, "rank1-spike", 42, spike_scale=40.0 * math.sqrt(n))
+    hats = reinject_noise(obs, seed=child(43, 0))[:2]
+    _, log = _clean_owned([obs.a_prime.copy(), obs.b_prime.copy()], 43)
+    for side, (name, hat) in enumerate(zip("ab", hats), start=1):
+        trace = []
+        spectral_clean(hat, seed=child(43, side), trace=trace)
+        mine = [row for row in log if row["matrix"] == name]
+        assert len(trace) > 1
+        assert [list(row)[0] for row in mine] == ["matrix"] * len(mine)
+        assert [{k: v for k, v in row.items() if k != "matrix"} for row in mine] == trace
+    assert [row["matrix"] for row in log] == sorted(row["matrix"] for row in log)
 
 
 def assert_packed_indicators(bits, obs):
@@ -308,13 +324,16 @@ def assert_packed_indicators(bits, obs):
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 150])
 def test_clean_owned_packs_the_indicators(n):
-    # n below 8 and not a multiple of 8 leave pad bits in each row's last
-    # byte; n = 65 and 150 pass a block of NOISE_ROWS rows
+    # the run's clean stage packs A' and B' with indicator_bits before it
+    # hands them to _clean_owned; n below 8 and not a multiple of 8 leave
+    # pad bits in each row's last byte; n = 65 and 150 pass a block of
+    # NOISE_ROWS rows
     inst = generate(n, 0.9, "uniform-random", 60 + n)
     obs, _ = corrupt(inst, 0.05, "planted-clique-weight", 61)
-    _, bits = _clean_owned([obs.a_prime.copy(), obs.b_prime.copy()], 62)
+    bits = indicator_bits(obs)
     assert_packed_indicators(bits, obs)
-    assert_packed_indicators(indicator_bits(obs), obs)
+    bool_pair = ObservedPair(obs.a_prime >= 1.0, obs.b_prime >= 1.0)
+    assert_packed_indicators(indicator_bits(bool_pair), obs)
     assert indicator_bits(bits) is bits
 
 

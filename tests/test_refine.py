@@ -18,7 +18,6 @@ from wigmatch import refine
 from wigmatch.errors import ParameterError
 from wigmatch.model import (IndicatorBits, ObservedPair, corrupt, generate, indicator_bits,
                             overlap)
-from wigmatch.preprocess import _clean_owned
 from wigmatch.refine import (CoNeighbourTable, RefineParams, compute_alpha,
                              compute_psi, final_select, neighborhood_stat,
                              seeded_refine, selection_score)
@@ -473,8 +472,9 @@ def test_refine_truncated_within_a_batch_matches_dense_recompute():
 
 def test_refine_memory_stays_at_the_table_build():
     # The peak is the float32 product that builds C: both float32 operands
-    # and the result next to the packed indicators, 12.33 bytes per table
-    # entry (14.07 with bool indicators copied from the pair).  The scan
+    # and the result next to the packed indicators and the operands' row
+    # degrees, 12.36 bytes per table entry (13.03 if the swap factors were
+    # allocated before the operands die).  The scan
     # then holds the packed indicators and C (4.25 bytes an entry) plus
     # 256 bytes of swap factors per vertex; float32 copies of both
     # indicators and a dense threshold table kept beside C would reach 16.
@@ -617,18 +617,21 @@ def test_refine_and_selection_same_on_indicator_pair():
 
 @pytest.mark.parametrize("n", [2, 7, 8, 9, 63, 64, 65, 150])
 def test_refine_and_selection_same_on_indicator_bits(n):
-    # the bits that cleaning hands over and the float observed pair give the
+    # the bits that the run packs and the float observed pair give the
     # same refinement, swap trace and scores; n below 8 and n not a
     # multiple of 8 leave pad bits in each row's last byte
     inst = generate(n, 0.9, "uniform-random", 36 + n)
     obs, _ = corrupt(inst, 0.05, "rank1-spike", 37)
-    _, bits = _clean_owned([obs.a_prime.copy(), obs.b_prime.copy()], 38)
+    bits = indicator_bits(obs)
     assert isinstance(bits, IndicatorBits)
     rng = np.random.default_rng(n)
     pi = inst.pi_star.copy()
     for _ in range(n // 3):
         u, v = rng.integers(n, size=2)
         pi[u], pi[v] = pi[v], pi[u]
+    table = CoNeighbourTable(bits, pi)
+    assert np.array_equal(table.deg_a, (obs.a_prime >= 1.0).sum(axis=1))
+    assert np.array_equal(table.deg_b, (obs.b_prime >= 1.0).sum(axis=1))
     got = []
     for pair in (obs, bits):
         trace = []
@@ -646,20 +649,3 @@ def test_refine_and_selection_same_on_indicator_bits(n):
     assert np.array_equal(pi_obs, pi_bits) and scores_obs == scores_bits
     for u, v in rng.integers(n, size=(5, 2)):
         assert neighborhood_stat(bits, pi, int(u), int(v)) == neighborhood_stat(obs, pi, int(u), int(v))
-
-
-def test_refine_runs_without_bitwise_count(monkeypatch):
-    # numpy.bitwise_count exists only from NumPy 2.0 on; the degrees come
-    # from a byte table, so refinement runs on any supported NumPy
-    n = 70
-    inst, obs = clean_obs(n, 0.9, 12)
-    pi0 = shuffled_identity(n, 13)
-    want = seeded_refine(obs, pi0, 0.9)
-    monkeypatch.delattr(np, "bitwise_count", raising=False)
-    bits = indicator_bits(obs)
-    for m, packed in ((obs.a_prime, bits.a), (obs.b_prime, bits.b)):
-        assert np.array_equal(refine._degrees(packed), (m >= 1.0).sum(axis=1))
-    for pair in (obs, bits):
-        got = seeded_refine(pair, pi0, 0.9)
-        assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-    assert want[1]["swaps"] > 0

@@ -44,8 +44,9 @@ When every run of the workload finished in both files, their i-th values
 are paired (with --against, repeat i of both checkouts ran back to back):
 it prints how many pairs got worse and the two-sided sign-test p over the
 untied pairs, calls the change "worse" or "better" only when p < 0.05 (at
-least 6 pairs) and the median moved by more than A's quartile spread
-(q3 - q1), and prints the median over the pairs of B's value over A's
+least 6 pairs), the median moved by more than A's quartile spread
+(q3 - q1) and, for a metric, by at least MIN_SHARE of its bound (a stage
+has no bound), and prints the median over the pairs of B's value over A's
 (B/A, unless a value of A is 0); otherwise, and for a stage only one file
 has, "-".  Then each file's tier-1 run, if either has one.
 """
@@ -65,6 +66,8 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 REPEATS = 6     # the fewest pairs whose sign test can reach p < 0.05: 2/2**6
 SEED = 1
+# The least move of a metric's median, as a share of its bound, that is called
+MIN_SHARE = 0.1
 
 
 def _git(root: str, *args: str) -> str:
@@ -197,11 +200,12 @@ def sign_test_p(worse: int, better: int) -> float:
 _UNPAIRED = f"{'-':>6} {'-':>7}  {'-':<6} {'-':>6}"
 
 
-def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str) -> str:
+def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str, share: float | None) -> str:
     """Pairs worse of all pairs, sign-test p, the call and the median paired
     ratio B/A, or "-" for each unless every run of wa and wb finished.  A
-    change is called only when p < 0.05 and the median moved by more than
-    A's quartile spread."""
+    change is called only when p < 0.05, the median moved by more than A's
+    quartile spread and, unless share (the move as a share of the metric's
+    bound) is None, by at least MIN_SHARE of the bound."""
     va, vb = ma["values"], mb["values"]
     if any(wa.get("exit_codes", [])) or any(wb.get("exit_codes", [])) or len(va) != len(vb):
         return _UNPAIRED
@@ -209,7 +213,8 @@ def _paired(wa: dict, wb: dict, ma: dict, mb: dict, better: str) -> str:
     worse = sum(sign * (y - x) > 0 for x, y in zip(va, vb))
     improved = sum(sign * (y - x) < 0 for x, y in zip(va, vb))
     p = sign_test_p(worse, improved)
-    clears = abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
+    clears = (abs(mb["median"] - ma["median"]) > ma["q3"] - ma["q1"]
+              and (share is None or abs(share) >= MIN_SHARE))
     call = ("worse" if worse > improved else "better") if p < 0.05 and clears else "-"
     ratio = (f"{statistics.median(y / x for x, y in zip(va, vb)):>6.3f}" if all(va)
              else f"{'-':>6}")
@@ -227,9 +232,10 @@ def _line(name: str, label: str, wa: dict, wb: dict, ma: dict | None, mb: dict |
         return head + "no finished run"
     change = (mb["median"] - ma["median"]) / ma["median"] if ma["median"] else 0.0
     worse = change if better == "lower" else 0.0 - change   # no -0.0
-    share = f"{worse / bound:>+9.2f}" if bound else f"{'-':>9}"
-    return (head + f"{ma['median']:>10.4g} {mb['median']:>10.4g} {change:>+8.1%} {share} "
-            + _paired(wa, wb, ma, mb, better))
+    share = worse / bound if bound else None
+    cell = f"{share:>+9.2f}" if share is not None else f"{'-':>9}"
+    return (head + f"{ma['median']:>10.4g} {mb['median']:>10.4g} {change:>+8.1%} {cell} "
+            + _paired(wa, wb, ma, mb, better, share))
 
 
 def compare(spec: dict, a: dict, b: dict) -> list[str]:
